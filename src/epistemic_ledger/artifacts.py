@@ -1,9 +1,11 @@
 """File schemas and report rendering for the command-line front end.
 
 Pipelines, propositions, executions, and evaluation records travel as CSV;
-certificates as flat key=value text (full precision, so they round-trip);
-audit reports as sectioned key=value text with every number at fixed
-4-decimal precision so reports are diff-able and byte-reproducible.
+certificates and policies as flat key=value text (certificates at full
+precision, so they round-trip); audit reports as sectioned key=value text
+with every number at fixed 4-decimal precision so reports are diff-able and
+byte-reproducible. Certificates, policies and scenario files share one
+``key = value`` grammar, read by ``parse_sections``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -22,7 +26,6 @@ from .doctrine import (
 )
 from .metrics import (
     ComponentErrors,
-    Docket,
     FrontierPoint,
     PipelineKind,
     PipelineSpec,
@@ -52,6 +55,139 @@ class InputError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
 
 
+class _at:
+    """Re-raise a plain ValueError from the block as ``error`` at path:line.
+
+    A class, not a generator: it wraps every CSV row and costs a quarter as much."""
+
+    def __init__(self, path: str | Path, line: int, error: type[InputError] = InputError):
+        self.path, self.line, self.error = str(path), line, error
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(kind, ValueError) and not issubclass(kind, InputError):
+            raise self.error(str(exc), self.path, self.line) from exc
+
+
+def _number(
+    value: str,
+    key: str,
+    path: str | Path,
+    line: int,
+    cast: type = float,
+    error: type[InputError] = InputError,
+):
+    """Read a finite number of type ``cast`` (float, or int read strictly) from text."""
+    try:
+        number = cast(value)
+        if math.isfinite(number):
+            return number
+    except (ValueError, OverflowError):
+        pass
+    kind = "an integer" if cast is int else "a finite number"
+    raise error(f"{key!r} must be {kind}, got {value!r}", str(path), line)
+
+
+def _choice(kind: type, value: str, what: str, path: str | Path, line: int):
+    try:
+        return kind(value)
+    except ValueError:
+        raise InputError(f"unknown {what} {value!r}", str(path), line) from None
+
+
+@dataclass
+class Section:
+    """The ``key = value`` pairs, each with its line, under one ``[name]`` header.
+
+    The top level is named "" and starts at line 1. Errors are raised as ``error``.
+    """
+
+    name: str
+    path: str
+    line: int
+    values: dict[str, tuple[str, int]]
+    error: type[InputError] = InputError
+
+    def raw(self, key: str) -> tuple[str, int]:
+        if key not in self.values:
+            where = f" in [{self.name}]" if self.name else ""
+            raise self.error(f"missing key {key!r}{where}", self.path, self.line)
+        return self.values[key]
+
+    def text(self, key: str, default: str | None = None) -> str:
+        if default is not None and key not in self.values:
+            return default
+        return self.raw(key)[0]
+
+    def number(self, key: str, cast: type = float) -> float:
+        value, line = self.raw(key)
+        return _number(value, key, self.path, line, cast, self.error)
+
+    def integer(self, key: str) -> int:
+        return self.number(key, int)
+
+    def pick(self, cast: type, *keys: str, **renamed: str) -> dict[str, float]:
+        """``{field: value}`` for each of ``keys`` and ``field=key`` that is present,
+        read as ``cast`` (float or int), so absent ones keep their defaults."""
+        wanted = {**{key: key for key in keys}, **renamed}
+        return {f: self.number(key, cast) for f, key in wanted.items() if key in self.values}
+
+
+def parse_sections(
+    text: str, path: str, *, flat: bool = False, error: type[InputError] = InputError
+) -> dict[str, Section]:
+    """Split ``key = value`` text, skipping blanks and ``#`` comments, into sections.
+
+    Duplicate keys and sections, empty keys, lines without ``=`` and malformed
+    headers (any header, when ``flat``) are rejected at their line.
+    """
+    current = Section("", path, 1, {}, error)
+    sections = {"": current}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("["):
+            name = line[1:-1].strip()
+            if flat or not line.endswith("]") or not name:
+                kind = "unexpected" if flat else "malformed"
+                raise error(f"{kind} section header {line!r}", path, lineno)
+            if name in sections:
+                raise error(f"duplicate section [{name}]", path, lineno)
+            current = sections[name] = Section(name, path, lineno, {}, error)
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise error(f"expected 'key = value', got {line!r}", path, lineno)
+        if not key:
+            raise error("empty key", path, lineno)
+        if key in current.values:
+            raise error(f"duplicate key {key!r}", path, lineno)
+        current.values[key] = (value.strip(), lineno)
+    return sections
+
+
+_POLICY_KEYS = tuple(f.name for f in fields(PolicyParams))
+
+
+def policy_params(section: Section, **overrides: float | None) -> PolicyParams:
+    """The policy a section sets, with non-None overrides on top.
+
+    Keys and defaults are the fields of PolicyParams; unknown keys are rejected.
+    """
+    values = {}
+    for key, (_, line) in section.values.items():
+        if key not in _POLICY_KEYS:
+            raise section.error(f"unknown policy key {key!r}", section.path, line)
+        values[key] = section.number(key)
+    values.update((key, value) for key, value in overrides.items() if value is not None)
+    with _at(section.path, section.line, section.error):
+        return PolicyParams(**values)
+
+
 def fmt(x: float) -> str:
     return f"{x:.4f}"
 
@@ -61,18 +197,7 @@ def _short_hash(payload: bytes) -> str:
 
 
 def policy_hash(policy: PolicyParams) -> str:
-    canon = ",".join(
-        f"{name}={getattr(policy, name)!r}"
-        for name in (
-            "tau_star",
-            "theta_c",
-            "delta",
-            "theta_ak",
-            "theta_ck",
-            "theta_r",
-            "theta_neg",
-        )
-    )
+    canon = ",".join(f"{name}={getattr(policy, name)!r}" for name in _POLICY_KEYS)
     return _short_hash(canon.encode("utf-8"))
 
 
@@ -84,52 +209,43 @@ def files_hash(paths: Iterable[str | Path]) -> str:
 
 
 def _rows(path: str | Path, expected: Sequence[str]) -> Iterable[tuple[int, dict[str, str]]]:
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+    text = Path(path).read_text(encoding="utf-8-sig")
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
         raise InputError("empty file (missing header)", str(path), 1)
-    missing = [c for c in expected if c not in reader.fieldnames]
+    missing = [c for c in expected if c not in header]
     if missing:
         raise InputError(f"missing column(s): {', '.join(missing)}", str(path), 1)
-    for row in reader:
-        yield reader.line_num, row
-
-
-def _number(value: str, column: str, path: str, line: int) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"column {column!r} must be a number, got {value!r}", path, line)
+    width = 1 + max(header.index(c) for c in expected)
+    for cells in reader:
+        if len(cells) >= width:
+            yield reader.line_num, dict(zip(header, cells))
+        elif cells:  # a short row, or one that an unterminated quote ran on into
+            empty = ", ".join(c for c in expected if header.index(c) >= len(cells))
+            raise InputError(f"row has no value for column(s): {empty}", str(path), reader.line_num)
 
 
 def read_pipelines_csv(path: str | Path) -> list[PipelineSpec]:
     """Columns: id, kind, expected_cost, eps_ret, eps_gen, eps_ver[, joint_error]."""
     pipelines = []
     for line, row in _rows(path, ("id", "kind", "expected_cost", "eps_ret", "eps_gen", "eps_ver")):
-        try:
-            kind = PipelineKind(row["kind"].strip())
-        except ValueError:
-            raise InputError(f"unknown pipeline kind {row['kind']!r}", str(path), line)
+        kind = _choice(PipelineKind, row["kind"].strip(), "pipeline kind", path, line)
         joint_raw = (row.get("joint_error") or "").strip()
-        joint = _number(joint_raw, "joint_error", str(path), line) if joint_raw else None
-        try:
+        with _at(path, line):
             pipelines.append(
                 PipelineSpec(
                     id=row["id"].strip(),
                     kind=kind,
-                    expected_cost=_number(row["expected_cost"], "expected_cost", str(path), line),
+                    expected_cost=_number(row["expected_cost"], "expected_cost", path, line),
                     errors=ComponentErrors(
-                        retrieval=_number(row["eps_ret"], "eps_ret", str(path), line),
-                        generation=_number(row["eps_gen"], "eps_gen", str(path), line),
-                        verification=_number(row["eps_ver"], "eps_ver", str(path), line),
+                        retrieval=_number(row["eps_ret"], "eps_ret", path, line),
+                        generation=_number(row["eps_gen"], "eps_gen", path, line),
+                        verification=_number(row["eps_ver"], "eps_ver", path, line),
                     ),
-                    joint_error=joint,
+                    joint_error=_number(joint_raw, "joint_error", path, line) if joint_raw else None
                 )
             )
-        except ValueError as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(str(exc), str(path), line)
     return pipelines
 
 
@@ -140,15 +256,12 @@ def read_eval_records_csv(path: str | Path) -> dict[str, list[LossRecord]]:
         component = row["component"].strip()
         if component not in ("retrieval", "generation", "verification"):
             raise InputError(f"unknown component {component!r}", str(path), line)
-        loss = _number(row["loss"], "loss", str(path), line)
-        try:
+        with _at(path, line):
             record = LossRecord(
                 predicted=(row.get("predicted") or "").strip(),
                 actual=(row.get("actual") or "").strip(),
-                loss=loss,
+                loss=_number(row["loss"], "loss", path, line),
             )
-        except ValueError as exc:
-            raise InputError(str(exc), str(path), line)
         sets.setdefault(component, []).append(record)
     return sets
 
@@ -161,19 +274,15 @@ def read_propositions_csv(
     sets: dict[str, tuple[PipelineSpec, ...]] = {}
     for line, row in _rows(path, ("id", "description", "weight", "threshold", "pipelines")):
         prop_id = row["id"].strip()
-        try:
+        with _at(path, line):
             propositions.append(
                 Proposition(
                     id=prop_id,
                     description=row["description"].strip(),
-                    salience_weight=_number(row["weight"], "weight", str(path), line),
-                    threshold=_number(row["threshold"], "threshold", str(path), line),
+                    salience_weight=_number(row["weight"], "weight", path, line),
+                    threshold=_number(row["threshold"], "threshold", path, line),
                 )
             )
-        except ValueError as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(str(exc), str(path), line)
         listed = [p.strip() for p in row["pipelines"].split(";") if p.strip()]
         unknown = [p for p in listed if p not in pipelines]
         if unknown:
@@ -210,25 +319,17 @@ def read_executions_csv(
                 line,
             )
         outcome_raw = (row.get("outcome") or "").strip()
-        try:
-            outcome = Verdict(outcome_raw) if outcome_raw else None
-        except ValueError:
-            raise InputError(f"unknown outcome {outcome_raw!r}", str(path), line)
+        outcome = _choice(Verdict, outcome_raw, "outcome", path, line) if outcome_raw else None
         evidence_raw = (row.get("avoidance_evidence") or "none").strip() or "none"
-        try:
-            evidence = AvoidanceEvidence(evidence_raw)
-        except ValueError:
-            raise InputError(f"unknown avoidance evidence {evidence_raw!r}", str(path), line)
+        evidence = _choice(AvoidanceEvidence, evidence_raw, "avoidance evidence", path, line)
         cert_raw = (row.get("certificate") or "").strip()
         certificate = None
         if cert_raw:
-            cert_path = Path(cert_raw)
-            if not cert_path.is_absolute():
-                cert_path = base / cert_path
+            cert_path = base / cert_raw  # an absolute cert_raw replaces base
             if not cert_path.exists():
                 raise InputError(f"certificate file not found: {cert_raw}", str(path), line)
             certificate = read_certificate(cert_path)
-        try:
+        with _at(path, line):
             records.append(
                 ExecutionRecord(
                     pipeline_id=row["pipeline_id"].strip(),
@@ -240,14 +341,7 @@ def read_executions_csv(
                     timestamp=(row.get("timestamp") or "").strip(),
                 )
             )
-        except ValueError as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(str(exc), str(path), line)
     return records
-
-
-_CERT_BOUND_KEYS = ("point", "upper", "method", "delta", "n", "synthetic")
 
 
 def certificate_to_text(cert: ValidationCertificate) -> str:
@@ -286,77 +380,47 @@ def certificate_to_text(cert: ValidationCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_kv(text: str, path: str) -> dict[str, tuple[str, int]]:
-    values: dict[str, tuple[str, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InputError(f"expected 'key = value', got {line!r}", path, lineno)
-        key, _, value = line.partition("=")
-        values[key.strip()] = (value.strip(), lineno)
-    return values
-
-
 def read_certificate(path: str | Path) -> ValidationCertificate:
     text = Path(path).read_text(encoding="utf-8")
-    values = _parse_kv(text, str(path))
-
-    def need(key: str) -> tuple[str, int]:
-        if key not in values:
-            raise InputError(f"certificate missing key {key!r}", str(path), 1)
-        return values[key]
-
-    def number(key: str) -> float:
-        value, line = need(key)
-        return _number(value, key, str(path), line)
+    cert = parse_sections(text, str(path), flat=True)[""]
 
     def bound(prefix: str) -> ConfidenceBound:
-        method_raw, line = need(f"{prefix}_method")
-        try:
-            method = BoundMethod(method_raw)
-        except ValueError:
-            raise InputError(f"unknown bound method {method_raw!r}", str(path), line)
-        try:
+        method_raw, line = cert.raw(f"{prefix}_method")
+        method = _choice(BoundMethod, method_raw, "bound method", path, line)
+        with _at(path, line):
             return ConfidenceBound(
-                point_estimate=number(f"{prefix}_point"),
-                upper=number(f"{prefix}_upper"),
+                point_estimate=cert.number(f"{prefix}_point"),
+                upper=cert.number(f"{prefix}_upper"),
                 method=method,
-                delta=number(f"{prefix}_delta"),
-                sample_size=int(number(f"{prefix}_n")),
-                synthetic=need(f"{prefix}_synthetic")[0] == "true",
+                delta=cert.number(f"{prefix}_delta"),
+                sample_size=cert.integer(f"{prefix}_n"),
+                synthetic=cert.text(f"{prefix}_synthetic") == "true",
             )
-        except ValueError as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(str(exc), str(path), line)
 
+    sizes_raw, sizes_line = cert.raw("sample_sizes")
     sizes = tuple(
-        int(s) for s in need("sample_sizes")[0].split(",") if s.strip() != ""
+        _number(s, "sample_sizes", path, sizes_line, int)
+        for s in sizes_raw.split(",")
+        if s.strip() != ""
     )
     if len(sizes) != 3:
-        raise InputError("sample_sizes must have three entries", str(path), need("sample_sizes")[1])
-    try:
+        raise InputError("sample_sizes must have three entries", str(path), sizes_line)
+    with _at(path, cert.line):
         return ValidationCertificate(
-            pipeline_id=need("pipeline_id")[0],
-            measured_cost=number("measured_cost"),
+            pipeline_id=cert.text("pipeline_id"),
+            measured_cost=cert.number("measured_cost"),
             ret_bound=bound("ret"),
             gen_bound=bound("gen"),
             ver_bound=bound("ver"),
-            total_upper=number("total_upper"),
-            delta=number("delta"),
+            total_upper=cert.number("total_upper"),
+            delta=cert.number("delta"),
             provenance=CertProvenance(
-                fold_strategy=need("fold_strategy")[0],
+                fold_strategy=cert.text("fold_strategy"),
                 sample_sizes=sizes,  # type: ignore[arg-type]
-                timestamp=need("timestamp")[0],
-                union_delta=number("union_delta"),
+                timestamp=cert.text("timestamp"),
+                union_delta=cert.number("union_delta"),
             ),
         )
-    except ValueError as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(str(exc), str(path), 1)
 
 
 def score_table(pipelines: Sequence[PipelineSpec], policy: PolicyParams) -> str:

@@ -9,6 +9,7 @@ scenario file's own seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -20,6 +21,8 @@ from .artifacts import (
     certificate_to_text,
     files_hash,
     fmt,
+    parse_sections,
+    policy_params,
     read_eval_records_csv,
     read_executions_csv,
     read_pipelines_csv,
@@ -36,7 +39,6 @@ from .metrics import (
     org_score,
 )
 from .simlab import (
-    ScenarioError,
     company_capacity,
     export_corpus,
     generate_corpus,
@@ -58,34 +60,23 @@ from .validation import (
 ENV_SEED = "EPISTEMIC_LEDGER_SEED"
 
 
-def _unit_open(value: str) -> float:
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
-    if not (0.0 < parsed < 1.0):
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {value}")
-    return parsed
+def _bounded(low: float, high: float = math.inf, *, closed: bool = False, cast=float):
+    """An argparse type for a finite number in (low, high), or [low, high) if ``closed``."""
 
+    kind = "an integer" if cast is int else "a finite number"
+    interval = f"{'[' if closed else '('}{low:g}, {high:g})"
 
-def _positive(value: str) -> float:
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
-    if parsed <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return parsed
+    def parse(value: str):
+        try:
+            parsed = cast(value)
+        except ValueError:
+            parsed = math.nan
+        above = low <= parsed if closed else low < parsed
+        if not (math.isfinite(parsed) and above and parsed < high):
+            raise argparse.ArgumentTypeError(f"expected {kind} in {interval}, got {value!r}")
+        return parsed
 
-
-def _non_negative(value: str) -> float:
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
-    if parsed < 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return parsed
+    return parse
 
 
 def _eps_grid(value: str) -> list[float]:
@@ -113,35 +104,9 @@ def _sizes(value: str) -> list[int]:
 
 
 def _policy_from_args(args: argparse.Namespace) -> PolicyParams:
-    values = {
-        "tau_star": 10.0,
-        "theta_c": 0.7,
-        "delta": 0.05,
-        "theta_ak": 0.7,
-        "theta_ck": 0.7,
-        "theta_r": 0.7,
-        "theta_neg": 0.7,
-    }
-    policy_path = getattr(args, "policy", None)
-    if policy_path:
-        from .artifacts import _parse_kv  # shared key=value parser
-
-        for key, (raw, line) in _parse_kv(
-            Path(policy_path).read_text(encoding="utf-8"), str(policy_path)
-        ).items():
-            if key not in values:
-                raise InputError(f"unknown policy key {key!r}", str(policy_path), line)
-            try:
-                values[key] = float(raw)
-            except ValueError:
-                raise InputError(f"policy key {key!r} must be a number", str(policy_path), line)
-    if getattr(args, "tau_star", None) is not None:
-        values["tau_star"] = args.tau_star
-    if getattr(args, "theta", None) is not None:
-        values["theta_c"] = args.theta
-    if getattr(args, "delta", None) is not None:
-        values["delta"] = args.delta
-    return PolicyParams(**values)
+    text = Path(args.policy).read_text(encoding="utf-8") if args.policy else ""
+    section = parse_sections(text, args.policy or "<flags>", flat=True)[""]
+    return policy_params(section, tau_star=args.tau_star, theta_c=args.theta, delta=args.delta)
 
 
 def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int | None:
@@ -346,9 +311,9 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def _add_policy_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--policy", help="policy file (key = value lines)")
-    sub.add_argument("--theta", type=_unit_open, help="knowledge threshold theta_c")
-    sub.add_argument("--tau-star", dest="tau_star", type=_positive, help="reference seconds")
-    sub.add_argument("--delta", type=_unit_open, help="confidence parameter")
+    sub.add_argument("--theta", type=_bounded(0.0, 1.0), help="knowledge threshold theta_c")
+    sub.add_argument("--tau-star", dest="tau_star", type=_bounded(0.0), help="reference seconds")
+    sub.add_argument("--delta", type=_bounded(0.0, 1.0), help="confidence parameter")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[k.value for k in PipelineKind],
         default=PipelineKind.FULL.value,
     )
-    p_cert.add_argument("--cost", type=_non_negative, required=True, help="measured seconds")
+    p_cert.add_argument("--cost", type=_bounded(0.0, closed=True), required=True, help="measured seconds")
     p_cert.add_argument(
         "--method", choices=[m.value for m in BoundMethod], default=BoundMethod.WILSON.value
     )
@@ -418,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default=_sizes("60,100,200,300,400,500,600,700,800,900,1000"),
             )
         if name == "montecarlo":
-            p.add_argument("--runs", type=int, default=15)
-            p.add_argument("--jitter", type=_non_negative, default=None)
+            p.add_argument("--runs", type=_bounded(1, closed=True, cast=int), default=15)
+            p.add_argument("--jitter", type=_bounded(0.0, closed=True), default=None)
     return parser
 
 
@@ -438,15 +403,9 @@ def main(argv: list[str] | None = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args, parser)
-    except CertificationRefusedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InputError, ScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, CertificationRefusedError) else 1
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from ..metrics import (
 )
 from .corpus import Corpus, generate_corpus
 from .scenario import SimScenario, TaskSpec
-from .search import keyword_search, semantic_search, simulated_verifier
+from .search import jitter_factor, keyword_search, semantic_search, simulated_verifier
 
 LEGACY = "legacy"
 MODERN = "modern"
@@ -53,13 +53,20 @@ class RunResult:
     verdict: Verdict
 
     def pipeline_spec(self) -> PipelineSpec:
-        kind = PipelineKind.RETRIEVAL_ONLY if self.company == LEGACY else PipelineKind.FULL
-        return PipelineSpec(
-            id=f"{self.company}_{self.task_id}",
-            kind=kind,
-            expected_cost=self.simulated_time,
-            errors=ComponentErrors(retrieval=self.eps_ret, verification=self.eps_ver),
+        return _pipeline_spec(
+            self.company, self.task_id, self.simulated_time, self.eps_ret, self.eps_ver
         )
+
+
+def _pipeline_spec(
+    company: str, task_id: str, cost: float, eps_ret: float, eps_ver: float
+) -> PipelineSpec:
+    return PipelineSpec(
+        id=f"{company}_{task_id}",
+        kind=PipelineKind.RETRIEVAL_ONLY if company == LEGACY else PipelineKind.FULL,
+        expected_cost=cost,
+        errors=ComponentErrors(retrieval=eps_ret, verification=eps_ver),
+    )
 
 
 def _run_task(
@@ -109,13 +116,7 @@ def _run_task(
             else 1.0
         )
     eps_ret = 0.0 if complete else 1.0
-    kind = PipelineKind.RETRIEVAL_ONLY if company == LEGACY else PipelineKind.FULL
-    spec = PipelineSpec(
-        id=f"{company}_{task.id}",
-        kind=kind,
-        expected_cost=cost,
-        errors=ComponentErrors(retrieval=eps_ret, verification=eps_ver),
-    )
+    spec = _pipeline_spec(company, task.id, cost, eps_ret, eps_ver)
     return RunResult(
         company=company,
         task_id=task.id,
@@ -268,16 +269,10 @@ def scalability_sweep(
     for size in sizes:
         corpus = generate_corpus(scenario, seed, size=size)
         rng = _rng(seed, _STREAM_SWEEP, size)
-        legacy = scenario.legacy_cost(len(corpus)) * _jitter(rng, scenario.jitter_sigma)
-        modern = scenario.modern_cost(len(corpus)) * _jitter(rng, scenario.jitter_sigma)
+        legacy = scenario.legacy_cost(len(corpus)) * jitter_factor(rng, scenario.jitter_sigma)
+        modern = scenario.modern_cost(len(corpus)) * jitter_factor(rng, scenario.jitter_sigma)
         points.append(ScalePoint(size, legacy, modern))
     return points
-
-
-def _jitter(rng: np.random.Generator, sigma: float) -> float:
-    if sigma <= 0.0:
-        return 1.0
-    return max(0.01, 1.0 + sigma * float(rng.standard_normal()))
 
 
 @dataclass(frozen=True)

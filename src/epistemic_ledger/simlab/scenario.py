@@ -13,19 +13,15 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from ..artifacts import InputError, Section, _at, parse_sections, policy_params
 from ..doctrine import Verdict
 from ..metrics import PolicyParams, Proposition
 
 DEFAULT_SCENARIO_NAME = "appendix_a"
 
 
-class ScenarioError(ValueError):
+class ScenarioError(InputError):
     """A scenario file problem, carrying file and line for diagnostics."""
-
-    def __init__(self, message: str, path: str = "<scenario>", line: int = 0):
-        self.path = path
-        self.line = line
-        super().__init__(f"{path}:{line}: {message}")
 
 
 @dataclass(frozen=True)
@@ -128,151 +124,59 @@ class SimScenario:
         return (self.modern_a + self.modern_b * math.log(n_docs)) * time_scale
 
 
-def _parse_sections(
-    text: str, path: str
-) -> dict[str, dict[str, tuple[str, int]]]:
-    """Split scenario text into {section: {key: (value, line)}}."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {"": {}}
-    current = ""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]") or len(line) < 3:
-                raise ScenarioError(f"malformed section header {line!r}", path, lineno)
-            current = line[1:-1].strip()
-            if current in sections:
-                raise ScenarioError(f"duplicate section [{current}]", path, lineno)
-            sections[current] = {}
-            continue
-        if "=" not in line:
-            raise ScenarioError(f"expected 'key = value', got {line!r}", path, lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ScenarioError("empty key", path, lineno)
-        if key in sections[current]:
-            raise ScenarioError(f"duplicate key {key!r}", path, lineno)
-        sections[current][key] = (value.strip(), lineno)
-    return sections
+def _phrases(value: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in value.split(",") if p.strip())
 
 
-class _Section:
-    def __init__(self, name: str, values: dict[str, tuple[str, int]], path: str):
-        self.name = name
-        self.values = values
-        self.path = path
-
-    def _raw(self, key: str, default: str | None = None) -> tuple[str, int]:
-        if key in self.values:
-            return self.values[key]
-        if default is None:
-            label = f"[{self.name}]" if self.name else "top level"
-            raise ScenarioError(f"missing key {key!r} in {label}", self.path, 0)
-        return default, 0
-
-    def text(self, key: str, default: str | None = None) -> str:
-        return self._raw(key, default)[0]
-
-    def number(self, key: str, default: str | None = None) -> float:
-        value, line = self._raw(key, default)
-        try:
-            return float(value)
-        except ValueError:
-            raise ScenarioError(f"{key} must be a number, got {value!r}", self.path, line)
-
-    def integer(self, key: str, default: str | None = None) -> int:
-        value, line = self._raw(key, default)
-        try:
-            return int(value)
-        except ValueError:
-            raise ScenarioError(f"{key} must be an integer, got {value!r}", self.path, line)
-
-    def phrases(self, key: str, default: str | None = None) -> tuple[str, ...]:
-        value, _ = self._raw(key, default)
-        return tuple(p.strip() for p in value.split(",") if p.strip())
+def _task(sec: Section) -> TaskSpec:
+    task_id = sec.name[len("task.") :]
+    truth_text, truth_line = sec.raw("truth")
+    try:
+        truth = Verdict(truth_text)
+    except ValueError:
+        raise ScenarioError(
+            f"truth must be established or refuted, got {truth_text!r}", sec.path, truth_line
+        )
+    with _at(sec.path, sec.line, ScenarioError):
+        return TaskSpec(
+            id=task_id,
+            doctrine=sec.text("doctrine", task_id),
+            proposition=sec.text("proposition"),
+            truth=truth,
+            keywords=_phrases(sec.text("keywords")),
+            concept_query=sec.text("concept_query"),
+            ground_truth=sec.text("ground_truth"),
+            literal_phrases=_phrases(sec.text("literal_phrases", "")),
+            euphemism_phrases=_phrases(sec.text("euphemism_phrases", "")),
+            **sec.pick(float, "weight", "threshold", "legacy_time_scale", "modern_time_scale"),
+        )
 
 
 def parse_scenario(text: str, path: str = "<scenario>") -> SimScenario:
-    sections = _parse_sections(text, path)
-
-    def section(name: str) -> _Section:
-        return _Section(name, sections.get(name, {}), path)
-
-    top = section("")
-    corpus = section("corpus")
-    costs = section("costs")
-    verification = section("verification")
-    policy_kv = section("policy")
-
-    policy = PolicyParams(
-        tau_star=policy_kv.number("tau_star", "10.0"),
-        theta_c=policy_kv.number("theta_c", "0.7"),
-        delta=policy_kv.number("delta", "0.05"),
-        theta_ak=policy_kv.number("theta_ak", "0.7"),
-        theta_ck=policy_kv.number("theta_ck", "0.7"),
-        theta_r=policy_kv.number("theta_r", "0.7"),
-        theta_neg=policy_kv.number("theta_neg", "0.7"),
+    """Build a scenario; a key left out keeps the SimScenario or TaskSpec default."""
+    sections = parse_sections(text, path, error=ScenarioError)
+    empty = Section("", path, 1, {}, ScenarioError)
+    top, corpus, costs, verification, policy = (
+        sections.get(name, empty) for name in ("", "corpus", "costs", "verification", "policy")
     )
-
-    tasks = []
-    for name in sections:
-        if not name.startswith("task."):
-            continue
-        task_id = name[len("task.") :]
-        sec = section(name)
-        truth_text = sec.text("truth")
-        try:
-            truth = Verdict(truth_text)
-        except ValueError:
-            raise ScenarioError(
-                f"truth must be established or refuted, got {truth_text!r}",
-                path,
-                sec.values["truth"][1],
-            )
-        try:
-            tasks.append(
-                TaskSpec(
-                    id=task_id,
-                    doctrine=sec.text("doctrine", task_id),
-                    proposition=sec.text("proposition"),
-                    truth=truth,
-                    keywords=sec.phrases("keywords"),
-                    concept_query=sec.text("concept_query"),
-                    ground_truth=sec.text("ground_truth"),
-                    literal_phrases=sec.phrases("literal_phrases", ""),
-                    euphemism_phrases=sec.phrases("euphemism_phrases", ""),
-                    weight=sec.number("weight", "1.0"),
-                    threshold=sec.number("threshold", "0.7"),
-                    legacy_time_scale=sec.number("legacy_time_scale", "1.0"),
-                    modern_time_scale=sec.number("modern_time_scale", "1.0"),
-                )
-            )
-        except ValueError as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(str(exc), path, 0)
-
-    try:
+    tasks = tuple(_task(sec) for name, sec in sections.items() if name.startswith("task."))
+    with _at(path, 0, ScenarioError):
         return SimScenario(
-            tasks=tuple(tasks),
-            corpus_size=corpus.integer("size", "62"),
-            euphemism_ratio=corpus.number("euphemism_ratio", "0.1"),
-            ground_truth_per_task=corpus.integer("ground_truth_per_task", "2"),
-            c_per_doc=costs.number("legacy_seconds_per_doc", "0.105"),
-            modern_a=costs.number("modern_base_seconds", "0.41"),
-            modern_b=costs.number("modern_log_seconds", "0.40"),
-            jitter_sigma=costs.number("jitter_sigma", "0.02"),
-            verifier_error=verification.number("error_rate", "0.0"),
-            retrieval_k=verification.integer("top_k", "5"),
-            policy=policy,
-            seed=top.integer("seed", "42"),
+            tasks=tasks,
+            policy=policy_params(policy),
+            **top.pick(int, "seed"),
+            **corpus.pick(int, "ground_truth_per_task", corpus_size="size"),
+            **corpus.pick(float, "euphemism_ratio"),
+            **costs.pick(
+                float,
+                "jitter_sigma",
+                c_per_doc="legacy_seconds_per_doc",
+                modern_a="modern_base_seconds",
+                modern_b="modern_log_seconds",
+            ),
+            **verification.pick(float, verifier_error="error_rate"),
+            **verification.pick(int, retrieval_k="top_k"),
         )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(str(exc), path, 0)
 
 
 def load_scenario(source: str | Path) -> SimScenario:

@@ -18,8 +18,8 @@ from ..doctrine import Verdict
 from .corpus import Corpus, document_matches, embed
 
 
-def _jitter_factor(rng: np.random.Generator | None, sigma: float) -> float:
-    # Multiplicative Gaussian jitter, clamped away from zero.
+def jitter_factor(rng: np.random.Generator | None, sigma: float) -> float:
+    """Multiplicative Gaussian jitter, clamped away from zero; 1 without rng or sigma."""
     if rng is None or sigma <= 0.0:
         return 1.0
     return max(0.01, 1.0 + sigma * float(rng.standard_normal()))
@@ -42,7 +42,7 @@ def keyword_search(
         for doc in corpus.documents
         if any(document_matches(doc, kw) for kw in keywords)
     )
-    cost = c_per_doc * len(corpus) * time_scale * _jitter_factor(rng, jitter_sigma)
+    cost = c_per_doc * len(corpus) * time_scale * jitter_factor(rng, jitter_sigma)
     return hits, cost
 
 
@@ -73,7 +73,7 @@ def semantic_search(
     ]
     scored.sort()
     hits = tuple(doc_id for _, doc_id in scored[:k])
-    cost = (a + b * math.log(len(corpus))) * time_scale * _jitter_factor(rng, jitter_sigma)
+    cost = (a + b * math.log(len(corpus))) * time_scale * jitter_factor(rng, jitter_sigma)
     return hits, cost
 
 

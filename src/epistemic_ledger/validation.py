@@ -56,10 +56,6 @@ def zero_one(predicted: object, actual: object) -> float:
     return 0.0 if predicted == actual else 1.0
 
 
-def record_zero_one(predicted: object, actual: object) -> LossRecord:
-    return LossRecord(predicted, actual, zero_one(predicted, actual))
-
-
 @dataclass(frozen=True)
 class ConfidenceBound:
     """Point estimate plus a conservative one-sided upper bound.

@@ -1,0 +1,178 @@
+"""Malformed input files and flags: every one exits with a file:line diagnostic."""
+
+from importlib import resources
+
+import pytest
+
+from epistemic_ledger.artifacts import (
+    InputError,
+    certificate_to_text,
+    policy_hash,
+    read_certificate,
+    read_pipelines_csv,
+)
+from epistemic_ledger.cli import main
+from epistemic_ledger.metrics import PipelineKind, PipelineSpec, PolicyParams
+from epistemic_ledger.simlab import ScenarioError, SimScenario, parse_scenario
+from epistemic_ledger.validation import BoundMethod, certify
+
+from test_cli import PIPELINES_CSV, write
+from test_validation import loss_records
+
+APPENDIX_A = (
+    resources.files("epistemic_ledger.simlab").joinpath("data", "appendix_a.scenario").read_text()
+)
+
+MINIMAL_TASK = (
+    "[task.t1]\nproposition = p\ntruth = established\nkeywords = k\n"
+    "concept_query = q\nground_truth = literal\nliteral_phrases = k\n"
+)
+
+
+def certificate_text() -> str:
+    pipeline = PipelineSpec(id="pi", kind=PipelineKind.FULL, expected_cost=2.06)
+    sets = {
+        slot: loss_records([0.0, 1.0, 0.0, 0.0])
+        for slot in ("retrieval", "generation", "verification")
+    }
+    cert = certify(
+        pipeline, sets, measured_cost=2.06, delta=0.05,
+        method=BoundMethod.WILSON, timestamp="2026-01-01T00:00:00+00:00",
+    )
+    return certificate_to_text(cert)
+
+
+def line_of(text: str, prefix: str) -> int:
+    return next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(prefix))
+
+
+def replace_line(text: str, prefix: str, new: str) -> str:
+    return "\n".join(new if line.startswith(prefix) else line for line in text.splitlines()) + "\n"
+
+
+def score_with_policy(tmp_path, capsys, policy_text: str) -> tuple[int, str, str]:
+    pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
+    policy = write(tmp_path, "policy.txt", policy_text)
+    code = main(["score", pipelines, "--policy", policy])
+    return code, policy, capsys.readouterr().err
+
+
+class TestDuplicateKeys:
+    def test_policy_file(self, tmp_path, capsys):
+        code, policy, err = score_with_policy(tmp_path, capsys, "theta_c = 0.8\ntheta_c = 0.9\n")
+        assert code == 1
+        assert f"{policy}:2: duplicate key 'theta_c'" in err
+
+    def test_certificate(self, tmp_path):
+        text = certificate_text()
+        dup_line = text.count("\n") + 1
+        path = write(tmp_path, "dup.cert", text + "delta = 0.05\n")
+        with pytest.raises(InputError, match=rf"dup\.cert:{dup_line}: duplicate key 'delta'"):
+            read_certificate(path)
+
+
+def test_section_header_in_policy_file(tmp_path, capsys):
+    code, policy, err = score_with_policy(tmp_path, capsys, "tau_star = 5.0\n[policy]\n")
+    assert code == 1
+    assert f"{policy}:2:" in err
+
+
+def test_unknown_key_in_scenario_policy_section():
+    text = APPENDIX_A.replace("theta_neg = 0.7", "theta_neg = 0.7\nmystery = 1")
+    with pytest.raises(ScenarioError, match=rf"s\.scenario:{line_of(text, 'mystery')}: unknown"):
+        parse_scenario(text, "s.scenario")
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+class TestNonFiniteNumbers:
+    def test_policy_file(self, tmp_path, capsys, value):
+        text = f"theta_c = 0.7\ntau_star = {value}\n"
+        code, policy, err = score_with_policy(tmp_path, capsys, text)
+        assert code == 1
+        assert f"{policy}:2:" in err and "finite" in err
+
+    def test_scenario(self, value):
+        text = APPENDIX_A.replace("tau_star = 10.0", f"tau_star = {value}")
+        with pytest.raises(ScenarioError, match=rf":{line_of(text, 'tau_star')}: .*finite"):
+            parse_scenario(text, "s.scenario")
+
+    def test_certificate(self, tmp_path, value):
+        text = replace_line(certificate_text(), "measured_cost", f"measured_cost = {value}")
+        path = write(tmp_path, "c.cert", text)
+        with pytest.raises(InputError, match=rf":{line_of(text, 'measured_cost')}: .*finite"):
+            read_certificate(path)
+
+    def test_csv_cell(self, tmp_path, value):
+        path = write(tmp_path, "p.csv", PIPELINES_CSV + f"x,full,{value},0,0,0\n")
+        with pytest.raises(InputError, match=r":4: 'expected_cost' must be a finite number"):
+            read_pipelines_csv(path)
+
+
+def test_certificate_sample_size_must_be_integer(tmp_path):
+    text = replace_line(certificate_text(), "ret_n", "ret_n = 3.7")
+    path = write(tmp_path, "n.cert", text)
+    with pytest.raises(InputError, match=rf":{line_of(text, 'ret_n')}: 'ret_n' must be an integer"):
+        read_certificate(path)
+
+
+class TestMissingKeyNamesALine:
+    def test_certificate(self, tmp_path):
+        lines = certificate_text().splitlines()
+        text = "".join(line + "\n" for line in lines if not line.startswith("ret_upper"))
+        with pytest.raises(InputError, match=r"miss\.cert:1: missing key 'ret_upper'"):
+            read_certificate(write(tmp_path, "miss.cert", text))
+
+    def test_scenario_task_section(self):
+        text = "seed = 1\n\n[task.t1]\nproposition = p\n"
+        match = r"t\.scenario:3: missing key 'truth' in \[task\.t1\]"
+        with pytest.raises(ScenarioError, match=match):
+            parse_scenario(text, "t.scenario")
+
+
+def test_absent_scenario_keys_keep_dataclass_defaults():
+    scenario = parse_scenario(MINIMAL_TASK, "minimal.scenario")
+    assert scenario == SimScenario(tasks=scenario.tasks)
+    (task,) = scenario.tasks
+    assert (task.doctrine, task.weight, task.threshold) == ("t1", 1.0, 0.7)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "{pipelines}", "--tau-star", "inf"],
+        ["score", "{pipelines}", "--theta", "nan"],
+        ["certify", "{pipelines}", "--pipeline-id", "p", "--cost", "inf"],
+        ["sweep", "montecarlo", "--jitter", "nan"],
+        ["sweep", "montecarlo", "--runs", "0"],
+    ],
+)
+def test_non_finite_or_out_of_range_flag_is_usage_error(tmp_path, argv):
+    pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(pipelines=pipelines) for a in argv])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("short.csv", "id,kind,expected_cost,eps_ret,eps_gen,eps_ver\nm\n"),
+        ("quote.csv", 'id,kind,expected_cost,eps_ret,eps_gen,eps_ver\n"m,full,2.06,0,0,0\n'),
+    ],
+)
+def test_malformed_csv_row_exits_1_without_traceback(tmp_path, capsys, name, text):
+    path = write(tmp_path, name, text)
+    assert main(["score", path]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:2:" in err
+    assert "Traceback" not in err
+
+
+def test_bom_header_is_read(tmp_path, capsys):
+    path = write(tmp_path, "bom.csv", "\ufeff" + PIPELINES_CSV)
+    assert main(["score", path]) == 0
+    assert capsys.readouterr().out.strip().endswith("0.8292,modern_actual,0.7000,true")
+
+
+def test_policy_hash_is_pinned():
+    assert policy_hash(PolicyParams()) == "a559a3660b4a"
