@@ -16,7 +16,7 @@ import io
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NoReturn, Sequence
 
 from .doctrine import (
     AvoidanceEvidence,
@@ -110,11 +110,20 @@ class Section:
     values: dict[str, tuple[str, int]]
     error: type[InputError] = InputError
 
+    def _fail(self, message: str, line: int) -> NoReturn:
+        where = f" in [{self.name}]" if self.name else ""
+        raise self.error(f"{message}{where}", self.path, line)
+
     def raw(self, key: str) -> tuple[str, int]:
         if key not in self.values:
-            where = f" in [{self.name}]" if self.name else ""
-            raise self.error(f"missing key {key!r}{where}", self.path, self.line)
+            self._fail(f"missing key {key!r}", self.line)
         return self.values[key]
+
+    def reject_unknown(self, known: Collection[str], what: str = "key") -> None:
+        """Raise at the line of the first key that is not in ``known``."""
+        for key, (_, line) in self.values.items():
+            if key not in known:
+                self._fail(f"unknown {what} {key!r}", line)
 
     def text(self, key: str, default: str | None = None) -> str:
         if default is not None and key not in self.values:
@@ -178,11 +187,8 @@ def policy_params(section: Section, **overrides: float | None) -> PolicyParams:
 
     Keys and defaults are the fields of PolicyParams; unknown keys are rejected.
     """
-    values = {}
-    for key, (_, line) in section.values.items():
-        if key not in _POLICY_KEYS:
-            raise section.error(f"unknown policy key {key!r}", section.path, line)
-        values[key] = section.number(key)
+    section.reject_unknown(_POLICY_KEYS, "policy key")
+    values = {key: section.number(key) for key in section.values}
     values.update((key, value) for key, value in overrides.items() if value is not None)
     with _at(section.path, section.line, section.error):
         return PolicyParams(**values)
@@ -211,31 +217,43 @@ def files_hash(paths: Iterable[str | Path]) -> str:
 def _rows(path: str | Path, expected: Sequence[str]) -> Iterable[tuple[int, dict[str, str]]]:
     text = Path(path).read_text(encoding="utf-8-sig")
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        raise InputError("empty file (missing header)", str(path), 1)
-    missing = [c for c in expected if c not in header]
-    if missing:
-        raise InputError(f"missing column(s): {', '.join(missing)}", str(path), 1)
-    width = 1 + max(header.index(c) for c in expected)
-    for cells in reader:
-        if len(cells) >= width:
-            yield reader.line_num, dict(zip(header, cells))
-        elif cells:  # a short row, or one that an unterminated quote ran on into
-            empty = ", ".join(c for c in expected if header.index(c) >= len(cells))
-            raise InputError(f"row has no value for column(s): {empty}", str(path), reader.line_num)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise InputError("empty file (missing header)", str(path), 1)
+        missing = [c for c in expected if c not in header]
+        if missing:
+            raise InputError(f"missing column(s): {', '.join(missing)}", str(path), 1)
+        width = 1 + max(header.index(c) for c in expected)
+        for cells in reader:
+            if len(cells) >= width:
+                yield reader.line_num, dict(zip(header, cells))
+            elif cells:  # a short row, or one that an unterminated quote ran on into
+                empty = ", ".join(c for c in expected if header.index(c) >= len(cells))
+                raise InputError(f"row has no value for column(s): {empty}", str(path), reader.line_num)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise InputError(f"malformed CSV: {exc}", str(path), reader.line_num) from None
 
 
 def read_pipelines_csv(path: str | Path) -> list[PipelineSpec]:
     """Columns: id, kind, expected_cost, eps_ret, eps_gen, eps_ver[, joint_error]."""
     pipelines = []
+    first_line: dict[str, int] = {}
     for line, row in _rows(path, ("id", "kind", "expected_cost", "eps_ret", "eps_gen", "eps_ver")):
+        pipeline_id = row["id"].strip()
+        if pipeline_id in first_line:
+            raise InputError(
+                f"duplicate pipeline id {pipeline_id!r} (first at line {first_line[pipeline_id]})",
+                str(path),
+                line,
+            )
+        first_line[pipeline_id] = line
         kind = _choice(PipelineKind, row["kind"].strip(), "pipeline kind", path, line)
         joint_raw = (row.get("joint_error") or "").strip()
         with _at(path, line):
             pipelines.append(
                 PipelineSpec(
-                    id=row["id"].strip(),
+                    id=pipeline_id,
                     kind=kind,
                     expected_cost=_number(row["expected_cost"], "expected_cost", path, line),
                     errors=ComponentErrors(

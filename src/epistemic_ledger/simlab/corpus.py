@@ -1,4 +1,5 @@
-"""Synthetic corporate corpus and the hashed bag-of-tokens embedding.
+"""Synthetic corporate corpus, the hashed bag-of-tokens embedding, and the
+corpus index that every search over one corpus shares.
 
 Documents are template-generated from the scenario's task specs: literal
 ground-truth documents carry a task's keyword phrases verbatim, euphemistic
@@ -7,14 +8,23 @@ routine operations notes with vocabulary disjoint from every concept query.
 The embedding hashes tokens into a fixed-dimension unit vector; an explicit
 synonym table expands euphemism phrases into their concept tokens, which is
 what lets a conceptual search find what a literal keyword scan misses.
+
+A ``Corpus`` is immutable, so its index is built on first use and kept on
+it: each document's padded token text (``token_texts``) for the keyword
+scan, and, per synonym table, the embeddings of all documents as one sparse
+N x dim hashed design matrix (``HashedRows``, the feature-hashing view of
+Weinberger et al., 2009), whose product with a query vector scores every
+document at once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from array import array
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -67,6 +77,17 @@ def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_RE.findall(text.lower()) if t not in _STOPWORDS]
 
 
+def token_text(text: str) -> str:
+    """The text's lower-case tokens, joined and padded by single spaces.
+
+    A phrase's tokens appear consecutively in a text exactly when the
+    phrase's token text is a substring of the text's. A phrase without
+    tokens matches no text, but its token text (two spaces) is a substring
+    of that of every other text without tokens.
+    """
+    return f" {' '.join(_TOKEN_RE.findall(text.lower()))} "
+
+
 def _token_index(token: str, dim: int) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % dim
@@ -114,12 +135,74 @@ class Document:
 
 
 @dataclass(frozen=True)
+class HashedRows:
+    """Unit-vector embeddings as a sparse N x dim matrix in CSR form.
+
+    Row i keeps only the nonzero entries of its dense vector: bucket
+    ``indices[offsets[i]:offsets[i + 1]]`` (int32) has weight ``weights[...]``
+    (float64, copied bit for bit).
+    """
+
+    indices: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def from_vectors(cls, vectors: Iterable[np.ndarray]) -> HashedRows:
+        indices, weights, offsets = array("i"), array("d"), [0]
+        for vector in vectors:
+            nonzero = np.flatnonzero(vector)
+            indices.extend(nonzero.tolist())
+            weights.extend(vector[nonzero].tolist())
+            offsets.append(len(indices))
+        return cls(np.frombuffer(indices, np.intc), np.frombuffer(weights), np.array(offsets))
+
+    def dot(self, query: np.ndarray) -> np.ndarray:
+        """Each row's dot product with the dense ``query``.
+
+        Every row must hold a nonzero entry (``embed`` rejects text without
+        tokens): ``reduceat`` reads an empty row as the next row's first entry.
+        """
+        return np.add.reduceat(self.weights * query[self.indices], self.offsets[:-1])
+
+
+@dataclass(frozen=True)
 class Corpus:
     documents: tuple[Document, ...]
     seed: int
+    # HashedRows per synonym table, built on first use.
+    _hashed_rows: dict[tuple, HashedRows] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.documents)
+
+    @cached_property
+    def token_texts(self) -> tuple[str, ...]:
+        """Each document's ``token_text``, for phrase scans."""
+        return tuple(token_text(doc.text) for doc in self.documents)
+
+    @cached_property
+    def id_ranks(self) -> np.ndarray:
+        """Each document's position in id order, the tie-break of a ranking."""
+        order = sorted(range(len(self.documents)), key=lambda i: self.documents[i].id)
+        ranks = np.empty(len(order), dtype=np.int64)
+        ranks[order] = np.arange(len(order))
+        return ranks
+
+    def hashed_rows(
+        self,
+        synonyms: Mapping[str, tuple[str, ...]] | None,
+        embed_fn: Callable[..., np.ndarray] = embed,
+    ) -> HashedRows:
+        """Every document's embedding under ``synonyms``, built once by ``embed_fn``."""
+        key = tuple(sorted(synonyms.items())) if synonyms else ()
+        rows = self._hashed_rows.get(key)
+        if rows is None:
+            rows = HashedRows.from_vectors(embed_fn(doc.text, synonyms) for doc in self.documents)
+            self._hashed_rows[key] = rows
+        return rows
 
     def ground_truth_ids(self, task_id: str) -> frozenset[str]:
         return frozenset(

@@ -9,7 +9,7 @@ output is a pure function of (scenario, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -128,7 +128,28 @@ def _phrases(value: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in value.split(",") if p.strip())
 
 
+# Each plain section's keys, as key -> (SimScenario field, type). [policy] is
+# read by policy_params and each [task.<id>] by _task; other sections are errors.
+_SECTIONS: dict[str, dict[str, tuple[str, type]]] = {
+    "": {"seed": ("seed", int)},
+    "corpus": {
+        "size": ("corpus_size", int),
+        "euphemism_ratio": ("euphemism_ratio", float),
+        "ground_truth_per_task": ("ground_truth_per_task", int),
+    },
+    "costs": {
+        "legacy_seconds_per_doc": ("c_per_doc", float),
+        "modern_base_seconds": ("modern_a", float),
+        "modern_log_seconds": ("modern_b", float),
+        "jitter_sigma": ("jitter_sigma", float),
+    },
+    "verification": {"error_rate": ("verifier_error", float), "top_k": ("retrieval_k", int)},
+}
+_TASK_KEYS = tuple(f.name for f in fields(TaskSpec) if f.name != "id")
+
+
 def _task(sec: Section) -> TaskSpec:
+    sec.reject_unknown(_TASK_KEYS)
     task_id = sec.name[len("task.") :]
     truth_text, truth_line = sec.raw("truth")
     try:
@@ -153,30 +174,29 @@ def _task(sec: Section) -> TaskSpec:
 
 
 def parse_scenario(text: str, path: str = "<scenario>") -> SimScenario:
-    """Build a scenario; a key left out keeps the SimScenario or TaskSpec default."""
-    sections = parse_sections(text, path, error=ScenarioError)
-    empty = Section("", path, 1, {}, ScenarioError)
-    top, corpus, costs, verification, policy = (
-        sections.get(name, empty) for name in ("", "corpus", "costs", "verification", "policy")
-    )
-    tasks = tuple(_task(sec) for name, sec in sections.items() if name.startswith("task."))
+    """Build a scenario; a key left out keeps the SimScenario or TaskSpec default.
+
+    An unknown section or key is rejected at its line.
+    """
+    settings: dict[str, object] = {}
+    tasks = []
+    for name, sec in parse_sections(text, path, error=ScenarioError).items():
+        if name.startswith("task."):
+            tasks.append(_task(sec))
+        elif name == "policy":
+            settings["policy"] = policy_params(sec)
+        elif name in _SECTIONS:
+            keys = _SECTIONS[name]
+            sec.reject_unknown(keys)
+            settings.update(
+                (attr, sec.number(key, cast))
+                for key, (attr, cast) in keys.items()
+                if key in sec.values
+            )
+        else:
+            raise ScenarioError(f"unknown section [{name}]", path, sec.line)
     with _at(path, 0, ScenarioError):
-        return SimScenario(
-            tasks=tasks,
-            policy=policy_params(policy),
-            **top.pick(int, "seed"),
-            **corpus.pick(int, "ground_truth_per_task", corpus_size="size"),
-            **corpus.pick(float, "euphemism_ratio"),
-            **costs.pick(
-                float,
-                "jitter_sigma",
-                c_per_doc="legacy_seconds_per_doc",
-                modern_a="modern_base_seconds",
-                modern_b="modern_log_seconds",
-            ),
-            **verification.pick(float, verifier_error="error_rate"),
-            **verification.pick(int, retrieval_k="top_k"),
-        )
+        return SimScenario(tasks=tuple(tasks), **settings)
 
 
 def load_scenario(source: str | Path) -> SimScenario:

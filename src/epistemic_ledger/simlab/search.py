@@ -5,6 +5,14 @@ cost; semantic search ranks documents by cosine similarity of hashed
 embeddings at logarithmic cost. Costs are simulated from the scenario's
 cost models, optionally jittered; retrieval error for a task is 1 when any
 ground-truth document is missed, else 0.
+
+Both searches read the corpus index (see ``corpus``), built on a corpus's
+first search and reused by every later one: the keyword scan tests each
+document's cached token text, and semantic search scores all documents with
+one sparse product of the hashed embedding rows and the query vector.
+``embed`` is looked up here when the rows are built, so wrapping
+``search.embed`` sees every embedding; ``document_matches`` is the scan's
+single-document form.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..doctrine import Verdict
-from .corpus import Corpus, document_matches, embed
+from .corpus import Corpus, document_matches, embed, token_text  # noqa: F401
 
 
 def jitter_factor(rng: np.random.Generator | None, sigma: float) -> float:
@@ -37,10 +45,11 @@ def keyword_search(
     """Linear scan for literal phrase matches: (hit ids, simulated seconds)."""
     if not keywords:
         raise ValueError("keyword_search requires a non-empty keyword list")
+    needles = [needle for needle in map(token_text, keywords) if needle.strip()]
     hits = tuple(
         doc.id
-        for doc in corpus.documents
-        if any(document_matches(doc, kw) for kw in keywords)
+        for doc, text in zip(corpus.documents, corpus.token_texts)
+        if any(needle in text for needle in needles)
     )
     cost = c_per_doc * len(corpus) * time_scale * jitter_factor(rng, jitter_sigma)
     return hits, cost
@@ -67,12 +76,9 @@ def semantic_search(
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, len(corpus))
     query_vec = embed(concept_query, synonyms)
-    scored = [
-        (-float(np.dot(query_vec, embed(doc.text, synonyms))), doc.id)
-        for doc in corpus.documents
-    ]
-    scored.sort()
-    hits = tuple(doc_id for _, doc_id in scored[:k])
+    scores = corpus.hashed_rows(synonyms, embed).dot(query_vec)
+    ranked = np.lexsort((corpus.id_ranks, -scores))
+    hits = tuple(corpus.documents[i].id for i in ranked[:k])
     cost = (a + b * math.log(len(corpus))) * time_scale * jitter_factor(rng, jitter_sigma)
     return hits, cost
 

@@ -176,3 +176,47 @@ def test_bom_header_is_read(tmp_path, capsys):
 
 def test_policy_hash_is_pinned():
     assert policy_hash(PolicyParams()) == "a559a3660b4a"
+
+
+def test_oversized_csv_field_exits_1_without_traceback(tmp_path, capsys):
+    cell = "x" * 140_000
+    path = write(tmp_path, "huge.csv", PIPELINES_CSV + f"{cell},full,2.06,0,0,0\n")
+    assert main(["score", path]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:4: malformed CSV: field larger than field limit" in err
+    assert "Traceback" not in err
+
+
+def test_duplicate_pipeline_id_names_second_row(tmp_path, capsys):
+    path = write(tmp_path, "dup.csv", PIPELINES_CSV + "modern_actual,full,1.00,0,0,0\n")
+    with pytest.raises(InputError, match=r"dup\.csv:4: duplicate pipeline id 'modern_actual' \(first at line 3\)"):
+        read_pipelines_csv(path)
+    assert main(["score", path]) == 1
+    assert f"{path}:4:" in capsys.readouterr().err
+
+
+class TestUnknownScenarioNames:
+    def test_key_in_verification_section(self):
+        text = APPENDIX_A.replace("top_k = 5", "top_kk = 3")
+        match = rf"s\.scenario:{line_of(text, 'top_kk')}: unknown key 'top_kk' in \[verification\]"
+        with pytest.raises(ScenarioError, match=match):
+            parse_scenario(text, "s.scenario")
+
+    @pytest.mark.parametrize("anchor", ["seed = 42", "size = 62", "jitter_sigma = 0.02", "modern_time_scale = 0.9801762964"])
+    def test_key_in_every_other_section(self, anchor):
+        text = APPENDIX_A.replace(anchor, f"{anchor}\nmystery = 1")
+        with pytest.raises(ScenarioError, match=rf"s\.scenario:{line_of(text, 'mystery')}: unknown key 'mystery'"):
+            parse_scenario(text, "s.scenario")
+
+    def test_task_id_is_not_a_key(self):
+        with pytest.raises(ScenarioError, match=r"t\.scenario:2: unknown key 'id' in \[task\.t1\]"):
+            parse_scenario(MINIMAL_TASK.replace("\n", "\nid = t2\n", 1), "t.scenario")
+
+    def test_section_name(self):
+        text = APPENDIX_A.replace("[costs]", "[cost]")
+        with pytest.raises(ScenarioError, match=rf"s\.scenario:{line_of(text, '[cost]')}: unknown section \[cost\]"):
+            parse_scenario(text, "s.scenario")
+
+    def test_appendix_a_still_parses(self):
+        scenario = parse_scenario(APPENDIX_A, "appendix_a.scenario")
+        assert (scenario.retrieval_k, scenario.corpus_size, len(scenario.tasks)) == (5, 62, 4)

@@ -1,6 +1,8 @@
 """Tests for the corpus, searches, verifier, and experiment runners."""
 
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,10 +30,14 @@ from epistemic_ledger.simlab import (
     sensitivity_sweep,
     simulated_verifier,
 )
+from epistemic_ledger.simlab import search
 from epistemic_ledger.simlab.corpus import (
     SIMILARITY_FLOOR,
+    Corpus,
+    Document,
     TAG_EUPHEMISM,
     TAG_LITERAL,
+    _contains_phrase,
 )
 
 SCENARIO = default_scenario()
@@ -345,3 +351,78 @@ class TestScenarioParsing:
         )
         with pytest.raises(ScenarioError, match="established or refuted"):
             parse_scenario(text, "verdict.scenario")
+
+
+def _reference_semantic(corpus, query, synonyms):
+    """Per-document dot products of dense embeddings, ranked by (-score, id)."""
+    q = embed(query, synonyms)
+    scored = sorted((-float(np.dot(q, embed(d.text, synonyms))), d.id) for d in corpus.documents)
+    return tuple(doc_id for _, doc_id in scored)
+
+
+def _reference_keyword(corpus, keywords):
+    """Documents whose own token list holds any keyword's tokens consecutively."""
+    return tuple(
+        d.id
+        for d in corpus.documents
+        if any(_contains_phrase(re.findall(r"[a-z0-9]+", d.text.lower()), kw) for kw in keywords)
+    )
+
+
+class TestCorpusIndex:
+    """The cached index ranks and scans exactly as the per-document path."""
+
+    @pytest.mark.parametrize("size", [62, 2000])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_semantic_hits_equal_brute_force(self, seed, size):
+        corpus = generate_corpus(SCENARIO, seed=seed, size=size)
+        for task in SCENARIO.tasks:
+            hits, _ = semantic_search(corpus, task.concept_query, size, 0.41, 0.40, SYNONYMS)
+            assert hits == _reference_semantic(corpus, task.concept_query, SYNONYMS)
+
+    @pytest.mark.parametrize(
+        "keywords",
+        [
+            ["FAILURE Rate"],  # mixed case
+            ["failure-rate!", "(bid) correlation, audit"],  # punctuation
+            ["rate failure"],  # reversed phrase
+            ["documented by the operations group"],  # spans stopwords
+            ["documented operations"],  # the same phrase with its stopwords left out
+            ["ailure rat"],  # token fragments
+            ["...", "--"],  # punctuation only: no tokens, so no match
+            ["?", "price fixing"],
+            *[list(task.keywords) for task in SCENARIO.tasks],
+        ],
+    )
+    def test_keyword_hits_equal_per_document_scan(self, keywords):
+        corpus = generate_corpus(SCENARIO, seed=3, size=300)
+        hits, _ = keyword_search(corpus, keywords, SCENARIO.c_per_doc)
+        assert hits == _reference_keyword(corpus, keywords)
+
+    def test_punctuation_only_keyword_matches_nothing(self):
+        # Not even a document that has no tokens either.
+        docs = generate_corpus(SCENARIO, seed=42).documents[:3]
+        corpus = Corpus(docs + (Document("doc-blank", "!!! --", frozenset(), frozenset()),), 42)
+        hits, _ = keyword_search(corpus, ["...", " "], SCENARIO.c_per_doc)
+        assert hits == _reference_keyword(corpus, ["...", " "]) == ()
+
+    def test_monte_carlo_embeds_each_document_once(self, monkeypatch):
+        texts = Counter()
+        original = search.embed
+
+        def counting_embed(text, *args, **kwargs):
+            texts[text] += 1
+            return original(text, *args, **kwargs)
+
+        monkeypatch.setattr(search, "embed", counting_embed)
+        runs = 3
+        monte_carlo(SCENARIO, runs=runs)
+        corpus = generate_corpus(SCENARIO, seed=SCENARIO.seed)
+        assert all(texts[doc.text] == 1 for doc in corpus.documents)
+        assert sum(texts.values()) == len(corpus) + runs * len(SCENARIO.tasks)
+
+    def test_index_is_kept_per_synonym_table(self):
+        corpus = generate_corpus(SCENARIO, seed=42)
+        assert corpus.hashed_rows(SYNONYMS) is corpus.hashed_rows(dict(SYNONYMS))
+        assert corpus.hashed_rows(None) is corpus.hashed_rows({})
+        assert corpus.hashed_rows(None) is not corpus.hashed_rows(SYNONYMS)
