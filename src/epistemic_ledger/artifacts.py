@@ -325,7 +325,7 @@ def read_executions_csv(
         ("proposition_id", "pipeline_id", "executed", "outcome", "avoidance_evidence", "certificate"),
     ):
         prop_id = row["proposition_id"].strip()
-        if known_propositions and prop_id not in known_propositions:
+        if prop_id not in known_propositions:
             raise InputError(
                 f"execution references unknown proposition {prop_id!r}", str(path), line
             )

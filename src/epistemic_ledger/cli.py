@@ -176,31 +176,27 @@ def _cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         if args.executions
         else []
     )
+    records = {p.id: [] for p in propositions}
+    for r in executions:
+        records[r.proposition_id].append(r)
     org_scores = {
         p.id: (org_score(sets[p.id], policy) if sets.get(p.id) else None)
         for p in propositions
     }
-    capacity_point = None
-    capacity_lower = None
-    if propositions and sum(p.salience_weight for p in propositions) > 0:
+    certs = {
+        p.id: tuple(r.certificate for r in records[p.id] if r.certificate is not None)
+        for p in propositions
+    }
+    capacity_point = capacity_lower = None
+    if sum(p.salience_weight for p in propositions) > 0:
         docket = Docket(propositions=tuple(propositions), pipeline_sets=sets)
         capacity_point = capacity_index(docket, policy)
-        certs = {
-            p.id: tuple(
-                r.certificate
-                for r in executions
-                if r.proposition_id == p.id and r.certificate is not None
-            )
-            for p in propositions
-        }
         capacity_lower = lower_bound_capacity(docket, certs, policy)
-    else:
-        certs = {}
     findings = {
         p.id: classify(
             p,
             sets.get(p.id, ()),
-            executions,
+            records[p.id],
             policy,
             capacity=capacity_point,
         )

@@ -136,6 +136,23 @@ def constructive_knowledge_test(
     )
 
 
+def _cheap_unexecuted(
+    available: Sequence[PipelineSpec],
+    records: Sequence[ExecutionRecord],
+    params: WilfulBlindnessParams,
+    policy: PolicyParams,
+) -> list[PipelineSpec]:
+    """The cheap, near-certain pipelines of ``available`` that no record executed."""
+    executed_ids = {r.pipeline_id for r in records if r.executed}
+    return [
+        p
+        for p in available
+        if p.expected_cost <= params.cheapness_factor * policy.tau_star
+        and p.total_error() <= params.max_error
+        and p.id not in executed_ids
+    ]
+
+
 def wilful_blindness_test(
     available: Sequence[PipelineSpec],
     executions: Sequence[ExecutionRecord],
@@ -149,18 +166,10 @@ def wilful_blindness_test(
     Mere non-execution without avoidance evidence is at most constructive
     knowledge.
     """
-    executed_ids = {r.pipeline_id for r in executions if r.executed}
-    cheap_unexecuted = [
-        p
-        for p in available
-        if p.expected_cost <= params.cheapness_factor * policy.tau_star
-        and p.total_error() <= params.max_error
-        and p.id not in executed_ids
-    ]
     deliberate = any(
         r.avoidance_evidence is not AvoidanceEvidence.NONE for r in executions
     )
-    return bool(cheap_unexecuted) and deliberate
+    return deliberate and bool(_cheap_unexecuted(available, executions, params, policy))
 
 
 def recklessness_test(
@@ -228,16 +237,8 @@ def classify(
 
     if wilful_blindness_test(available, records, wb_params, policy):
         applicable.add(Doctrine.WILFUL_BLINDNESS)
-        executed_ids = {r.pipeline_id for r in records if r.executed}
         cheap = min(
-            (
-                p
-                for p in available
-                if p.expected_cost <= wb_params.cheapness_factor * policy.tau_star
-                and p.total_error() <= wb_params.max_error
-                and p.id not in executed_ids
-            ),
-            key=lambda p: p.id,
+            _cheap_unexecuted(available, records, wb_params, policy), key=lambda p: p.id
         )
         flags = sorted(
             {

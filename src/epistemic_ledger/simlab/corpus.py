@@ -100,18 +100,18 @@ def embed(
 ) -> np.ndarray:
     """Hashed bag-of-tokens unit vector, with synonym-table expansion.
 
-    Any synonym-table phrase found in the text contributes its mapped
-    concept tokens alongside the text's own tokens. Identical text always
-    embeds to the identical vector.
+    Any synonym-table phrase whose tokens appear consecutively in the text
+    contributes its mapped concept tokens alongside the text's own tokens.
+    Identical text always embeds to the identical vector.
     """
     if not text or not text.strip():
         raise ValueError("cannot embed empty text")
     tokens = tokenize(text)
-    normalized = " ".join(_TOKEN_RE.findall(text.lower()))
     if synonyms:
+        padded = token_text(text)
         for phrase, concept_tokens in synonyms.items():
-            phrase_norm = " ".join(_TOKEN_RE.findall(phrase.lower()))
-            if phrase_norm and phrase_norm in normalized:
+            needle = token_text(phrase)
+            if needle.strip() and needle in padded:
                 tokens.extend(concept_tokens)
     vector = np.zeros(dim, dtype=np.float64)
     for token in tokens:

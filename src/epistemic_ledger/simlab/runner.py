@@ -254,7 +254,7 @@ def scalability_sweep(
     sizes: Sequence[int],
     seed: int | None = None,
 ) -> list[ScalePoint]:
-    """Simulated cost of both cost models on freshly generated corpora.
+    """Simulated cost of both cost models at each corpus size.
 
     Sizes must be ascending and no smaller than the scenario's ground-truth
     requirement. The raw cost models are reported (per-task query scale
@@ -264,13 +264,15 @@ def scalability_sweep(
         raise ValueError("scalability_sweep requires at least one size")
     if list(sizes) != sorted(sizes):
         raise ValueError("sizes must be ascending")
+    required = scenario.min_corpus_size()
+    if sizes[0] < required:
+        raise ValueError(f"corpus size {sizes[0]} is below the {required} ground-truth documents required")
     seed = scenario.seed if seed is None else seed
     points = []
     for size in sizes:
-        corpus = generate_corpus(scenario, seed, size=size)
         rng = _rng(seed, _STREAM_SWEEP, size)
-        legacy = scenario.legacy_cost(len(corpus)) * jitter_factor(rng, scenario.jitter_sigma)
-        modern = scenario.modern_cost(len(corpus)) * jitter_factor(rng, scenario.jitter_sigma)
+        legacy = scenario.legacy_cost(size) * jitter_factor(rng, scenario.jitter_sigma)
+        modern = scenario.modern_cost(size) * jitter_factor(rng, scenario.jitter_sigma)
         points.append(ScalePoint(size, legacy, modern))
     return points
 

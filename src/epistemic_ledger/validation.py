@@ -393,7 +393,7 @@ def make_folds(
         for j in range(strategy.k):
             size = base + (1 if j < extra else 0)
             test = tuple(indices[start : start + size])
-            train = tuple(i for i in indices if i not in set(test))
+            train = tuple(indices[:start] + indices[start + size :])
             folds.append(Fold(j, train, test))
             start += size
         return FoldPlan(strategy.describe(), tuple(folds))

@@ -191,6 +191,51 @@ class TestClassify:
         assert main(self._inputs(tmp_path, executions)) == 1
         assert "unknown proposition" in capsys.readouterr().err
 
+    def test_zero_weight_docket_lists_certificates(self, tmp_path, capsys):
+        # No capacity is computed for a docket of zero total weight, but its
+        # certificates are still listed with the findings that cite them.
+        records = records_csv(tmp_path)
+        cert_path = tmp_path / "m.cert"
+        main(
+            ["certify", records, "--pipeline-id", "modern_actual", "--cost", "2.06",
+             "--timestamp", "2026-01-01T00:00:00+00:00", "--out", str(cert_path)]
+        )
+        capsys.readouterr()
+        pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
+        props = write(
+            tmp_path,
+            "props.csv",
+            "id,description,weight,threshold,pipelines\n"
+            "bid_independence,Bids set independently,0.0,0.7,legacy_actual;modern_actual\n",
+        )
+        executions = write(
+            tmp_path,
+            "exec.csv",
+            "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
+            f"bid_independence,modern_actual,true,established,none,{cert_path},\n",
+        )
+        argv = ["classify", "--propositions", props, "--pipelines", pipelines]
+        assert main(argv + ["--executions", executions]) == 0
+        out = capsys.readouterr().out
+        assert "point = none" in out
+        assert "primary = actual_knowledge" in out
+        assert "certificates = modern_actual:s_lb=0.8225" in out
+
+    def test_executions_without_propositions_rejected(self, tmp_path, capsys):
+        pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
+        props = write(tmp_path, "props.csv", "id,description,weight,threshold,pipelines\n")
+        executions = write(
+            tmp_path,
+            "exec.csv",
+            "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
+            "mystery,modern_actual,false,,none,,\n",
+        )
+        argv = ["classify", "--propositions", props, "--pipelines", pipelines]
+        assert main(argv + ["--executions", executions]) == 1
+        assert f"{executions}:2: execution references unknown proposition 'mystery'" in (
+            capsys.readouterr().err
+        )
+
     def test_empty_propositions_empty_report(self, tmp_path, capsys):
         pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
         props = write(
@@ -278,6 +323,12 @@ class TestSweep:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "corpus_size,legacy_cost,modern_cost"
         assert len(lines) == 4
+
+    def test_scalability_size_below_ground_truth(self, capsys):
+        assert main(["sweep", "scalability", "--sizes", "5,60"]) == 1
+        assert "corpus size 5 is below the 8 ground-truth documents required" in (
+            capsys.readouterr().err
+        )
 
     def test_montecarlo_summary(self, capsys):
         assert main(["sweep", "montecarlo", "--runs", "5"]) == 0

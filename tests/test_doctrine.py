@@ -198,6 +198,20 @@ class TestClassify:
         assert finding.primary is Doctrine.WILFUL_BLINDNESS
         assert Doctrine.NEGLIGENCE in finding.applicable
 
+    def test_wilful_blindness_names_smallest_unexecuted_id(self):
+        finding = classify(
+            self.PROP,
+            [pipe("cheap_c", 0.5, ver=0.01), pipe("cheap_a", 0.5), pipe("cheap_b", 0.4)],
+            [
+                executed(pid="cheap_a", s_lb=0.9),
+                unexecuted(pid="cheap_b", evidence=AvoidanceEvidence.DISABLED_INDEX),
+            ],
+            POLICY,
+        )
+        detail = dict(finding.rationale)[Doctrine.WILFUL_BLINDNESS]
+        assert detail["pipeline_id"] == "cheap_b"
+        assert detail["avoidance_evidence"] == "disabled_index"
+
     def test_nothing_triggers(self):
         finding = classify(
             self.PROP,

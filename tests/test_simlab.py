@@ -89,6 +89,12 @@ class TestEmbed:
         sim = cosine(embed("market harmony", SYNONYMS), embed("price fixing", SYNONYMS))
         assert sim > SIMILARITY_FLOOR
 
+    def test_synonym_phrases_match_whole_tokens(self):
+        (task,) = [t for t in SCENARIO.tasks if t.id == "regional_pricing"]
+        query = embed(task.concept_query, SYNONYMS)
+        assert cosine(embed("supermarket harmonyx memo", SYNONYMS), query) == 0.0
+        assert cosine(embed("market harmony memo", SYNONYMS), query) > SIMILARITY_FLOOR
+
     def test_disjoint_vocabulary_is_orthogonal(self):
         sim = cosine(embed("granite willow copper"), embed("orchid maple fern"))
         assert sim == 0.0

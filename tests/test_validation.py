@@ -245,6 +245,14 @@ class TestMakeFolds:
         assert a == b
         assert a != make_folds(10, KFold(5, shuffle_seed=10))
 
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_kfold_train_keeps_plan_order(self, seed):
+        plan = make_folds(23, KFold(5, shuffle_seed=seed))
+        indices = [i for f in plan.folds for i in f.test]
+        assert [len(f.test) for f in plan.folds] == [5, 5, 5, 4, 4]
+        for fold in plan.folds:
+            assert list(fold.train) == [i for i in indices if i not in fold.test]
+
     def test_kfold_too_few_records(self):
         with pytest.raises(ValueError):
             make_folds(3, KFold(5))
