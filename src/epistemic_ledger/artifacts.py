@@ -26,6 +26,7 @@ from .doctrine import (
 )
 from .metrics import (
     ComponentErrors,
+    Docket,
     FrontierPoint,
     PipelineKind,
     PipelineSpec,
@@ -137,12 +138,6 @@ class Section:
     def integer(self, key: str) -> int:
         return self.number(key, int)
 
-    def pick(self, cast: type, *keys: str, **renamed: str) -> dict[str, float]:
-        """``{field: value}`` for each of ``keys`` and ``field=key`` that is present,
-        read as ``cast`` (float or int), so absent ones keep their defaults."""
-        wanted = {**{key: key for key in keys}, **renamed}
-        return {f: self.number(key, cast) for f, key in wanted.items() if key in self.values}
-
 
 def parse_sections(
     text: str, path: str, *, flat: bool = False, error: type[InputError] = InputError
@@ -214,6 +209,15 @@ def files_hash(paths: Iterable[str | Path]) -> str:
     return digest.hexdigest()[:12]
 
 
+def _unique_id(kind: str, id_: str, first_line: dict[str, int], path: str | Path, line: int) -> str:
+    """``id_``, its line recorded in ``first_line``; a repeated id is rejected at its line."""
+    if id_ in first_line:
+        first = first_line[id_]
+        raise InputError(f"duplicate {kind} id {id_!r} (first at line {first})", str(path), line)
+    first_line[id_] = line
+    return id_
+
+
 def _rows(path: str | Path, expected: Sequence[str]) -> Iterable[tuple[int, dict[str, str]]]:
     text = Path(path).read_text(encoding="utf-8-sig")
     reader = csv.reader(io.StringIO(text))
@@ -240,14 +244,7 @@ def read_pipelines_csv(path: str | Path) -> list[PipelineSpec]:
     pipelines = []
     first_line: dict[str, int] = {}
     for line, row in _rows(path, ("id", "kind", "expected_cost", "eps_ret", "eps_gen", "eps_ver")):
-        pipeline_id = row["id"].strip()
-        if pipeline_id in first_line:
-            raise InputError(
-                f"duplicate pipeline id {pipeline_id!r} (first at line {first_line[pipeline_id]})",
-                str(path),
-                line,
-            )
-        first_line[pipeline_id] = line
+        pipeline_id = _unique_id("pipeline", row["id"].strip(), first_line, path, line)
         kind = _choice(PipelineKind, row["kind"].strip(), "pipeline kind", path, line)
         joint_raw = (row.get("joint_error") or "").strip()
         with _at(path, line):
@@ -284,14 +281,13 @@ def read_eval_records_csv(path: str | Path) -> dict[str, list[LossRecord]]:
     return sets
 
 
-def read_propositions_csv(
-    path: str | Path, pipelines: Mapping[str, PipelineSpec]
-) -> tuple[list[Proposition], dict[str, tuple[PipelineSpec, ...]]]:
+def read_propositions_csv(path: str | Path, pipelines: Mapping[str, PipelineSpec]) -> Docket:
     """Columns: id, description, weight, threshold, pipelines (semicolon ids)."""
     propositions = []
     sets: dict[str, tuple[PipelineSpec, ...]] = {}
+    first_line: dict[str, int] = {}
     for line, row in _rows(path, ("id", "description", "weight", "threshold", "pipelines")):
-        prop_id = row["id"].strip()
+        prop_id = _unique_id("proposition", row["id"].strip(), first_line, path, line)
         with _at(path, line):
             propositions.append(
                 Proposition(
@@ -311,7 +307,7 @@ def read_propositions_csv(
                 line,
             )
         sets[prop_id] = tuple(pipelines[p] for p in listed)
-    return propositions, sets
+    return Docket(propositions=tuple(propositions), pipeline_sets=sets)
 
 
 def read_executions_csv(
@@ -340,6 +336,7 @@ def read_executions_csv(
         outcome = _choice(Verdict, outcome_raw, "outcome", path, line) if outcome_raw else None
         evidence_raw = (row.get("avoidance_evidence") or "none").strip() or "none"
         evidence = _choice(AvoidanceEvidence, evidence_raw, "avoidance evidence", path, line)
+        pipeline_id = row["pipeline_id"].strip()
         cert_raw = (row.get("certificate") or "").strip()
         certificate = None
         if cert_raw:
@@ -347,10 +344,17 @@ def read_executions_csv(
             if not cert_path.exists():
                 raise InputError(f"certificate file not found: {cert_raw}", str(path), line)
             certificate = read_certificate(cert_path)
+            if certificate.pipeline_id != pipeline_id:
+                raise InputError(
+                    f"certificate {cert_raw} is for pipeline {certificate.pipeline_id!r}, "
+                    f"not {pipeline_id!r}",
+                    str(path),
+                    line,
+                )
         with _at(path, line):
             records.append(
                 ExecutionRecord(
-                    pipeline_id=row["pipeline_id"].strip(),
+                    pipeline_id=pipeline_id,
                     proposition_id=prop_id,
                     executed=executed_raw == "true",
                     certificate=certificate,
@@ -484,8 +488,7 @@ def frontier_field(points: Sequence[FrontierPoint]) -> str:
 def audit_report(
     version: str,
     policy: PolicyParams,
-    propositions: Sequence[Proposition],
-    pipeline_sets: Mapping[str, tuple[PipelineSpec, ...]],
+    docket: Docket,
     findings: Mapping[str, DoctrineFinding],
     org_scores: Mapping[str, float],
     certificates: Mapping[str, Sequence[ValidationCertificate]],
@@ -504,8 +507,8 @@ def audit_report(
         f"tau_star = {fmt(policy.tau_star)}",
         f"theta_c = {fmt(policy.theta_c)}",
     ]
-    for prop in propositions:
-        pipes = pipeline_sets.get(prop.id, ())
+    for prop in docket.propositions:
+        pipes = docket.pipeline_sets.get(prop.id, ())
         finding = findings[prop.id]
         lines.append("")
         lines.append(f"[proposition {prop.id}]")

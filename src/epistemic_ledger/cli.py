@@ -31,7 +31,6 @@ from .artifacts import (
 )
 from .doctrine import classify
 from .metrics import (
-    Docket,
     PipelineKind,
     PipelineSpec,
     PolicyParams,
@@ -170,52 +169,37 @@ def _cmd_certify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 def _cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     policy = _policy_from_args(args)
     pipelines = {p.id: p for p in read_pipelines_csv(args.pipelines)}
-    propositions, sets = read_propositions_csv(args.propositions, pipelines)
-    executions = (
-        read_executions_csv(args.executions, {p.id for p in propositions})
-        if args.executions
-        else []
-    )
-    records = {p.id: [] for p in propositions}
-    for r in executions:
-        records[r.proposition_id].append(r)
+    docket = read_propositions_csv(args.propositions, pipelines)
+    sets = docket.pipeline_sets
+    records = {p.id: [] for p in docket.propositions}
+    if args.executions:
+        for r in read_executions_csv(args.executions, set(records)):
+            records[r.proposition_id].append(r)
     org_scores = {
-        p.id: (org_score(sets[p.id], policy) if sets.get(p.id) else None)
-        for p in propositions
+        p.id: (org_score(sets[p.id], policy) if sets[p.id] else None) for p in docket.propositions
     }
     certs = {
-        p.id: tuple(r.certificate for r in records[p.id] if r.certificate is not None)
-        for p in propositions
+        prop_id: tuple(r.certificate for r in rs if r.certificate is not None)
+        for prop_id, rs in records.items()
     }
     capacity_point = capacity_lower = None
-    if sum(p.salience_weight for p in propositions) > 0:
-        docket = Docket(propositions=tuple(propositions), pipeline_sets=sets)
+    if docket.total_weight() > 0:
         capacity_point = capacity_index(docket, policy)
         capacity_lower = lower_bound_capacity(docket, certs, policy)
     findings = {
-        p.id: classify(
-            p,
-            sets.get(p.id, ()),
-            records[p.id],
-            policy,
-            capacity=capacity_point,
-        )
-        for p in propositions
+        p.id: classify(p, sets[p.id], records[p.id], policy, capacity=capacity_point)
+        for p in docket.propositions
     }
-    inputs = [args.pipelines, args.propositions]
-    if args.executions:
-        inputs.append(args.executions)
     report = audit_report(
         version=__version__,
         policy=policy,
-        propositions=propositions,
-        pipeline_sets=sets,
+        docket=docket,
         findings=findings,
         org_scores=org_scores,
         certificates=certs,
         capacity_point=capacity_point,
         capacity_lower=capacity_lower,
-        inputs_hash=files_hash(inputs),
+        inputs_hash=files_hash(f for f in (args.pipelines, args.propositions, args.executions) if f),
         seed=str(args.seed) if args.seed is not None else "none",
     )
     _emit(report, args.out)

@@ -92,15 +92,19 @@ class WilfulBlindnessParams:
 
 @dataclass(frozen=True)
 class DoctrineFinding:
+    """The doctrines that apply to one proposition, each with its detail, in PRECEDENCE order."""
+
     proposition_id: str
-    applicable: frozenset[Doctrine]
-    primary: Doctrine | None
     rationale: tuple[tuple[Doctrine, Mapping[str, object]], ...]
     label: str = MODEL_CLASSIFICATION_LABEL
 
-    def __post_init__(self) -> None:
-        if self.applicable and self.primary not in self.applicable:
-            raise ValueError("primary must be drawn from the applicable set")
+    @property
+    def applicable(self) -> frozenset[Doctrine]:
+        return frozenset(d for d, _ in self.rationale)
+
+    @property
+    def primary(self) -> Doctrine | None:
+        return self.rationale[0][0] if self.rationale else None
 
 
 def actual_knowledge_test(
@@ -212,100 +216,55 @@ def classify(
     best = org_score(available, policy) if available else 0.0
     if capacity is None:
         capacity = 1.0 if available and best >= proposition.threshold else 0.0
+    found: dict[Doctrine, Mapping[str, object]] = {}
 
-    applicable: set[Doctrine] = set()
-    rationale: list[tuple[Doctrine, Mapping[str, object]]] = []
-
-    actual_hits = [
-        r for r in records if actual_knowledge_test(r, policy.theta_ak, policy.tau_star)
-    ]
-    if actual_hits:
-        applicable.add(Doctrine.ACTUAL_KNOWLEDGE)
-        hit = actual_hits[0]
-        rationale.append(
-            (
-                Doctrine.ACTUAL_KNOWLEDGE,
-                {
-                    "pipeline_id": hit.pipeline_id,
-                    "lower_bound_score": lower_bound_score(
-                        hit.certificate, policy.tau_star  # type: ignore[arg-type]
-                    ),
-                    "theta_ak": policy.theta_ak,
-                },
-            )
-        )
+    actual = next(
+        (r for r in records if actual_knowledge_test(r, policy.theta_ak, policy.tau_star)), None
+    )
+    if actual is not None:
+        found[Doctrine.ACTUAL_KNOWLEDGE] = {
+            "pipeline_id": actual.pipeline_id,
+            "lower_bound_score": lower_bound_score(
+                actual.certificate, policy.tau_star  # type: ignore[arg-type]
+            ),
+            "theta_ak": policy.theta_ak,
+        }
 
     if wilful_blindness_test(available, records, wb_params, policy):
-        applicable.add(Doctrine.WILFUL_BLINDNESS)
-        cheap = min(
-            _cheap_unexecuted(available, records, wb_params, policy), key=lambda p: p.id
-        )
-        flags = sorted(
-            {
-                r.avoidance_evidence.value
-                for r in records
-                if r.avoidance_evidence is not AvoidanceEvidence.NONE
-            }
-        )
-        rationale.append(
-            (
-                Doctrine.WILFUL_BLINDNESS,
-                {
-                    "pipeline_id": cheap.id,
-                    "expected_cost": cheap.expected_cost,
-                    "cost_ceiling": wb_params.cheapness_factor * policy.tau_star,
-                    "total_error": cheap.total_error(),
-                    "max_error": wb_params.max_error,
-                    "avoidance_evidence": ",".join(flags),
-                },
-            )
-        )
+        cheap = min(_cheap_unexecuted(available, records, wb_params, policy), key=lambda p: p.id)
+        flags = sorted({r.avoidance_evidence.value for r in records} - {AvoidanceEvidence.NONE.value})
+        found[Doctrine.WILFUL_BLINDNESS] = {
+            "pipeline_id": cheap.id,
+            "expected_cost": cheap.expected_cost,
+            "cost_ceiling": wb_params.cheapness_factor * policy.tau_star,
+            "total_error": cheap.total_error(),
+            "max_error": wb_params.max_error,
+            "avoidance_evidence": ",".join(flags),
+        }
 
-    reckless_hits = [
-        r
-        for r in records
-        if r.executed and recklessness_test(r, policy.theta_r, margin, policy.tau_star)
-    ]
-    if reckless_hits:
-        applicable.add(Doctrine.RECKLESSNESS)
-        hit = reckless_hits[0]
-        detail: dict[str, object] = {
-            "pipeline_id": hit.pipeline_id,
+    reckless = next(
+        (
+            r
+            for r in records
+            if r.executed and recklessness_test(r, policy.theta_r, margin, policy.tau_star)
+        ),
+        None,
+    )
+    if reckless is not None:
+        detail = found[Doctrine.RECKLESSNESS] = {
+            "pipeline_id": reckless.pipeline_id,
             "theta_r": policy.theta_r,
             "margin": margin,
         }
-        if hit.certificate is None:
+        if reckless.certificate is None:
             detail["certificate"] = "absent"
         else:
-            detail["lower_bound_score"] = lower_bound_score(
-                hit.certificate, policy.tau_star
-            )
-        rationale.append((Doctrine.RECKLESSNESS, detail))
+            detail["lower_bound_score"] = lower_bound_score(reckless.certificate, policy.tau_star)
 
     if constructive_knowledge_test(available, records, policy.theta_ck, policy):
-        applicable.add(Doctrine.CONSTRUCTIVE_KNOWLEDGE)
-        rationale.append(
-            (
-                Doctrine.CONSTRUCTIVE_KNOWLEDGE,
-                {"org_score": best, "theta_ck": policy.theta_ck},
-            )
-        )
+        found[Doctrine.CONSTRUCTIVE_KNOWLEDGE] = {"org_score": best, "theta_ck": policy.theta_ck}
 
     if negligence_test(capacity, policy.theta_neg):
-        applicable.add(Doctrine.NEGLIGENCE)
-        rationale.append(
-            (
-                Doctrine.NEGLIGENCE,
-                {"capacity": capacity, "theta_neg": policy.theta_neg},
-            )
-        )
+        found[Doctrine.NEGLIGENCE] = {"capacity": capacity, "theta_neg": policy.theta_neg}
 
-    primary = next((d for d in PRECEDENCE if d in applicable), None)
-    order = {d: i for i, d in enumerate(PRECEDENCE)}
-    rationale.sort(key=lambda item: order[item[0]])
-    return DoctrineFinding(
-        proposition_id=proposition.id,
-        applicable=frozenset(applicable),
-        primary=primary,
-        rationale=tuple(rationale),
-    )
+    return DoctrineFinding(proposition.id, tuple((d, found[d]) for d in PRECEDENCE if d in found))

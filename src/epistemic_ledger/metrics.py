@@ -104,10 +104,6 @@ class PipelineSpec:
                 f"got {self.errors.generation}"
             )
 
-    @property
-    def dependence(self) -> str:
-        return "independent" if self.joint_error is None else "empirical_joint"
-
     def total_error(self) -> float:
         return total_error(self.errors, self.joint_error)
 

@@ -169,7 +169,11 @@ def _task(sec: Section) -> TaskSpec:
             ground_truth=sec.text("ground_truth"),
             literal_phrases=_phrases(sec.text("literal_phrases", "")),
             euphemism_phrases=_phrases(sec.text("euphemism_phrases", "")),
-            **sec.pick(float, "weight", "threshold", "legacy_time_scale", "modern_time_scale"),
+            **{
+                key: sec.number(key)
+                for key in ("weight", "threshold", "legacy_time_scale", "modern_time_scale")
+                if key in sec.values
+            },
         )
 
 

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epistemic_ledger.doctrine import (
+    PRECEDENCE,
     AvoidanceEvidence,
     Doctrine,
     ExecutionRecord,
@@ -23,6 +26,7 @@ from epistemic_ledger.metrics import (
     PipelineSpec,
     PolicyParams,
     Proposition,
+    org_score,
 )
 
 from test_validation import make_cert
@@ -273,6 +277,68 @@ class TestClassify:
             raised = constructive_knowledge_test([score_pipe], [], high, POLICY)
             if not base:
                 assert not raised
+
+
+def _pipelines(ids):
+    costs = st.sampled_from([0.2, 0.5, 2.0, 8.0])
+    errors = st.sampled_from([0.0, 0.01, 0.04, 0.3])
+    return st.tuples(*(st.builds(pipe, st.just(i), costs, errors) for i in ids))
+
+
+_RECORD = st.builds(
+    lambda prop, pid, act, s_lb, outcome, evidence: (
+        executed(prop, pid, s_lb, outcome, evidence)
+        if act
+        else ExecutionRecord(pid, prop, False, executed(pid=pid, s_lb=s_lb).certificate, None, evidence)
+    ),
+    st.sampled_from(["phi", "other"]),
+    st.sampled_from(["a", "b", "c", "z"]),
+    st.booleans(),
+    st.sampled_from([None, 0.2, 0.6, 0.83]),
+    st.sampled_from([None, *Verdict]),
+    st.sampled_from(list(AvoidanceEvidence)),
+)
+
+
+class TestClassifyReference:
+    """``classify`` against the five public tests, run on the proposition's own records."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([(), ("a",), ("a", "b"), ("a", "b", "c")]).flatmap(_pipelines),
+        st.lists(_RECORD, max_size=5),
+        st.sampled_from([0.5, 0.7, 0.9]),
+        st.one_of(st.none(), st.sampled_from([0.0, 0.5, 0.7, 1.0])),
+    )
+    def test_findings_match_the_public_tests(self, available, records, threshold, capacity):
+        prop = Proposition(id="phi", description="a salient fact", threshold=threshold)
+        finding = classify(prop, available, records, POLICY, capacity=capacity)
+
+        own = [r for r in records if r.proposition_id == "phi"]
+        if capacity is None:
+            capable = available and org_score(available, POLICY) >= threshold
+            capacity = 1.0 if capable else 0.0
+        holds = {
+            Doctrine.ACTUAL_KNOWLEDGE: any(
+                actual_knowledge_test(r, POLICY.theta_ak, POLICY.tau_star) for r in own
+            ),
+            Doctrine.WILFUL_BLINDNESS: wilful_blindness_test(
+                available, own, WilfulBlindnessParams(), POLICY
+            ),
+            Doctrine.RECKLESSNESS: any(
+                r.executed and recklessness_test(r, POLICY.theta_r, 0.2, POLICY.tau_star)
+                for r in own
+            ),
+            Doctrine.CONSTRUCTIVE_KNOWLEDGE: constructive_knowledge_test(
+                available, own, POLICY.theta_ck, POLICY
+            ),
+            Doctrine.NEGLIGENCE: negligence_test(capacity, POLICY.theta_neg),
+        }
+        expected = {d for d, held in holds.items() if held}
+        assert finding.applicable == expected
+        order = [d for d, _ in finding.rationale]
+        assert order == [d for d in PRECEDENCE if d in expected]
+        assert finding.primary is (order[0] if order else None)
 
 
 class TestDocketIntegration:

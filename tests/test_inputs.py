@@ -16,7 +16,7 @@ from epistemic_ledger.metrics import PipelineKind, PipelineSpec, PolicyParams
 from epistemic_ledger.simlab import ScenarioError, SimScenario, parse_scenario
 from epistemic_ledger.validation import BoundMethod, certify
 
-from test_cli import PIPELINES_CSV, write
+from test_cli import PIPELINES_CSV, PROPOSITIONS_CSV, write
 from test_validation import loss_records
 
 APPENDIX_A = (
@@ -193,6 +193,51 @@ def test_duplicate_pipeline_id_names_second_row(tmp_path, capsys):
         read_pipelines_csv(path)
     assert main(["score", path]) == 1
     assert f"{path}:4:" in capsys.readouterr().err
+
+
+def test_duplicate_proposition_id_names_second_row(tmp_path, capsys):
+    # Findings, pipeline sets and executions are keyed by id, so a repeated id
+    # would give both rows the second row's pipelines.
+    pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
+    props = write(
+        tmp_path,
+        "props.csv",
+        "id,description,weight,threshold,pipelines\n"
+        "q,First,1.0,0.7,modern_actual\n"
+        "q,Second,1.0,0.7,legacy_actual\n",
+    )
+    argv = ["classify", "--propositions", props, "--pipelines", pipelines]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{props}:3: duplicate proposition id 'q' (first at line 2)" in err
+    assert "Traceback" not in err
+
+
+def test_execution_certificate_must_be_for_its_pipeline(tmp_path, capsys):
+    # A certificate bounds its own pipeline only: on a legacy_actual row,
+    # modern_actual's bound would make the row actual knowledge.
+    cert = tmp_path / "m.cert"
+    cert.write_text(certificate_text().replace("pipeline_id = pi", "pipeline_id = modern_actual"))
+    pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
+    props = write(tmp_path, "props.csv", PROPOSITIONS_CSV)
+    header = "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
+    argv = ["classify", "--propositions", props, "--pipelines", pipelines, "--executions"]
+    own = write(tmp_path, "own.csv", header + "bid_independence,modern_actual,true,established,none,m.cert,\n")
+    assert main(argv + [own]) == 0
+    capsys.readouterr()
+    other = write(
+        tmp_path,
+        "other.csv",
+        header
+        + "bid_independence,modern_actual,true,established,none,m.cert,\n"
+        + "bid_independence,legacy_actual,true,established,none,m.cert,\n",
+    )
+    assert main(argv + [other]) == 1
+    err = capsys.readouterr().err
+    assert (
+        f"{other}:3: certificate m.cert is for pipeline 'modern_actual', not 'legacy_actual'" in err
+    )
+    assert "Traceback" not in err
 
 
 class TestUnknownScenarioNames:
