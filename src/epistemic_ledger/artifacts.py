@@ -193,6 +193,18 @@ def fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _cell(value: object) -> str:
+    """A float at four decimals, a bool as true/false, anything else through str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return fmt(value) if isinstance(value, float) else str(value)
+
+
+def csv_text(header: str, rows: Iterable[Sequence[object]]) -> str:
+    """A CSV table: the header line, then one line of ``_cell`` values per row."""
+    return "".join([header + "\n", *(",".join(map(_cell, row)) + "\n" for row in rows)])
+
+
 def _short_hash(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()[:12]
 
@@ -209,8 +221,16 @@ def files_hash(paths: Iterable[str | Path]) -> str:
     return digest.hexdigest()[:12]
 
 
+def _one_line(text: str, what: str, path: str | Path, line: int) -> str:
+    """``text``, rejected at its line if it holds a line break: the report echoes it as one line."""
+    if len(text.splitlines()) > 1:
+        raise InputError(f"{what} {text!r} holds a line break", str(path), line)
+    return text
+
+
 def _unique_id(kind: str, id_: str, first_line: dict[str, int], path: str | Path, line: int) -> str:
     """``id_``, its line recorded in ``first_line``; a repeated id is rejected at its line."""
+    _one_line(id_, f"{kind} id", path, line)
     if id_ in first_line:
         first = first_line[id_]
         raise InputError(f"duplicate {kind} id {id_!r} (first at line {first})", str(path), line)
@@ -292,7 +312,7 @@ def read_propositions_csv(path: str | Path, pipelines: Mapping[str, PipelineSpec
             propositions.append(
                 Proposition(
                     id=prop_id,
-                    description=row["description"].strip(),
+                    description=_one_line(row["description"].strip(), "description", path, line),
                     salience_weight=_number(row["weight"], "weight", path, line),
                     threshold=_number(row["threshold"], "threshold", path, line),
                 )
@@ -315,6 +335,7 @@ def read_executions_csv(
 ) -> list[ExecutionRecord]:
     """Columns: proposition_id, pipeline_id, executed, outcome, avoidance_evidence, certificate, timestamp."""
     records = []
+    certificates: dict[str, ValidationCertificate] = {}  # by cell, so each file is read once
     base = Path(path).parent
     for line, row in _rows(
         path,
@@ -336,14 +357,16 @@ def read_executions_csv(
         outcome = _choice(Verdict, outcome_raw, "outcome", path, line) if outcome_raw else None
         evidence_raw = (row.get("avoidance_evidence") or "none").strip() or "none"
         evidence = _choice(AvoidanceEvidence, evidence_raw, "avoidance evidence", path, line)
-        pipeline_id = row["pipeline_id"].strip()
+        pipeline_id = _one_line(row["pipeline_id"].strip(), "pipeline id", path, line)
         cert_raw = (row.get("certificate") or "").strip()
         certificate = None
         if cert_raw:
             cert_path = base / cert_raw  # an absolute cert_raw replaces base
             if not cert_path.exists():
                 raise InputError(f"certificate file not found: {cert_raw}", str(path), line)
-            certificate = read_certificate(cert_path)
+            if cert_raw not in certificates:
+                certificates[cert_raw] = read_certificate(cert_path)
+            certificate = certificates[cert_raw]
             if certificate.pipeline_id != pipeline_id:
                 raise InputError(
                     f"certificate {cert_raw} is for pipeline {certificate.pipeline_id!r}, "
@@ -447,36 +470,20 @@ def read_certificate(path: str | Path) -> ValidationCertificate:
 
 def score_table(pipelines: Sequence[PipelineSpec], policy: PolicyParams) -> str:
     """Two CSV sections: per-pipeline scores, then the organisational summary."""
-    out = ["id,kind,expected_cost,eps_ret,eps_gen,eps_ver,eps_tot,score"]
-    for p in pipelines:
-        out.append(
-            ",".join(
-                (
-                    p.id,
-                    p.kind.value,
-                    fmt(p.expected_cost),
-                    fmt(p.errors.retrieval),
-                    fmt(p.errors.generation),
-                    fmt(p.errors.verification),
-                    fmt(p.total_error()),
-                    fmt(pipeline_score(p, policy)),
-                )
-            )
-        )
-    winner, best = best_pipeline(pipelines, policy)
-    out.append("")
-    out.append("org_score,best_pipeline,theta_c,predicate")
-    out.append(
-        ",".join(
-            (
-                fmt(best),
-                winner.id,
-                fmt(policy.theta_c),
-                str(knowledge_predicate(best, policy.theta_c)).lower(),
-            )
-        )
+    scores = csv_text(
+        "id,kind,expected_cost,eps_ret,eps_gen,eps_ver,eps_tot,score",
+        (
+            (p.id, p.kind.value, p.expected_cost, p.errors.retrieval, p.errors.generation,
+             p.errors.verification, p.total_error(), pipeline_score(p, policy))
+            for p in pipelines
+        ),
     )
-    return "\n".join(out) + "\n"
+    winner, best = best_pipeline(pipelines, policy)
+    summary = csv_text(
+        "org_score,best_pipeline,theta_c,predicate",
+        [(best, winner.id, policy.theta_c, knowledge_predicate(best, policy.theta_c))],
+    )
+    return scores + "\n" + summary
 
 
 def frontier_field(points: Sequence[FrontierPoint]) -> str:
@@ -517,10 +524,7 @@ def audit_report(
         lines.append(f"threshold = {fmt(prop.threshold)}")
         score = org_scores.get(prop.id)
         lines.append(f"org_score = {fmt(score) if score is not None else 'none'}")
-        lines.append(
-            f"predicate = "
-            f"{str(score is not None and score >= prop.threshold).lower()}"
-        )
+        lines.append(f"predicate = {_cell(score is not None and score >= prop.threshold)}")
         lines.append(
             "frontier = " + (frontier_field(epistemic_frontier(pipes)) if pipes else "none")
         )
@@ -537,10 +541,7 @@ def audit_report(
         lines.append(f"applicable = {applicable}")
         lines.append(f"primary = {finding.primary.value if finding.primary else 'none'}")
         for doctrine, detail in finding.rationale:
-            rendered = " ".join(
-                f"{k}={fmt(v) if isinstance(v, float) else v}"
-                for k, v in sorted(detail.items())
-            )
+            rendered = " ".join(f"{k}={_cell(v)}" for k, v in sorted(detail.items()))
             lines.append(f"rationale.{doctrine.value} = {rendered}")
     lines.append("")
     lines.append("[capacity]")

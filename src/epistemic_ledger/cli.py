@@ -19,6 +19,7 @@ from .artifacts import (
     InputError,
     audit_report,
     certificate_to_text,
+    csv_text,
     files_hash,
     fmt,
     parse_sections,
@@ -78,6 +79,9 @@ def _bounded(low: float, high: float = math.inf, *, closed: bool = False, cast=f
     return parse
 
 
+_seed = _bounded(0, closed=True, cast=int)
+
+
 def _eps_grid(value: str) -> list[float]:
     parts = value.split(":")
     if len(parts) != 3:
@@ -88,7 +92,7 @@ def _eps_grid(value: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"non-numeric grid bound in {value!r}")
     if step <= 0.0 or not (0.0 <= start <= stop <= 1.0):
         raise argparse.ArgumentTypeError(f"bad grid {value!r}: need 0 <= start <= stop <= 1, step > 0")
-    count = int(round((stop - start) / step))
+    count = math.floor((stop - start) / step + 1e-9)  # STOP is the last point, never passed
     return [round(start + i * step, 10) for i in range(count + 1)]
 
 
@@ -115,9 +119,9 @@ def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if raw is None or raw == "":
         return None
     try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"{ENV_SEED} must be an integer, got {raw!r}")
+        return _seed(raw)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"{ENV_SEED}: {exc}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -206,36 +210,24 @@ def _cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 0
 
 
-def _simulate_csv(rows) -> str:
-    out = ["company,task,doctrine,time_s,eps_ret,eps_ver,eps_tot,score"]
-    for r in rows:
-        out.append(
-            ",".join(
-                (
-                    r.company,
-                    r.task_id,
-                    r.doctrine,
-                    fmt(r.simulated_time),
-                    fmt(r.eps_ret),
-                    fmt(r.eps_ver),
-                    fmt(r.eps_tot),
-                    fmt(r.score),
-                )
-            )
-        )
-    return "\n".join(out) + "\n"
-
-
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     scenario = load_scenario(args.scenario)
     seed = _resolve_seed(args, parser)
     rows = run_docket(scenario, seed=seed)
-    text = _simulate_csv(rows)
+    text = csv_text(
+        "company,task,doctrine,time_s,eps_ret,eps_ver,eps_tot,score",
+        (
+            (r.company, r.task_id, r.doctrine, r.simulated_time, r.eps_ret, r.eps_ver, r.eps_tot,
+             r.score)
+            for r in rows
+        ),
+    )
     if args.summary:
         theta = scenario.policy.theta_c
-        text += "\ncompany,capacity,theta\n"
-        for company in ("legacy", "modern"):
-            text += f"{company},{fmt(company_capacity(scenario, rows, company))},{fmt(theta)}\n"
+        text += "\n" + csv_text(
+            "company,capacity,theta",
+            ((c, company_capacity(scenario, rows, c), theta) for c in ("legacy", "modern")),
+        )
     if args.export_corpus:
         corpus = generate_corpus(scenario, seed if seed is not None else scenario.seed)
         Path(args.export_corpus).write_text(export_corpus(corpus), encoding="utf-8")
@@ -248,45 +240,26 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     seed = _resolve_seed(args, parser)
     if args.sweep_command == "sensitivity":
         curve = sensitivity_sweep(scenario, args.eps_grid)
-        out = ["eps_ver,score,meets_theta,crossover"]
-        for point in curve.points:
-            crossover = curve.first_crossing is not None and point.eps_ver == curve.first_crossing
-            out.append(
-                f"{fmt(point.eps_ver)},{fmt(point.score)},"
-                f"{str(point.meets_threshold).lower()},{str(crossover).lower()}"
-            )
-        _emit("\n".join(out) + "\n", args.out)
-        return 0
-    if args.sweep_command == "scalability":
-        points = scalability_sweep(scenario, args.sizes, seed=seed)
-        out = ["corpus_size,legacy_cost,modern_cost"]
-        for p in points:
-            out.append(f"{p.corpus_size},{fmt(p.legacy_cost)},{fmt(p.modern_cost)}")
-        _emit("\n".join(out) + "\n", args.out)
-        return 0
-    if args.sweep_command == "montecarlo":
+        header = "eps_ver,score,meets_theta,crossover"
+        rows = [
+            (p.eps_ver, p.score, p.meets_threshold, p.eps_ver == curve.first_crossing)
+            for p in curve.points
+        ]
+    elif args.sweep_command == "scalability":
+        header = "corpus_size,legacy_cost,modern_cost"
+        rows = [
+            (p.corpus_size, p.legacy_cost, p.modern_cost)
+            for p in scalability_sweep(scenario, args.sizes, seed=seed)
+        ]
+    else:
         result = monte_carlo(scenario, runs=args.runs, jitter_sigma=args.jitter, seed=seed)
-        out = ["company,task,doctrine,runs,min,q1,median,q3,max"]
-        for cell in result.cells:
-            q1, q2, q3 = cell.quartiles()
-            out.append(
-                ",".join(
-                    (
-                        cell.company,
-                        cell.task_id,
-                        cell.doctrine,
-                        str(result.runs),
-                        fmt(cell.minimum),
-                        fmt(q1),
-                        fmt(q2),
-                        fmt(q3),
-                        fmt(cell.maximum),
-                    )
-                )
-            )
-        _emit("\n".join(out) + "\n", args.out)
-        return 0
-    parser.error("choose a sweep: sensitivity, scalability, or montecarlo")
+        header = "company,task,doctrine,runs,min,q1,median,q3,max"
+        rows = [
+            (c.company, c.task_id, c.doctrine, result.runs, c.minimum, *c.quartiles(), c.maximum)
+            for c in result.cells
+        ]
+    _emit(csv_text(header, rows), args.out)
+    return 0
 
 
 def _add_policy_flags(sub: argparse.ArgumentParser) -> None:
@@ -342,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the docket simulation")
     p_sim.add_argument("--scenario", default="appendix_a", help="scenario file or packaged name")
-    p_sim.add_argument("--seed", type=int, help="override the scenario seed")
+    p_sim.add_argument("--seed", type=_seed, help="override the scenario seed")
     p_sim.add_argument("--summary", action="store_true", help="append capacity rows")
     p_sim.add_argument("--export-corpus", dest="export_corpus", help="also write the corpus here")
     p_sim.add_argument("--out", help="write the CSV here instead of stdout")
@@ -352,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("sensitivity", "scalability", "montecarlo"):
         p = sweep_sub.add_parser(name)
         p.add_argument("--scenario", default="appendix_a")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=_seed)
         p.add_argument("--out")
         if name == "sensitivity":
             p.add_argument("--eps-grid", dest="eps_grid", type=_eps_grid, default=_eps_grid("0:0.5:0.01"))

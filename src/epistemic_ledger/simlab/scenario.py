@@ -184,7 +184,8 @@ def parse_scenario(text: str, path: str = "<scenario>") -> SimScenario:
     """
     settings: dict[str, object] = {}
     tasks = []
-    for name, sec in parse_sections(text, path, error=ScenarioError).items():
+    sections = parse_sections(text, path, error=ScenarioError)
+    for name, sec in sections.items():
         if name.startswith("task."):
             tasks.append(_task(sec))
         elif name == "policy":
@@ -199,6 +200,9 @@ def parse_scenario(text: str, path: str = "<scenario>") -> SimScenario:
             )
         else:
             raise ScenarioError(f"unknown section [{name}]", path, sec.line)
+    if settings.get("seed", 0) < 0:  # numpy seeds only from non-negative integers
+        seed, line = sections[""].raw("seed")
+        raise ScenarioError(f"'seed' must be non-negative, got {seed}", path, line)
     with _at(path, 0, ScenarioError):
         return SimScenario(tasks=tuple(tasks), **settings)
 

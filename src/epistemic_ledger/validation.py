@@ -27,7 +27,6 @@ class BoundMethod(str, Enum):
 class Criterion(str, Enum):
     AIC = "aic"
     BIC = "bic"
-    MDL = "mdl"
     SUPPLIED = "supplied"
 
 

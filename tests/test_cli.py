@@ -2,6 +2,7 @@
 
 import pytest
 
+from epistemic_ledger import artifacts
 from epistemic_ledger.artifacts import (
     InputError,
     certificate_to_text,
@@ -183,6 +184,27 @@ class TestClassify:
         assert "primary = actual_knowledge" in out
         assert "lower_bound = 1.0000" in out
 
+    def test_shared_certificate_is_read_once(self, tmp_path, capsys, monkeypatch):
+        records = records_csv(tmp_path)
+        cert_path = tmp_path / "m.cert"
+        main(
+            ["certify", records, "--pipeline-id", "modern_actual", "--cost", "2.06",
+             "--timestamp", "2026-01-01T00:00:00+00:00", "--out", str(cert_path)]
+        )
+        capsys.readouterr()
+        reads = []
+        read = artifacts.read_certificate
+        monkeypatch.setattr(artifacts, "read_certificate", lambda path: reads.append(path) or read(path))
+        row = f"bid_independence,modern_actual,true,established,none,{cert_path},\n"
+        executions = (
+            "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
+            + row
+            + row
+        )
+        assert main(self._inputs(tmp_path, executions)) == 0
+        assert "primary = actual_knowledge" in capsys.readouterr().out
+        assert len(reads) == 1
+
     def test_unknown_proposition_in_executions(self, tmp_path, capsys):
         executions = (
             "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
@@ -335,6 +357,12 @@ class TestSweep:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0].startswith("company,task,doctrine,runs,min")
         assert len(lines) == 9
+
+    @pytest.mark.parametrize("grid, last", [("0:0.5:0.3", "0.3000"), ("0:1:0.6", "0.6000")])
+    def test_grid_ends_at_stop(self, grid, last, capsys):
+        assert main(["sweep", "sensitivity", "--eps-grid", grid]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.0000", last]
 
     def test_bad_grid_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,7 @@ from epistemic_ledger.artifacts import (
     read_certificate,
     read_pipelines_csv,
 )
-from epistemic_ledger.cli import main
+from epistemic_ledger.cli import ENV_SEED, main
 from epistemic_ledger.metrics import PipelineKind, PipelineSpec, PolicyParams
 from epistemic_ledger.simlab import ScenarioError, SimScenario, parse_scenario
 from epistemic_ledger.validation import BoundMethod, certify
@@ -151,6 +151,77 @@ def test_non_finite_or_out_of_range_flag_is_usage_error(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main([a.format(pipelines=pipelines) for a in argv])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate", "--seed", "-1"], ["sweep", "montecarlo", "--seed", "-3"]]
+)
+def test_negative_seed_flag_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_negative_env_seed_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv(ENV_SEED, "-2")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate"])
+    assert exc.value.code == 2
+    assert f"{ENV_SEED}: expected an integer in [0, inf), got '-2'" in capsys.readouterr().err
+
+
+def test_negative_scenario_seed_names_its_line(tmp_path, capsys):
+    text = replace_line(APPENDIX_A, "seed =", "seed = -1")
+    path = write(tmp_path, "negative.scenario", text)
+    assert main(["simulate", "--scenario", path]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:{line_of(text, 'seed =')}: 'seed' must be non-negative, got -1" in err
+    assert "Traceback" not in err
+
+
+# The audit report echoes each of these cells on one line of its own, so a
+# line break in one could forge report lines such as a second predicate.
+FORGED = '"fine\npredicate = false\n[capacity]\npoint = 0.0000"'
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        (
+            "pipelines.csv",
+            PIPELINES_CSV + '"m\nx",full,2.06,0,0,0\n',
+            "pipeline id 'm\\nx' holds a line break",
+        ),
+        (
+            "props.csv",
+            PROPOSITIONS_CSV + '"q\nx",Other,1.0,0.7,modern_actual\n',
+            "proposition id 'q\\nx' holds a line break",
+        ),
+        (
+            "props.csv",
+            PROPOSITIONS_CSV + f"q,{FORGED},1.0,0.7,modern_actual\n",
+            "description 'fine\\npredicate = false",
+        ),
+        (
+            "executions.csv",
+            "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
+            'bid_independence,"x\n[capacity]",true,established,none,,\n',
+            "pipeline id 'x\\n[capacity]' holds a line break",
+        ),
+    ],
+    ids=["pipeline-id", "proposition-id", "description", "execution-pipeline-id"],
+)
+def test_line_break_in_echoed_cell_is_rejected(tmp_path, capsys, name, text, message):
+    files = {"pipelines.csv": PIPELINES_CSV, "props.csv": PROPOSITIONS_CSV, name: text}
+    paths = {n: write(tmp_path, n, t) for n, t in files.items()}
+    argv = ["classify", "--pipelines", paths["pipelines.csv"], "--propositions", paths["props.csv"]]
+    if "executions.csv" in paths:
+        argv += ["--executions", paths["executions.csv"]]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    # A quoted cell that spans lines ends its row on the file's last line.
+    assert f"{paths[name]}:{text.count(chr(10))}: {message}" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
