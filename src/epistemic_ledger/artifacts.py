@@ -200,9 +200,20 @@ def _cell(value: object) -> str:
     return fmt(value) if isinstance(value, float) else str(value)
 
 
+def _quoted(cell: str) -> str:
+    """``cell`` as one RFC 4180 field: quoted, inner quotes doubled, if it holds ``,"\\r\\n``.
+
+    ``csv.writer`` with the tables' ``\\n`` line ending would leave a bare ``\\r`` unquoted.
+    """
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def csv_text(header: str, rows: Iterable[Sequence[object]]) -> str:
-    """A CSV table: the header line, then one line of ``_cell`` values per row."""
-    return "".join([header + "\n", *(",".join(map(_cell, row)) + "\n" for row in rows)])
+    """A CSV table: the header line, then one line of quoted ``_cell`` values per row."""
+    lines = (",".join(_quoted(_cell(value)) for value in row) + "\n" for row in rows)
+    return "".join([header + "\n", *lines])
 
 
 def _short_hash(payload: bytes) -> str:
@@ -239,8 +250,10 @@ def _unique_id(kind: str, id_: str, first_line: dict[str, int], path: str | Path
 
 
 def _rows(path: str | Path, expected: Sequence[str]) -> Iterable[tuple[int, dict[str, str]]]:
+    """Each data row with the line it starts on (a quoted cell may span lines)."""
     text = Path(path).read_text(encoding="utf-8-sig")
     reader = csv.reader(io.StringIO(text))
+    start = 1  # the line the row being read starts on
     try:
         header = next(reader, None)
         if header is None:
@@ -249,14 +262,16 @@ def _rows(path: str | Path, expected: Sequence[str]) -> Iterable[tuple[int, dict
         if missing:
             raise InputError(f"missing column(s): {', '.join(missing)}", str(path), 1)
         width = 1 + max(header.index(c) for c in expected)
+        start = reader.line_num + 1
         for cells in reader:
             if len(cells) >= width:
-                yield reader.line_num, dict(zip(header, cells))
+                yield start, dict(zip(header, cells))
             elif cells:  # a short row, or one that an unterminated quote ran on into
                 empty = ", ".join(c for c in expected if header.index(c) >= len(cells))
-                raise InputError(f"row has no value for column(s): {empty}", str(path), reader.line_num)
+                raise InputError(f"row has no value for column(s): {empty}", str(path), start)
+            start = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise InputError(f"malformed CSV: {exc}", str(path), reader.line_num) from None
+        raise InputError(f"malformed CSV: {exc}", str(path), start) from None
 
 
 def read_pipelines_csv(path: str | Path) -> list[PipelineSpec]:
@@ -361,12 +376,12 @@ def read_executions_csv(
         cert_raw = (row.get("certificate") or "").strip()
         certificate = None
         if cert_raw:
-            cert_path = base / cert_raw  # an absolute cert_raw replaces base
-            if not cert_path.exists():
-                raise InputError(f"certificate file not found: {cert_raw}", str(path), line)
-            if cert_raw not in certificates:
-                certificates[cert_raw] = read_certificate(cert_path)
-            certificate = certificates[cert_raw]
+            certificate = certificates.get(cert_raw)
+            if certificate is None:
+                cert_path = base / cert_raw  # an absolute cert_raw replaces base
+                if not cert_path.exists():
+                    raise InputError(f"certificate file not found: {cert_raw}", str(path), line)
+                certificate = certificates[cert_raw] = read_certificate(cert_path)
             if certificate.pipeline_id != pipeline_id:
                 raise InputError(
                     f"certificate {cert_raw} is for pipeline {certificate.pipeline_id!r}, "

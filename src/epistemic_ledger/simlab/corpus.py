@@ -10,21 +10,25 @@ synonym table expands euphemism phrases into their concept tokens, which is
 what lets a conceptual search find what a literal keyword scan misses.
 
 A ``Corpus`` is immutable, so its index is built on first use and kept on
-it: each document's padded token text (``token_texts``) for the keyword
-scan, and, per synonym table, the embeddings of all documents as one sparse
-N x dim hashed design matrix (``HashedRows``, the feature-hashing view of
-Weinberger et al., 2009), whose product with a query vector scores every
-document at once.
+it. Each document is tokenised once per corpus, into its padded token text
+(``token_texts``), which the keyword scan tests for phrases. Per synonym
+table, one pass over those token texts gives the embeddings of all
+documents as one sparse N x dim hashed design matrix (``HashedRows``, the
+feature-hashing view of Weinberger et al., 2009), hashing each distinct
+token once; its product with a query vector scores every document at once.
+``embed`` is the dense form of one row: it embeds queries, and the rows
+equal its vectors bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -138,24 +142,14 @@ class Document:
 class HashedRows:
     """Unit-vector embeddings as a sparse N x dim matrix in CSR form.
 
-    Row i keeps only the nonzero entries of its dense vector: bucket
-    ``indices[offsets[i]:offsets[i + 1]]`` (int32) has weight ``weights[...]``
-    (float64, copied bit for bit).
+    Row i keeps only the nonzero entries of its ``embed`` vector: bucket
+    ``indices[offsets[i]:offsets[i + 1]]`` (int32, ascending) has weight
+    ``weights[...]`` (float64, bit for bit the dense vector's).
     """
 
     indices: np.ndarray
     weights: np.ndarray
     offsets: np.ndarray
-
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[np.ndarray]) -> HashedRows:
-        indices, weights, offsets = array("i"), array("d"), [0]
-        for vector in vectors:
-            nonzero = np.flatnonzero(vector)
-            indices.extend(nonzero.tolist())
-            weights.extend(vector[nonzero].tolist())
-            offsets.append(len(indices))
-        return cls(np.frombuffer(indices, np.intc), np.frombuffer(weights), np.array(offsets))
 
     def dot(self, query: np.ndarray) -> np.ndarray:
         """Each row's dot product with the dense ``query``.
@@ -191,18 +185,51 @@ class Corpus:
         ranks[order] = np.arange(len(order))
         return ranks
 
-    def hashed_rows(
-        self,
-        synonyms: Mapping[str, tuple[str, ...]] | None,
-        embed_fn: Callable[..., np.ndarray] = embed,
-    ) -> HashedRows:
-        """Every document's embedding under ``synonyms``, built once by ``embed_fn``."""
+    def hashed_rows(self, synonyms: Mapping[str, tuple[str, ...]] | None) -> HashedRows:
+        """Every document's ``embed`` under ``synonyms``, built on first use."""
         key = tuple(sorted(synonyms.items())) if synonyms else ()
         rows = self._hashed_rows.get(key)
         if rows is None:
-            rows = HashedRows.from_vectors(embed_fn(doc.text, synonyms) for doc in self.documents)
-            self._hashed_rows[key] = rows
+            rows = self._hashed_rows[key] = self._embed_rows(key)
         return rows
+
+    def _embed_rows(self, synonyms: Iterable[tuple[str, tuple[str, ...]]]) -> HashedRows:
+        """The rows ``embed`` gives each document, in one pass over ``token_texts``.
+
+        A row counts the document's non-stopword tokens and the concept
+        tokens of each synonym phrase its token text holds, each distinct
+        token hashed once per build. The counts are small integers, so the
+        norm, the square root of their summed squares, is the dense vector's
+        to the bit, and so is every weight.
+        """
+        expansions = [
+            (needle, concepts) for phrase, concepts in synonyms if (needle := token_text(phrase)).strip()
+        ]
+        buckets: dict[str, int] = {}
+        indices, weights, offsets = array("i"), array("d"), array("q", [0])
+        for doc, padded in zip(self.documents, self.token_texts):
+            tokens = [t for t in padded.split() if t not in _STOPWORDS]
+            for needle, concepts in expansions:
+                if needle in padded:
+                    tokens.extend(concepts)
+            counts: dict[int, int] = {}
+            for token in tokens:
+                bucket = buckets.get(token)
+                if bucket is None:
+                    bucket = buckets[token] = _token_index(token, EMBED_DIM)
+                counts[bucket] = counts.get(bucket, 0) + 1
+            if not counts:  # embed's errors: an empty row would corrupt ``dot``
+                if not doc.text.strip():
+                    raise ValueError("cannot embed empty text")
+                raise ValueError(f"text has no indexable tokens: {doc.text!r}")
+            norm = math.sqrt(sum(count * count for count in counts.values()))
+            for bucket in sorted(counts):
+                indices.append(bucket)
+                weights.append(counts[bucket] / norm)
+            offsets.append(len(indices))
+        return HashedRows(
+            np.frombuffer(indices, np.intc), np.frombuffer(weights), np.frombuffer(offsets, np.int64)
+        )
 
     def ground_truth_ids(self, task_id: str) -> frozenset[str]:
         return frozenset(

@@ -9,10 +9,9 @@ ground-truth document is missed, else 0.
 Both searches read the corpus index (see ``corpus``), built on a corpus's
 first search and reused by every later one: the keyword scan tests each
 document's cached token text, and semantic search scores all documents with
-one sparse product of the hashed embedding rows and the query vector.
-``embed`` is looked up here when the rows are built, so wrapping
-``search.embed`` sees every embedding; ``document_matches`` is the scan's
-single-document form.
+one sparse product of the hashed embedding rows and the query vector. The
+rows are built from the token texts, so ``embed`` here embeds only the
+concept query; ``document_matches`` is the scan's single-document form.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ def semantic_search(
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, len(corpus))
     query_vec = embed(concept_query, synonyms)
-    scores = corpus.hashed_rows(synonyms, embed).dot(query_vec)
+    scores = corpus.hashed_rows(synonyms).dot(query_vec)
     ranked = np.lexsort((corpus.id_ranks, -scores))
     hits = tuple(corpus.documents[i].id for i in ranked[:k])
     cost = (a + b * math.log(len(corpus))) * time_scale * jitter_factor(rng, jitter_sigma)

@@ -1,11 +1,15 @@
 """End-to-end tests for the command-line interface and file schemas."""
 
+import csv
+import io
+
 import pytest
 
 from epistemic_ledger import artifacts
 from epistemic_ledger.artifacts import (
     InputError,
     certificate_to_text,
+    csv_text,
     read_certificate,
     read_pipelines_csv,
 )
@@ -80,6 +84,24 @@ class TestScore:
         # tau* 5 shrinks the efficiency factor; the --theta flag wins over
         # the file's theta_c.
         assert out.strip().split("\n")[-1] == "0.7082,modern_actual,0.6000,true"
+
+    def test_cells_are_quoted_for_csv_readers(self, tmp_path, capsys):
+        path = write(tmp_path, "pipelines.csv", PIPELINES_CSV.replace("modern_actual", '"a,b"'))
+        assert main(["score", path]) == 0
+        scores, summary = capsys.readouterr().out.split("\n\n")
+        table = list(csv.reader(io.StringIO(scores)))
+        assert [len(row) for row in table] == [8, 8, 8]
+        assert table[2][:2] == ["a,b", "full"]
+        assert list(csv.reader(io.StringIO(summary)))[1] == ["0.8292", "a,b", "0.7000", "true"]
+
+    def test_csv_text_quotes_as_rfc_4180(self):
+        cells = ('say "hi"', "two\nlines", "cr\r", "plain", 0.5, True)
+        text = csv_text("a,b,c,d,e,f", [cells])
+        assert text.splitlines()[1].startswith('"say ""hi""","two')
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["a", "b", "c", "d", "e", "f"],
+            ['say "hi"', "two\nlines", "cr\r", "plain", "0.5000", "true"],
+        ]
 
     def test_unknown_policy_key_names_line(self, tmp_path, capsys):
         pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
@@ -195,6 +217,9 @@ class TestClassify:
         reads = []
         read = artifacts.read_certificate
         monkeypatch.setattr(artifacts, "read_certificate", lambda path: reads.append(path) or read(path))
+        lookups = []
+        exists = artifacts.Path.exists
+        monkeypatch.setattr(artifacts.Path, "exists", lambda path: lookups.append(path) or exists(path))
         row = f"bid_independence,modern_actual,true,established,none,{cert_path},\n"
         executions = (
             "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
@@ -204,6 +229,20 @@ class TestClassify:
         assert main(self._inputs(tmp_path, executions)) == 0
         assert "primary = actual_knowledge" in capsys.readouterr().out
         assert len(reads) == 1
+        assert lookups.count(cert_path) == 1  # the path is joined and looked up once per cell
+
+    def test_missing_certificate_names_its_row(self, tmp_path, capsys):
+        executions = (
+            "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
+            "bid_independence,modern_actual,true,established,none,,\n"
+            "bid_independence,modern_actual,true,established,none,absent.cert,\n"
+        )
+        argv = self._inputs(tmp_path, executions)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"{argv[-1]}:3: certificate file not found: absent.cert" in captured.err
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
     def test_unknown_proposition_in_executions(self, tmp_path, capsys):
         executions = (

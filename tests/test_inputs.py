@@ -185,42 +185,45 @@ FORGED = '"fine\npredicate = false\n[capacity]\npoint = 0.0000"'
 
 
 @pytest.mark.parametrize(
-    "name, text, message",
+    "name, before, row, message",
     [
         (
             "pipelines.csv",
-            PIPELINES_CSV + '"m\nx",full,2.06,0,0,0\n',
+            PIPELINES_CSV,
+            '"m\nx",full,2.06,0,0,0\n',
             "pipeline id 'm\\nx' holds a line break",
         ),
         (
             "props.csv",
-            PROPOSITIONS_CSV + '"q\nx",Other,1.0,0.7,modern_actual\n',
+            PROPOSITIONS_CSV,
+            '"q\nx",Other,1.0,0.7,modern_actual\n',
             "proposition id 'q\\nx' holds a line break",
         ),
         (
             "props.csv",
-            PROPOSITIONS_CSV + f"q,{FORGED},1.0,0.7,modern_actual\n",
+            PROPOSITIONS_CSV,
+            f"q,{FORGED},1.0,0.7,modern_actual\n",
             "description 'fine\\npredicate = false",
         ),
         (
             "executions.csv",
-            "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
+            "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n",
             'bid_independence,"x\n[capacity]",true,established,none,,\n',
             "pipeline id 'x\\n[capacity]' holds a line break",
         ),
     ],
     ids=["pipeline-id", "proposition-id", "description", "execution-pipeline-id"],
 )
-def test_line_break_in_echoed_cell_is_rejected(tmp_path, capsys, name, text, message):
-    files = {"pipelines.csv": PIPELINES_CSV, "props.csv": PROPOSITIONS_CSV, name: text}
+def test_line_break_in_echoed_cell_is_rejected(tmp_path, capsys, name, before, row, message):
+    files = {"pipelines.csv": PIPELINES_CSV, "props.csv": PROPOSITIONS_CSV, name: before + row}
     paths = {n: write(tmp_path, n, t) for n, t in files.items()}
     argv = ["classify", "--pipelines", paths["pipelines.csv"], "--propositions", paths["props.csv"]]
     if "executions.csv" in paths:
         argv += ["--executions", paths["executions.csv"]]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    # A quoted cell that spans lines ends its row on the file's last line.
-    assert f"{paths[name]}:{text.count(chr(10))}: {message}" in captured.err
+    # The error names the line the offending row starts on.
+    assert f"{paths[name]}:{before.count(chr(10)) + 1}: {message}" in captured.err
     assert captured.out == ""
 
 
@@ -264,6 +267,21 @@ def test_duplicate_pipeline_id_names_second_row(tmp_path, capsys):
         read_pipelines_csv(path)
     assert main(["score", path]) == 1
     assert f"{path}:4:" in capsys.readouterr().err
+
+
+def test_duplicate_id_names_the_line_each_row_starts_on(tmp_path, capsys):
+    # The first row's description cell (a column the reader ignores) spans lines 2-4.
+    path = write(
+        tmp_path,
+        "dup.csv",
+        "id,kind,expected_cost,eps_ret,eps_gen,eps_ver,description\n"
+        'm,full,2.06,0,0,0,"first\nsecond\nthird"\n'
+        "m,full,1.00,0,0,0,again\n",
+    )
+    with pytest.raises(InputError, match=r"dup\.csv:5: duplicate pipeline id 'm' \(first at line 2\)"):
+        read_pipelines_csv(path)
+    assert main(["score", path]) == 1
+    assert f"{path}:5: duplicate pipeline id 'm' (first at line 2)" in capsys.readouterr().err
 
 
 def test_duplicate_proposition_id_names_second_row(tmp_path, capsys):

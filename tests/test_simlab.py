@@ -413,22 +413,70 @@ class TestCorpusIndex:
         assert hits == _reference_keyword(corpus, ["...", " "]) == ()
 
     def test_monte_carlo_embeds_each_document_once(self, monkeypatch):
-        texts = Counter()
-        original = search.embed
+        builds, queries = [], Counter()
+        build_rows, embed_query = Corpus._embed_rows, search.embed
+
+        def counting_build(corpus, *args, **kwargs):
+            builds.append(len(corpus))
+            return build_rows(corpus, *args, **kwargs)
 
         def counting_embed(text, *args, **kwargs):
-            texts[text] += 1
-            return original(text, *args, **kwargs)
+            queries[text] += 1
+            return embed_query(text, *args, **kwargs)
 
+        monkeypatch.setattr(Corpus, "_embed_rows", counting_build)
         monkeypatch.setattr(search, "embed", counting_embed)
         runs = 3
         monte_carlo(SCENARIO, runs=runs)
         corpus = generate_corpus(SCENARIO, seed=SCENARIO.seed)
-        assert all(texts[doc.text] == 1 for doc in corpus.documents)
-        assert sum(texts.values()) == len(corpus) + runs * len(SCENARIO.tasks)
+        assert builds == [len(corpus)]
+        assert set(queries) == {task.concept_query for task in SCENARIO.tasks}
+        assert sum(queries.values()) == runs * len(SCENARIO.tasks)
 
     def test_index_is_kept_per_synonym_table(self):
         corpus = generate_corpus(SCENARIO, seed=42)
         assert corpus.hashed_rows(SYNONYMS) is corpus.hashed_rows(dict(SYNONYMS))
         assert corpus.hashed_rows(None) is corpus.hashed_rows({})
         assert corpus.hashed_rows(None) is not corpus.hashed_rows(SYNONYMS)
+
+
+def _assert_rows_equal_dense_embeddings(corpus, synonyms):
+    """The corpus rows hold exactly the nonzero entries of each document's dense ``embed``."""
+    indices, weights, offsets = [], [], [0]
+    for doc in corpus.documents:
+        vector = embed(doc.text, synonyms)
+        nonzero = np.flatnonzero(vector)
+        indices.extend(nonzero.tolist())
+        weights.extend(vector[nonzero].tolist())
+        offsets.append(len(indices))
+    rows = corpus.hashed_rows(synonyms)
+    assert np.array_equal(rows.indices, indices)
+    assert np.array_equal(rows.offsets, offsets)
+    assert rows.weights.tobytes() == np.array(weights).tobytes()
+
+
+class TestHashedRows:
+    """The one-pass rows are the per-document dense embeddings, bit for bit."""
+
+    @pytest.mark.parametrize("synonyms", [None, SYNONYMS], ids=["plain", "synonyms"])
+    @pytest.mark.parametrize("size", [62, 2000])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_rows_equal_dense_embeddings(self, seed, size, synonyms):
+        _assert_rows_equal_dense_embeddings(generate_corpus(SCENARIO, seed=seed, size=size), synonyms)
+
+    def test_repeated_tokens_are_counted(self):
+        # "rate" three times, and a synonym phrase whose concept tokens
+        # repeat tokens of the text.
+        doc = Document("doc-x", "Rate, rate and RATE of the fixing price", frozenset(), frozenset())
+        synonyms = {"fixing price": ("price", "fixing", "cartel")}
+        _assert_rows_equal_dense_embeddings(Corpus((doc,), 0), synonyms)
+
+    @pytest.mark.parametrize("text", ["", "   ", "!!! --", "the and of"])
+    def test_document_without_tokens_is_rejected_as_embed_rejects_it(self, text):
+        docs = generate_corpus(SCENARIO, seed=42).documents[:3]
+        corpus = Corpus(docs + (Document("doc-blank", text, frozenset(), frozenset()),), 42)
+        with pytest.raises(ValueError) as expected:
+            embed(text, SYNONYMS)
+        with pytest.raises(ValueError) as raised:
+            corpus.hashed_rows(SYNONYMS)
+        assert str(raised.value) == str(expected.value)
