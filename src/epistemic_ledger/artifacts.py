@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, NoReturn, Sequence
@@ -239,6 +240,18 @@ def _one_line(text: str, what: str, path: str | Path, line: int) -> str:
     return text
 
 
+# The audit report's frontier, certificates and rationale fields join pipeline
+# ids with these, so an id holding one would blur where an id ends.
+_BLURS_REPORT = re.compile(r"[\s;:=]")
+
+
+def check_pipeline_id(text: str) -> str:
+    """``text``, or a ValueError if it holds whitespace, ``;``, ``:`` or ``=``."""
+    if _BLURS_REPORT.search(text):
+        raise ValueError(f"pipeline id {text!r} holds whitespace, ';', ':' or '='")
+    return text
+
+
 def _unique_id(kind: str, id_: str, first_line: dict[str, int], path: str | Path, line: int) -> str:
     """``id_``, its line recorded in ``first_line``; a repeated id is rejected at its line."""
     _one_line(id_, f"{kind} id", path, line)
@@ -285,7 +298,7 @@ def read_pipelines_csv(path: str | Path) -> list[PipelineSpec]:
         with _at(path, line):
             pipelines.append(
                 PipelineSpec(
-                    id=pipeline_id,
+                    id=check_pipeline_id(pipeline_id),
                     kind=kind,
                     expected_cost=_number(row["expected_cost"], "expected_cost", path, line),
                     errors=ComponentErrors(
@@ -392,7 +405,7 @@ def read_executions_csv(
         with _at(path, line):
             records.append(
                 ExecutionRecord(
-                    pipeline_id=pipeline_id,
+                    pipeline_id=check_pipeline_id(pipeline_id),
                     proposition_id=prop_id,
                     executed=executed_raw == "true",
                     certificate=certificate,

@@ -19,6 +19,7 @@ from .artifacts import (
     InputError,
     audit_report,
     certificate_to_text,
+    check_pipeline_id,
     csv_text,
     files_hash,
     fmt,
@@ -80,6 +81,23 @@ def _bounded(low: float, high: float = math.inf, *, closed: bool = False, cast=f
 
 
 _seed = _bounded(0, closed=True, cast=int)
+
+
+def _pipeline_id(value: str) -> str:
+    """An argparse type for a pipeline id, under the pipelines file's rule."""
+    try:
+        return check_pipeline_id(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _cert_text(value: str) -> str:
+    """An argparse type for text a certificate must read back unchanged from its one line."""
+    if value != value.strip() or len(value.splitlines()) > 1:
+        raise argparse.ArgumentTypeError(
+            f"expected one line without leading or trailing whitespace, got {value!r}"
+        )
+    return value
 
 
 def _eps_grid(value: str) -> list[float]:
@@ -188,7 +206,7 @@ def _cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     }
     capacity_point = capacity_lower = None
     if docket.total_weight() > 0:
-        capacity_point = capacity_index(docket, policy)
+        capacity_point = capacity_index(docket, org_scores)
         capacity_lower = lower_bound_capacity(docket, certs, policy)
     findings = {
         p.id: classify(p, sets[p.id], records[p.id], policy, capacity=capacity_point)
@@ -290,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="issue a validation certificate")
     p_cert.add_argument("records", help="evaluation records CSV (component,loss)")
-    p_cert.add_argument("--pipeline-id", required=True)
+    p_cert.add_argument("--pipeline-id", type=_pipeline_id, required=True)
     p_cert.add_argument(
         "--kind",
         choices=[k.value for k in PipelineKind],
@@ -300,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument(
         "--method", choices=[m.value for m in BoundMethod], default=BoundMethod.WILSON.value
     )
-    p_cert.add_argument("--fold-strategy", dest="fold_strategy", default="holdout")
-    p_cert.add_argument("--timestamp", help="ISO-8601 timestamp to embed (default: now)")
+    p_cert.add_argument("--fold-strategy", dest="fold_strategy", type=_cert_text, default="holdout")
+    p_cert.add_argument("--timestamp", type=_cert_text, help="ISO-8601 timestamp to embed (default: now)")
     _add_policy_flags(p_cert)
     p_cert.add_argument("--out", help="write the certificate here instead of stdout")
 

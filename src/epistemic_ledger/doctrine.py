@@ -125,15 +125,16 @@ def actual_knowledge_test(
 
 
 def constructive_knowledge_test(
-    available: Sequence[PipelineSpec],
+    score: float | None,
     executions: Sequence[ExecutionRecord],
     theta_ck: float,
     policy: PolicyParams,
 ) -> bool:
-    """Knowledge was achievable (best available score >= theta_ck) but not obtained."""
-    if not available:
-        return False
-    if org_score(available, policy) < theta_ck:
+    """Knowledge was achievable (org score >= theta_ck) but not obtained.
+
+    ``score`` is the org score of the proposition's pipelines, None when it has none.
+    """
+    if score is None or score < theta_ck:
         return False
     return not any(
         actual_knowledge_test(r, policy.theta_ak, policy.tau_star) for r in executions
@@ -213,9 +214,9 @@ def classify(
     if wb_params is None:
         wb_params = WilfulBlindnessParams()
     records = [r for r in executions if r.proposition_id == proposition.id]
-    best = org_score(available, policy) if available else 0.0
+    best = org_score(available, policy) if available else None
     if capacity is None:
-        capacity = 1.0 if available and best >= proposition.threshold else 0.0
+        capacity = 1.0 if (best or 0.0) >= proposition.threshold else 0.0
     found: dict[Doctrine, Mapping[str, object]] = {}
 
     actual = next(
@@ -261,7 +262,7 @@ def classify(
         else:
             detail["lower_bound_score"] = lower_bound_score(reckless.certificate, policy.tau_star)
 
-    if constructive_knowledge_test(available, records, policy.theta_ck, policy):
+    if constructive_knowledge_test(best, records, policy.theta_ck, policy):
         found[Doctrine.CONSTRUCTIVE_KNOWLEDGE] = {"org_score": best, "theta_ck": policy.theta_ck}
 
     if negligence_test(capacity, policy.theta_neg):

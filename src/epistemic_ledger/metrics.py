@@ -6,8 +6,10 @@ hyperbolic efficiency factor discounts expected cost against a reference
 time scale, and their product scores a pipeline in [0, 1]. Organisation-level
 scores take the best pipeline available, a thresholded predicate turns the
 score into a yes/no knowledge call, and a weighted capacity index aggregates
-those calls over a docket of propositions. The cost-error Pareto frontier of
-a pipeline set is exposed for audit output.
+those calls over a docket of propositions. The index reads one score per
+proposition, computed once by its caller; over best certified lower-bound
+scores it is the certified capacity. The cost-error Pareto frontier of a
+pipeline set is exposed for audit output.
 """
 
 from __future__ import annotations
@@ -227,20 +229,20 @@ def knowledge_predicate(score: float, theta_c: float) -> bool:
     return score >= theta_c
 
 
-def capacity_index(docket: Docket, policy: PolicyParams) -> float:
-    """Weighted fraction of propositions whose org score meets its threshold.
+def capacity_index(docket: Docket, scores: Mapping[str, float | None]) -> float:
+    """Weighted share of the docket's propositions whose score meets their threshold.
 
-    Propositions with an empty (or missing) pipeline set contribute an
-    indicator of 0 rather than erroring: the index must be total over the
-    docket.
+    ``scores`` holds one score per proposition id, computed once by the
+    caller: the org score for the point index, the best certified lower-bound
+    score for the certified index. An absent or None score counts as 0, so
+    the index is total over the docket.
     """
     total_w = docket.total_weight()
     if total_w <= 0.0:
         raise ValueError("capacity_index requires positive total salience weight")
     hit = 0.0
     for prop in docket.propositions:
-        pipes = docket.pipeline_sets.get(prop.id, ())
-        if pipes and org_score(pipes, policy) >= prop.threshold:
+        if (scores.get(prop.id) or 0.0) >= prop.threshold:
             hit += prop.salience_weight
     return hit / total_w
 

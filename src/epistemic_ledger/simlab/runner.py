@@ -169,19 +169,12 @@ def run_docket(scenario: SimScenario, seed: int | None = None) -> list[RunResult
     return _run_docket_once(scenario, corpus, seed, run_index=0, jitter_sigma=0.0)
 
 
-def company_docket(scenario: SimScenario, results: Sequence[RunResult], company: str) -> Docket:
-    """Docket holding, per task, the single pipeline this company ran."""
-    propositions = tuple(task.proposition_spec() for task in scenario.tasks)
-    sets = {
-        r.task_id: (r.pipeline_spec(),) for r in results if r.company == company
-    }
-    return Docket(propositions=propositions, pipeline_sets=sets)
-
-
 def company_capacity(
     scenario: SimScenario, results: Sequence[RunResult], company: str
 ) -> float:
-    return capacity_index(company_docket(scenario, results, company), scenario.policy)
+    """Capacity index over the docket tasks, each scored by this company's run."""
+    docket = Docket(tuple(task.proposition_spec() for task in scenario.tasks), {})
+    return capacity_index(docket, {r.task_id: r.score for r in results if r.company == company})
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
-from .metrics import Docket, PipelineKind, PipelineSpec, PolicyParams, efficiency
+from .metrics import Docket, PipelineKind, PipelineSpec, PolicyParams, capacity_index, efficiency
 
 
 class BoundMethod(str, Enum):
@@ -639,19 +639,16 @@ def lower_bound_capacity(
     certs: Mapping[str, Sequence[ValidationCertificate]],
     policy: PolicyParams,
 ) -> float:
-    """Capacity index with certified lower-bound scores as the indicator input.
+    """``capacity_index`` over each proposition's best certified lower-bound score.
 
-    Propositions with no certificates contribute 0.
+    Propositions with no certificates contribute 0. While every certificate
+    read holds, the index is at most the capacity over the certified
+    pipelines' true scores; by the union bound, that is at confidence at
+    least 1 - the sum of ``union_delta`` over the distinct certificates read.
     """
-    total_w = docket.total_weight()
-    if total_w <= 0.0:
-        raise ValueError("lower_bound_capacity requires positive total salience weight")
-    hit = 0.0
-    for prop in docket.propositions:
-        prop_certs = certs.get(prop.id, ())
-        if not prop_certs:
-            continue
-        best = max(lower_bound_score(c, policy.tau_star) for c in prop_certs)
-        if best >= prop.threshold:
-            hit += prop.salience_weight
-    return hit / total_w
+    best = {
+        p.id: max(lower_bound_score(c, policy.tau_star) for c in certs[p.id])
+        for p in docket.propositions
+        if certs.get(p.id)
+    }
+    return capacity_index(docket, best)

@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from epistemic_ledger import artifacts
+from epistemic_ledger import artifacts, cli, doctrine, metrics
 from epistemic_ledger.artifacts import (
     InputError,
     certificate_to_text,
@@ -17,6 +17,7 @@ from epistemic_ledger.cli import main
 from epistemic_ledger.metrics import PipelineKind, PipelineSpec
 from epistemic_ledger.validation import BoundMethod, certify
 
+from test_golden import _ledger_argv
 from test_validation import loss_records
 
 PIPELINES_CSV = """id,kind,expected_cost,eps_ret,eps_gen,eps_ver
@@ -230,6 +231,20 @@ class TestClassify:
         assert "primary = actual_knowledge" in capsys.readouterr().out
         assert len(reads) == 1
         assert lookups.count(cert_path) == 1  # the path is joined and looked up once per cell
+
+    def test_each_proposition_is_scored_once_for_the_report_and_once_by_classify(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        argv = _ledger_argv(tmp_path, capsys)["classify"]
+        calls = []
+        for module in (cli, doctrine, metrics):  # every name org_score is called by
+            score = module.org_score
+            monkeypatch.setattr(
+                module, "org_score", lambda *args, score=score: calls.append(args) or score(*args)
+            )
+        assert main(argv) == 0
+        # The golden docket has five propositions with pipelines and one without.
+        assert len(calls) == 10
 
     def test_missing_certificate_names_its_row(self, tmp_path, capsys):
         executions = (

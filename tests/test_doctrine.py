@@ -89,18 +89,19 @@ class TestActualKnowledge:
 
 class TestConstructiveKnowledge:
     def test_available_but_unexecuted(self):
-        assert constructive_knowledge_test([pipe("modern", 2.06)], [], 0.7, POLICY)
+        assert constructive_knowledge_test(org_score([pipe("modern", 2.06)], POLICY), [], 0.7, POLICY)
 
     def test_no_capable_pipeline(self):
-        assert not constructive_knowledge_test([pipe("legacy", 6.05, ret=1.0)], [], 0.7, POLICY)
+        score = org_score([pipe("legacy", 6.05, ret=1.0)], POLICY)
+        assert not constructive_knowledge_test(score, [], 0.7, POLICY)
 
     def test_actual_supersedes(self):
         assert not constructive_knowledge_test(
-            [pipe("modern", 2.06)], [executed(s_lb=0.83)], 0.7, POLICY
+            org_score([pipe("modern", 2.06)], POLICY), [executed(s_lb=0.83)], 0.7, POLICY
         )
 
     def test_empty_available_is_false(self):
-        assert not constructive_knowledge_test([], [], 0.7, POLICY)
+        assert not constructive_knowledge_test(None, [], 0.7, POLICY)
 
 
 class TestWilfulBlindness:
@@ -271,10 +272,9 @@ class TestClassify:
             score_pipe = pipe("p", rng.uniform(0, 15), ret=rng.random())
             low = rng.uniform(0.05, 0.9)
             high = rng.uniform(low, 0.95)
-            base = constructive_knowledge_test(
-                [score_pipe], [], low, POLICY
-            )
-            raised = constructive_knowledge_test([score_pipe], [], high, POLICY)
+            score = org_score([score_pipe], POLICY)
+            base = constructive_knowledge_test(score, [], low, POLICY)
+            raised = constructive_knowledge_test(score, [], high, POLICY)
             if not base:
                 assert not raised
 
@@ -315,9 +315,9 @@ class TestClassifyReference:
         finding = classify(prop, available, records, POLICY, capacity=capacity)
 
         own = [r for r in records if r.proposition_id == "phi"]
+        score = org_score(available, POLICY) if available else None
         if capacity is None:
-            capable = available and org_score(available, POLICY) >= threshold
-            capacity = 1.0 if capable else 0.0
+            capacity = 1.0 if score is not None and score >= threshold else 0.0
         holds = {
             Doctrine.ACTUAL_KNOWLEDGE: any(
                 actual_knowledge_test(r, POLICY.theta_ak, POLICY.tau_star) for r in own
@@ -330,7 +330,7 @@ class TestClassifyReference:
                 for r in own
             ),
             Doctrine.CONSTRUCTIVE_KNOWLEDGE: constructive_knowledge_test(
-                available, own, POLICY.theta_ck, POLICY
+                score, own, POLICY.theta_ck, POLICY
             ),
             Doctrine.NEGLIGENCE: negligence_test(capacity, POLICY.theta_neg),
         }

@@ -16,7 +16,7 @@ from epistemic_ledger.metrics import PipelineKind, PipelineSpec, PolicyParams
 from epistemic_ledger.simlab import ScenarioError, SimScenario, parse_scenario
 from epistemic_ledger.validation import BoundMethod, certify
 
-from test_cli import PIPELINES_CSV, PROPOSITIONS_CSV, write
+from test_cli import PIPELINES_CSV, PROPOSITIONS_CSV, records_csv, write
 from test_validation import loss_records
 
 APPENDIX_A = (
@@ -327,6 +327,68 @@ def test_execution_certificate_must_be_for_its_pipeline(tmp_path, capsys):
         f"{other}:3: certificate m.cert is for pipeline 'modern_actual', not 'legacy_actual'" in err
     )
     assert "Traceback" not in err
+
+
+# The audit report joins pipeline ids with ';' and ':' in its frontier and
+# certificates fields, and writes rationale details as space-separated
+# key=value pairs, so an id holding any of these blurs the report.
+BLURRING_IDS = ["a b", "a\tb", "a;b", "a:b", "a=b"]
+
+
+@pytest.mark.parametrize("pipeline_id", BLURRING_IDS)
+@pytest.mark.parametrize("column", ["id", "pipeline_id"])
+def test_blurring_pipeline_id_is_rejected_at_its_row(tmp_path, capsys, column, pipeline_id):
+    header = "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
+    row = {
+        "id": f"{pipeline_id},full,1.0,0,0,0\n",
+        "pipeline_id": f"bid_independence,{pipeline_id},true,established,none,,\n",
+    }
+    pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV + (row["id"] if column == "id" else ""))
+    executions = write(tmp_path, "exec.csv", header + (row["pipeline_id"] if column == "pipeline_id" else ""))
+    props = write(tmp_path, "props.csv", PROPOSITIONS_CSV)
+    argv = ["classify", "--pipelines", pipelines, "--propositions", props, "--executions", executions]
+    path, line = (pipelines, 4) if column == "id" else (executions, 2)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"{path}:{line}: pipeline id {pipeline_id!r} holds whitespace, ';', ':' or '='" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--pipeline-id", pipeline_id) for pipeline_id in BLURRING_IDS]
+    + [
+        ("--fold-strategy", "holdout\nmeasured_cost = 0"),
+        ("--fold-strategy", " holdout"),
+        ("--fold-strategy", "holdout\t"),
+        ("--timestamp", "2026-01-01T00:00:00+00:00\r\nx"),
+        ("--timestamp", "2026-01-01T00:00:00+00:00\n"),
+        ("--pipeline-id", "p\nq"),
+        ("--pipeline-id", " p"),
+    ],
+)
+def test_certify_rejects_text_its_certificate_or_report_cannot_hold(tmp_path, flag, value):
+    # A line break or edge whitespace would write a certificate that
+    # read_certificate rejects, or reads back with another value.
+    out = tmp_path / "x.cert"
+    argv = ["certify", records_csv(tmp_path), "--pipeline-id", "p", "--cost", "1", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_certify_text_flags_round_trip(tmp_path, capsys):
+    out = tmp_path / "x.cert"
+    argv = [
+        "certify", records_csv(tmp_path), "--pipeline-id", "a,b", "--cost", "1", "--out", str(out),
+        "--fold-strategy", "kfold k = 5; grouped", "--timestamp", "",
+    ]
+    assert main(argv) == 0
+    cert = read_certificate(out)
+    assert cert.pipeline_id == "a,b"
+    assert cert.provenance.fold_strategy == "kfold k = 5; grouped"
+    assert cert.provenance.timestamp == ""
 
 
 class TestUnknownScenarioNames:

@@ -183,49 +183,39 @@ class TestKnowledgePredicate:
 
 
 class TestCapacityIndex:
-    def _docket(self, scores_by_prop, weights=None, threshold=0.7):
-        # Encode a target org score s as a zero-error pipeline with the
-        # matching cost: s = 1 / (1 + cost / tau*)  =>  cost = tau* (1/s - 1).
-        props = []
-        sets = {}
-        for i, score in enumerate(scores_by_prop):
-            weight = 1.0 if weights is None else weights[i]
-            props.append(
-                Proposition(id=f"phi{i}", salience_weight=weight, threshold=threshold)
-            )
-            if score is None:
-                sets[f"phi{i}"] = ()
-            elif score == 0.0:
-                sets[f"phi{i}"] = (make_pipeline(f"p{i}", 1.0, ret=1.0),)
-            else:
-                cost = POLICY.tau_star * (1.0 / score - 1.0)
-                sets[f"phi{i}"] = (make_pipeline(f"p{i}", cost),)
-        return Docket(propositions=tuple(props), pipeline_sets=sets)
+    def _index(self, scores_by_prop, weights=None, threshold=0.7):
+        props = tuple(
+            Proposition(id=f"phi{i}", salience_weight=1.0 if weights is None else weights[i], threshold=threshold)
+            for i in range(len(scores_by_prop))
+        )
+        scores = {f"phi{i}": score for i, score in enumerate(scores_by_prop)}
+        return capacity_index(Docket(propositions=props, pipeline_sets={}), scores)
 
     def test_all_meet_threshold(self):
-        docket = self._docket([0.83, 0.83, 0.83, 0.83])
-        assert capacity_index(docket, POLICY) == 1.0
+        assert self._index([0.83, 0.83, 0.83, 0.83]) == 1.0
 
     def test_none_meet_threshold(self):
-        docket = self._docket([0.63, 0.0, 0.0, 0.62])
-        assert capacity_index(docket, POLICY) == 0.0
+        assert self._index([0.63, 0.0, 0.0, 0.62]) == 0.0
 
     def test_weighted_two_thirds(self):
-        docket = self._docket([0.8, 0.6], weights=[2.0, 1.0])
-        assert capacity_index(docket, POLICY) == pytest.approx(2.0 / 3.0)
+        assert self._index([0.8, 0.6], weights=[2.0, 1.0]) == pytest.approx(2.0 / 3.0)
 
     def test_empty_pipeline_set_contributes_zero(self):
-        docket = self._docket([0.9, None])
-        assert capacity_index(docket, POLICY) == pytest.approx(0.5)
+        assert self._index([0.9, None]) == pytest.approx(0.5)
+
+    def test_absent_score_contributes_zero(self):
+        docket = Docket(propositions=(Proposition(id="a"), Proposition(id="b")), pipeline_sets={})
+        assert capacity_index(docket, {"a": 0.9}) == pytest.approx(0.5)
+
+    def test_threshold_is_inclusive(self):
+        assert self._index([0.7], threshold=0.7) == 1.0
 
     def test_zero_total_weight_rejected(self):
-        docket = self._docket([0.9], weights=[0.0])
         with pytest.raises(ValueError):
-            capacity_index(docket, POLICY)
+            self._index([0.9], weights=[0.0])
 
     def test_equals_one_iff_every_positive_weight_meets(self):
-        docket = self._docket([0.8, 0.69], weights=[1.0, 1.0])
-        assert capacity_index(docket, POLICY) < 1.0
+        assert self._index([0.8, 0.69], weights=[1.0, 1.0]) < 1.0
 
 
 class TestCompose:

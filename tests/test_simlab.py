@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from epistemic_ledger.doctrine import Verdict
-from epistemic_ledger.metrics import efficiency
+from epistemic_ledger.metrics import Docket, capacity_index, efficiency, org_score
 from epistemic_ledger.simlab import (
     LEGACY,
     MODERN,
@@ -228,6 +228,18 @@ class TestRunDocket:
     def test_capacities(self):
         assert company_capacity(SCENARIO, self.ROWS, MODERN) == 1.0
         assert company_capacity(SCENARIO, self.ROWS, LEGACY) == 0.0
+
+    def test_capacity_is_the_index_over_each_runs_org_score(self):
+        docket = Docket(tuple(t.proposition_spec() for t in SCENARIO.tasks), {})
+        for seed in range(10):
+            rows = run_docket(SCENARIO, seed=seed)
+            for company in (LEGACY, MODERN):
+                scores = {
+                    r.task_id: org_score((r.pipeline_spec(),), SCENARIO.policy)
+                    for r in rows
+                    if r.company == company
+                }
+                assert company_capacity(SCENARIO, rows, company) == capacity_index(docket, scores)
 
     def test_retrieval_pattern_survives_a_larger_corpus(self):
         # Five times the distractors must not perturb what either search
