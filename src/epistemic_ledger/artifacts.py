@@ -26,6 +26,7 @@ from .doctrine import (
     Verdict,
 )
 from .metrics import (
+    COMPONENTS,
     ComponentErrors,
     Docket,
     FrontierPoint,
@@ -317,7 +318,7 @@ def read_eval_records_csv(path: str | Path) -> dict[str, list[LossRecord]]:
     sets: dict[str, list[LossRecord]] = {}
     for line, row in _rows(path, ("component", "loss")):
         component = row["component"].strip()
-        if component not in ("retrieval", "generation", "verification"):
+        if component not in COMPONENTS:
             raise InputError(f"unknown component {component!r}", str(path), line)
         with _at(path, line):
             record = LossRecord(
@@ -359,7 +360,7 @@ def read_propositions_csv(path: str | Path, pipelines: Mapping[str, PipelineSpec
 
 
 def read_executions_csv(
-    path: str | Path, known_propositions: set[str]
+    path: str | Path, known_propositions: Collection[str], known_pipelines: Collection[str]
 ) -> list[ExecutionRecord]:
     """Columns: proposition_id, pipeline_id, executed, outcome, avoidance_evidence, certificate, timestamp."""
     records = []
@@ -386,6 +387,12 @@ def read_executions_csv(
         evidence_raw = (row.get("avoidance_evidence") or "none").strip() or "none"
         evidence = _choice(AvoidanceEvidence, evidence_raw, "avoidance evidence", path, line)
         pipeline_id = _one_line(row["pipeline_id"].strip(), "pipeline id", path, line)
+        with _at(path, line):
+            check_pipeline_id(pipeline_id)
+        if pipeline_id not in known_pipelines:
+            raise InputError(
+                f"execution references unknown pipeline {pipeline_id!r}", str(path), line
+            )
         cert_raw = (row.get("certificate") or "").strip()
         certificate = None
         if cert_raw:
@@ -405,7 +412,7 @@ def read_executions_csv(
         with _at(path, line):
             records.append(
                 ExecutionRecord(
-                    pipeline_id=check_pipeline_id(pipeline_id),
+                    pipeline_id=pipeline_id,
                     proposition_id=prop_id,
                     executed=executed_raw == "true",
                     certificate=certificate,

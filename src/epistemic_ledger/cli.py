@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from datetime import datetime
 from pathlib import Path
 
 from . import __version__
@@ -97,6 +98,15 @@ def _cert_text(value: str) -> str:
         raise argparse.ArgumentTypeError(
             f"expected one line without leading or trailing whitespace, got {value!r}"
         )
+    return value
+
+
+def _timestamp(value: str) -> str:
+    """An argparse type for one-line text that ``datetime.fromisoformat`` parses."""
+    try:
+        datetime.fromisoformat(_cert_text(value))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an ISO 8601 timestamp, got {value!r}") from None
     return value
 
 
@@ -195,7 +205,7 @@ def _cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     sets = docket.pipeline_sets
     records = {p.id: [] for p in docket.propositions}
     if args.executions:
-        for r in read_executions_csv(args.executions, set(records)):
+        for r in read_executions_csv(args.executions, records, pipelines):
             records[r.proposition_id].append(r)
     org_scores = {
         p.id: (org_score(sets[p.id], policy) if sets[p.id] else None) for p in docket.propositions
@@ -319,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=[m.value for m in BoundMethod], default=BoundMethod.WILSON.value
     )
     p_cert.add_argument("--fold-strategy", dest="fold_strategy", type=_cert_text, default="holdout")
-    p_cert.add_argument("--timestamp", type=_cert_text, help="ISO-8601 timestamp to embed (default: now)")
+    p_cert.add_argument("--timestamp", type=_timestamp, help="ISO 8601 timestamp to embed (default: now)")
     _add_policy_flags(p_cert)
     p_cert.add_argument("--out", help="write the certificate here instead of stdout")
 

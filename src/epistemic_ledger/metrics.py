@@ -1,15 +1,17 @@
 """Deterministic cost/error scoring for information pipelines.
 
-Everything in this module is a pure function of its (immutable) inputs:
-component error rates compose multiplicatively into a total error, a
-hyperbolic efficiency factor discounts expected cost against a reference
-time scale, and their product scores a pipeline in [0, 1]. Organisation-level
-scores take the best pipeline available, a thresholded predicate turns the
-score into a yes/no knowledge call, and a weighted capacity index aggregates
-those calls over a docket of propositions. The index reads one score per
-proposition, computed once by its caller; over best certified lower-bound
-scores it is the certified capacity. The cost-error Pareto frontier of a
-pipeline set is exposed for audit output.
+Everything in this module is a pure function of its (immutable) inputs, and
+each scoring rule of the paper is written here once. ``COMPONENTS`` lists a
+pipeline's stages and ``PipelineKind.components`` the prefix a kind runs.
+``series_error`` composes stage errors into a total, 1 - prod(1 - e), and
+``discounted_score`` discounts 1 - error by the hyperbolic ``efficiency`` of a
+cost: the point score, and in ``validation`` the certified lower bound.
+Organisation-level scores take the best pipeline available, a thresholded
+predicate turns the score into a yes/no knowledge call, and a weighted
+capacity index aggregates those calls over a docket of propositions. The
+index reads one score per proposition, computed once by its caller; over best
+certified lower-bound scores it is the certified capacity. The cost-error
+Pareto frontier of a pipeline set is exposed for audit output.
 """
 
 from __future__ import annotations
@@ -20,10 +22,20 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 
+COMPONENTS = ("retrieval", "generation", "verification")
+
+
 class PipelineKind(str, Enum):
+    """What a pipeline runs; each member runs one more of ``COMPONENTS``."""
+
     RETRIEVAL_ONLY = "retrieval_only"
     RETRIEVAL_GENERATION = "retrieval_generation"
     FULL = "full"
+
+    @property
+    def components(self) -> tuple[str, ...]:
+        """The prefix of ``COMPONENTS`` this kind runs."""
+        return COMPONENTS[: tuple(PipelineKind).index(self) + 1]
 
 
 class UnsupportedCompositionError(ValueError):
@@ -76,9 +88,8 @@ class ComponentErrors:
     verification: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_unit("retrieval", self.retrieval)
-        _require_unit("generation", self.generation)
-        _require_unit("verification", self.verification)
+        for name in COMPONENTS:
+            _require_unit(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -130,22 +141,6 @@ class PolicyParams:
 
 
 @dataclass(frozen=True)
-class StackDescriptor:
-    """Inventory of a firm's cognition stack plus its policy parameters."""
-
-    data_stores: tuple[str, ...] = ()
-    indices: tuple[str, ...] = ()
-    retrievers: tuple[str, ...] = ()
-    generators: tuple[str, ...] = ()
-    verifiers: tuple[str, ...] = ()
-    pipelines: tuple[PipelineSpec, ...] = ()
-    policy: PolicyParams = field(default_factory=PolicyParams)
-
-    def org_score(self) -> float:
-        return org_score(self.pipelines, self.policy)
-
-
-@dataclass(frozen=True)
 class FrontierPoint:
     cost: float
     total_error: float
@@ -174,17 +169,23 @@ class Docket:
         return sum(p.salience_weight for p in self.propositions)
 
 
+def series_error(*errors: float) -> float:
+    """1 - prod(1 - e): independent stages run in series, multiplied left to right."""
+    ok = 1.0
+    for error in errors:
+        ok *= 1.0 - error
+    return 1.0 - ok
+
+
 def total_error(errors: ComponentErrors, joint_error: float | None = None) -> float:
     """End-to-end failure probability of a pipeline.
 
-    Under independence the stages compose multiplicatively:
-    1 - (1-ret)(1-gen)(1-ver). A supplied empirical joint error is returned
-    verbatim instead.
+    Under independence the stages compose in series over ``COMPONENTS``. A
+    supplied empirical joint error is returned verbatim instead.
     """
     if joint_error is not None:
         return _require_unit("joint_error", joint_error)
-    ok = (1.0 - errors.retrieval) * (1.0 - errors.generation) * (1.0 - errors.verification)
-    return min(1.0, max(0.0, 1.0 - ok))
+    return series_error(errors.retrieval, errors.generation, errors.verification)
 
 
 def efficiency(cost: float, tau_star: float) -> float:
@@ -196,9 +197,14 @@ def efficiency(cost: float, tau_star: float) -> float:
     return 1.0 / (1.0 + cost / tau_star)
 
 
+def discounted_score(cost: float, error: float, tau_star: float) -> float:
+    """Efficiency-discounted reliability efficiency(cost, tau_star) * (1 - error), in [0, 1]."""
+    return efficiency(cost, tau_star) * (1.0 - error)
+
+
 def pipeline_score(pipeline: PipelineSpec, policy: PolicyParams) -> float:
-    """Efficiency-discounted reliability of a single pipeline, in [0, 1]."""
-    return efficiency(pipeline.expected_cost, policy.tau_star) * (1.0 - pipeline.total_error())
+    """``discounted_score`` of a pipeline's expected cost and total error."""
+    return discounted_score(pipeline.expected_cost, pipeline.total_error(), policy.tau_star)
 
 
 def best_pipeline(
@@ -247,54 +253,34 @@ def capacity_index(docket: Docket, scores: Mapping[str, float | None]) -> float:
     return hit / total_w
 
 
-def _engages_generation(p: PipelineSpec) -> bool:
-    return p.kind in (PipelineKind.RETRIEVAL_GENERATION, PipelineKind.FULL) or (
-        p.errors.generation > 0.0
-    )
-
-
-def _engages_verification(p: PipelineSpec) -> bool:
-    return p.kind is PipelineKind.FULL or p.errors.verification > 0.0
+def _runs(p: PipelineSpec) -> set[str]:
+    """The components ``p`` runs: those of its kind, and any with a nonzero error."""
+    return {c for c in COMPONENTS if c in p.kind.components or getattr(p.errors, c) > 0.0}
 
 
 def compose(first: PipelineSpec, second: PipelineSpec) -> PipelineSpec:
     """Run ``first`` then ``second`` as one pipeline.
 
-    Costs add; a slot filled by both stages composes as 1-(1-a)(1-b). Two
-    generation-claiming stages cannot be merged when either carries an
+    Costs add; each component's errors compose with ``series_error``. Two
+    generation-running stages cannot be merged when either carries an
     empirical joint error, because the joint measurement cannot be split
-    back into slots.
+    back into components. The kind is the first whose components cover
+    every component either stage runs.
     """
-    both_generate = _engages_generation(first) and _engages_generation(second)
+    runs = _runs(first), _runs(second)
     any_joint = first.joint_error is not None or second.joint_error is not None
-    if both_generate and any_joint:
+    if "generation" in runs[0] & runs[1] and any_joint:
         raise UnsupportedCompositionError(
             "cannot compose two generation stages when either declares an "
             "empirical joint error"
         )
-
-    def merge(a: float, b: float) -> float:
-        return 1.0 - (1.0 - a) * (1.0 - b)
-
     errors = ComponentErrors(
-        retrieval=merge(first.errors.retrieval, second.errors.retrieval),
-        generation=merge(first.errors.generation, second.errors.generation),
-        verification=merge(first.errors.verification, second.errors.verification),
+        **{c: series_error(getattr(first.errors, c), getattr(second.errors, c)) for c in COMPONENTS}
     )
-    joint: float | None = None
-    if any_joint:
-        joint = merge(first.total_error(), second.total_error())
-    # The kind enum has no verifier-only member, so verification engagement
-    # promotes the composition to `full`.
-    if _engages_verification(first) or _engages_verification(second):
-        kind = PipelineKind.FULL
-    elif _engages_generation(first) or _engages_generation(second):
-        kind = PipelineKind.RETRIEVAL_GENERATION
-    else:
-        kind = PipelineKind.RETRIEVAL_ONLY
+    joint = series_error(first.total_error(), second.total_error()) if any_joint else None
     return PipelineSpec(
         id=f"{first.id}>{second.id}",
-        kind=kind,
+        kind=next(k for k in PipelineKind if runs[0] | runs[1] <= set(k.components)),
         expected_cost=first.expected_cost + second.expected_cost,
         errors=errors,
         joint_error=joint,

@@ -19,7 +19,7 @@ from ..metrics import (
     PipelineKind,
     PipelineSpec,
     capacity_index,
-    efficiency,
+    discounted_score,
     pipeline_score,
 )
 from .corpus import Corpus, generate_corpus
@@ -301,11 +301,10 @@ def sensitivity_sweep(
             raise ValueError(f"eps grid values must lie in [0, 1], got {eps}")
     task = scenario.tasks[0]
     modern_time = scenario.modern_cost(scenario.corpus_size, task.modern_time_scale)
-    eff = efficiency(modern_time, scenario.policy.tau_star)
     points = []
     first_crossing: float | None = None
     for eps in eps_values:
-        score = eff * (1.0 - eps)
+        score = discounted_score(modern_time, eps, scenario.policy.tau_star)
         meets = score >= scenario.policy.theta_c
         if not meets and first_crossing is None:
             first_crossing = eps

@@ -16,7 +16,15 @@ from datetime import datetime, timezone
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
-from .metrics import Docket, PipelineKind, PipelineSpec, PolicyParams, capacity_index, efficiency
+from .metrics import (
+    COMPONENTS,
+    Docket,
+    PipelineSpec,
+    PolicyParams,
+    capacity_index,
+    discounted_score,
+    series_error,
+)
 
 
 class BoundMethod(str, Enum):
@@ -93,8 +101,8 @@ class CertProvenance:
 class ValidationCertificate:
     """Measured cost plus per-component conservative error upper bounds.
 
-    The total upper bound is the multiplicative composition of the component
-    uppers; with each component bound holding at confidence 1-delta, the
+    The total upper bound is the ``series_error`` of the component uppers;
+    with each component bound holding at confidence 1-delta, the
     joint statement holds at confidence >= 1 - union_delta.
     """
 
@@ -110,11 +118,7 @@ class ValidationCertificate:
     def __post_init__(self) -> None:
         if self.measured_cost < 0.0:
             raise ValueError(f"measured_cost must be >= 0, got {self.measured_cost}")
-        expected = 1.0 - (
-            (1.0 - self.ret_bound.upper)
-            * (1.0 - self.gen_bound.upper)
-            * (1.0 - self.ver_bound.upper)
-        )
+        expected = series_error(self.ret_bound.upper, self.gen_bound.upper, self.ver_bound.upper)
         if abs(self.total_upper - expected) > 1e-9:
             raise ValueError(
                 f"total_upper {self.total_upper} inconsistent with component "
@@ -544,17 +548,6 @@ def penalized_select(
     return ranked[0]
 
 
-_SLOTS = ("retrieval", "generation", "verification")
-
-
-def components_for(kind: PipelineKind) -> tuple[str, ...]:
-    if kind is PipelineKind.RETRIEVAL_ONLY:
-        return ("retrieval",)
-    if kind is PipelineKind.RETRIEVAL_GENERATION:
-        return ("retrieval", "generation")
-    return _SLOTS
-
-
 def certify(
     pipeline: PipelineSpec,
     eval_sets: Mapping[str, Sequence[LossRecord]],
@@ -568,15 +561,14 @@ def certify(
 
     Every component the pipeline kind includes must come with at least one
     record; otherwise certification is refused. Components the kind excludes
-    get a synthetic zero bound. The total upper bound composes the component
-    uppers multiplicatively.
+    get a synthetic zero bound. The total upper bound is the ``series_error``
+    of the component uppers.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    present = components_for(pipeline.kind)
     bounds: dict[str, ConfidenceBound] = {}
-    for slot in _SLOTS:
-        if slot not in present:
+    for slot in COMPONENTS:
+        if slot not in pipeline.kind.components:
             bounds[slot] = ConfidenceBound(0.0, 0.0, method, delta, 0, synthetic=True)
             continue
         records = eval_sets.get(slot)
@@ -597,16 +589,12 @@ def certify(
             bounds[slot] = wilson_upper(k, n, delta)
         else:
             bounds[slot] = hoeffding_upper(risk, n, delta)
-    total_upper = 1.0 - (
-        (1.0 - bounds["retrieval"].upper)
-        * (1.0 - bounds["generation"].upper)
-        * (1.0 - bounds["verification"].upper)
-    )
+    total_upper = series_error(*(bounds[s].upper for s in COMPONENTS))
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     provenance = CertProvenance(
         fold_strategy=fold_strategy,
-        sample_sizes=tuple(bounds[s].sample_size for s in _SLOTS),  # type: ignore[arg-type]
+        sample_sizes=tuple(bounds[s].sample_size for s in COMPONENTS),  # type: ignore[arg-type]
         timestamp=timestamp,
         union_delta=min(1.0, 3.0 * delta),
     )
@@ -624,7 +612,7 @@ def certify(
 
 def lower_bound_score(cert: ValidationCertificate, tau_star: float) -> float:
     """Certified lower bound on the pipeline score at confidence 1 - delta."""
-    return efficiency(cert.measured_cost, tau_star) * (1.0 - cert.total_upper)
+    return discounted_score(cert.measured_cost, cert.total_upper, tau_star)
 
 
 def plug_in_test(cert: ValidationCertificate, theta_c: float, tau_star: float) -> bool:

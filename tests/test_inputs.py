@@ -329,6 +329,30 @@ def test_execution_certificate_must_be_for_its_pipeline(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_execution_of_a_pipeline_not_in_the_pipelines_file_is_rejected_at_its_row(tmp_path, capsys):
+    # Else the report gives a recklessness finding about a pipeline the firm does not have.
+    pipelines = write(
+        tmp_path,
+        "pipelines.csv",
+        "id,kind,expected_cost,eps_ret,eps_gen,eps_ver\nlegacy_actual,retrieval_only,5.90,0,0,0\n",
+    )
+    props = write(
+        tmp_path, "props.csv", "id,description,weight,threshold,pipelines\nbid,Bids,1.0,0.7,legacy_actual\n"
+    )
+    executions = write(
+        tmp_path,
+        "exec.csv",
+        "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
+        "bid,legacy_actual,true,established,none,,\n"
+        "bid,ghost,true,established,none,,\n",
+    )
+    argv = ["classify", "--pipelines", pipelines, "--propositions", props, "--executions", executions]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"{executions}:3: execution references unknown pipeline 'ghost'" in captured.err
+    assert captured.out == ""
+
+
 # The audit report joins pipeline ids with ';' and ':' in its frontier and
 # certificates fields, and writes rationale details as space-separated
 # key=value pairs, so an id holding any of these blurs the report.
@@ -363,6 +387,9 @@ def test_blurring_pipeline_id_is_rejected_at_its_row(tmp_path, capsys, column, p
         ("--fold-strategy", "holdout\t"),
         ("--timestamp", "2026-01-01T00:00:00+00:00\r\nx"),
         ("--timestamp", "2026-01-01T00:00:00+00:00\n"),
+        ("--timestamp", "yesterday"),
+        ("--timestamp", "2026-01-01\n12:00"),  # fromisoformat takes any one-character separator
+        ("--timestamp", ""),
         ("--pipeline-id", "p\nq"),
         ("--pipeline-id", " p"),
     ],
@@ -382,13 +409,13 @@ def test_certify_text_flags_round_trip(tmp_path, capsys):
     out = tmp_path / "x.cert"
     argv = [
         "certify", records_csv(tmp_path), "--pipeline-id", "a,b", "--cost", "1", "--out", str(out),
-        "--fold-strategy", "kfold k = 5; grouped", "--timestamp", "",
+        "--fold-strategy", "kfold k = 5; grouped", "--timestamp", "2026-01-01T00:00:00+00:00",
     ]
     assert main(argv) == 0
     cert = read_certificate(out)
     assert cert.pipeline_id == "a,b"
     assert cert.provenance.fold_strategy == "kfold k = 5; grouped"
-    assert cert.provenance.timestamp == ""
+    assert cert.provenance.timestamp == "2026-01-01T00:00:00+00:00"
 
 
 class TestUnknownScenarioNames:

@@ -14,7 +14,6 @@ from epistemic_ledger.metrics import (
     PipelineSpec,
     PolicyParams,
     Proposition,
-    StackDescriptor,
     UnsupportedCompositionError,
     best_pipeline,
     capacity_index,
@@ -88,6 +87,22 @@ class TestTotalError:
         recall = 1.0 - ret
         tot = total_error(ComponentErrors(retrieval=ret, verification=ver))
         assert tot == pytest.approx(1.0 - recall * (1.0 - ver), abs=1e-12)
+
+    @given(unit, unit, unit)
+    def test_bit_identical_to_the_written_out_product(self, r, g, v):
+        assert total_error(ComponentErrors(r, g, v)) == 1.0 - ((1.0 - r) * (1.0 - g) * (1.0 - v))
+
+
+@pytest.mark.parametrize(
+    "kind, components",
+    [
+        (PipelineKind.RETRIEVAL_ONLY, ("retrieval",)),
+        (PipelineKind.RETRIEVAL_GENERATION, ("retrieval", "generation")),
+        (PipelineKind.FULL, ("retrieval", "generation", "verification")),
+    ],
+)
+def test_kind_components(kind, components):
+    assert kind.components == components
 
 
 class TestEfficiency:
@@ -250,6 +265,37 @@ class TestCompose:
             expected = 1.0 - (1.0 - a.total_error()) * (1.0 - b.total_error())
             assert merged.total_error() == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("second_kind", list(PipelineKind))
+    @pytest.mark.parametrize("first_kind", list(PipelineKind))
+    def test_kind_of_every_pair_matches_the_engagement_ladder(self, first_kind, second_kind):
+        def engages_generation(p):
+            return p.kind in (PipelineKind.RETRIEVAL_GENERATION, PipelineKind.FULL) or (
+                p.errors.generation > 0.0
+            )
+
+        def engages_verification(p):
+            return p.kind is PipelineKind.FULL or p.errors.verification > 0.0
+
+        def stages(kind):
+            # A stage's errors can engage a component its kind does not run,
+            # except generation in a retrieval_only pipeline.
+            gens = (0.0,) if kind is PipelineKind.RETRIEVAL_ONLY else (0.0, 0.1)
+            return [
+                make_pipeline(f"{kind.value}-{g}-{v}", 1.0, ret=0.1, gen=g, ver=v, kind=kind)
+                for g in gens
+                for v in (0.0, 0.1)
+            ]
+
+        for a in stages(first_kind):
+            for b in stages(second_kind):
+                if engages_verification(a) or engages_verification(b):
+                    expected = PipelineKind.FULL
+                elif engages_generation(a) or engages_generation(b):
+                    expected = PipelineKind.RETRIEVAL_GENERATION
+                else:
+                    expected = PipelineKind.RETRIEVAL_ONLY
+                assert compose(a, b).kind is expected, (a.id, b.id)
+
 
 class TestFrontier:
     def test_dominated_point_dropped(self):
@@ -335,22 +381,6 @@ class TestFrontier:
             for cost, err in probes:
                 if dominated(before, cost, err):
                     assert dominated(after, cost, err)
-
-
-class TestStackDescriptor:
-    def test_scores_over_its_pipelines(self):
-        stack = StackDescriptor(
-            data_stores=("mail", "contracts"),
-            indices=("vectors",),
-            retrievers=("keyword", "semantic"),
-            verifiers=("llm",),
-            pipelines=(make_pipeline("slow", 5.90), make_pipeline("fast", 2.06)),
-        )
-        assert stack.org_score() == pytest.approx(0.8292, abs=5e-5)
-
-    def test_empty_stack_cannot_score(self):
-        with pytest.raises(ValueError):
-            StackDescriptor().org_score()
 
 
 class TestValidationOfTypes:

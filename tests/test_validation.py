@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtri
 
@@ -461,6 +463,19 @@ class TestCertify:
         cert = certify(self._pipeline(), sets, 2.06, delta=0.05)
         for bound in (cert.ret_bound, cert.gen_bound, cert.ver_bound):
             assert cert.total_upper >= bound.upper
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 60), st.integers(0, 60)), min_size=3, max_size=3),
+        st.sampled_from(list(BoundMethod)),
+    )
+    def test_total_upper_bit_identical_to_the_written_out_product(self, counts, method):
+        sets = {
+            slot: loss_records([1.0] * min(k, n) + [0.0] * (n - min(k, n)))
+            for slot, (n, k) in zip(("retrieval", "generation", "verification"), counts)
+        }
+        cert = certify(self._pipeline(), sets, 2.06, delta=0.05, method=method)
+        r, g, v = cert.ret_bound.upper, cert.gen_bound.upper, cert.ver_bound.upper
+        assert cert.total_upper == 1.0 - ((1.0 - r) * (1.0 - g) * (1.0 - v))
 
     def test_union_delta_recorded(self):
         cert = certify(self._pipeline(), self._zero_sets(), 2.06, delta=0.05)
