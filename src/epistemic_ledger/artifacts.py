@@ -59,29 +59,32 @@ class InputError(ValueError):
 
 
 class _at:
-    """Re-raise a plain ValueError from the block as ``error`` at path:line.
+    """Re-raise a plain ValueError from the block as an InputError at path:line.
 
     A class, not a generator: it wraps every CSV row and costs a quarter as much."""
 
-    def __init__(self, path: str | Path, line: int, error: type[InputError] = InputError):
-        self.path, self.line, self.error = str(path), line, error
+    def __init__(self, path: str | Path, line: int):
+        self.path, self.line = str(path), line
 
     def __enter__(self) -> None:
         return None
 
     def __exit__(self, kind, exc, tb) -> None:
         if kind is not None and issubclass(kind, ValueError) and not issubclass(kind, InputError):
-            raise self.error(str(exc), self.path, self.line) from exc
+            raise InputError(str(exc), self.path, self.line) from exc
 
 
-def _number(
-    value: str,
-    key: str,
-    path: str | Path,
-    line: int,
-    cast: type = float,
-    error: type[InputError] = InputError,
-):
+def read_input(path: str | Path) -> str:
+    """A file's text, less a leading BOM; a byte that is not UTF-8 is rejected at its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"byte 0x{data[exc.start]:02x} is not UTF-8", str(path), line) from None
+
+
+def _number(value: str, key: str, path: str | Path, line: int, cast: type = float):
     """Read a finite number of type ``cast`` (float, or int read strictly) from text."""
     try:
         number = cast(value)
@@ -90,7 +93,7 @@ def _number(
     except (ValueError, OverflowError):
         pass
     kind = "an integer" if cast is int else "a finite number"
-    raise error(f"{key!r} must be {kind}, got {value!r}", str(path), line)
+    raise InputError(f"{key!r} must be {kind}, got {value!r}", str(path), line)
 
 
 def _choice(kind: type, value: str, what: str, path: str | Path, line: int):
@@ -104,18 +107,17 @@ def _choice(kind: type, value: str, what: str, path: str | Path, line: int):
 class Section:
     """The ``key = value`` pairs, each with its line, under one ``[name]`` header.
 
-    The top level is named "" and starts at line 1. Errors are raised as ``error``.
+    The top level is named "" and starts at line 1.
     """
 
     name: str
     path: str
     line: int
     values: dict[str, tuple[str, int]]
-    error: type[InputError] = InputError
 
     def _fail(self, message: str, line: int) -> NoReturn:
         where = f" in [{self.name}]" if self.name else ""
-        raise self.error(f"{message}{where}", self.path, line)
+        raise InputError(f"{message}{where}", self.path, line)
 
     def raw(self, key: str) -> tuple[str, int]:
         if key not in self.values:
@@ -135,21 +137,19 @@ class Section:
 
     def number(self, key: str, cast: type = float) -> float:
         value, line = self.raw(key)
-        return _number(value, key, self.path, line, cast, self.error)
+        return _number(value, key, self.path, line, cast)
 
     def integer(self, key: str) -> int:
         return self.number(key, int)
 
 
-def parse_sections(
-    text: str, path: str, *, flat: bool = False, error: type[InputError] = InputError
-) -> dict[str, Section]:
+def parse_sections(text: str, path: str, *, flat: bool = False) -> dict[str, Section]:
     """Split ``key = value`` text, skipping blanks and ``#`` comments, into sections.
 
     Duplicate keys and sections, empty keys, lines without ``=`` and malformed
     headers (any header, when ``flat``) are rejected at their line.
     """
-    current = Section("", path, 1, {}, error)
+    current = Section("", path, 1, {})
     sections = {"": current}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -159,19 +159,19 @@ def parse_sections(
             name = line[1:-1].strip()
             if flat or not line.endswith("]") or not name:
                 kind = "unexpected" if flat else "malformed"
-                raise error(f"{kind} section header {line!r}", path, lineno)
+                raise InputError(f"{kind} section header {line!r}", path, lineno)
             if name in sections:
-                raise error(f"duplicate section [{name}]", path, lineno)
-            current = sections[name] = Section(name, path, lineno, {}, error)
+                raise InputError(f"duplicate section [{name}]", path, lineno)
+            current = sections[name] = Section(name, path, lineno, {})
             continue
         key, eq, value = line.partition("=")
         key = key.strip()
         if not eq:
-            raise error(f"expected 'key = value', got {line!r}", path, lineno)
+            raise InputError(f"expected 'key = value', got {line!r}", path, lineno)
         if not key:
-            raise error("empty key", path, lineno)
+            raise InputError("empty key", path, lineno)
         if key in current.values:
-            raise error(f"duplicate key {key!r}", path, lineno)
+            raise InputError(f"duplicate key {key!r}", path, lineno)
         current.values[key] = (value.strip(), lineno)
     return sections
 
@@ -182,12 +182,16 @@ _POLICY_KEYS = tuple(f.name for f in fields(PolicyParams))
 def policy_params(section: Section, **overrides: float | None) -> PolicyParams:
     """The policy a section sets, with non-None overrides on top.
 
-    Keys and defaults are the fields of PolicyParams; unknown keys are rejected.
+    Keys and defaults are the fields of PolicyParams; an unknown key or a value
+    out of its range is rejected at its line.
     """
     section.reject_unknown(_POLICY_KEYS, "policy key")
     values = {key: section.number(key) for key in section.values}
+    for key, value in values.items():
+        with _at(section.path, section.values[key][1]):
+            PolicyParams(**{key: value})
     values.update((key, value) for key, value in overrides.items() if value is not None)
-    with _at(section.path, section.line, section.error):
+    with _at(section.path, section.line):
         return PolicyParams(**values)
 
 
@@ -265,8 +269,7 @@ def _unique_id(kind: str, id_: str, first_line: dict[str, int], path: str | Path
 
 def _rows(path: str | Path, expected: Sequence[str]) -> Iterable[tuple[int, dict[str, str]]]:
     """Each data row with the line it starts on (a quoted cell may span lines)."""
-    text = Path(path).read_text(encoding="utf-8-sig")
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(read_input(path)))
     start = 1  # the line the row being read starts on
     try:
         header = next(reader, None)
@@ -461,8 +464,7 @@ def certificate_to_text(cert: ValidationCertificate) -> str:
 
 
 def read_certificate(path: str | Path) -> ValidationCertificate:
-    text = Path(path).read_text(encoding="utf-8")
-    cert = parse_sections(text, str(path), flat=True)[""]
+    cert = parse_sections(read_input(path), str(path), flat=True)[""]
 
     def bound(prefix: str) -> ConfidenceBound:
         method_raw, line = cert.raw(f"{prefix}_method")

@@ -29,6 +29,7 @@ from .artifacts import (
     read_eval_records_csv,
     read_executions_csv,
     read_pipelines_csv,
+    read_input,
     read_propositions_csv,
     score_table,
 )
@@ -135,7 +136,7 @@ def _sizes(value: str) -> list[int]:
 
 
 def _policy_from_args(args: argparse.Namespace) -> PolicyParams:
-    text = Path(args.policy).read_text(encoding="utf-8") if args.policy else ""
+    text = read_input(args.policy) if args.policy else ""
     section = parse_sections(text, args.policy or "<flags>", flat=True)[""]
     return policy_params(section, tau_star=args.tau_star, theta_c=args.theta, delta=args.delta)
 
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--propositions", required=True, help="propositions CSV")
     p_classify.add_argument("--pipelines", required=True, help="pipelines CSV")
     p_classify.add_argument("--executions", help="executions CSV (optional)")
-    p_classify.add_argument("--seed", type=int, help="seed echoed into the report header")
+    p_classify.add_argument("--seed", type=_seed, help="seed echoed into the report header")
     _add_policy_flags(p_classify)
     p_classify.add_argument("--out", help="write the report here instead of stdout")
 

@@ -17,8 +17,6 @@ from typing import Mapping, Sequence
 from .metrics import PipelineSpec, PolicyParams, Proposition, org_score
 from .validation import ValidationCertificate, lower_bound_score
 
-MODEL_CLASSIFICATION_LABEL = "model classification"
-
 
 class Verdict(str, Enum):
     ESTABLISHED = "established"
@@ -90,13 +88,16 @@ class WilfulBlindnessParams:
             raise ValueError(f"max_error must lie in (0, 1), got {self.max_error}")
 
 
+# classify's "grossly poor": a lower-bound score more than this below theta_r.
+RECKLESSNESS_MARGIN = 0.2
+
+
 @dataclass(frozen=True)
 class DoctrineFinding:
     """The doctrines that apply to one proposition, each with its detail, in PRECEDENCE order."""
 
     proposition_id: str
     rationale: tuple[tuple[Doctrine, Mapping[str, object]], ...]
-    label: str = MODEL_CLASSIFICATION_LABEL
 
     @property
     def applicable(self) -> frozenset[Doctrine]:
@@ -200,8 +201,6 @@ def classify(
     available: Sequence[PipelineSpec],
     executions: Sequence[ExecutionRecord],
     policy: PolicyParams,
-    wb_params: WilfulBlindnessParams | None = None,
-    margin: float = 0.2,
     capacity: float | None = None,
 ) -> DoctrineFinding:
     """Run all five doctrine tests for one proposition.
@@ -211,8 +210,7 @@ def classify(
     score against its threshold) stands in, so negligence is then judged
     per proposition.
     """
-    if wb_params is None:
-        wb_params = WilfulBlindnessParams()
+    wb_params = WilfulBlindnessParams()
     records = [r for r in executions if r.proposition_id == proposition.id]
     best = org_score(available, policy) if available else None
     if capacity is None:
@@ -247,7 +245,7 @@ def classify(
         (
             r
             for r in records
-            if r.executed and recklessness_test(r, policy.theta_r, margin, policy.tau_star)
+            if r.executed and recklessness_test(r, policy.theta_r, RECKLESSNESS_MARGIN, policy.tau_star)
         ),
         None,
     )
@@ -255,7 +253,7 @@ def classify(
         detail = found[Doctrine.RECKLESSNESS] = {
             "pipeline_id": reckless.pipeline_id,
             "theta_r": policy.theta_r,
-            "margin": margin,
+            "margin": RECKLESSNESS_MARGIN,
         }
         if reckless.certificate is None:
             detail["certificate"] = "absent"

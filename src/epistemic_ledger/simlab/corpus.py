@@ -92,16 +92,12 @@ def token_text(text: str) -> str:
     return f" {' '.join(_TOKEN_RE.findall(text.lower()))} "
 
 
-def _token_index(token: str, dim: int) -> int:
+def _token_index(token: str) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % dim
+    return int.from_bytes(digest, "big") % EMBED_DIM
 
 
-def embed(
-    text: str,
-    synonyms: Mapping[str, tuple[str, ...]] | None = None,
-    dim: int = EMBED_DIM,
-) -> np.ndarray:
+def embed(text: str, synonyms: Mapping[str, tuple[str, ...]] | None = None) -> np.ndarray:
     """Hashed bag-of-tokens unit vector, with synonym-table expansion.
 
     Any synonym-table phrase whose tokens appear consecutively in the text
@@ -117,9 +113,9 @@ def embed(
             needle = token_text(phrase)
             if needle.strip() and needle in padded:
                 tokens.extend(concept_tokens)
-    vector = np.zeros(dim, dtype=np.float64)
+    vector = np.zeros(EMBED_DIM, dtype=np.float64)
     for token in tokens:
-        vector[_token_index(token, dim)] += 1.0
+        vector[_token_index(token)] += 1.0
     norm = float(np.linalg.norm(vector))
     if norm == 0.0:
         raise ValueError(f"text has no indexable tokens: {text!r}")
@@ -216,7 +212,7 @@ class Corpus:
             for token in tokens:
                 bucket = buckets.get(token)
                 if bucket is None:
-                    bucket = buckets[token] = _token_index(token, EMBED_DIM)
+                    bucket = buckets[token] = _token_index(token)
                 counts[bucket] = counts.get(bucket, 0) + 1
             if not counts:  # embed's errors: an empty row would corrupt ``dot``
                 if not doc.text.strip():
@@ -252,19 +248,13 @@ def document_matches(doc: Document, phrase: str) -> bool:
     return _contains_phrase(_TOKEN_RE.findall(doc.text.lower()), phrase)
 
 
-def generate_corpus(scenario: SimScenario, seed: int, size: int | None = None) -> Corpus:
-    """Deterministically build a corpus of ``size`` documents for the scenario.
+def generate_corpus(scenario: SimScenario, seed: int) -> Corpus:
+    """Deterministically build the scenario's corpus of ``corpus_size`` documents.
 
     Ground-truth documents come first (stable ids), then seeded distractors,
     a slice of which use generic corporate euphemisms per the scenario's
     euphemism ratio.
     """
-    n = scenario.corpus_size if size is None else size
-    required = scenario.min_corpus_size()
-    if n < required:
-        raise ValueError(
-            f"corpus size {n} is below the {required} ground-truth documents required"
-        )
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
     docs: list[Document] = []
 
@@ -281,7 +271,7 @@ def generate_corpus(scenario: SimScenario, seed: int, size: int | None = None) -
                 tags = frozenset({TAG_EUPHEMISM})
             docs.append(Document(doc_id, text, tags, frozenset({task.id})))
 
-    n_distractors = n - len(docs)
+    n_distractors = scenario.corpus_size - len(docs)
     n_euphemistic = int(round(scenario.euphemism_ratio * n_distractors))
     for j in range(n_distractors):
         doc_id = f"doc-{len(docs):04d}"

@@ -13,15 +13,11 @@ from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
-from ..artifacts import InputError, Section, _at, parse_sections, policy_params
+from ..artifacts import InputError, Section, _at, parse_sections, policy_params, read_input
 from ..doctrine import Verdict
 from ..metrics import PolicyParams, Proposition
 
 DEFAULT_SCENARIO_NAME = "appendix_a"
-
-
-class ScenarioError(InputError):
-    """A scenario file problem, carrying file and line for diagnostics."""
 
 
 @dataclass(frozen=True)
@@ -60,6 +56,7 @@ class TaskSpec:
             raise ValueError(f"task {self.id}: keyword list must be non-empty")
         if min(self.legacy_time_scale, self.modern_time_scale) <= 0.0:
             raise ValueError(f"task {self.id}: time scales must be positive")
+        self.proposition_spec()  # checks the weight and threshold
 
     def proposition_spec(self) -> Proposition:
         return Proposition(
@@ -100,6 +97,11 @@ class SimScenario:
             raise ValueError("ground_truth_per_task must be >= 1")
         if not (0.0 <= self.euphemism_ratio <= 1.0):
             raise ValueError("euphemism_ratio must lie in [0, 1]")
+        required = self.min_corpus_size()
+        if self.corpus_size < required:
+            raise ValueError(f"corpus size {self.corpus_size} is below the {required} ground-truth documents required")
+        if self.seed < 0:  # numpy seeds only from non-negative integers
+            raise ValueError(f"'seed' must be non-negative, got {self.seed}")
 
     def min_corpus_size(self) -> int:
         return self.ground_truth_per_task * len(self.tasks)
@@ -155,10 +157,10 @@ def _task(sec: Section) -> TaskSpec:
     try:
         truth = Verdict(truth_text)
     except ValueError:
-        raise ScenarioError(
+        raise InputError(
             f"truth must be established or refuted, got {truth_text!r}", sec.path, truth_line
         )
-    with _at(sec.path, sec.line, ScenarioError):
+    with _at(sec.path, sec.line):
         return TaskSpec(
             id=task_id,
             doctrine=sec.text("doctrine", task_id),
@@ -177,46 +179,55 @@ def _task(sec: Section) -> TaskSpec:
         )
 
 
+def _valid(tasks: list[TaskSpec], **settings: object) -> bool:
+    try:
+        SimScenario(tuple(tasks), **settings)
+    except ValueError:
+        return False
+    return True
+
+
 def parse_scenario(text: str, path: str = "<scenario>") -> SimScenario:
     """Build a scenario; a key left out keeps the SimScenario or TaskSpec default.
 
-    An unknown section or key is rejected at its line.
+    An unknown section or key is rejected at its line. A broken rule names the
+    line of the first key whose value alone, over the defaults, breaks a rule;
+    else line 0.
     """
-    settings: dict[str, object] = {}
+    settings: dict[str, tuple[object, int]] = {}  # SimScenario field -> (value, line)
     tasks = []
-    sections = parse_sections(text, path, error=ScenarioError)
-    for name, sec in sections.items():
+    for name, sec in parse_sections(text, path).items():
         if name.startswith("task."):
             tasks.append(_task(sec))
         elif name == "policy":
-            settings["policy"] = policy_params(sec)
+            settings["policy"] = (policy_params(sec), sec.line)
         elif name in _SECTIONS:
             keys = _SECTIONS[name]
             sec.reject_unknown(keys)
             settings.update(
-                (attr, sec.number(key, cast))
+                (attr, (sec.number(key, cast), sec.values[key][1]))
                 for key, (attr, cast) in keys.items()
                 if key in sec.values
             )
         else:
-            raise ScenarioError(f"unknown section [{name}]", path, sec.line)
-    if settings.get("seed", 0) < 0:  # numpy seeds only from non-negative integers
-        seed, line = sections[""].raw("seed")
-        raise ScenarioError(f"'seed' must be non-negative, got {seed}", path, line)
-    with _at(path, 0, ScenarioError):
-        return SimScenario(tasks=tuple(tasks), **settings)
+            raise InputError(f"unknown section [{name}]", path, sec.line)
+    try:
+        return SimScenario(tuple(tasks), **{attr: value for attr, (value, _) in settings.items()})
+    except ValueError as exc:
+        alone = (line for attr, (value, line) in settings.items() if not _valid(tasks, **{attr: value}))
+        raise InputError(str(exc), path, next(alone, 0) if _valid(tasks) else 0) from None
 
 
 def load_scenario(source: str | Path) -> SimScenario:
     """Load a scenario from a file path or a packaged scenario name."""
     path = Path(source)
     if path.suffix == ".scenario" or path.exists():
-        return parse_scenario(path.read_text(encoding="utf-8"), str(path))
+        return parse_scenario(read_input(path), str(path))
     name = str(source)
     packaged = resources.files(__package__).joinpath("data", f"{name}.scenario")
     if packaged.is_file():
         return parse_scenario(packaged.read_text(encoding="utf-8"), f"{name}.scenario")
-    raise ScenarioError(f"no such scenario file or packaged scenario: {source!r}", str(source), 0)
+    raise InputError(f"no such scenario file or packaged scenario: {source!r}", str(source), 0)
 
 
 def default_scenario() -> SimScenario:

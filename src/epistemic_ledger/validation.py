@@ -496,9 +496,8 @@ def cv_risk(
     dataset: Sequence[tuple[object, object]],
     plan: FoldPlan,
     candidate: ModelCandidate,
-    loss: Callable[[object, object], float] = zero_one,
 ) -> float:
-    """Cross-validated risk with equal per-fold weight.
+    """Cross-validated 0/1 risk with equal per-fold weight.
 
     Each fold's model is trained on that fold's train indices and evaluated
     on its test indices; the fold means are then averaged with weight 1/K
@@ -516,7 +515,7 @@ def cv_risk(
             raise RuntimeError(
                 f"trainer for candidate {candidate.id} failed on fold {fold.fold_id}"
             ) from exc
-        losses = [loss(predict(x), y) for x, y in (dataset[i] for i in fold.test)]
+        losses = [zero_one(predict(x), y) for x, y in (dataset[i] for i in fold.test)]
         fold_risks.append(sum(losses) / len(losses))
     return sum(fold_risks) / len(fold_risks)
 
@@ -526,7 +525,6 @@ def penalized_select(
     dataset: Sequence[tuple[object, object]],
     plan: FoldPlan,
     lam: float,
-    loss: Callable[[object, object], float] = zero_one,
 ) -> ModelCandidate:
     """Pick the candidate minimising cv_risk + lam * complexity.
 
@@ -540,7 +538,7 @@ def penalized_select(
     ranked = sorted(
         candidates,
         key=lambda c: (
-            cv_risk(dataset, plan, c, loss) + lam * c.complexity_value(n),
+            cv_risk(dataset, plan, c) + lam * c.complexity_value(n),
             c.complexity_value(n),
             c.id,
         ),

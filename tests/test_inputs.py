@@ -13,7 +13,7 @@ from epistemic_ledger.artifacts import (
 )
 from epistemic_ledger.cli import ENV_SEED, main
 from epistemic_ledger.metrics import PipelineKind, PipelineSpec, PolicyParams
-from epistemic_ledger.simlab import ScenarioError, SimScenario, parse_scenario
+from epistemic_ledger.simlab import SimScenario, parse_scenario
 from epistemic_ledger.validation import BoundMethod, certify
 
 from test_cli import PIPELINES_CSV, PROPOSITIONS_CSV, records_csv, write
@@ -79,7 +79,7 @@ def test_section_header_in_policy_file(tmp_path, capsys):
 
 def test_unknown_key_in_scenario_policy_section():
     text = APPENDIX_A.replace("theta_neg = 0.7", "theta_neg = 0.7\nmystery = 1")
-    with pytest.raises(ScenarioError, match=rf"s\.scenario:{line_of(text, 'mystery')}: unknown"):
+    with pytest.raises(InputError, match=rf"s\.scenario:{line_of(text, 'mystery')}: unknown"):
         parse_scenario(text, "s.scenario")
 
 
@@ -93,7 +93,7 @@ class TestNonFiniteNumbers:
 
     def test_scenario(self, value):
         text = APPENDIX_A.replace("tau_star = 10.0", f"tau_star = {value}")
-        with pytest.raises(ScenarioError, match=rf":{line_of(text, 'tau_star')}: .*finite"):
+        with pytest.raises(InputError, match=rf":{line_of(text, 'tau_star')}: .*finite"):
             parse_scenario(text, "s.scenario")
 
     def test_certificate(self, tmp_path, value):
@@ -125,7 +125,7 @@ class TestMissingKeyNamesALine:
     def test_scenario_task_section(self):
         text = "seed = 1\n\n[task.t1]\nproposition = p\n"
         match = r"t\.scenario:3: missing key 'truth' in \[task\.t1\]"
-        with pytest.raises(ScenarioError, match=match):
+        with pytest.raises(InputError, match=match):
             parse_scenario(text, "t.scenario")
 
 
@@ -154,7 +154,12 @@ def test_non_finite_or_out_of_range_flag_is_usage_error(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [["simulate", "--seed", "-1"], ["sweep", "montecarlo", "--seed", "-3"]]
+    "argv",
+    [
+        ["simulate", "--seed", "-1"],
+        ["sweep", "montecarlo", "--seed", "-3"],
+        ["classify", "--propositions", "p.csv", "--pipelines", "q.csv", "--seed", "-5"],
+    ],
 )
 def test_negative_seed_flag_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
@@ -177,6 +182,39 @@ def test_negative_scenario_seed_names_its_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{path}:{line_of(text, 'seed =')}: 'seed' must be non-negative, got -1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, text, key",
+    [
+        ("pol.txt", "tau_star = 5.0\n# the knowledge threshold\ntheta_c = 1.5\n", "theta_c"),
+        ("er.scenario", APPENDIX_A.replace("error_rate = 0.0", "error_rate = 1.5"), "error_rate"),
+        ("js.scenario", APPENDIX_A.replace("jitter_sigma = 0.02", "jitter_sigma = -1"), "jitter_sigma"),
+        ("size.scenario", APPENDIX_A.replace("size = 62", "size = 5"), "size"),
+        # A task's weight and threshold are checked with its other keys, at its header.
+        ("th.scenario", APPENDIX_A.replace("threshold = 0.7", "threshold = 1.5", 1), "[task."),
+        ("w.scenario", APPENDIX_A.replace("weight = 1.0", "weight = -1", 1), "[task."),
+    ],
+    ids=["policy-theta_c", "error_rate", "jitter_sigma", "corpus-size", "task-threshold", "task-weight"],
+)
+def test_range_error_names_its_line(tmp_path, capsys, name, text, key):
+    path = write(tmp_path, name, text)
+    if name.endswith(".scenario"):
+        argv = ["simulate", "--scenario", path]
+    else:
+        argv = ["score", write(tmp_path, "pipelines.csv", PIPELINES_CSV), "--policy", path]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}:{line_of(text, key)}: ")
+    assert captured.out == ""
+
+
+def test_scenario_keys_are_judged_together_before_alone():
+    # 32 tasks of 2 ground-truth documents need more than the default 62
+    # documents; the file's size, read after its seed, provides them.
+    tasks = "".join(MINIMAL_TASK.replace("t1", f"t{i}") for i in range(32))
+    scenario = parse_scenario("seed = 1\n[corpus]\nsize = 100\n" + tasks, "s.scenario")
+    assert (len(scenario.tasks), scenario.corpus_size) == (32, 100)
 
 
 # The audit report echoes each of these cells on one line of its own, so a
@@ -422,24 +460,59 @@ class TestUnknownScenarioNames:
     def test_key_in_verification_section(self):
         text = APPENDIX_A.replace("top_k = 5", "top_kk = 3")
         match = rf"s\.scenario:{line_of(text, 'top_kk')}: unknown key 'top_kk' in \[verification\]"
-        with pytest.raises(ScenarioError, match=match):
+        with pytest.raises(InputError, match=match):
             parse_scenario(text, "s.scenario")
 
     @pytest.mark.parametrize("anchor", ["seed = 42", "size = 62", "jitter_sigma = 0.02", "modern_time_scale = 0.9801762964"])
     def test_key_in_every_other_section(self, anchor):
         text = APPENDIX_A.replace(anchor, f"{anchor}\nmystery = 1")
-        with pytest.raises(ScenarioError, match=rf"s\.scenario:{line_of(text, 'mystery')}: unknown key 'mystery'"):
+        with pytest.raises(InputError, match=rf"s\.scenario:{line_of(text, 'mystery')}: unknown key 'mystery'"):
             parse_scenario(text, "s.scenario")
 
     def test_task_id_is_not_a_key(self):
-        with pytest.raises(ScenarioError, match=r"t\.scenario:2: unknown key 'id' in \[task\.t1\]"):
+        with pytest.raises(InputError, match=r"t\.scenario:2: unknown key 'id' in \[task\.t1\]"):
             parse_scenario(MINIMAL_TASK.replace("\n", "\nid = t2\n", 1), "t.scenario")
 
     def test_section_name(self):
         text = APPENDIX_A.replace("[costs]", "[cost]")
-        with pytest.raises(ScenarioError, match=rf"s\.scenario:{line_of(text, '[cost]')}: unknown section \[cost\]"):
+        with pytest.raises(InputError, match=rf"s\.scenario:{line_of(text, '[cost]')}: unknown section \[cost\]"):
             parse_scenario(text, "s.scenario")
 
     def test_appendix_a_still_parses(self):
         scenario = parse_scenario(APPENDIX_A, "appendix_a.scenario")
         assert (scenario.retrieval_k, scenario.corpus_size, len(scenario.tasks)) == (5, 62, 4)
+
+
+@pytest.mark.parametrize(
+    "kind", ["pipelines", "propositions", "executions", "records", "certificate", "policy", "scenario"]
+)
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, capsys, kind):
+    header = "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
+    texts = {
+        "pipelines": PIPELINES_CSV,
+        "propositions": PROPOSITIONS_CSV,
+        "executions": header + "bid_independence,modern_actual,true,established,none,m.cert,\n",
+        "records": "component,loss\nretrieval,0\ngeneration,0\nverification,0\n",
+        "certificate": certificate_text().replace("pipeline_id = pi", "pipeline_id = modern_actual"),
+        "policy": "tau_star = 10.0\ntheta_c = 0.7\n",
+        "scenario": APPENDIX_A,
+    }
+    names = {"certificate": "m.cert", "policy": "policy.txt", "scenario": "s.scenario"}
+    paths = {k: tmp_path / names.get(k, f"{k}.csv") for k in texts}
+    for k, text in texts.items():
+        paths[k].write_text(text, encoding="utf-8")
+    # A byte 0xff, which no UTF-8 text holds, ends the third line.
+    lines = paths[kind].read_bytes().split(b"\n")
+    lines[2] += b"\xff"
+    paths[kind].write_bytes(b"\n".join(lines))
+    argv = {
+        "records": ["certify", str(paths["records"]), "--pipeline-id", "p", "--cost", "1"],
+        "scenario": ["simulate", "--scenario", str(paths["scenario"])],
+    }.get(kind, [
+        "classify", "--pipelines", str(paths["pipelines"]), "--propositions", str(paths["propositions"]),
+        "--executions", str(paths["executions"]), "--policy", str(paths["policy"]),
+    ])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: {paths[kind]}:3: byte 0xff is not UTF-8" in captured.err
+    assert captured.out == ""

@@ -1,5 +1,6 @@
 """Tests for the corpus, searches, verifier, and experiment runners."""
 
+import dataclasses
 import math
 import re
 from collections import Counter
@@ -7,12 +8,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from epistemic_ledger.artifacts import InputError
 from epistemic_ledger.doctrine import Verdict
 from epistemic_ledger.metrics import Docket, capacity_index, efficiency, org_score
 from epistemic_ledger.simlab import (
     LEGACY,
     MODERN,
-    ScenarioError,
     SimScenario,
     company_capacity,
     cosine,
@@ -70,7 +71,7 @@ class TestCorpus:
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError, match="ground-truth"):
-            generate_corpus(SCENARIO, seed=42, size=5)
+            generate_corpus(dataclasses.replace(SCENARIO, corpus_size=5), seed=42)
 
     def test_export_format(self):
         corpus = generate_corpus(SCENARIO, seed=42)
@@ -341,25 +342,25 @@ class TestScenarioParsing:
         assert load_scenario(path) == SCENARIO
 
     def test_unknown_scenario(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(InputError):
             load_scenario("no_such_scenario")
 
     def test_malformed_line_reports_position(self):
-        with pytest.raises(ScenarioError, match=r"bad\.scenario:2"):
+        with pytest.raises(InputError, match=r"bad\.scenario:2"):
             parse_scenario("seed = 1\nnot a kv line\n", "bad.scenario")
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(ScenarioError, match="duplicate"):
+        with pytest.raises(InputError, match="duplicate"):
             parse_scenario("seed = 1\nseed = 2\n", "dup.scenario")
 
     def test_bad_number_reports_line(self):
         text = "seed = 1\n[corpus]\nsize = sixty\n"
-        with pytest.raises(ScenarioError, match=r":3"):
+        with pytest.raises(InputError, match=r":3"):
             parse_scenario(text, "num.scenario")
 
     def test_missing_task_key_rejected(self):
         text = "[task.t1]\ndoctrine = x\n"
-        with pytest.raises(ScenarioError, match="missing key"):
+        with pytest.raises(InputError, match="missing key"):
             parse_scenario(text, "short.scenario")
 
     def test_truth_vocabulary(self):
@@ -367,7 +368,7 @@ class TestScenarioParsing:
             "[task.t1]\nproposition = p\ntruth = maybe\nkeywords = k\n"
             "concept_query = q\nground_truth = literal\nliteral_phrases = k\n"
         )
-        with pytest.raises(ScenarioError, match="established or refuted"):
+        with pytest.raises(InputError, match="established or refuted"):
             parse_scenario(text, "verdict.scenario")
 
 
@@ -393,7 +394,7 @@ class TestCorpusIndex:
     @pytest.mark.parametrize("size", [62, 2000])
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_semantic_hits_equal_brute_force(self, seed, size):
-        corpus = generate_corpus(SCENARIO, seed=seed, size=size)
+        corpus = generate_corpus(dataclasses.replace(SCENARIO, corpus_size=size), seed=seed)
         for task in SCENARIO.tasks:
             hits, _ = semantic_search(corpus, task.concept_query, size, 0.41, 0.40, SYNONYMS)
             assert hits == _reference_semantic(corpus, task.concept_query, SYNONYMS)
@@ -413,7 +414,7 @@ class TestCorpusIndex:
         ],
     )
     def test_keyword_hits_equal_per_document_scan(self, keywords):
-        corpus = generate_corpus(SCENARIO, seed=3, size=300)
+        corpus = generate_corpus(dataclasses.replace(SCENARIO, corpus_size=300), seed=3)
         hits, _ = keyword_search(corpus, keywords, SCENARIO.c_per_doc)
         assert hits == _reference_keyword(corpus, keywords)
 
@@ -474,7 +475,7 @@ class TestHashedRows:
     @pytest.mark.parametrize("size", [62, 2000])
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_rows_equal_dense_embeddings(self, seed, size, synonyms):
-        _assert_rows_equal_dense_embeddings(generate_corpus(SCENARIO, seed=seed, size=size), synonyms)
+        _assert_rows_equal_dense_embeddings(generate_corpus(dataclasses.replace(SCENARIO, corpus_size=size), seed=seed), synonyms)
 
     def test_repeated_tokens_are_counted(self):
         # "rate" three times, and a synonym phrase whose concept tokens
