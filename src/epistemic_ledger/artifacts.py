@@ -151,7 +151,8 @@ def parse_sections(text: str, path: str, *, flat: bool = False) -> dict[str, Sec
     """
     current = Section("", path, 1, {})
     sections = {"": current}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Only "\n" ends a line, as editors count; strip() drops a "\r\n" ending's "\r".
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -12,18 +12,19 @@ what lets a conceptual search find what a literal keyword scan misses.
 A ``Corpus`` is immutable, so its index is built on first use and kept on
 it. Each document is tokenised once per corpus, into its padded token text
 (``token_texts``), which the keyword scan tests for phrases. Per synonym
-table, one pass over those token texts gives the embeddings of all
+table, one pass over those token texts turns every counted token into a
+(document, bucket) cell id, hashing each distinct token once, and one
+``np.unique`` over the cells counts them. That gives the embeddings of all
 documents as one sparse N x dim hashed design matrix (``HashedRows``, the
-feature-hashing view of Weinberger et al., 2009), hashing each distinct
-token once; its product with a query vector scores every document at once.
-``embed`` is the dense form of one row: it embeds queries, and the rows
-equal its vectors bit for bit.
+feature-hashing view of Weinberger et al., 2009); its product with a query
+vector scores every document at once. ``embed`` is the dense form of one
+row: it embeds queries, and the rows equal its vectors bit for bit, as the
+counts are exact integers and the norm and division round the same way.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 from array import array
 from dataclasses import dataclass, field
@@ -190,42 +191,43 @@ class Corpus:
         return rows
 
     def _embed_rows(self, synonyms: Iterable[tuple[str, tuple[str, ...]]]) -> HashedRows:
-        """The rows ``embed`` gives each document, in one pass over ``token_texts``.
+        """The rows ``embed`` gives each document, from one ``np.unique`` over cell ids.
 
-        A row counts the document's non-stopword tokens and the concept
-        tokens of each synonym phrase its token text holds, each distinct
-        token hashed once per build. The counts are small integers, so the
-        norm, the square root of their summed squares, is the dense vector's
-        to the bit, and so is every weight.
+        A document adds the cell ``row * EMBED_DIM + bucket`` for each of its
+        non-stopword tokens (each distinct token hashed once; a stopword maps
+        to -1) and each concept token of a synonym phrase its token text holds.
+        The unique cells are each row's buckets in ascending order; their counts
+        and summed squares are exact integers, and ``np.sqrt`` and the division
+        round as ``embed``'s norm does, so every weight is the dense vector's.
         """
         expansions = [
-            (needle, concepts) for phrase, concepts in synonyms if (needle := token_text(phrase)).strip()
+            (needle, [_token_index(t) for t in concepts])
+            for phrase, concepts in synonyms
+            if (needle := token_text(phrase)).strip()
         ]
-        buckets: dict[str, int] = {}
-        indices, weights, offsets = array("i"), array("d"), array("q", [0])
-        for doc, padded in zip(self.documents, self.token_texts):
-            tokens = [t for t in padded.split() if t not in _STOPWORDS]
-            for needle, concepts in expansions:
-                if needle in padded:
-                    tokens.extend(concepts)
-            counts: dict[int, int] = {}
-            for token in tokens:
+        buckets = dict.fromkeys(_STOPWORDS, -1)
+        cells = array("q")
+        for row, (doc, padded) in enumerate(zip(self.documents, self.token_texts)):
+            base, start = row * EMBED_DIM, len(cells)
+            for token in padded.split():
                 bucket = buckets.get(token)
                 if bucket is None:
                     bucket = buckets[token] = _token_index(token)
-                counts[bucket] = counts.get(bucket, 0) + 1
-            if not counts:  # embed's errors: an empty row would corrupt ``dot``
+                if bucket >= 0:
+                    cells.append(base + bucket)
+            for needle, concepts in expansions:
+                if needle in padded:
+                    cells.extend(base + bucket for bucket in concepts)
+            if len(cells) == start:  # embed's errors: an empty row would corrupt ``dot``
                 if not doc.text.strip():
                     raise ValueError("cannot embed empty text")
                 raise ValueError(f"text has no indexable tokens: {doc.text!r}")
-            norm = math.sqrt(sum(count * count for count in counts.values()))
-            for bucket in sorted(counts):
-                indices.append(bucket)
-                weights.append(counts[bucket] / norm)
-            offsets.append(len(indices))
-        return HashedRows(
-            np.frombuffer(indices, np.intc), np.frombuffer(weights), np.frombuffer(offsets, np.int64)
-        )
+        del buckets  # freed before the arrays below are made, to lower the peak memory
+        cells, counts = np.unique(np.frombuffer(cells, np.int64), return_counts=True)
+        sizes = np.bincount(cells // EMBED_DIM, minlength=len(self.documents))
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        norms = np.sqrt(np.add.reduceat(counts * counts, offsets[:-1]))
+        return HashedRows((cells % EMBED_DIM).astype(np.intc), counts / np.repeat(norms, sizes), offsets)
 
     def ground_truth_ids(self, task_id: str) -> frozenset[str]:
         return frozenset(

@@ -2,7 +2,9 @@
 
 Every runner is a pure function of (scenario, seed): sub-streams are spawned
 per run index from the master seed, so parallel and serial execution of
-Monte Carlo cells would be bitwise identical.
+Monte Carlo cells would be bitwise identical. Retrieval runs once per corpus:
+the hits and the unjittered cost of each (task, company) search are shared
+by every run, which draws only the cost jitter and the verifier.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from ..metrics import (
 )
 from .corpus import Corpus, generate_corpus
 from .scenario import SimScenario, TaskSpec
-from .search import jitter_factor, keyword_search, semantic_search, simulated_verifier
+from .search import keyword_search, semantic_search, simulated_verifier
 
 LEGACY = "legacy"
 MODERN = "modern"
@@ -36,6 +38,13 @@ _STREAM_SWEEP = 227
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
+
+
+def jitter_factor(rng: np.random.Generator | None, sigma: float) -> float:
+    """Multiplicative Gaussian jitter, clamped away from zero; 1 without rng or sigma."""
+    if rng is None or sigma <= 0.0:
+        return 1.0
+    return max(0.01, 1.0 + sigma * float(rng.standard_normal()))
 
 
 @dataclass(frozen=True)
@@ -69,33 +78,26 @@ def _pipeline_spec(
     )
 
 
-def _run_task(
-    scenario: SimScenario,
-    corpus: Corpus,
-    synonyms: dict[str, tuple[str, ...]],
-    task: TaskSpec,
-    company: str,
-    verifier_rng: np.random.Generator,
-    jitter_rng: np.random.Generator | None,
-    jitter_sigma: float,
-) -> RunResult:
-    ground_truth = corpus.ground_truth_ids(task.id)
-    if company == LEGACY:
-        hits, cost = keyword_search(
-            corpus,
-            task.keywords,
-            scenario.c_per_doc,
-            time_scale=task.legacy_time_scale,
-            rng=jitter_rng,
-            jitter_sigma=jitter_sigma,
-        )
-        # The keyword pipeline has no verifier stage: a complete retrieval is
-        # read off directly, anything less is inconclusive.
-        complete = ground_truth <= set(hits)
-        verdict = task.truth if complete else Verdict.INCONCLUSIVE
-        eps_ver = 0.0
-    else:
-        hits, cost = semantic_search(
+@dataclass(frozen=True)
+class _Retrieval:
+    """One company's search for one task over a corpus, shared by every run."""
+
+    task: TaskSpec
+    company: str
+    hits: tuple[str, ...]
+    cost: float
+    ground_truth: frozenset[str]
+    complete: bool
+
+
+def _retrieve(scenario: SimScenario, corpus: Corpus) -> list[_Retrieval]:
+    """Both companies' searches for every task, in task order, legacy first."""
+    synonyms = scenario.synonym_table()
+    retrievals = []
+    for task in scenario.tasks:
+        ground_truth = corpus.ground_truth_ids(task.id)
+        keyword = keyword_search(corpus, task.keywords, scenario.c_per_doc, time_scale=task.legacy_time_scale)
+        semantic = semantic_search(
             corpus,
             task.concept_query,
             scenario.retrieval_k,
@@ -103,19 +105,34 @@ def _run_task(
             scenario.modern_b,
             synonyms,
             time_scale=task.modern_time_scale,
-            rng=jitter_rng,
-            jitter_sigma=jitter_sigma,
         )
-        complete = ground_truth <= set(hits)
+        for company, (hits, cost) in ((LEGACY, keyword), (MODERN, semantic)):
+            retrievals.append(
+                _Retrieval(task, company, hits, cost, ground_truth, ground_truth <= set(hits))
+            )
+    return retrievals
+
+
+def _run_task(
+    scenario: SimScenario,
+    retrieval: _Retrieval,
+    verifier_rng: np.random.Generator,
+    jitter_rng: np.random.Generator | None,
+    jitter_sigma: float,
+) -> RunResult:
+    task, company = retrieval.task, retrieval.company
+    cost = retrieval.cost * jitter_factor(jitter_rng, jitter_sigma)
+    if company == LEGACY:
+        # The keyword pipeline has no verifier stage: a complete retrieval is
+        # read off directly, anything less is inconclusive.
+        verdict = task.truth if retrieval.complete else Verdict.INCONCLUSIVE
+        eps_ver = 0.0
+    else:
         verdict = simulated_verifier(
-            hits, ground_truth, task.truth, scenario.verifier_error, verifier_rng
+            retrieval.hits, retrieval.ground_truth, task.truth, scenario.verifier_error, verifier_rng
         )
-        eps_ver = (
-            0.0
-            if verdict is Verdict.INCONCLUSIVE or verdict is task.truth
-            else 1.0
-        )
-    eps_ret = 0.0 if complete else 1.0
+        eps_ver = 0.0 if verdict is Verdict.INCONCLUSIVE or verdict is task.truth else 1.0
+    eps_ret = 0.0 if retrieval.complete else 1.0
     spec = _pipeline_spec(company, task.id, cost, eps_ret, eps_ver)
     return RunResult(
         company=company,
@@ -132,30 +149,15 @@ def _run_task(
 
 def _run_docket_once(
     scenario: SimScenario,
-    corpus: Corpus,
+    retrievals: Sequence[_Retrieval],
     seed: int,
     run_index: int,
     jitter_sigma: float,
 ) -> list[RunResult]:
-    synonyms = scenario.synonym_table()
+    """One run: a jitter draw per retrieval, in order, and the verifier draws."""
     verifier_rng = _rng(seed, _STREAM_VERIFIER, run_index)
     jitter_rng = _rng(seed, _STREAM_JITTER, run_index) if jitter_sigma > 0.0 else None
-    results = []
-    for task in scenario.tasks:
-        for company in (LEGACY, MODERN):
-            results.append(
-                _run_task(
-                    scenario,
-                    corpus,
-                    synonyms,
-                    task,
-                    company,
-                    verifier_rng,
-                    jitter_rng,
-                    jitter_sigma,
-                )
-            )
-    return results
+    return [_run_task(scenario, r, verifier_rng, jitter_rng, jitter_sigma) for r in retrievals]
 
 
 def run_docket(scenario: SimScenario, seed: int | None = None) -> list[RunResult]:
@@ -165,8 +167,8 @@ def run_docket(scenario: SimScenario, seed: int | None = None) -> list[RunResult
     0/1 regime and scores delegated to the pipeline scorer.
     """
     seed = scenario.seed if seed is None else seed
-    corpus = generate_corpus(scenario, seed)
-    return _run_docket_once(scenario, corpus, seed, run_index=0, jitter_sigma=0.0)
+    retrievals = _retrieve(scenario, generate_corpus(scenario, seed))
+    return _run_docket_once(scenario, retrievals, seed, run_index=0, jitter_sigma=0.0)
 
 
 def company_capacity(
@@ -213,8 +215,10 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Repeat the whole docket ``runs`` times with jittered execution times.
 
-    Jitter moves times only; the deterministic 0/1 error pattern never
-    flips. Each run draws from its own sub-stream of the master seed.
+    The corpus is generated and searched once; each run draws only the
+    jitter on those searches' costs and the verifier, from its own
+    sub-streams of the master seed. Jitter moves times only; the
+    deterministic 0/1 error pattern never flips.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -222,11 +226,11 @@ def monte_carlo(
     sigma = scenario.jitter_sigma if jitter_sigma is None else jitter_sigma
     if sigma < 0.0:
         raise ValueError(f"jitter_sigma must be >= 0, got {sigma}")
-    corpus = generate_corpus(scenario, seed)
+    retrievals = _retrieve(scenario, generate_corpus(scenario, seed))
     per_cell: dict[tuple[str, str], list[float]] = {}
     doctrines: dict[str, str] = {t.id: t.doctrine for t in scenario.tasks}
     for i in range(runs):
-        for row in _run_docket_once(scenario, corpus, seed, run_index=i, jitter_sigma=sigma):
+        for row in _run_docket_once(scenario, retrievals, seed, run_index=i, jitter_sigma=sigma):
             per_cell.setdefault((row.company, row.task_id), []).append(row.score)
     cells = tuple(
         MonteCarloCell(company, task_id, doctrines[task_id], tuple(scores))

@@ -2,9 +2,11 @@
 
 Keyword search scans every document for literal phrase matches at linear
 cost; semantic search ranks documents by cosine similarity of hashed
-embeddings at logarithmic cost. Costs are simulated from the scenario's
-cost models, optionally jittered; retrieval error for a task is 1 when any
-ground-truth document is missed, else 0.
+embeddings at logarithmic cost. Each returns its hits and the cost its
+scenario cost model gives, without jitter: the hits depend only on the
+corpus and the query, so the runner searches once per corpus and multiplies
+the cost by a fresh jitter factor in each run. Retrieval error for a
+task is 1 when any ground-truth document is missed, else 0.
 
 Both searches read the corpus index (see ``corpus``), built on a corpus's
 first search and reused by every later one: the keyword scan tests each
@@ -25,21 +27,12 @@ from ..doctrine import Verdict
 from .corpus import Corpus, document_matches, embed, token_text  # noqa: F401
 
 
-def jitter_factor(rng: np.random.Generator | None, sigma: float) -> float:
-    """Multiplicative Gaussian jitter, clamped away from zero; 1 without rng or sigma."""
-    if rng is None or sigma <= 0.0:
-        return 1.0
-    return max(0.01, 1.0 + sigma * float(rng.standard_normal()))
-
-
 def keyword_search(
     corpus: Corpus,
     keywords: Sequence[str],
     c_per_doc: float,
     *,
     time_scale: float = 1.0,
-    rng: np.random.Generator | None = None,
-    jitter_sigma: float = 0.0,
 ) -> tuple[tuple[str, ...], float]:
     """Linear scan for literal phrase matches: (hit ids, simulated seconds)."""
     if not keywords:
@@ -50,8 +43,7 @@ def keyword_search(
         for doc, text in zip(corpus.documents, corpus.token_texts)
         if any(needle in text for needle in needles)
     )
-    cost = c_per_doc * len(corpus) * time_scale * jitter_factor(rng, jitter_sigma)
-    return hits, cost
+    return hits, c_per_doc * len(corpus) * time_scale
 
 
 def semantic_search(
@@ -63,8 +55,6 @@ def semantic_search(
     synonyms: Mapping[str, tuple[str, ...]] | None = None,
     *,
     time_scale: float = 1.0,
-    rng: np.random.Generator | None = None,
-    jitter_sigma: float = 0.0,
 ) -> tuple[tuple[str, ...], float]:
     """Exact top-k by cosine similarity (ties by id): (hit ids, seconds).
 
@@ -78,8 +68,7 @@ def semantic_search(
     scores = corpus.hashed_rows(synonyms).dot(query_vec)
     ranked = np.lexsort((corpus.id_ranks, -scores))
     hits = tuple(corpus.documents[i].id for i in ranked[:k])
-    cost = (a + b * math.log(len(corpus))) * time_scale * jitter_factor(rng, jitter_sigma)
-    return hits, cost
+    return hits, (a + b * math.log(len(corpus))) * time_scale
 
 
 def _flip(verdict: Verdict) -> Verdict:

@@ -609,7 +609,10 @@ def certify(
 
 
 def lower_bound_score(cert: ValidationCertificate, tau_star: float) -> float:
-    """Certified lower bound on the pipeline score at confidence 1 - delta."""
+    """Certified lower bound on the pipeline score, at confidence 1 - ``union_delta``.
+
+    Each component bound holds at 1 - delta; by the union bound, the total at 1 - min(1, 3 delta).
+    """
     return discounted_score(cert.measured_cost, cert.total_upper, tau_star)
 
 

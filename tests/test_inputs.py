@@ -77,6 +77,22 @@ def test_section_header_in_policy_file(tmp_path, capsys):
     assert f"{policy}:2:" in err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("theta_c = 0.7\r\ntau_star = x\r\n", 2),
+        # str.splitlines() would also break at these, unlike editors.
+        ("theta_c = 0.7\x0c\ntau_star = x\n", 2),
+        ("theta_c = 0.7\u2028tau_star = 5\n", 1),  # one line: theta_c's value is not a number
+    ],
+    ids=["crlf", "form-feed", "line-separator"],
+)
+def test_lines_end_at_newline_only(tmp_path, capsys, text, line):
+    code, policy, err = score_with_policy(tmp_path, capsys, text)
+    assert code == 1
+    assert err.startswith(f"error: {policy}:{line}: ")
+
+
 def test_unknown_key_in_scenario_policy_section():
     text = APPENDIX_A.replace("theta_neg = 0.7", "theta_neg = 0.7\nmystery = 1")
     with pytest.raises(InputError, match=rf"s\.scenario:{line_of(text, 'mystery')}: unknown"):

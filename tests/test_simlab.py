@@ -31,7 +31,7 @@ from epistemic_ledger.simlab import (
     sensitivity_sweep,
     simulated_verifier,
 )
-from epistemic_ledger.simlab import search
+from epistemic_ledger.simlab import runner, search
 from epistemic_ledger.simlab.corpus import (
     SIMILARITY_FLOOR,
     Corpus,
@@ -444,7 +444,31 @@ class TestCorpusIndex:
         corpus = generate_corpus(SCENARIO, seed=SCENARIO.seed)
         assert builds == [len(corpus)]
         assert set(queries) == {task.concept_query for task in SCENARIO.tasks}
-        assert sum(queries.values()) == runs * len(SCENARIO.tasks)
+        assert sum(queries.values()) == len(SCENARIO.tasks)
+
+    @pytest.mark.parametrize("runs", [1, 5])
+    def test_monte_carlo_searches_each_task_once(self, monkeypatch, runs):
+        calls = Counter()
+
+        def counting(name, search_fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return search_fn(*args, **kwargs)
+
+            monkeypatch.setattr(runner, name, wrapper)
+
+        counting("keyword_search", runner.keyword_search)
+        counting("semantic_search", runner.semantic_search)
+        monte_carlo(SCENARIO, runs=runs)
+        tasks = len(SCENARIO.tasks)
+        assert calls == {"keyword_search": tasks, "semantic_search": tasks}
+
+    def test_searches_return_the_unjittered_cost(self):
+        corpus = generate_corpus(SCENARIO, seed=42)
+        _, cost = keyword_search(corpus, ["price fixing"], 0.003, time_scale=1.7)
+        assert cost == 0.003 * len(corpus) * 1.7
+        _, cost = semantic_search(corpus, "price fixing", 5, 0.41, 0.40, SYNONYMS, time_scale=0.6)
+        assert cost == (0.41 + 0.40 * math.log(len(corpus))) * 0.6
 
     def test_index_is_kept_per_synonym_table(self):
         corpus = generate_corpus(SCENARIO, seed=42)
