@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, NoReturn, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NoReturn, Sequence
 
 from .doctrine import (
     AvoidanceEvidence,
@@ -41,10 +41,11 @@ from .metrics import (
 )
 from .validation import (
     BoundMethod,
-    CertProvenance,
-    ConfidenceBound,
     LossRecord,
     ValidationCertificate,
+    check_delta,
+    check_sample_size,
+    confidence_bound,
     lower_bound_score,
 )
 
@@ -135,12 +136,12 @@ class Section:
             return default
         return self.raw(key)[0]
 
-    def number(self, key: str, cast: type = float) -> float:
+    def number(self, key: str, cast: type = float, to: Callable = lambda number: number):
+        """``key``'s finite number passed through ``to``, whose ValueError names ``key``'s line."""
         value, line = self.raw(key)
-        return _number(value, key, self.path, line, cast)
-
-    def integer(self, key: str) -> int:
-        return self.number(key, int)
+        number = _number(value, key, self.path, line, cast)
+        with _at(self.path, line):
+            return to(number)
 
 
 def parse_sections(text: str, path: str, *, flat: bool = False) -> dict[str, Section]:
@@ -428,82 +429,76 @@ def read_executions_csv(
     return records
 
 
+_PREFIXES = ("ret", "gen", "ver")  # the certificate key prefix of each of COMPONENTS
+# The keys certificate_to_text writes that read_certificate derives from the rest.
+_DERIVED = frozenset(
+    ["total_upper", "sample_sizes", "union_delta"]
+    + [f"{prefix}_{key}" for prefix in _PREFIXES for key in ("upper", "delta", "synthetic")]
+)
+
+
+def _certificate_items(cert: ValidationCertificate) -> list[tuple[str, object]]:
+    """Each key a certificate file holds, in file order, with its value."""
+    items: list[tuple[str, object]] = [
+        ("pipeline_id", cert.pipeline_id), ("measured_cost", cert.measured_cost),
+        ("delta", cert.delta), ("total_upper", cert.total_upper),
+    ]
+    for prefix, b in zip(_PREFIXES, cert.bounds):
+        items += [
+            (f"{prefix}_point", b.point_estimate), (f"{prefix}_upper", b.upper),
+            (f"{prefix}_method", b.method.value), (f"{prefix}_delta", b.delta),
+            (f"{prefix}_n", b.sample_size), (f"{prefix}_synthetic", b.synthetic),
+        ]
+    return items + [
+        ("fold_strategy", cert.fold_strategy),
+        ("sample_sizes", ",".join(str(b.sample_size) for b in cert.bounds)),
+        ("timestamp", cert.timestamp), ("union_delta", cert.union_delta),
+    ]
+
+
+def _cert_value(value: object) -> str:
+    """A certificate value as written: floats at full precision, so they round-trip."""
+    return repr(value) if isinstance(value, float) else _cell(value)
+
+
 def certificate_to_text(cert: ValidationCertificate) -> str:
     """Flat key=value serialization, full precision for exact round-trips."""
-    lines = [
-        "# validation certificate",
-        f"pipeline_id = {cert.pipeline_id}",
-        f"measured_cost = {cert.measured_cost!r}",
-        f"delta = {cert.delta!r}",
-        f"total_upper = {cert.total_upper!r}",
-    ]
-    for prefix, bound in (
-        ("ret", cert.ret_bound),
-        ("gen", cert.gen_bound),
-        ("ver", cert.ver_bound),
-    ):
-        lines.extend(
-            [
-                f"{prefix}_point = {bound.point_estimate!r}",
-                f"{prefix}_upper = {bound.upper!r}",
-                f"{prefix}_method = {bound.method.value}",
-                f"{prefix}_delta = {bound.delta!r}",
-                f"{prefix}_n = {bound.sample_size}",
-                f"{prefix}_synthetic = {str(bound.synthetic).lower()}",
-            ]
-        )
-    prov = cert.provenance
-    lines.extend(
-        [
-            f"fold_strategy = {prov.fold_strategy}",
-            f"sample_sizes = {','.join(str(n) for n in prov.sample_sizes)}",
-            f"timestamp = {prov.timestamp}",
-            f"union_delta = {prov.union_delta!r}",
-        ]
-    )
-    return "\n".join(lines) + "\n"
+    lines = [f"{key} = {_cert_value(value)}" for key, value in _certificate_items(cert)]
+    return "\n".join(["# validation certificate", *lines]) + "\n"
 
 
 def read_certificate(path: str | Path) -> ValidationCertificate:
-    cert = parse_sections(read_input(path), str(path), flat=True)[""]
+    """Rebuild a certificate from its evidence keys, as ``certify`` builds one.
 
-    def bound(prefix: str) -> ConfidenceBound:
+    Each derived key must hold what the evidence gives: a number equal as a
+    number, any other value as the text ``certificate_to_text`` writes. A key
+    that does not, an unknown key and a number out of range fail at their line.
+    """
+    cert = parse_sections(read_input(path), str(path), flat=True)[""]
+    delta = cert.number("delta", to=check_delta)
+    bounds = []
+    for prefix in _PREFIXES:
         method_raw, line = cert.raw(f"{prefix}_method")
         method = _choice(BoundMethod, method_raw, "bound method", path, line)
-        with _at(path, line):
-            return ConfidenceBound(
-                point_estimate=cert.number(f"{prefix}_point"),
-                upper=cert.number(f"{prefix}_upper"),
-                method=method,
-                delta=cert.number(f"{prefix}_delta"),
-                sample_size=cert.integer(f"{prefix}_n"),
-                synthetic=cert.text(f"{prefix}_synthetic") == "true",
-            )
-
-    sizes_raw, sizes_line = cert.raw("sample_sizes")
-    sizes = tuple(
-        _number(s, "sample_sizes", path, sizes_line, int)
-        for s in sizes_raw.split(",")
-        if s.strip() != ""
-    )
-    if len(sizes) != 3:
-        raise InputError("sample_sizes must have three entries", str(path), sizes_line)
-    with _at(path, cert.line):
-        return ValidationCertificate(
-            pipeline_id=cert.text("pipeline_id"),
-            measured_cost=cert.number("measured_cost"),
-            ret_bound=bound("ret"),
-            gen_bound=bound("gen"),
-            ver_bound=bound("ver"),
-            total_upper=cert.number("total_upper"),
-            delta=cert.number("delta"),
-            provenance=CertProvenance(
-                fold_strategy=cert.text("fold_strategy"),
-                sample_sizes=sizes,  # type: ignore[arg-type]
-                timestamp=cert.text("timestamp"),
-                union_delta=cert.number("union_delta"),
-            ),
+        n = cert.number(f"{prefix}_n", int, to=check_sample_size)
+        point_key = f"{prefix}_point"
+        bounds.append(cert.number(point_key, to=lambda p: confidence_bound(method, p, n, delta)))
+    with _at(path, cert.raw("measured_cost")[1]):  # the certificate itself checks only its cost
+        rebuilt = ValidationCertificate(
+            cert.text("pipeline_id"), cert.number("measured_cost"), tuple(bounds), delta,
+            cert.text("fold_strategy"), cert.text("timestamp"),
         )
+    items = dict(_certificate_items(rebuilt))
+    cert.reject_unknown(items, "certificate key")
+    for key, value in items.items():
+        if key not in _DERIVED:
+            continue
+        written, line = cert.raw(key)
+        wanted = _cert_value(value)
+        if written != wanted and not (isinstance(value, float) and cert.number(key) == value):
+            message = f"{key} = {written} does not match its evidence, which gives {wanted}"
+            raise InputError(message, str(path), line)
+    return rebuilt
 
 
 def score_table(pipelines: Sequence[PipelineSpec], policy: PolicyParams) -> str:

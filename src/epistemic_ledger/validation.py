@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
@@ -63,12 +64,25 @@ def zero_one(predicted: object, actual: object) -> float:
     return 0.0 if predicted == actual else 1.0
 
 
+def check_delta(delta: float) -> float:
+    """``delta``, or a ValueError unless it lies in (0, 1)."""
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    return delta
+
+
+def check_sample_size(n: int) -> int:
+    """``n``, or a ValueError if it is negative."""
+    if n < 0:
+        raise ValueError(f"sample size must be >= 0, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class ConfidenceBound:
     """Point estimate plus a conservative one-sided upper bound.
 
-    ``synthetic`` marks bounds manufactured for components a pipeline does
-    not have (upper 0, no samples); only those may carry sample_size 0.
+    A bound with no samples is ``synthetic``: the zero bound of a component the pipeline lacks.
     """
 
     point_estimate: float
@@ -76,54 +90,47 @@ class ConfidenceBound:
     method: BoundMethod
     delta: float
     sample_size: int
-    synthetic: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.point_estimate <= 1.0):
             raise ValueError(f"point_estimate must lie in [0, 1], got {self.point_estimate}")
         if self.upper < self.point_estimate - 1e-12 or self.upper > 1.0:
             raise ValueError(f"upper must lie in [point_estimate, 1], got {self.upper}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.sample_size < 1 and not self.synthetic:
-            raise ValueError("sample_size must be >= 1 for a non-synthetic bound")
+        check_delta(self.delta)
+        check_sample_size(self.sample_size)
 
-
-@dataclass(frozen=True)
-class CertProvenance:
-    fold_strategy: str
-    sample_sizes: tuple[int, int, int]
-    timestamp: str
-    union_delta: float
+    @property
+    def synthetic(self) -> bool:
+        return self.sample_size == 0
 
 
 @dataclass(frozen=True)
 class ValidationCertificate:
-    """Measured cost plus per-component conservative error upper bounds.
+    """Measured cost plus one conservative error upper bound per component.
 
-    The total upper bound is the ``series_error`` of the component uppers;
-    with each component bound holding at confidence 1-delta, the
-    joint statement holds at confidence >= 1 - union_delta.
+    ``bounds`` are in ``COMPONENTS`` order. The total upper bound is the
+    ``series_error`` of their uppers; with each bound holding at confidence
+    1-delta, the joint statement holds at confidence >= 1 - ``union_delta``.
     """
 
     pipeline_id: str
     measured_cost: float
-    ret_bound: ConfidenceBound
-    gen_bound: ConfidenceBound
-    ver_bound: ConfidenceBound
-    total_upper: float
+    bounds: tuple[ConfidenceBound, ...]
     delta: float
-    provenance: CertProvenance
+    fold_strategy: str
+    timestamp: str
 
     def __post_init__(self) -> None:
         if self.measured_cost < 0.0:
             raise ValueError(f"measured_cost must be >= 0, got {self.measured_cost}")
-        expected = series_error(self.ret_bound.upper, self.gen_bound.upper, self.ver_bound.upper)
-        if abs(self.total_upper - expected) > 1e-9:
-            raise ValueError(
-                f"total_upper {self.total_upper} inconsistent with component "
-                f"uppers (expected {expected})"
-            )
+
+    @cached_property
+    def total_upper(self) -> float:
+        return series_error(*(bound.upper for bound in self.bounds))
+
+    @property
+    def union_delta(self) -> float:
+        return min(1.0, 3.0 * self.delta)
 
 
 # Rational approximation to the standard normal quantile (Acklam's
@@ -186,8 +193,7 @@ def hoeffding_upper(risk: float, n: int, delta: float) -> ConfidenceBound:
         raise ValueError(f"risk must lie in [0, 1], got {risk}")
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_delta(delta)
     upper = min(1.0, risk + math.sqrt(math.log(1.0 / delta) / (2.0 * n)))
     return ConfidenceBound(risk, upper, BoundMethod.HOEFFDING, delta, n)
 
@@ -202,8 +208,7 @@ def wilson_upper(successes: int, n: int, delta: float) -> ConfidenceBound:
         raise ValueError(f"sample size must be >= 1, got {n}")
     if not 0 <= successes <= n:
         raise ValueError(f"successes must lie in [0, n], got {successes} with n={n}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_delta(delta)
     z = normal_quantile(1.0 - delta)
     p_hat = successes / n
     denom = 1.0 + z * z / n
@@ -211,6 +216,25 @@ def wilson_upper(successes: int, n: int, delta: float) -> ConfidenceBound:
     half = (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))
     upper = min(1.0, max(p_hat, center + half))
     return ConfidenceBound(p_hat, upper, BoundMethod.WILSON, delta, n)
+
+
+def confidence_bound(method: BoundMethod, point: float, n: int, delta: float) -> ConfidenceBound:
+    """The bound ``method`` gives a component whose ``n`` losses average ``point``.
+
+    ``certify`` and ``artifacts.read_certificate`` build every bound here.
+    ``n = 0`` gives the synthetic zero bound, which needs ``point = 0``; for
+    Wilson, ``point`` must be ``k / n`` for a whole error count ``k``.
+    """
+    if n == 0:
+        if point != 0.0:
+            raise ValueError(f"a bound with no samples must have point 0, got {point}")
+        return ConfidenceBound(0.0, 0.0, method, delta, 0)
+    if method is BoundMethod.WILSON:
+        k = round(point * n)
+        if k / n != point:
+            raise ValueError(f"a wilson point must be k/n for a whole k, got {point} with n={n}")
+        return wilson_upper(k, n, delta)
+    return hoeffding_upper(point, n, delta)
 
 
 @dataclass(frozen=True)
@@ -559,15 +583,14 @@ def certify(
 
     Every component the pipeline kind includes must come with at least one
     record; otherwise certification is refused. Components the kind excludes
-    get a synthetic zero bound. The total upper bound is the ``series_error``
-    of the component uppers.
+    get the synthetic zero bound. Each bound is ``confidence_bound`` of the
+    component's empirical risk and record count.
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    bounds: dict[str, ConfidenceBound] = {}
+    check_delta(delta)
+    bounds = []
     for slot in COMPONENTS:
         if slot not in pipeline.kind.components:
-            bounds[slot] = ConfidenceBound(0.0, 0.0, method, delta, 0, synthetic=True)
+            bounds.append(confidence_bound(method, 0.0, 0, delta))
             continue
         records = eval_sets.get(slot)
         if not records:
@@ -575,36 +598,16 @@ def certify(
                 f"pipeline {pipeline.id}: no evaluation records for component "
                 f"'{slot}'; an unvalidated component cannot be certified"
             )
-        risk = empirical_risk(records)
-        n = len(records)
-        if method is BoundMethod.WILSON:
-            if any(r.loss not in (0.0, 1.0) for r in records):
-                raise ValueError(
-                    f"component '{slot}' has non-binary losses; the Wilson "
-                    "bound needs 0/1 losses (use hoeffding instead)"
-                )
-            k = int(sum(r.loss for r in records))
-            bounds[slot] = wilson_upper(k, n, delta)
-        else:
-            bounds[slot] = hoeffding_upper(risk, n, delta)
-    total_upper = series_error(*(bounds[s].upper for s in COMPONENTS))
+        if method is BoundMethod.WILSON and any(r.loss not in (0.0, 1.0) for r in records):
+            raise ValueError(
+                f"component '{slot}' has non-binary losses; the Wilson "
+                "bound needs 0/1 losses (use hoeffding instead)"
+            )
+        bounds.append(confidence_bound(method, empirical_risk(records), len(records), delta))
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    provenance = CertProvenance(
-        fold_strategy=fold_strategy,
-        sample_sizes=tuple(bounds[s].sample_size for s in COMPONENTS),  # type: ignore[arg-type]
-        timestamp=timestamp,
-        union_delta=min(1.0, 3.0 * delta),
-    )
     return ValidationCertificate(
-        pipeline_id=pipeline.id,
-        measured_cost=measured_cost,
-        ret_bound=bounds["retrieval"],
-        gen_bound=bounds["generation"],
-        ver_bound=bounds["verification"],
-        total_upper=total_upper,
-        delta=delta,
-        provenance=provenance,
+        pipeline.id, measured_cost, tuple(bounds), delta, fold_strategy, timestamp
     )
 
 

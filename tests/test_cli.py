@@ -160,18 +160,26 @@ class TestCertify:
         assert exc.value.code == 2
 
     def test_certificate_round_trip(self, tmp_path):
-        pipeline = PipelineSpec(id="pi", kind=PipelineKind.FULL, expected_cost=2.06)
-        sets = {
-            slot: loss_records([0.0, 1.0, 0.0, 0.0])
-            for slot in ("retrieval", "generation", "verification")
-        }
-        cert = certify(
-            pipeline, sets, measured_cost=2.06, delta=0.05,
-            method=BoundMethod.WILSON, timestamp="2026-01-01T00:00:00+00:00",
-        )
-        path = tmp_path / "roundtrip.cert"
-        path.write_text(certificate_to_text(cert))
-        assert read_certificate(path) == cert
+        binary, graded = [0.0, 1.0, 0.0, 0.0], [0.0, 0.25, 0.5, 1.0, 0.125]
+        cases = [
+            (method, kind, binary)
+            for method in (BoundMethod.WILSON, BoundMethod.HOEFFDING)
+            for kind in (PipelineKind.FULL, PipelineKind.RETRIEVAL_ONLY)
+        ] + [(BoundMethod.HOEFFDING, PipelineKind.FULL, graded)]
+        for i, (method, kind, losses) in enumerate(cases):
+            pipeline = PipelineSpec(id="pi", kind=kind, expected_cost=2.06)
+            sets = {
+                slot: loss_records(losses)
+                for slot in ("retrieval", "generation", "verification")
+            }
+            cert = certify(
+                pipeline, sets, measured_cost=2.06, delta=0.05,
+                method=method, timestamp="2026-01-01T00:00:00+00:00",
+            )
+            path = tmp_path / f"roundtrip{i}.cert"
+            path.write_text(certificate_to_text(cert))
+            assert read_certificate(path) == cert, (method, kind, losses)
+            assert certificate_to_text(read_certificate(path)) == path.read_text()
 
 
 class TestClassify:

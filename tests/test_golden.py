@@ -74,9 +74,12 @@ POOR_RECORDS = "component,loss\n" + "".join(
 
 TIMESTAMP = "2026-01-01T00:00:00+00:00"
 
+# "certify" is Hoeffding on zero losses; "certify wilson" is the full-precision
+# Wilson certificate of POOR_RECORDS (10 errors in 40 per component).
 LEDGER_GOLDEN = {
     "score": "3508f68585e18e76",
     "certify": "2557dde0f6ccc477",
+    "certify wilson": "2fe717cf18f79e63",
     "classify": "10725d92d445ba31",
 }
 
@@ -101,13 +104,14 @@ def _ledger_argv(tmp_path, capsys):
         (tmp_path / name).write_text(text, encoding="utf-8")
     clean, poor = str(tmp_path / "clean.csv"), str(tmp_path / "poor.csv")
     certify_modern = _certify_argv(clean, "modern_actual", "2.06", "hoeffding")
-    weak = _certify_argv(poor, "weak_full", "20.0", "wilson") + ["--out", str(tmp_path / "weak.cert")]
+    certify_weak = _certify_argv(poor, "weak_full", "20.0", "wilson")
     assert main(certify_modern + ["--out", str(tmp_path / "modern.cert")]) == 0
-    assert main(weak) == 0
+    assert main(certify_weak + ["--out", str(tmp_path / "weak.cert")]) == 0
     capsys.readouterr()
     return {
         "score": ["score", str(tmp_path / "pipelines.csv")],
         "certify": certify_modern,
+        "certify wilson": certify_weak,
         "classify": [
             "classify", "--pipelines", str(tmp_path / "pipelines.csv"),
             "--propositions", str(tmp_path / "props.csv"),

@@ -131,6 +131,55 @@ def test_certificate_sample_size_must_be_integer(tmp_path):
         read_certificate(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("measured_cost", "-1.0"),
+        ("delta", "1.5"),
+        ("ret_point", "1.5"),
+        ("ret_point", "0.3"),  # a wilson point is k/n: 0.3 is no count of 4
+        ("ret_delta", "1.5"),
+        ("ret_n", "-1"),
+    ],
+)
+def test_certificate_number_out_of_range_names_its_line(tmp_path, key, value):
+    text = replace_line(certificate_text(), f"{key} =", f"{key} = {value}")
+    with pytest.raises(InputError, match=rf"r\.cert:{line_of(text, f'{key} =')}: "):
+        read_certificate(write(tmp_path, "r.cert", text))
+
+
+def test_unknown_certificate_key_names_its_line(tmp_path):
+    text = certificate_text() + "ret_uper = 0.0\n"
+    match = rf"u\.cert:{text.count(chr(10))}: unknown certificate key 'ret_uper'"
+    with pytest.raises(InputError, match=match):
+        read_certificate(write(tmp_path, "u.cert", text))
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {"total_upper": "0.9548180756357"},  # within the 1e-9 that was once forgiven
+        {"ret_upper": "0.5"},
+        # Hand-tightened: total_upper = series_error(0.5, gen_upper, ver_upper) agrees with it.
+        {"total_upper": "0.9365721748254872", "ret_upper": "0.5"},
+        {"ver_upper": "0.7"},
+        {"ret_delta": "0.9"},
+        {"gen_synthetic": "true"},
+        {"sample_sizes": "1,2,3"},
+        {"union_delta": "0"},
+    ],
+    ids=lambda edits: "+".join(edits),
+)
+def test_certificate_derived_key_must_match_its_evidence(tmp_path, edits):
+    text = certificate_text()
+    for key, value in edits.items():
+        text = replace_line(text, f"{key} =", f"{key} = {value}")
+    key = next(iter(edits))  # the first edited line in the file
+    match = rf"d\.cert:{line_of(text, f'{key} =')}: {key} = .* does not match its evidence"
+    with pytest.raises(InputError, match=match):
+        read_certificate(write(tmp_path, "d.cert", text))
+
+
 class TestMissingKeyNamesALine:
     def test_certificate(self, tmp_path):
         lines = certificate_text().splitlines()
@@ -468,8 +517,8 @@ def test_certify_text_flags_round_trip(tmp_path, capsys):
     assert main(argv) == 0
     cert = read_certificate(out)
     assert cert.pipeline_id == "a,b"
-    assert cert.provenance.fold_strategy == "kfold k = 5; grouped"
-    assert cert.provenance.timestamp == "2026-01-01T00:00:00+00:00"
+    assert cert.fold_strategy == "kfold k = 5; grouped"
+    assert cert.timestamp == "2026-01-01T00:00:00+00:00"
 
 
 class TestUnknownScenarioNames:

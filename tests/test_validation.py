@@ -21,7 +21,6 @@ from epistemic_ledger.metrics import (
 )
 from epistemic_ledger.validation import (
     BoundMethod,
-    CertProvenance,
     CertificationRefusedError,
     ConfidenceBound,
     EqualMass,
@@ -33,6 +32,7 @@ from epistemic_ledger.validation import (
     RollingWindow,
     ValidationCertificate,
     certify,
+    confidence_bound,
     cv_risk,
     ece,
     empirical_risk,
@@ -58,14 +58,7 @@ def make_cert(total_upper, cost, pipeline_id="pi", delta=0.05):
     ret = ConfidenceBound(0.0, total_upper, BoundMethod.HOEFFDING, delta, 100)
     zero = ConfidenceBound(0.0, 0.0, BoundMethod.HOEFFDING, delta, 100)
     return ValidationCertificate(
-        pipeline_id=pipeline_id,
-        measured_cost=cost,
-        ret_bound=ret,
-        gen_bound=zero,
-        ver_bound=zero,
-        total_upper=total_upper,
-        delta=delta,
-        provenance=CertProvenance("holdout", (100, 100, 100), "2026-01-01T00:00:00+00:00", 0.15),
+        pipeline_id, cost, (ret, zero, zero), delta, "holdout", "2026-01-01T00:00:00+00:00"
     )
 
 
@@ -389,6 +382,25 @@ class TestPenalizedSelect:
             penalized_select([], data, plan, lam=0.0)
 
 
+class TestConfidenceBound:
+    @pytest.mark.parametrize("method", list(BoundMethod))
+    def test_no_samples_is_the_synthetic_zero_bound(self, method):
+        bound = confidence_bound(method, 0.0, 0, 0.05)
+        assert bound == ConfidenceBound(0.0, 0.0, method, 0.05, 0)
+        assert bound.synthetic
+        with pytest.raises(ValueError, match="no samples"):
+            confidence_bound(method, 0.1, 0, 0.05)
+
+    def test_each_method_is_its_bound(self):
+        assert confidence_bound(BoundMethod.WILSON, 0.25, 40, 0.05) == wilson_upper(10, 40, 0.05)
+        assert confidence_bound(BoundMethod.HOEFFDING, 0.3, 7, 0.05) == hoeffding_upper(0.3, 7, 0.05)
+        assert not hoeffding_upper(0.3, 7, 0.05).synthetic
+
+    def test_wilson_point_is_a_count_over_n(self):
+        with pytest.raises(ValueError, match="k/n"):
+            confidence_bound(BoundMethod.WILSON, 0.3, 4, 0.05)
+
+
 class TestCertify:
     def _pipeline(self, kind=PipelineKind.FULL):
         return PipelineSpec(id="pi", kind=kind, expected_cost=2.06)
@@ -408,7 +420,7 @@ class TestCertify:
             method=BoundMethod.HOEFFDING,
         )
         # sqrt(ln 20 / 2000) per component, composed multiplicatively.
-        assert cert.ret_bound.upper == pytest.approx(0.0387023, abs=1e-6)
+        assert cert.bounds[0].upper == pytest.approx(0.0387023, abs=1e-6)
         assert cert.total_upper == pytest.approx(0.1116712, abs=1e-6)
         assert lower_bound_score(cert, 10.0) == pytest.approx(0.7365910, abs=1e-6)
 
@@ -419,9 +431,10 @@ class TestCertify:
             measured_cost=5.9,
             delta=0.05,
         )
-        assert cert.gen_bound.upper == 0.0
-        assert cert.gen_bound.synthetic
-        assert cert.ver_bound.upper == 0.0
+        _, gen, ver = cert.bounds
+        assert gen.upper == 0.0
+        assert gen.synthetic
+        assert ver.upper == 0.0
 
     def test_smaller_delta_widens_total_upper(self):
         loose = certify(
@@ -461,7 +474,7 @@ class TestCertify:
             "verification": loss_records([0] * 100),
         }
         cert = certify(self._pipeline(), sets, 2.06, delta=0.05)
-        for bound in (cert.ret_bound, cert.gen_bound, cert.ver_bound):
+        for bound in cert.bounds:
             assert cert.total_upper >= bound.upper
 
     @given(
@@ -474,12 +487,12 @@ class TestCertify:
             for slot, (n, k) in zip(("retrieval", "generation", "verification"), counts)
         }
         cert = certify(self._pipeline(), sets, 2.06, delta=0.05, method=method)
-        r, g, v = cert.ret_bound.upper, cert.gen_bound.upper, cert.ver_bound.upper
+        r, g, v = (bound.upper for bound in cert.bounds)
         assert cert.total_upper == 1.0 - ((1.0 - r) * (1.0 - g) * (1.0 - v))
 
     def test_union_delta_recorded(self):
         cert = certify(self._pipeline(), self._zero_sets(), 2.06, delta=0.05)
-        assert cert.provenance.union_delta == pytest.approx(0.15)
+        assert cert.union_delta == pytest.approx(0.15)
 
 
 class TestPlugInAndLowerBound:
