@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import math
+import operator
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -269,8 +270,14 @@ def _unique_id(kind: str, id_: str, first_line: dict[str, int], path: str | Path
     return id_
 
 
-def _rows(path: str | Path, expected: Sequence[str]) -> Iterable[tuple[int, dict[str, str]]]:
-    """Each data row with the line it starts on (a quoted cell may span lines)."""
+def _rows(
+    path: str | Path, expected: Sequence[str], optional: Sequence[str] = ()
+) -> Iterable[tuple[int, tuple[str, ...]]]:
+    """Each data row's ``expected`` then ``optional`` cells, with the line the row starts on.
+
+    A quoted cell may span lines. An optional cell that the header or the row
+    lacks reads "".
+    """
     reader = csv.reader(io.StringIO(read_input(path)))
     start = 1  # the line the row being read starts on
     try:
@@ -281,10 +288,16 @@ def _rows(path: str | Path, expected: Sequence[str]) -> Iterable[tuple[int, dict
         if missing:
             raise InputError(f"missing column(s): {', '.join(missing)}", str(path), 1)
         width = 1 + max(header.index(c) for c in expected)
+        # Each row is padded with blanks, so a cell past a short row's end, or
+        # at -1 for a column the header lacks, reads "".
+        columns = [header.index(c) if c in header else -1 for c in (*expected, *optional)]
+        blank = [""] * (1 + max(columns))
+        cells_of = operator.itemgetter(*columns)
         start = reader.line_num + 1
         for cells in reader:
             if len(cells) >= width:
-                yield start, dict(zip(header, cells))
+                cells += blank
+                yield start, cells_of(cells)
             elif cells:  # a short row, or one that an unterminated quote ran on into
                 empty = ", ".join(c for c in expected if header.index(c) >= len(cells))
                 raise InputError(f"row has no value for column(s): {empty}", str(path), start)
@@ -297,20 +310,23 @@ def read_pipelines_csv(path: str | Path) -> list[PipelineSpec]:
     """Columns: id, kind, expected_cost, eps_ret, eps_gen, eps_ver[, joint_error]."""
     pipelines = []
     first_line: dict[str, int] = {}
-    for line, row in _rows(path, ("id", "kind", "expected_cost", "eps_ret", "eps_gen", "eps_ver")):
-        pipeline_id = _unique_id("pipeline", row["id"].strip(), first_line, path, line)
-        kind = _choice(PipelineKind, row["kind"].strip(), "pipeline kind", path, line)
-        joint_raw = (row.get("joint_error") or "").strip()
+    rows = _rows(
+        path, ("id", "kind", "expected_cost", "eps_ret", "eps_gen", "eps_ver"), ("joint_error",)
+    )
+    for line, (id_, kind_raw, cost, eps_ret, eps_gen, eps_ver, joint_raw) in rows:
+        pipeline_id = _unique_id("pipeline", id_.strip(), first_line, path, line)
+        kind = _choice(PipelineKind, kind_raw.strip(), "pipeline kind", path, line)
+        joint_raw = joint_raw.strip()
         with _at(path, line):
             pipelines.append(
                 PipelineSpec(
                     id=check_pipeline_id(pipeline_id),
                     kind=kind,
-                    expected_cost=_number(row["expected_cost"], "expected_cost", path, line),
+                    expected_cost=_number(cost, "expected_cost", path, line),
                     errors=ComponentErrors(
-                        retrieval=_number(row["eps_ret"], "eps_ret", path, line),
-                        generation=_number(row["eps_gen"], "eps_gen", path, line),
-                        verification=_number(row["eps_ver"], "eps_ver", path, line),
+                        retrieval=_number(eps_ret, "eps_ret", path, line),
+                        generation=_number(eps_gen, "eps_gen", path, line),
+                        verification=_number(eps_ver, "eps_ver", path, line),
                     ),
                     joint_error=_number(joint_raw, "joint_error", path, line) if joint_raw else None
                 )
@@ -319,18 +335,20 @@ def read_pipelines_csv(path: str | Path) -> list[PipelineSpec]:
 
 
 def read_eval_records_csv(path: str | Path) -> dict[str, list[LossRecord]]:
-    """Columns: component, loss[, predicted, actual]."""
+    """Columns: component, loss[, predicted, actual]; ``predicted`` and ``actual`` are ignored.
+
+    Rows with the same loss text share one record, so a 0/1 file builds two.
+    """
     sets: dict[str, list[LossRecord]] = {}
-    for line, row in _rows(path, ("component", "loss")):
-        component = row["component"].strip()
+    records: dict[str, LossRecord] = {}  # by loss text
+    for line, (component, loss) in _rows(path, ("component", "loss")):
+        component = component.strip()
         if component not in COMPONENTS:
             raise InputError(f"unknown component {component!r}", str(path), line)
-        with _at(path, line):
-            record = LossRecord(
-                predicted=(row.get("predicted") or "").strip(),
-                actual=(row.get("actual") or "").strip(),
-                loss=_number(row["loss"], "loss", path, line),
-            )
+        record = records.get(loss)
+        if record is None:
+            with _at(path, line):
+                record = records[loss] = LossRecord("", "", _number(loss, "loss", path, line))
         sets.setdefault(component, []).append(record)
     return sets
 
@@ -340,18 +358,19 @@ def read_propositions_csv(path: str | Path, pipelines: Mapping[str, PipelineSpec
     propositions = []
     sets: dict[str, tuple[PipelineSpec, ...]] = {}
     first_line: dict[str, int] = {}
-    for line, row in _rows(path, ("id", "description", "weight", "threshold", "pipelines")):
-        prop_id = _unique_id("proposition", row["id"].strip(), first_line, path, line)
+    rows = _rows(path, ("id", "description", "weight", "threshold", "pipelines"))
+    for line, (id_, description, weight, threshold, listed_raw) in rows:
+        prop_id = _unique_id("proposition", id_.strip(), first_line, path, line)
         with _at(path, line):
             propositions.append(
                 Proposition(
                     id=prop_id,
-                    description=_one_line(row["description"].strip(), "description", path, line),
-                    salience_weight=_number(row["weight"], "weight", path, line),
-                    threshold=_number(row["threshold"], "threshold", path, line),
+                    description=_one_line(description.strip(), "description", path, line),
+                    salience_weight=_number(weight, "weight", path, line),
+                    threshold=_number(threshold, "threshold", path, line),
                 )
             )
-        listed = [p.strip() for p in row["pipelines"].split(";") if p.strip()]
+        listed = [p.strip() for p in listed_raw.split(";") if p.strip()]
         unknown = [p for p in listed if p not in pipelines]
         if unknown:
             raise InputError(
@@ -365,48 +384,54 @@ def read_propositions_csv(path: str | Path, pipelines: Mapping[str, PipelineSpec
 
 
 def read_executions_csv(
-    path: str | Path, known_propositions: Collection[str], known_pipelines: Collection[str]
+    path: str | Path, known_propositions: Collection[str], pipelines: Mapping[str, PipelineSpec]
 ) -> list[ExecutionRecord]:
-    """Columns: proposition_id, pipeline_id, executed, outcome, avoidance_evidence, certificate, timestamp."""
+    """Columns: proposition_id, pipeline_id, executed, outcome, avoidance_evidence,
+    certificate[, timestamp].
+
+    A certificate must be for the row's pipeline and validate every component
+    that pipeline's kind runs.
+    """
     records = []
     certificates: dict[str, ValidationCertificate] = {}  # by cell, so each file is read once
     base = Path(path).parent
-    for line, row in _rows(
+    rows = _rows(
         path,
         ("proposition_id", "pipeline_id", "executed", "outcome", "avoidance_evidence", "certificate"),
-    ):
-        prop_id = row["proposition_id"].strip()
+        ("timestamp",),
+    )
+    for line, (prop_id, pipeline_id, executed, outcome, evidence, cert_raw, timestamp) in rows:
+        prop_id = prop_id.strip()
         if prop_id not in known_propositions:
             raise InputError(
                 f"execution references unknown proposition {prop_id!r}", str(path), line
             )
-        executed_raw = row["executed"].strip().lower()
+        executed_raw = executed.strip().lower()
         if executed_raw not in ("true", "false"):
             raise InputError(
-                f"column 'executed' must be true or false, got {row['executed']!r}",
-                str(path),
-                line,
+                f"column 'executed' must be true or false, got {executed!r}", str(path), line
             )
-        outcome_raw = (row.get("outcome") or "").strip()
+        outcome_raw = outcome.strip()
         outcome = _choice(Verdict, outcome_raw, "outcome", path, line) if outcome_raw else None
-        evidence_raw = (row.get("avoidance_evidence") or "none").strip() or "none"
+        evidence_raw = evidence.strip() or "none"
         evidence = _choice(AvoidanceEvidence, evidence_raw, "avoidance evidence", path, line)
-        pipeline_id = _one_line(row["pipeline_id"].strip(), "pipeline id", path, line)
+        pipeline_id = _one_line(pipeline_id.strip(), "pipeline id", path, line)
         with _at(path, line):
             check_pipeline_id(pipeline_id)
-        if pipeline_id not in known_pipelines:
+        if pipeline_id not in pipelines:
             raise InputError(
                 f"execution references unknown pipeline {pipeline_id!r}", str(path), line
             )
-        cert_raw = (row.get("certificate") or "").strip()
+        cert_raw = cert_raw.strip()
         certificate = None
         if cert_raw:
-            certificate = certificates.get(cert_raw)
-            if certificate is None:
+            first_read = cert_raw not in certificates
+            if first_read:
                 cert_path = base / cert_raw  # an absolute cert_raw replaces base
                 if not cert_path.exists():
                     raise InputError(f"certificate file not found: {cert_raw}", str(path), line)
-                certificate = certificates[cert_raw] = read_certificate(cert_path)
+                certificates[cert_raw] = read_certificate(cert_path)
+            certificate = certificates[cert_raw]
             if certificate.pipeline_id != pipeline_id:
                 raise InputError(
                     f"certificate {cert_raw} is for pipeline {certificate.pipeline_id!r}, "
@@ -414,6 +439,21 @@ def read_executions_csv(
                     str(path),
                     line,
                 )
+            if first_read:  # later rows naming this cell are for the same pipeline
+                # certify gives the synthetic n = 0 bound only to a component the
+                # kind lacks; on one it runs, it would count as error-free.
+                runs = pipelines[pipeline_id].kind.components
+                unvalidated = [
+                    c for c, b in zip(COMPONENTS, certificate.bounds) if b.synthetic and c in runs
+                ]
+                if unvalidated:
+                    raise InputError(
+                        f"certificate {cert_raw} has no evaluation records (n = 0) for "
+                        f"component(s) {', '.join(unvalidated)}, which pipeline "
+                        f"{pipeline_id!r} runs",
+                        str(path),
+                        line,
+                    )
         with _at(path, line):
             records.append(
                 ExecutionRecord(
@@ -423,7 +463,7 @@ def read_executions_csv(
                     certificate=certificate,
                     outcome=outcome,
                     avoidance_evidence=evidence,
-                    timestamp=(row.get("timestamp") or "").strip(),
+                    timestamp=timestamp.strip(),
                 )
             )
     return records
@@ -462,19 +502,31 @@ def _cert_value(value: object) -> str:
 
 
 def certificate_to_text(cert: ValidationCertificate) -> str:
-    """Flat key=value serialization, full precision for exact round-trips."""
+    """Flat key=value serialization, full precision for exact round-trips.
+
+    The text is read back as ``read_certificate`` reads it, so a certificate
+    whose derived values are not what its evidence gives raises ValueError,
+    naming the first such key, instead of being written.
+    """
     lines = [f"{key} = {_cert_value(value)}" for key, value in _certificate_items(cert)]
-    return "\n".join(["# validation certificate", *lines]) + "\n"
+    text = "\n".join(["# validation certificate", *lines]) + "\n"
+    _rebuild(parse_sections(text, f"certificate for {cert.pipeline_id!r}", flat=True)[""])
+    return text
 
 
 def read_certificate(path: str | Path) -> ValidationCertificate:
+    """The certificate a file's evidence keys give, as ``certify`` builds one (see ``_rebuild``)."""
+    return _rebuild(parse_sections(read_input(path), str(path), flat=True)[""])
+
+
+def _rebuild(cert: Section) -> ValidationCertificate:
     """Rebuild a certificate from its evidence keys, as ``certify`` builds one.
 
     Each derived key must hold what the evidence gives: a number equal as a
     number, any other value as the text ``certificate_to_text`` writes. A key
     that does not, an unknown key and a number out of range fail at their line.
     """
-    cert = parse_sections(read_input(path), str(path), flat=True)[""]
+    path = cert.path
     delta = cert.number("delta", to=check_delta)
     bounds = []
     for prefix in _PREFIXES:

@@ -220,7 +220,9 @@ def _cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         capacity_point = capacity_index(docket, org_scores)
         capacity_lower = lower_bound_capacity(docket, certs, policy)
     findings = {
-        p.id: classify(p, sets[p.id], records[p.id], policy, capacity=capacity_point)
+        p.id: classify(
+            p, sets[p.id], records[p.id], policy, capacity=capacity_point, score=org_scores[p.id]
+        )
         for p in docket.propositions
     }
     report = audit_report(

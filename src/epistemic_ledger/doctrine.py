@@ -202,17 +202,21 @@ def classify(
     executions: Sequence[ExecutionRecord],
     policy: PolicyParams,
     capacity: float | None = None,
+    score: float | None = None,
 ) -> DoctrineFinding:
     """Run all five doctrine tests for one proposition.
 
     ``capacity`` is the firm-wide capacity index feeding the negligence
     test; when omitted, the proposition's own indicator (best available
     score against its threshold) stands in, so negligence is then judged
-    per proposition.
+    per proposition. ``score`` is ``org_score(available, policy)`` when the
+    caller has it already; when omitted, it is computed here.
     """
     wb_params = WilfulBlindnessParams()
     records = [r for r in executions if r.proposition_id == proposition.id]
-    best = org_score(available, policy) if available else None
+    best = score
+    if best is None and available:
+        best = org_score(available, policy)
     if capacity is None:
         capacity = 1.0 if (best or 0.0) >= proposition.threshold else 0.0
     found: dict[Doctrine, Mapping[str, object]] = {}

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 
@@ -118,6 +119,11 @@ class PipelineSpec:
             )
 
     def total_error(self) -> float:
+        return self._total_error
+
+    @cached_property
+    def _total_error(self) -> float:
+        # Worked out once: a spec is immutable, and every proposition listing it shares it.
         return total_error(self.errors, self.joint_error)
 
 
@@ -295,14 +301,12 @@ def epistemic_frontier(pipelines: Sequence[PipelineSpec]) -> list[FrontierPoint]
     """
     if not pipelines:
         raise ValueError("epistemic_frontier requires a non-empty pipeline set")
-    points = sorted(
-        (FrontierPoint(p.expected_cost, p.total_error(), p.id) for p in pipelines),
-        key=lambda fp: (fp.cost, fp.total_error, fp.pipeline_id),
-    )
+    ordered = sorted(pipelines, key=lambda p: (p.expected_cost, p.total_error(), p.id))
     frontier: list[FrontierPoint] = []
     best_error = math.inf
-    for point in points:
-        if point.total_error < best_error:
-            frontier.append(point)
-            best_error = point.total_error
+    for p in ordered:
+        error = p.total_error()
+        if error < best_error:
+            frontier.append(FrontierPoint(p.expected_cost, error, p.id))
+            best_error = error
     return frontier

@@ -4,6 +4,8 @@ import csv
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epistemic_ledger import artifacts, cli, doctrine, metrics
 from epistemic_ledger.artifacts import (
@@ -11,11 +13,12 @@ from epistemic_ledger.artifacts import (
     certificate_to_text,
     csv_text,
     read_certificate,
+    read_eval_records_csv,
     read_pipelines_csv,
 )
 from epistemic_ledger.cli import main
-from epistemic_ledger.metrics import PipelineKind, PipelineSpec
-from epistemic_ledger.validation import BoundMethod, certify
+from epistemic_ledger.metrics import COMPONENTS, PipelineKind, PipelineSpec
+from epistemic_ledger.validation import BoundMethod, LossRecord, certify
 
 from test_golden import _ledger_argv
 from test_validation import loss_records
@@ -182,6 +185,62 @@ class TestCertify:
             assert certificate_to_text(read_certificate(path)) == path.read_text()
 
 
+def _reference_sets(text):
+    """Each component's losses in file order, parsed one dict per row."""
+    sets = {}
+    for row in csv.DictReader(io.StringIO(text)):
+        sets.setdefault(row["component"].strip(), []).append(float(row["loss"]))
+    return sets
+
+
+def _certificate_or_error(sets, method):
+    pipeline = PipelineSpec(id="pi", kind=PipelineKind.FULL, expected_cost=2.06)
+    try:
+        cert = certify(pipeline, sets, measured_cost=2.06, delta=0.05, method=method,
+                       timestamp="2026-01-01T00:00:00+00:00")
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return certificate_to_text(cert)
+
+
+_LOSS_TEXT = st.one_of(
+    st.sampled_from(["0", "1", "0.0", "1.0", " 1", "0 "]),  # 0/1 losses, repeated
+    st.sampled_from(["0.25", "0.5", "0.125"]),  # graded losses, repeated
+    st.floats(min_value=0.0, max_value=1.0).map(repr),  # graded losses, mostly distinct
+)
+_CELL = st.text(alphabet="ab ,\"\n", max_size=4)
+
+
+class TestEvalRecords:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.sampled_from(COMPONENTS), _LOSS_TEXT, _CELL, _CELL), max_size=40),
+        extra=st.sampled_from([(), ("predicted", "actual"), ("actual",)]),
+        order=st.randoms(use_true_random=False),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_losses_match_a_dict_reader_parse(self, tmp_path_factory, rows, extra, order, newline):
+        rows = rows + [(c, "0", "", "") for c in COMPONENTS]  # every component certify needs
+        columns = ["component", "loss", *extra]
+        order.shuffle(columns)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator=newline)
+        writer.writerow(columns)
+        for component, loss, predicted, actual in rows:
+            cells = {"component": component, "loss": loss, "predicted": predicted, "actual": actual}
+            writer.writerow([cells[c] for c in columns])
+        text = buffer.getvalue()
+        path = tmp_path_factory.mktemp("records") / "records.csv"
+        path.write_bytes(text.encode("utf-8"))
+
+        read = read_eval_records_csv(path)
+        reference = _reference_sets(text)
+        assert {c: [r.loss for r in records] for c, records in read.items()} == reference
+        as_records = {c: [LossRecord("", "", x) for x in xs] for c, xs in reference.items()}
+        for method in BoundMethod:
+            assert _certificate_or_error(read, method) == _certificate_or_error(as_records, method)
+
+
 class TestClassify:
     def _inputs(self, tmp_path, executions=None):
         pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
@@ -240,7 +299,27 @@ class TestClassify:
         assert len(reads) == 1
         assert lookups.count(cert_path) == 1  # the path is joined and looked up once per cell
 
-    def test_each_proposition_is_scored_once_for_the_report_and_once_by_classify(
+    def test_row_may_stop_before_its_timestamp_cell(self, tmp_path, capsys):
+        records = records_csv(tmp_path)
+        main(
+            ["certify", records, "--pipeline-id", "modern_actual", "--cost", "2.06",
+             "--timestamp", "2026-01-01T00:00:00+00:00", "--out", str(tmp_path / "m.cert")]
+        )
+        capsys.readouterr()
+        reports = []
+        for row in ("bid_independence,modern_actual,true,established,none,m.cert,\n",
+                    "bid_independence,modern_actual,true,established,none,m.cert\n"):
+            executions = (
+                "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
+                + row
+            )
+            assert main(self._inputs(tmp_path, executions)) == 0
+            out = capsys.readouterr().out
+            reports.append([line for line in out.splitlines() if not line.startswith("inputs_hash")])
+        assert "primary = actual_knowledge" in reports[0]
+        assert reports[1] == reports[0]
+
+    def test_each_proposition_is_scored_once(
         self, tmp_path, capsys, monkeypatch
     ):
         argv = _ledger_argv(tmp_path, capsys)["classify"]
@@ -252,7 +331,7 @@ class TestClassify:
             )
         assert main(argv) == 0
         # The golden docket has five propositions with pipelines and one without.
-        assert len(calls) == 10
+        assert len(calls) == 5
 
     def test_missing_certificate_names_its_row(self, tmp_path, capsys):
         executions = (

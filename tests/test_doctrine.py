@@ -300,16 +300,20 @@ _RECORD = st.builds(
 )
 
 
+# classify's inputs: available pipelines, execution records, threshold, capacity.
+_CLASSIFY_INPUTS = (
+    st.sampled_from([(), ("a",), ("a", "b"), ("a", "b", "c")]).flatmap(_pipelines),
+    st.lists(_RECORD, max_size=5),
+    st.sampled_from([0.5, 0.7, 0.9]),
+    st.one_of(st.none(), st.sampled_from([0.0, 0.5, 0.7, 1.0])),
+)
+
+
 class TestClassifyReference:
     """``classify`` against the five public tests, run on the proposition's own records."""
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.sampled_from([(), ("a",), ("a", "b"), ("a", "b", "c")]).flatmap(_pipelines),
-        st.lists(_RECORD, max_size=5),
-        st.sampled_from([0.5, 0.7, 0.9]),
-        st.one_of(st.none(), st.sampled_from([0.0, 0.5, 0.7, 1.0])),
-    )
+    @given(*_CLASSIFY_INPUTS)
     def test_findings_match_the_public_tests(self, available, records, threshold, capacity):
         prop = Proposition(id="phi", description="a salient fact", threshold=threshold)
         finding = classify(prop, available, records, POLICY, capacity=capacity)
@@ -339,6 +343,15 @@ class TestClassifyReference:
         order = [d for d, _ in finding.rationale]
         assert order == [d for d in PRECEDENCE if d in expected]
         assert finding.primary is (order[0] if order else None)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(*_CLASSIFY_INPUTS)
+    def test_the_callers_score_gives_the_same_finding(self, available, records, threshold, capacity):
+        prop = Proposition(id="phi", description="a salient fact", threshold=threshold)
+        score = org_score(available, POLICY) if available else None
+        given = classify(prop, available, records, POLICY, capacity=capacity, score=score)
+        assert given == classify(prop, available, records, POLICY, capacity=capacity)
 
 
 class TestDocketIntegration:

@@ -1,5 +1,6 @@
 """Malformed input files and flags: every one exits with a file:line diagnostic."""
 
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -14,10 +15,17 @@ from epistemic_ledger.artifacts import (
 from epistemic_ledger.cli import ENV_SEED, main
 from epistemic_ledger.metrics import PipelineKind, PipelineSpec, PolicyParams
 from epistemic_ledger.simlab import SimScenario, parse_scenario
-from epistemic_ledger.validation import BoundMethod, certify
+from epistemic_ledger.validation import (
+    BoundMethod,
+    ConfidenceBound,
+    ValidationCertificate,
+    certify,
+    confidence_bound,
+)
 
 from test_cli import PIPELINES_CSV, PROPOSITIONS_CSV, records_csv, write
-from test_validation import loss_records
+from test_golden import POOR_RECORDS
+from test_validation import loss_records, make_cert
 
 APPENDIX_A = (
     resources.files("epistemic_ledger.simlab").joinpath("data", "appendix_a.scenario").read_text()
@@ -178,6 +186,17 @@ def test_certificate_derived_key_must_match_its_evidence(tmp_path, edits):
     match = rf"d\.cert:{line_of(text, f'{key} =')}: {key} = .* does not match its evidence"
     with pytest.raises(InputError, match=match):
         read_certificate(write(tmp_path, "d.cert", text))
+
+
+def test_certificate_writer_refuses_what_the_reader_rejects():
+    # make_cert's bounds are not what their evidence gives: read back, it would fail.
+    with pytest.raises(ValueError, match=r":5: total_upper = 0\.050000000000000044 does not match"):
+        certificate_to_text(make_cert(0.05, 2.06))
+    # Synthetic bounds at delta 0.1 under a certificate at delta 0.05: only ret_delta and on differ.
+    zero = ConfidenceBound(0.0, 0.0, BoundMethod.WILSON, 0.1, 0)
+    cert = ValidationCertificate("pi", 2.06, (zero, zero, zero), 0.05, "holdout", "2026-01-01")
+    with pytest.raises(ValueError, match=r"ret_delta = 0\.1 does not match its evidence, which gives 0\.05"):
+        certificate_to_text(cert)
 
 
 class TestMissingKeyNamesALine:
@@ -430,6 +449,51 @@ def test_execution_certificate_must_be_for_its_pipeline(tmp_path, capsys):
         f"{other}:3: certificate m.cert is for pipeline 'modern_actual', not 'legacy_actual'" in err
     )
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "unvalidated, named",
+    [((0, 1, 2), "retrieval, generation, verification"), ((2,), "verification")],
+)
+def test_execution_certificate_must_validate_each_component_its_pipeline_runs(
+    tmp_path, capsys, unvalidated, named
+):
+    # certify refuses a component without records. A certificate edited to give
+    # one the synthetic n = 0 bound would count it as error-free, and turn a
+    # reckless execution (s_lb 0.2015) into actual knowledge (s_lb 0.8292).
+    records = write(tmp_path, "poor.csv", POOR_RECORDS)
+    argv = ["certify", records, "--cost", "2.06", "--timestamp", "2026-01-01T00:00:00+00:00"]
+    assert main(argv + ["--pipeline-id", "modern_actual", "--out", str(tmp_path / "m.cert")]) == 0
+    legacy = ["--pipeline-id", "legacy_actual", "--kind", "retrieval_only"]
+    assert main(argv + legacy + ["--out", str(tmp_path / "r.cert")]) == 0
+    capsys.readouterr()
+    pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
+    props = write(tmp_path, "props.csv", PROPOSITIONS_CSV)
+    header = "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
+    row = "bid_independence,modern_actual,true,established,none,m.cert,\n"
+    argv = ["classify", "--propositions", props, "--pipelines", pipelines, "--executions"]
+    assert main(argv + [write(tmp_path, "exec.csv", header + row)]) == 0
+    out = capsys.readouterr().out
+    assert "s_lb=0.2015" in out and "primary = recklessness" in out
+
+    cert = read_certificate(tmp_path / "m.cert")
+    zero = confidence_bound(BoundMethod.WILSON, 0.0, 0, cert.delta)
+    bounds = tuple(zero if i in unvalidated else b for i, b in enumerate(cert.bounds))
+    (tmp_path / "m.cert").write_text(certificate_to_text(replace(cert, bounds=bounds)))
+    assert read_certificate(tmp_path / "m.cert").bounds == bounds  # a well-formed certificate
+    executions = write(tmp_path, "exec.csv", header + row)
+    assert main(argv + [executions]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (
+        f"{executions}:2: certificate m.cert has no evaluation records (n = 0) for "
+        f"component(s) {named}, which pipeline 'modern_actual' runs"
+    ) in captured.err
+    assert "Traceback" not in captured.err
+
+    # A retrieval_only pipeline runs retrieval alone: its synthetic bounds are its own.
+    row = "bid_independence,legacy_actual,true,established,none,r.cert,\n"
+    assert main(argv + [write(tmp_path, "exec.csv", header + row)]) == 0
 
 
 def test_execution_of_a_pipeline_not_in_the_pipelines_file_is_rejected_at_its_row(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Unit and property tests for the pipeline scoring core."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -91,6 +92,16 @@ class TestTotalError:
     @given(unit, unit, unit)
     def test_bit_identical_to_the_written_out_product(self, r, g, v):
         assert total_error(ComponentErrors(r, g, v)) == 1.0 - ((1.0 - r) * (1.0 - g) * (1.0 - v))
+
+    def test_replaced_spec_works_out_its_own_total_error(self):
+        spec = make_pipeline("p", 1.0, ret=0.1, gen=0.2, ver=0.3)
+        before = spec.total_error()
+        assert before == total_error(spec.errors)
+        assert replace(spec, errors=ComponentErrors(0.5, 0.0, 0.0)).total_error() == 0.5
+        joint = replace(spec, joint_error=0.25)
+        assert joint.total_error() == 0.25
+        assert replace(joint, joint_error=None).total_error() == before
+        assert spec.total_error() == before
 
 
 @pytest.mark.parametrize(
