@@ -287,6 +287,9 @@ def _rows(
         missing = [c for c in expected if c not in header]
         if missing:
             raise InputError(f"missing column(s): {', '.join(missing)}", str(path), 1)
+        repeated = [c for c in (*expected, *optional) if header.count(c) > 1]
+        if repeated:
+            raise InputError(f"repeated column(s): {', '.join(repeated)}", str(path), 1)
         width = 1 + max(header.index(c) for c in expected)
         # Each row is padded with blanks, so a cell past a short row's end, or
         # at -1 for a column the header lacks, reads "".
@@ -504,13 +507,19 @@ def _cert_value(value: object) -> str:
 def certificate_to_text(cert: ValidationCertificate) -> str:
     """Flat key=value serialization, full precision for exact round-trips.
 
-    The text is read back as ``read_certificate`` reads it, so a certificate
-    whose derived values are not what its evidence gives raises ValueError,
-    naming the first such key, instead of being written.
+    The text is read back as ``read_certificate`` reads it. A certificate
+    whose derived values are not what its evidence gives, or that does not
+    read back equal to itself, raises ValueError naming the first such key
+    or field, instead of being written.
     """
     lines = [f"{key} = {_cert_value(value)}" for key, value in _certificate_items(cert)]
     text = "\n".join(["# validation certificate", *lines]) + "\n"
-    _rebuild(parse_sections(text, f"certificate for {cert.pipeline_id!r}", flat=True)[""])
+    rebuilt = _rebuild(parse_sections(text, f"certificate for {cert.pipeline_id!r}", flat=True)[""])
+    for name in (f.name for f in fields(cert)):
+        if getattr(rebuilt, name) != getattr(cert, name):
+            raise ValueError(
+                f"certificate {name} {getattr(cert, name)!r} reads back as {getattr(rebuilt, name)!r}"
+            )
     return text
 
 

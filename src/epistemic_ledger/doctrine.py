@@ -68,27 +68,12 @@ class ExecutionRecord:
             raise ValueError("an unexecuted record cannot carry an outcome")
 
 
-@dataclass(frozen=True)
-class WilfulBlindnessParams:
-    """Operationalisation of "trivially cheap" and "near certain".
-
-    A pipeline is a candidate for deliberate avoidance when its cost is at
-    most cheapness_factor * tau_star and its total error at most max_error.
-    """
-
-    cheapness_factor: float = 0.1
-    max_error: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.cheapness_factor <= 1.0):
-            raise ValueError(
-                f"cheapness_factor must lie in (0, 1], got {self.cheapness_factor}"
-            )
-        if not (0.0 < self.max_error < 1.0):
-            raise ValueError(f"max_error must lie in (0, 1), got {self.max_error}")
-
-
-# classify's "grossly poor": a lower-bound score more than this below theta_r.
+# Wilful blindness's "trivially cheap" and "near certain": a pipeline is a
+# candidate for deliberate avoidance when its cost is at most
+# CHEAPNESS_FACTOR * tau_star and its total error at most MAX_ERROR.
+CHEAPNESS_FACTOR = 0.1
+MAX_ERROR = 0.05
+# Recklessness's "grossly poor": a lower-bound score more than this below theta_r.
 RECKLESSNESS_MARGIN = 0.2
 
 
@@ -126,16 +111,13 @@ def actual_knowledge_test(
 
 
 def constructive_knowledge_test(
-    score: float | None,
-    executions: Sequence[ExecutionRecord],
-    theta_ck: float,
-    policy: PolicyParams,
+    score: float | None, executions: Sequence[ExecutionRecord], policy: PolicyParams
 ) -> bool:
     """Knowledge was achievable (org score >= theta_ck) but not obtained.
 
     ``score`` is the org score of the proposition's pipelines, None when it has none.
     """
-    if score is None or score < theta_ck:
+    if score is None or score < policy.theta_ck:
         return False
     return not any(
         actual_knowledge_test(r, policy.theta_ak, policy.tau_star) for r in executions
@@ -145,7 +127,6 @@ def constructive_knowledge_test(
 def _cheap_unexecuted(
     available: Sequence[PipelineSpec],
     records: Sequence[ExecutionRecord],
-    params: WilfulBlindnessParams,
     policy: PolicyParams,
 ) -> list[PipelineSpec]:
     """The cheap, near-certain pipelines of ``available`` that no record executed."""
@@ -153,8 +134,8 @@ def _cheap_unexecuted(
     return [
         p
         for p in available
-        if p.expected_cost <= params.cheapness_factor * policy.tau_star
-        and p.total_error() <= params.max_error
+        if p.expected_cost <= CHEAPNESS_FACTOR * policy.tau_star
+        and p.total_error() <= MAX_ERROR
         and p.id not in executed_ids
     ]
 
@@ -162,7 +143,6 @@ def _cheap_unexecuted(
 def wilful_blindness_test(
     available: Sequence[PipelineSpec],
     executions: Sequence[ExecutionRecord],
-    params: WilfulBlindnessParams,
     policy: PolicyParams,
 ) -> bool:
     """A cheap, near-certain pipeline went unexecuted amid avoidance evidence.
@@ -175,18 +155,16 @@ def wilful_blindness_test(
     deliberate = any(
         r.avoidance_evidence is not AvoidanceEvidence.NONE for r in executions
     )
-    return deliberate and bool(_cheap_unexecuted(available, executions, params, policy))
+    return deliberate and bool(_cheap_unexecuted(available, executions, policy))
 
 
-def recklessness_test(
-    record: ExecutionRecord, theta_r: float, margin: float, tau_star: float
-) -> bool:
+def recklessness_test(record: ExecutionRecord, theta_r: float, tau_star: float) -> bool:
     """Executed despite a grossly poor certificate, or with none at all."""
     if not record.executed:
         raise ValueError("recklessness_test applies only to executed records")
     if record.certificate is None:
         return True
-    return lower_bound_score(record.certificate, tau_star) < theta_r - margin
+    return lower_bound_score(record.certificate, tau_star) < theta_r - RECKLESSNESS_MARGIN
 
 
 def negligence_test(capacity: float, theta_neg: float) -> bool:
@@ -212,7 +190,6 @@ def classify(
     per proposition. ``score`` is ``org_score(available, policy)`` when the
     caller has it already; when omitted, it is computed here.
     """
-    wb_params = WilfulBlindnessParams()
     records = [r for r in executions if r.proposition_id == proposition.id]
     best = score
     if best is None and available:
@@ -233,24 +210,20 @@ def classify(
             "theta_ak": policy.theta_ak,
         }
 
-    if wilful_blindness_test(available, records, wb_params, policy):
-        cheap = min(_cheap_unexecuted(available, records, wb_params, policy), key=lambda p: p.id)
+    if wilful_blindness_test(available, records, policy):
+        cheap = min(_cheap_unexecuted(available, records, policy), key=lambda p: p.id)
         flags = sorted({r.avoidance_evidence.value for r in records} - {AvoidanceEvidence.NONE.value})
         found[Doctrine.WILFUL_BLINDNESS] = {
             "pipeline_id": cheap.id,
             "expected_cost": cheap.expected_cost,
-            "cost_ceiling": wb_params.cheapness_factor * policy.tau_star,
+            "cost_ceiling": CHEAPNESS_FACTOR * policy.tau_star,
             "total_error": cheap.total_error(),
-            "max_error": wb_params.max_error,
+            "max_error": MAX_ERROR,
             "avoidance_evidence": ",".join(flags),
         }
 
     reckless = next(
-        (
-            r
-            for r in records
-            if r.executed and recklessness_test(r, policy.theta_r, RECKLESSNESS_MARGIN, policy.tau_star)
-        ),
+        (r for r in records if r.executed and recklessness_test(r, policy.theta_r, policy.tau_star)),
         None,
     )
     if reckless is not None:
@@ -264,7 +237,7 @@ def classify(
         else:
             detail["lower_bound_score"] = lower_bound_score(reckless.certificate, policy.tau_star)
 
-    if constructive_knowledge_test(best, records, policy.theta_ck, policy):
+    if constructive_knowledge_test(best, records, policy):
         found[Doctrine.CONSTRUCTIVE_KNOWLEDGE] = {"org_score": best, "theta_ck": policy.theta_ck}
 
     if negligence_test(capacity, policy.theta_neg):

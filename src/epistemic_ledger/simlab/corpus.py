@@ -36,8 +36,6 @@ import numpy as np
 from .scenario import SimScenario
 
 EMBED_DIM = 512
-# Nominal floor used when judging whether two texts are conceptually linked.
-SIMILARITY_FLOOR = 0.2
 
 TAG_LITERAL = "literal_match"
 TAG_EUPHEMISM = "euphemism"
@@ -123,10 +121,6 @@ def embed(text: str, synonyms: Mapping[str, tuple[str, ...]] | None = None) -> n
     return vector / norm
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.dot(u, v))
-
-
 @dataclass(frozen=True)
 class Document:
     id: str
@@ -160,7 +154,6 @@ class HashedRows:
 @dataclass(frozen=True)
 class Corpus:
     documents: tuple[Document, ...]
-    seed: int
     # HashedRows per synonym table, built on first use.
     _hashed_rows: dict[tuple, HashedRows] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -289,7 +282,7 @@ def generate_corpus(scenario: SimScenario, seed: int) -> Corpus:
             tags.add(TAG_EUPHEMISM)
         docs.append(Document(doc_id, text, frozenset(tags), frozenset()))
 
-    return Corpus(tuple(docs), seed)
+    return Corpus(tuple(docs))
 
 
 def export_corpus(corpus: Corpus) -> str:

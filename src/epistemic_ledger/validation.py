@@ -33,12 +33,6 @@ class BoundMethod(str, Enum):
     WILSON = "wilson"
 
 
-class Criterion(str, Enum):
-    AIC = "aic"
-    BIC = "bic"
-    SUPPLIED = "supplied"
-
-
 class CertificationRefusedError(ValueError):
     """Raised when a pipeline component lacks evaluation data.
 
@@ -484,36 +478,18 @@ Trainer = Callable[[Sequence[tuple[object, object]]], Callable[[object], object]
 
 @dataclass(frozen=True)
 class ModelCandidate:
-    """A trainable predictor plus its complexity accounting.
+    """A trainable predictor plus its complexity.
 
-    ``trainer`` maps a training subset to a predict callable. Complexity is
-    either supplied directly or derived from the parameter count for the
-    aic / bic criteria.
+    ``trainer`` maps a training subset to a predict callable.
     """
 
     id: str
     trainer: Trainer
-    complexity: float | None = None
-    criterion: Criterion = Criterion.SUPPLIED
-    param_count: int | None = None
+    complexity: float
 
     def __post_init__(self) -> None:
-        if self.complexity is not None and self.complexity < 0.0:
+        if self.complexity < 0.0:
             raise ValueError(f"complexity must be >= 0, got {self.complexity}")
-
-    def complexity_value(self, n_observations: int) -> float:
-        criterion = Criterion(self.criterion)
-        if criterion is Criterion.AIC:
-            if self.param_count is None:
-                raise ValueError(f"candidate {self.id}: aic needs param_count")
-            return 2.0 * self.param_count
-        if criterion is Criterion.BIC:
-            if self.param_count is None:
-                raise ValueError(f"candidate {self.id}: bic needs param_count")
-            return self.param_count * math.log(n_observations)
-        if self.complexity is None:
-            raise ValueError(f"candidate {self.id}: complexity not supplied")
-        return self.complexity
 
 
 def cv_risk(
@@ -558,14 +534,8 @@ def penalized_select(
         raise ValueError("penalized_select requires at least one candidate")
     if lam < 0.0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    n = len(dataset)
     ranked = sorted(
-        candidates,
-        key=lambda c: (
-            cv_risk(dataset, plan, c) + lam * c.complexity_value(n),
-            c.complexity_value(n),
-            c.id,
-        ),
+        candidates, key=lambda c: (cv_risk(dataset, plan, c) + lam * c.complexity, c.complexity, c.id)
     )
     return ranked[0]
 

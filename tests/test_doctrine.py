@@ -1,6 +1,7 @@
 """Unit tests for the doctrine classification layer."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from epistemic_ledger.doctrine import (
     Doctrine,
     ExecutionRecord,
     Verdict,
-    WilfulBlindnessParams,
     actual_knowledge_test,
     classify,
     constructive_knowledge_test,
@@ -89,47 +89,45 @@ class TestActualKnowledge:
 
 class TestConstructiveKnowledge:
     def test_available_but_unexecuted(self):
-        assert constructive_knowledge_test(org_score([pipe("modern", 2.06)], POLICY), [], 0.7, POLICY)
+        assert constructive_knowledge_test(org_score([pipe("modern", 2.06)], POLICY), [], POLICY)
 
     def test_no_capable_pipeline(self):
         score = org_score([pipe("legacy", 6.05, ret=1.0)], POLICY)
-        assert not constructive_knowledge_test(score, [], 0.7, POLICY)
+        assert not constructive_knowledge_test(score, [], POLICY)
 
     def test_actual_supersedes(self):
         assert not constructive_knowledge_test(
-            org_score([pipe("modern", 2.06)], POLICY), [executed(s_lb=0.83)], 0.7, POLICY
+            org_score([pipe("modern", 2.06)], POLICY), [executed(s_lb=0.83)], POLICY
         )
 
     def test_empty_available_is_false(self):
-        assert not constructive_knowledge_test(None, [], 0.7, POLICY)
+        assert not constructive_knowledge_test(None, [], POLICY)
 
 
 class TestWilfulBlindness:
-    PARAMS = WilfulBlindnessParams()  # kappa 0.1, max error 0.05
-
     def test_cheap_certain_pipeline_avoided(self):
         cheap = pipe("cheap", 0.5, ver=0.01)
         records = [unexecuted(pid="cheap", evidence=AvoidanceEvidence.SUPPRESSED_QUERY)]
-        assert wilful_blindness_test([cheap], records, self.PARAMS, POLICY) is True
+        assert wilful_blindness_test([cheap], records, POLICY) is True
 
     def test_no_avoidance_evidence_is_not_blindness(self):
         cheap = pipe("cheap", 0.5, ver=0.01)
-        assert wilful_blindness_test([cheap], [unexecuted(pid="cheap")], self.PARAMS, POLICY) is False
+        assert wilful_blindness_test([cheap], [unexecuted(pid="cheap")], POLICY) is False
 
     def test_unreliable_pipeline_does_not_qualify(self):
         shaky = pipe("shaky", 0.5, ver=0.3)
         records = [unexecuted(pid="shaky", evidence=AvoidanceEvidence.DISABLED_INDEX)]
-        assert wilful_blindness_test([shaky], records, self.PARAMS, POLICY) is False
+        assert wilful_blindness_test([shaky], records, POLICY) is False
 
     def test_expensive_pipeline_does_not_qualify(self):
         slow = pipe("slow", 5.0, ver=0.01)  # above kappa * tau_star = 1 s
         records = [unexecuted(pid="slow", evidence=AvoidanceEvidence.FILTERED_ALERTS)]
-        assert wilful_blindness_test([slow], records, self.PARAMS, POLICY) is False
+        assert wilful_blindness_test([slow], records, POLICY) is False
 
     def test_executed_pipeline_does_not_qualify(self):
         cheap = pipe("cheap", 0.5, ver=0.01)
         records = [executed(pid="cheap", s_lb=0.9, evidence=AvoidanceEvidence.SUPPRESSED_QUERY)]
-        assert wilful_blindness_test([cheap], records, self.PARAMS, POLICY) is False
+        assert wilful_blindness_test([cheap], records, POLICY) is False
 
     def test_toggling_evidence_always_flips_positive_findings(self):
         rng = random.Random(13)
@@ -139,24 +137,24 @@ class TestWilfulBlindness:
                 [e for e in AvoidanceEvidence if e is not AvoidanceEvidence.NONE]
             )
             records = [unexecuted(pid="cheap", evidence=evidence)]
-            if wilful_blindness_test([cheap], records, self.PARAMS, POLICY):
+            if wilful_blindness_test([cheap], records, POLICY):
                 stripped = [unexecuted(pid="cheap")]
-                assert not wilful_blindness_test([cheap], stripped, self.PARAMS, POLICY)
+                assert not wilful_blindness_test([cheap], stripped, POLICY)
 
 
 class TestRecklessness:
     def test_no_certificate_is_reckless(self):
-        assert recklessness_test(executed(s_lb=None), 0.7, 0.2, 10.0) is True
+        assert recklessness_test(executed(s_lb=None), 0.7, 10.0) is True
 
     def test_grossly_low_score(self):
-        assert recklessness_test(executed(s_lb=0.2), 0.7, 0.2, 10.0) is True
+        assert recklessness_test(executed(s_lb=0.2), 0.7, 10.0) is True
 
     def test_merely_below_threshold_is_not_gross(self):
-        assert recklessness_test(executed(s_lb=0.69), 0.7, 0.2, 10.0) is False
+        assert recklessness_test(executed(s_lb=0.69), 0.7, 10.0) is False
 
     def test_requires_execution(self):
         with pytest.raises(ValueError):
-            recklessness_test(unexecuted(), 0.7, 0.2, 10.0)
+            recklessness_test(unexecuted(), 0.7, 10.0)
 
 
 class TestNegligence:
@@ -273,8 +271,8 @@ class TestClassify:
             low = rng.uniform(0.05, 0.9)
             high = rng.uniform(low, 0.95)
             score = org_score([score_pipe], POLICY)
-            base = constructive_knowledge_test(score, [], low, POLICY)
-            raised = constructive_knowledge_test(score, [], high, POLICY)
+            base = constructive_knowledge_test(score, [], replace(POLICY, theta_ck=low))
+            raised = constructive_knowledge_test(score, [], replace(POLICY, theta_ck=high))
             if not base:
                 assert not raised
 
@@ -326,16 +324,12 @@ class TestClassifyReference:
             Doctrine.ACTUAL_KNOWLEDGE: any(
                 actual_knowledge_test(r, POLICY.theta_ak, POLICY.tau_star) for r in own
             ),
-            Doctrine.WILFUL_BLINDNESS: wilful_blindness_test(
-                available, own, WilfulBlindnessParams(), POLICY
-            ),
+            Doctrine.WILFUL_BLINDNESS: wilful_blindness_test(available, own, POLICY),
             Doctrine.RECKLESSNESS: any(
-                r.executed and recklessness_test(r, POLICY.theta_r, 0.2, POLICY.tau_star)
+                r.executed and recklessness_test(r, POLICY.theta_r, POLICY.tau_star)
                 for r in own
             ),
-            Doctrine.CONSTRUCTIVE_KNOWLEDGE: constructive_knowledge_test(
-                score, own, POLICY.theta_ck, POLICY
-            ),
+            Doctrine.CONSTRUCTIVE_KNOWLEDGE: constructive_knowledge_test(score, own, POLICY),
             Doctrine.NEGLIGENCE: negligence_test(capacity, POLICY.theta_neg),
         }
         expected = {d for d, held in holds.items() if held}
@@ -398,9 +392,3 @@ class TestExecutionRecordInvariants:
                 executed=False,
                 outcome=Verdict.ESTABLISHED,
             )
-
-    def test_params_ranges(self):
-        with pytest.raises(ValueError):
-            WilfulBlindnessParams(cheapness_factor=0.0)
-        with pytest.raises(ValueError):
-            WilfulBlindnessParams(max_error=1.0)

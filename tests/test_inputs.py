@@ -199,6 +199,16 @@ def test_certificate_writer_refuses_what_the_reader_rejects():
         certificate_to_text(cert)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("fold_strategy", " holdout "), ("timestamp", "2026-01-01 "), ("pipeline_id", " pi")]
+)
+def test_certificate_writer_refuses_what_reads_back_changed(tmp_path, field, value):
+    cert = replace(read_certificate(write(tmp_path, "c.cert", certificate_text())), **{field: value})
+    stripped = value.strip()
+    with pytest.raises(ValueError, match=rf"certificate {field} '{value}' reads back as '{stripped}'"):
+        certificate_to_text(cert)
+
+
 class TestMissingKeyNamesALine:
     def test_certificate(self, tmp_path):
         lines = certificate_text().splitlines()
@@ -362,6 +372,55 @@ def test_malformed_csv_row_exits_1_without_traceback(tmp_path, capsys, name, tex
     err = capsys.readouterr().err
     assert f"{path}:2:" in err
     assert "Traceback" not in err
+
+
+def test_header_that_repeats_a_column_in_use_is_rejected(tmp_path, capsys):
+    header = "id,kind,expected_cost,eps_ret,eps_gen,eps_ver"
+    path = write(tmp_path, "dup.csv", f"{header},expected_cost\nx,full,1.0,0,0,0,9.0\n")
+    assert main(["score", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}:1: repeated column(s): expected_cost")
+    assert captured.out == ""
+    # A repeated column that the reader does not use is still ignored.
+    path = write(tmp_path, "note.csv", f"{header},note,note\nx,full,1.0,0,0,0,a,b\n")
+    assert main(["score", path]) == 0
+
+
+EXECUTIONS_HEADER = "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
+
+
+@pytest.mark.parametrize(
+    "kind, text, line, message",
+    [
+        ("records", "component,loss\nretrieval,0\nretrieval,1.5\n", 3, "loss must lie in [0, 1], got 1.5"),
+        (
+            "executions",
+            EXECUTIONS_HEADER + "bid_independence,modern_actual,yes,,none,,\n",
+            2,
+            "column 'executed' must be true or false, got 'yes'",
+        ),
+        ("scenario", APPENDIX_A + "[corpus]\n", APPENDIX_A.count("\n") + 1, "duplicate section [corpus]"),
+        ("policy", "tau_star = 10.0\n = 1\n", 2, "empty key"),
+    ],
+    ids=["records-loss-range", "executions-executed", "scenario-duplicate-section", "policy-empty-key"],
+)
+def test_rejected_value_exits_1_at_its_line(tmp_path, capsys, kind, text, line, message):
+    path = write(tmp_path, f"{kind}.txt", text)
+    pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
+    argv = {
+        "records": ["certify", path, "--pipeline-id", "p", "--cost", "1"],
+        "executions": [
+            "classify", "--pipelines", pipelines,
+            "--propositions", write(tmp_path, "props.csv", PROPOSITIONS_CSV), "--executions", path,
+        ],
+        "scenario": ["simulate", "--scenario", path],
+        "policy": ["score", pipelines, "--policy", path],
+    }[kind]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}:{line}: {message}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_bom_header_is_read(tmp_path, capsys):

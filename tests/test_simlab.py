@@ -16,7 +16,6 @@ from epistemic_ledger.simlab import (
     MODERN,
     SimScenario,
     company_capacity,
-    cosine,
     default_scenario,
     embed,
     export_corpus,
@@ -33,7 +32,6 @@ from epistemic_ledger.simlab import (
 )
 from epistemic_ledger.simlab import runner, search
 from epistemic_ledger.simlab.corpus import (
-    SIMILARITY_FLOOR,
     Corpus,
     Document,
     TAG_EUPHEMISM,
@@ -84,20 +82,20 @@ class TestEmbed:
     def test_identical_text_identical_vector(self):
         a = embed("the quarterly report was filed", SYNONYMS)
         b = embed("the quarterly report was filed", SYNONYMS)
-        assert cosine(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert float(a @ b) == pytest.approx(1.0, abs=1e-12)
 
     def test_euphemism_maps_to_concept(self):
-        sim = cosine(embed("market harmony", SYNONYMS), embed("price fixing", SYNONYMS))
-        assert sim > SIMILARITY_FLOOR
+        sim = float(embed("market harmony", SYNONYMS) @ embed("price fixing", SYNONYMS))
+        assert sim > 0.2
 
     def test_synonym_phrases_match_whole_tokens(self):
         (task,) = [t for t in SCENARIO.tasks if t.id == "regional_pricing"]
         query = embed(task.concept_query, SYNONYMS)
-        assert cosine(embed("supermarket harmonyx memo", SYNONYMS), query) == 0.0
-        assert cosine(embed("market harmony memo", SYNONYMS), query) > SIMILARITY_FLOOR
+        assert float(embed("supermarket harmonyx memo", SYNONYMS) @ query) == 0.0
+        assert float(embed("market harmony memo", SYNONYMS) @ query) > 0.2
 
     def test_disjoint_vocabulary_is_orthogonal(self):
-        sim = cosine(embed("granite willow copper"), embed("orchid maple fern"))
+        sim = float(embed("granite willow copper") @ embed("orchid maple fern"))
         assert sim == 0.0
 
     def test_empty_text_rejected(self):
@@ -421,7 +419,7 @@ class TestCorpusIndex:
     def test_punctuation_only_keyword_matches_nothing(self):
         # Not even a document that has no tokens either.
         docs = generate_corpus(SCENARIO, seed=42).documents[:3]
-        corpus = Corpus(docs + (Document("doc-blank", "!!! --", frozenset(), frozenset()),), 42)
+        corpus = Corpus(docs + (Document("doc-blank", "!!! --", frozenset(), frozenset()),))
         hits, _ = keyword_search(corpus, ["...", " "], SCENARIO.c_per_doc)
         assert hits == _reference_keyword(corpus, ["...", " "]) == ()
 
@@ -506,12 +504,12 @@ class TestHashedRows:
         # repeat tokens of the text.
         doc = Document("doc-x", "Rate, rate and RATE of the fixing price", frozenset(), frozenset())
         synonyms = {"fixing price": ("price", "fixing", "cartel")}
-        _assert_rows_equal_dense_embeddings(Corpus((doc,), 0), synonyms)
+        _assert_rows_equal_dense_embeddings(Corpus((doc,)), synonyms)
 
     @pytest.mark.parametrize("text", ["", "   ", "!!! --", "the and of"])
     def test_document_without_tokens_is_rejected_as_embed_rejects_it(self, text):
         docs = generate_corpus(SCENARIO, seed=42).documents[:3]
-        corpus = Corpus(docs + (Document("doc-blank", text, frozenset(), frozenset()),), 42)
+        corpus = Corpus(docs + (Document("doc-blank", text, frozenset(), frozenset()),))
         with pytest.raises(ValueError) as expected:
             embed(text, SYNONYMS)
         with pytest.raises(ValueError) as raised:

@@ -370,12 +370,6 @@ class TestPenalizedSelect:
         light = ModelCandidate("light", constant_trainer(True), complexity=1.0)
         assert penalized_select([heavy, light], data, plan, lam=0.0).id == "light"
 
-    def test_criterion_complexities(self):
-        aic = ModelCandidate("a", constant_trainer(True), criterion="aic", param_count=3)
-        bic = ModelCandidate("b", constant_trainer(True), criterion="bic", param_count=3)
-        assert aic.complexity_value(100) == 6.0
-        assert bic.complexity_value(100) == pytest.approx(3 * math.log(100))
-
     def test_empty_candidates_rejected(self):
         data, plan = self._data_plan()
         with pytest.raises(ValueError):
