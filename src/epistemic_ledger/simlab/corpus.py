@@ -20,6 +20,10 @@ feature-hashing view of Weinberger et al., 2009); its product with a query
 vector scores every document at once. ``embed`` is the dense form of one
 row: it embeds queries, and the rows equal its vectors bit for bit, as the
 counts are exact integers and the norm and division round the same way.
+
+Distractors draw from a seeded PCG64's raw words by the rule in
+``generate_corpus``, as NumPy fixes bit-generator streams across releases
+but not ``Generator``'s algorithms (NEP 19), and a seed keeps its corpus.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -243,14 +247,35 @@ def document_matches(doc: Document, phrase: str) -> bool:
     return _contains_phrase(_TOKEN_RE.findall(doc.text.lower()), phrase)
 
 
+def _uint32s(bits: np.random.PCG64) -> Iterator[int]:
+    """The bit generator's 32-bit words: each raw word's low half, then its high half."""
+    while True:
+        words = bits.random_raw(1024)
+        yield from np.column_stack((words & 0xFFFFFFFF, words >> 32)).ravel().tolist()
+
+
+def _draw(halves: Iterator[int], k: int) -> int:
+    """A uniform integer in ``[0, k)`` by Lemire's method, rejecting biased words."""
+    threshold = (2**32 - k) % k
+    while True:
+        m = next(halves) * k
+        if m & 0xFFFFFFFF >= threshold:
+            return m >> 32
+
+
 def generate_corpus(scenario: SimScenario, seed: int) -> Corpus:
     """Deterministically build the scenario's corpus of ``corpus_size`` documents.
 
     Ground-truth documents come first (stable ids), then seeded distractors,
     a slice of which use generic corporate euphemisms per the scenario's
-    euphemism ratio.
+    euphemism ratio. Each distractor takes ``topic = draw(8)``, the two
+    fillers of Floyd's pair ``a = draw(9)``, ``b = draw(10)`` (``b = 9`` if
+    ``b == a``), and swaps them if ``draw(2) == 0``. ``draw(k)`` is Lemire's
+    bounded integer on the next 32-bit word of ``PCG64(SeedSequence([seed,
+    101]))``: the draws NumPy 2's ``Generator.integers(8)`` and ``choice(10,
+    size=2, replace=False)`` make, written out as NEP 19 lets those change.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
+    halves = _uint32s(np.random.PCG64(np.random.SeedSequence([seed, 101])))
     docs: list[Document] = []
 
     for task in scenario.tasks:
@@ -270,10 +295,14 @@ def generate_corpus(scenario: SimScenario, seed: int) -> Corpus:
     n_euphemistic = int(round(scenario.euphemism_ratio * n_distractors))
     for j in range(n_distractors):
         doc_id = f"doc-{len(docs):04d}"
-        topic = _DISTRACTOR_TOPICS[int(rng.integers(len(_DISTRACTOR_TOPICS)))]
-        fillers = rng.choice(len(_FILLER_WORDS), size=2, replace=False)
+        topic = _DISTRACTOR_TOPICS[_draw(halves, len(_DISTRACTOR_TOPICS))]
+        first, second = _draw(halves, len(_FILLER_WORDS) - 1), _draw(halves, len(_FILLER_WORDS))
+        if second == first:
+            second = len(_FILLER_WORDS) - 1
+        if _draw(halves, 2) == 0:
+            first, second = second, first
         text = topic.format(num=doc_id[-4:]) + " reference tag {} {}.".format(
-            _FILLER_WORDS[int(fillers[0])], _FILLER_WORDS[int(fillers[1])]
+            _FILLER_WORDS[first], _FILLER_WORDS[second]
         )
         tags = {TAG_DISTRACTOR}
         if j < n_euphemistic:

@@ -488,7 +488,7 @@ class ModelCandidate:
     complexity: float
 
     def __post_init__(self) -> None:
-        if self.complexity < 0.0:
+        if not self.complexity >= 0.0:
             raise ValueError(f"complexity must be >= 0, got {self.complexity}")
 
 

@@ -1,11 +1,12 @@
 """Golden outputs: the simulation and ledger commands print the same bytes as ever.
 
-Each pin is the first 16 hex digits of the sha256 of a command's stdout: the
-simulation commands with default flags and the packaged scenario (and a
-40-run Monte Carlo sweep, which covers the per-run jitter draw order well
-past the default 15 runs), the ledger commands on the small docket written
-below. A change that moves any of them changes a reproduced figure and needs
-its own justification.
+Each pin is the first 16 hex digits of the sha256 of a command's output: the
+stdout of the simulation commands with default flags and the packaged
+scenario (and of a 40-run Monte Carlo sweep, which covers the per-run jitter
+draw order well past the default 15 runs), the corpus file `simulate
+--export-corpus` writes, and the stdout of the ledger commands on the small
+docket written below. A change that moves any of them changes a reproduced
+figure and needs its own justification.
 """
 
 import hashlib
@@ -29,6 +30,14 @@ def test_stdout_hash_is_pinned(argv, prefix, capsys, monkeypatch):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == prefix
+
+
+def test_exported_corpus_hash_is_pinned(tmp_path, monkeypatch):
+    # The corpus text itself, filler order included, which no stdout pin records.
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    path = tmp_path / "corpus.tsv"
+    assert main(["simulate", "--export-corpus", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == "912edbada8bcd540"
 
 
 # A small ledger docket on which the classify report carries all five

@@ -1,12 +1,15 @@
 """Tests for the corpus, searches, verifier, and experiment runners."""
 
 import dataclasses
+import itertools
 import math
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epistemic_ledger.artifacts import InputError
 from epistemic_ledger.doctrine import Verdict
@@ -34,9 +37,17 @@ from epistemic_ledger.simlab import runner, search
 from epistemic_ledger.simlab.corpus import (
     Corpus,
     Document,
+    TAG_DISTRACTOR,
     TAG_EUPHEMISM,
     TAG_LITERAL,
+    _DISTRACTOR_TOPICS,
+    _EUPHEMISM_TEMPLATE,
+    _FILLER_WORDS,
+    _GENERIC_EUPHEMISMS,
+    _LITERAL_TEMPLATE,
     _contains_phrase,
+    _draw,
+    _uint32s,
 )
 
 SCENARIO = default_scenario()
@@ -76,6 +87,106 @@ class TestCorpus:
         lines = export_corpus(corpus).strip().split("\n")
         assert len(lines) == 62
         assert all(len(line.split("\t")) == 4 for line in lines)
+
+
+def _reference_corpus(scenario, seed):
+    """The corpus as drawn through ``np.random.Generator``, one document at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
+    docs = []
+    for task in scenario.tasks:
+        for j in range(scenario.ground_truth_per_task):
+            doc_id = f"doc-{len(docs):04d}"
+            if task.ground_truth == "literal":
+                phrase = task.literal_phrases[j % len(task.literal_phrases)]
+                text = _LITERAL_TEMPLATE.format(num=doc_id[-4:], phrase=phrase)
+                tags = frozenset({TAG_LITERAL})
+            else:
+                phrase = task.euphemism_phrases[j % len(task.euphemism_phrases)]
+                text = _EUPHEMISM_TEMPLATE.format(num=doc_id[-4:], phrase=phrase)
+                tags = frozenset({TAG_EUPHEMISM})
+            docs.append(Document(doc_id, text, tags, frozenset({task.id})))
+    n_distractors = scenario.corpus_size - len(docs)
+    n_euphemistic = int(round(scenario.euphemism_ratio * n_distractors))
+    for j in range(n_distractors):
+        doc_id = f"doc-{len(docs):04d}"
+        topic = _DISTRACTOR_TOPICS[int(rng.integers(len(_DISTRACTOR_TOPICS)))]
+        fillers = rng.choice(len(_FILLER_WORDS), size=2, replace=False)
+        text = topic.format(num=doc_id[-4:]) + " reference tag {} {}.".format(
+            _FILLER_WORDS[int(fillers[0])], _FILLER_WORDS[int(fillers[1])]
+        )
+        tags = {TAG_DISTRACTOR}
+        if j < n_euphemistic:
+            softener = _GENERIC_EUPHEMISMS[j % len(_GENERIC_EUPHEMISMS)]
+            text += f" filed under the {softener}."
+            tags.add(TAG_EUPHEMISM)
+        docs.append(Document(doc_id, text, frozenset(tags), frozenset()))
+    return Corpus(tuple(docs))
+
+
+def _corpus_words(seed):
+    return _uint32s(np.random.PCG64(np.random.SeedSequence([seed, 101])))
+
+
+def _filler_pair(halves):
+    """The two distinct filler indices a distractor draws, as ``generate_corpus`` draws them."""
+    first, second = _draw(halves, 9), _draw(halves, 10)
+    if second == first:
+        second = 9
+    return [second, first] if _draw(halves, 2) == 0 else [first, second]
+
+
+class TestDistractorDraws:
+    """``_draw`` on PCG64's 32-bit words is NumPy's ``integers`` and ``choice``."""
+
+    def test_first_draws_are_pinned(self):
+        halves = _corpus_words(20)
+        draws = [_draw(halves, k) for k in (8, 9, 10, 2) * 4]
+        assert draws == [0, 7, 8, 1, 6, 7, 1, 1, 1, 2, 2, 0, 7, 5, 1, 0]
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 10])
+    def test_draw_is_generator_integers(self, k):
+        for seed in range(200):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
+            halves = _corpus_words(seed)
+            assert [_draw(halves, k) for _ in range(2000)] == rng.integers(k, size=2000).tolist()
+
+    def test_floyd_pair_is_generator_choice(self):
+        for seed in range(200):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
+            halves = _corpus_words(seed)
+            for _ in range(2000):
+                assert _filler_pair(halves) == rng.choice(10, size=2, replace=False).tolist()
+
+    @staticmethod
+    def _after_a_zero_word(seed):
+        """A Generator whose next 32-bit word is 0, and the words ``_draw`` reads for it.
+
+        A word of 0 is biased for k = 9 and 10, whose thresholds (2**32 - k) % k
+        are 4 and 6, so NumPy rejects it; a seeded stream almost never holds one.
+        """
+        bits = np.random.PCG64(seed)
+        bits.state = {**bits.state, "has_uint32": 1, "uinteger": 0}
+        return np.random.Generator(bits), itertools.chain([0], _uint32s(np.random.PCG64(seed)))
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_rejected_word_is_skipped_as_integers_skips_it(self, k):
+        rng, halves = self._after_a_zero_word(7)
+        assert [_draw(halves, k) for _ in range(50)] == rng.integers(k, size=50).tolist()
+
+    def test_rejected_word_is_skipped_as_choice_skips_it(self):
+        rng, halves = self._after_a_zero_word(7)
+        for _ in range(50):
+            assert _filler_pair(halves) == rng.choice(10, size=2, replace=False).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0),
+        size=st.integers(min_value=SCENARIO.min_corpus_size(), max_value=300),
+        ratio=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_corpus_equals_the_generator_reference(self, seed, size, ratio):
+        scenario = dataclasses.replace(SCENARIO, corpus_size=size, euphemism_ratio=ratio)
+        assert generate_corpus(scenario, seed).documents == _reference_corpus(scenario, seed).documents
 
 
 class TestEmbed:

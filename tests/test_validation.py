@@ -375,6 +375,18 @@ class TestPenalizedSelect:
         with pytest.raises(ValueError):
             penalized_select([], data, plan, lam=0.0)
 
+    @pytest.mark.parametrize("order", ["abc", "bca", "cab"])
+    def test_nan_complexity_is_rejected_whatever_the_order(self, order):
+        # Sorting on a NaN key would pick a, c and c in these three orders.
+        data, plan = self._data_plan()
+        specs = {
+            "a": (constant_trainer(True), math.nan),
+            "b": (constant_trainer(False), 0.0),
+            "c": (constant_trainer(True), 1.0),
+        }
+        with pytest.raises(ValueError, match="complexity must be >= 0, got nan"):
+            penalized_select([ModelCandidate(c, *specs[c]) for c in order], data, plan, lam=0.1)
+
 
 class TestConfidenceBound:
     @pytest.mark.parametrize("method", list(BoundMethod))
