@@ -33,11 +33,12 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .scenario import SimScenario
+if TYPE_CHECKING:  # scenario imports tokenize from here
+    from .scenario import SimScenario
 
 EMBED_DIM = 512
 
@@ -230,21 +231,6 @@ class Corpus:
         return frozenset(
             d.id for d in self.documents if task_id in d.ground_truth_for
         )
-
-
-def _contains_phrase(tokens: Sequence[str], phrase: str) -> bool:
-    """True when the phrase's tokens appear consecutively in the token list."""
-    needle = _TOKEN_RE.findall(phrase.lower())
-    if not needle:
-        return False
-    span = len(needle)
-    return any(
-        list(tokens[i : i + span]) == needle for i in range(len(tokens) - span + 1)
-    )
-
-
-def document_matches(doc: Document, phrase: str) -> bool:
-    return _contains_phrase(_TOKEN_RE.findall(doc.text.lower()), phrase)
 
 
 def _uint32s(bits: np.random.PCG64) -> Iterator[int]:

@@ -117,11 +117,10 @@ def _run_task(
     scenario: SimScenario,
     retrieval: _Retrieval,
     verifier_rng: np.random.Generator,
-    jitter_rng: np.random.Generator | None,
-    jitter_sigma: float,
+    jitter: float,
 ) -> RunResult:
     task, company = retrieval.task, retrieval.company
-    cost = retrieval.cost * jitter_factor(jitter_rng, jitter_sigma)
+    cost = retrieval.cost * jitter
     if company == LEGACY:
         # The keyword pipeline has no verifier stage: a complete retrieval is
         # read off directly, anything less is inconclusive.
@@ -157,7 +156,7 @@ def _run_docket_once(
     """One run: a jitter draw per retrieval, in order, and the verifier draws."""
     verifier_rng = _rng(seed, _STREAM_VERIFIER, run_index)
     jitter_rng = _rng(seed, _STREAM_JITTER, run_index) if jitter_sigma > 0.0 else None
-    return [_run_task(scenario, r, verifier_rng, jitter_rng, jitter_sigma) for r in retrievals]
+    return [_run_task(scenario, r, verifier_rng, jitter_factor(jitter_rng, jitter_sigma)) for r in retrievals]
 
 
 def run_docket(scenario: SimScenario, seed: int | None = None) -> list[RunResult]:
@@ -203,8 +202,6 @@ class MonteCarloCell:
 class MonteCarloResult:
     cells: tuple[MonteCarloCell, ...]
     runs: int
-    jitter_sigma: float
-    seed: int
 
 
 def monte_carlo(
@@ -236,7 +233,7 @@ def monte_carlo(
         MonteCarloCell(company, task_id, doctrines[task_id], tuple(scores))
         for (company, task_id), scores in sorted(per_cell.items())
     )
-    return MonteCarloResult(cells=cells, runs=runs, jitter_sigma=sigma, seed=seed)
+    return MonteCarloResult(cells=cells, runs=runs)
 
 
 @dataclass(frozen=True)
@@ -284,8 +281,6 @@ class SensitivityPoint:
 @dataclass(frozen=True)
 class SensitivityCurve:
     points: tuple[SensitivityPoint, ...]
-    theta_c: float
-    modern_time: float
     first_crossing: float | None
 
 
@@ -313,9 +308,4 @@ def sensitivity_sweep(
         if not meets and first_crossing is None:
             first_crossing = eps
         points.append(SensitivityPoint(eps, score, meets))
-    return SensitivityCurve(
-        points=tuple(points),
-        theta_c=scenario.policy.theta_c,
-        modern_time=modern_time,
-        first_crossing=first_crossing,
-    )
+    return SensitivityCurve(points=tuple(points), first_crossing=first_crossing)

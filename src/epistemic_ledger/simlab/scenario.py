@@ -9,6 +9,7 @@ output is a pure function of (scenario, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -16,6 +17,7 @@ from pathlib import Path
 from ..artifacts import InputError, Section, _at, parse_sections, policy_params, read_input
 from ..doctrine import Verdict
 from ..metrics import PolicyParams, Proposition
+from .corpus import tokenize
 
 DEFAULT_SCENARIO_NAME = "appendix_a"
 
@@ -39,6 +41,8 @@ class TaskSpec:
     modern_time_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        if not self.id:
+            raise ValueError("a task needs a non-empty id")
         if self.ground_truth not in ("literal", "euphemism"):
             raise ValueError(
                 f"task {self.id}: ground_truth must be literal or euphemism, "
@@ -108,8 +112,6 @@ class SimScenario:
 
     def synonym_table(self) -> dict[str, tuple[str, ...]]:
         """Map each task's euphemism phrases to its concept-query tokens."""
-        from .corpus import tokenize
-
         table: dict[str, tuple[str, ...]] = {}
         for task in self.tasks:
             concept = tuple(tokenize(task.concept_query))
@@ -121,8 +123,6 @@ class SimScenario:
         return self.c_per_doc * n_docs * time_scale
 
     def modern_cost(self, n_docs: int, time_scale: float = 1.0) -> float:
-        import math
-
         return (self.modern_a + self.modern_b * math.log(n_docs)) * time_scale
 
 
@@ -161,7 +161,7 @@ def _task(sec: Section) -> TaskSpec:
             f"truth must be established or refuted, got {truth_text!r}", sec.path, truth_line
         )
     with _at(sec.path, sec.line):
-        return TaskSpec(
+        task = TaskSpec(
             id=task_id,
             doctrine=sec.text("doctrine", task_id),
             proposition=sec.text("proposition"),
@@ -177,6 +177,10 @@ def _task(sec: Section) -> TaskSpec:
                 if key in sec.values
             },
         )
+    query, line = sec.raw("concept_query")
+    if not tokenize(query):  # embed's rule: a query must give a token to search by
+        raise InputError(f"concept_query has no indexable token: {query!r}", sec.path, line)
+    return task
 
 
 def _valid(tasks: list[TaskSpec], **settings: object) -> bool:

@@ -13,7 +13,7 @@ first search and reused by every later one: the keyword scan tests each
 document's cached token text, and semantic search scores all documents with
 one sparse product of the hashed embedding rows and the query vector. The
 rows are built from the token texts, so ``embed`` here embeds only the
-concept query; ``document_matches`` is the scan's single-document form.
+concept query; ``document_matches`` is the scan's test of one document.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..doctrine import Verdict
-from .corpus import Corpus, document_matches, embed, token_text  # noqa: F401
+from .corpus import Corpus, Document, embed, token_text
 
 
 def keyword_search(
@@ -44,6 +44,11 @@ def keyword_search(
         if any(needle in text for needle in needles)
     )
     return hits, c_per_doc * len(corpus) * time_scale
+
+
+def document_matches(doc: Document, phrase: str) -> bool:
+    """Whether ``keyword_search`` for the phrase hits the document."""
+    return bool(keyword_search(Corpus((doc,)), [phrase], 0.0)[0])
 
 
 def semantic_search(

@@ -256,23 +256,14 @@ class EqualMass:
 
 
 @dataclass(frozen=True)
-class CalibrationBin:
-    lower_conf: float
-    upper_conf: float
-    count: int
-    mean_confidence: float
-    mean_accuracy: float
-
-
-@dataclass(frozen=True)
 class CalibrationReport:
-    bins: tuple[CalibrationBin, ...]
+    counts: tuple[int, ...]  # predictions per bin, in bin order
     ece: float
     binning: str
 
     @property
     def total(self) -> int:
-        return sum(b.count for b in self.bins)
+        return sum(self.counts)
 
 
 def ece(
@@ -291,49 +282,28 @@ def ece(
         if not (0.0 <= conf <= 1.0):
             raise ValueError(f"confidence must lie in [0, 1], got {conf}")
 
-    m = binning.bins
-    groups: list[list[tuple[float, bool]]] = [[] for _ in range(m)]
+    m, n = binning.bins, len(predictions)
     if isinstance(binning, EqualWidth):
-        edges = [(k / m, (k + 1) / m) for k in range(m)]
+        groups: list[list[tuple[float, bool]]] = [[] for _ in range(m)]
         for conf, correct in predictions:
-            k = min(int(conf * m), m - 1)
-            groups[k].append((conf, correct))
+            groups[min(int(conf * m), m - 1)].append((conf, correct))
         # Fixed summation order inside each bin keeps the result bitwise
         # invariant under permutation of the input.
         for chunk in groups:
             chunk.sort()
     else:
         ordered = sorted(predictions)
-        n = len(ordered)
         base, extra = divmod(n, m)
-        edges = []
-        start = 0
-        for k in range(m):
-            size = base + (1 if k < extra else 0)
-            chunk = ordered[start : start + size]
-            groups[k] = chunk
-            if chunk:
-                edges.append((chunk[0][0], chunk[-1][0]))
-            else:
-                edges.append((1.0, 1.0))
-            start += size
+        cuts = [k * base + min(k, extra) for k in range(m + 1)]
+        groups = [ordered[start:stop] for start, stop in zip(cuts, cuts[1:])]
 
-    n = len(predictions)
-    bins: list[CalibrationBin] = []
     total_gap = 0.0
-    for k in range(m):
-        chunk = groups[k]
+    for chunk in groups:
         if chunk:
             mean_conf = sum(c for c, _ in chunk) / len(chunk)
             mean_acc = sum(1.0 for _, ok in chunk if ok) / len(chunk)
             total_gap += (len(chunk) / n) * abs(mean_acc - mean_conf)
-        else:
-            mean_conf = 0.0
-            mean_acc = 0.0
-        bins.append(
-            CalibrationBin(edges[k][0], edges[k][1], len(chunk), mean_conf, mean_acc)
-        )
-    return CalibrationReport(tuple(bins), total_gap, binning.describe())
+    return CalibrationReport(tuple(map(len, groups)), total_gap, binning.describe())
 
 
 @dataclass(frozen=True)

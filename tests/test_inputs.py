@@ -401,8 +401,21 @@ EXECUTIONS_HEADER = "proposition_id,pipeline_id,executed,outcome,avoidance_evide
         ),
         ("scenario", APPENDIX_A + "[corpus]\n", APPENDIX_A.count("\n") + 1, "duplicate section [corpus]"),
         ("policy", "tau_star = 10.0\n = 1\n", 2, "empty key"),
+        *(
+            ("scenario", APPENDIX_A + MINIMAL_TASK.replace("[task.t1]", header), APPENDIX_A.count("\n") + 1,
+             "a task needs a non-empty id")
+            for header in ("[task.]", "[task. ]")
+        ),
+        *(
+            ("scenario", replace_line(APPENDIX_A, "concept_query = bid", f"concept_query = {query}"),
+             line_of(APPENDIX_A, "concept_query = bid"), f"concept_query has no indexable token: {query!r}")
+            for query in ("", "the of and")
+        ),
     ],
-    ids=["records-loss-range", "executions-executed", "scenario-duplicate-section", "policy-empty-key"],
+    ids=[
+        "records-loss-range", "executions-executed", "scenario-duplicate-section", "policy-empty-key",
+        "scenario-empty-task-id", "scenario-blank-task-id", "scenario-empty-query", "scenario-stopword-query",
+    ],
 )
 def test_rejected_value_exits_1_at_its_line(tmp_path, capsys, kind, text, line, message):
     path = write(tmp_path, f"{kind}.txt", text)

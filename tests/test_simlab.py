@@ -45,7 +45,6 @@ from epistemic_ledger.simlab.corpus import (
     _FILLER_WORDS,
     _GENERIC_EUPHEMISMS,
     _LITERAL_TEMPLATE,
-    _contains_phrase,
     _draw,
     _uint32s,
 )
@@ -486,6 +485,15 @@ def _reference_semantic(corpus, query, synonyms):
     q = embed(query, synonyms)
     scored = sorted((-float(np.dot(q, embed(d.text, synonyms))), d.id) for d in corpus.documents)
     return tuple(doc_id for _, doc_id in scored)
+
+
+def _contains_phrase(tokens, phrase):
+    """True when the phrase's tokens appear consecutively in the token list."""
+    needle = re.findall(r"[a-z0-9]+", phrase.lower())
+    if not needle:
+        return False
+    span = len(needle)
+    return any(list(tokens[i : i + span]) == needle for i in range(len(tokens) - span + 1))
 
 
 def _reference_keyword(corpus, keywords):

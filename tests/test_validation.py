@@ -214,10 +214,22 @@ class TestEce:
             rng.shuffle(preds)
             assert ece(preds, EqualWidth(10)).ece == pytest.approx(baseline, abs=1e-12)
 
-    def test_equal_mass_split_sizes(self):
-        preds = [(i / 10.0, True) for i in range(1, 10)]  # nine predictions
-        report = ece(preds, EqualMass(2))
-        assert [b.count for b in report.bins] == [5, 4]
+    @pytest.mark.parametrize(
+        "n, bins, counts",
+        [
+            (9, 2, (5, 4)),
+            (10, 5, (2, 2, 2, 2, 2)),
+            (7, 3, (3, 2, 2)),
+            (1, 1, (1,)),
+            (3, 5, (1, 1, 1, 0, 0)),  # more bins than predictions: trailing bins are empty
+            (2, 4, (1, 1, 0, 0)),
+        ],
+        ids=["9-in-2", "10-in-5", "7-in-3", "1-in-1", "3-in-5", "2-in-4"],
+    )
+    def test_equal_mass_split_sizes(self, n, bins, counts):
+        preds = [((i + 1) / (n + 1), True) for i in range(n)]
+        report = ece(preds, EqualMass(bins))
+        assert report.counts == counts
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
