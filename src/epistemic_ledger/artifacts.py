@@ -225,20 +225,20 @@ def csv_text(header: str, rows: Iterable[Sequence[object]]) -> str:
     return "".join([header + "\n", *lines])
 
 
-def _short_hash(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()[:12]
+def _short_hash(chunks: Iterable[bytes]) -> str:
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()[:12]
 
 
 def policy_hash(policy: PolicyParams) -> str:
     canon = ",".join(f"{name}={getattr(policy, name)!r}" for name in _POLICY_KEYS)
-    return _short_hash(canon.encode("utf-8"))
+    return _short_hash([canon.encode("utf-8")])
 
 
 def files_hash(paths: Iterable[str | Path]) -> str:
-    digest = hashlib.sha256()
-    for path in paths:
-        digest.update(Path(path).read_bytes())
-    return digest.hexdigest()[:12]
+    return _short_hash(Path(path).read_bytes() for path in paths)
 
 
 def _one_line(text: str, what: str, path: str | Path, line: int) -> str:
@@ -433,7 +433,11 @@ def read_executions_csv(
                 cert_path = base / cert_raw  # an absolute cert_raw replaces base
                 if not cert_path.exists():
                     raise InputError(f"certificate file not found: {cert_raw}", str(path), line)
-                certificates[cert_raw] = read_certificate(cert_path)
+                try:
+                    certificates[cert_raw] = read_certificate(cert_path)
+                except OSError as exc:
+                    message = f"cannot read certificate {cert_raw}: {exc.strerror}"
+                    raise InputError(message, str(path), line) from None
             certificate = certificates[cert_raw]
             if certificate.pipeline_id != pipeline_id:
                 raise InputError(

@@ -42,6 +42,8 @@ from .metrics import (
     org_score,
 )
 from .simlab import (
+    DEFAULT_SCENARIO_NAME,
+    SimScenario,
     company_capacity,
     export_corpus,
     generate_corpus,
@@ -141,12 +143,12 @@ def _policy_from_args(args: argparse.Namespace) -> PolicyParams:
     return policy_params(section, tau_star=args.tau_star, theta_c=args.theta, delta=args.delta)
 
 
-def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int | None:
-    if getattr(args, "seed", None) is not None:
+def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser, scenario: SimScenario) -> int:
+    if args.seed is not None:
         return args.seed
     raw = os.environ.get(ENV_SEED)
     if raw is None or raw == "":
-        return None
+        return scenario.seed
     try:
         return _seed(raw)
     except argparse.ArgumentTypeError as exc:
@@ -243,7 +245,7 @@ def _cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     scenario = load_scenario(args.scenario)
-    seed = _resolve_seed(args, parser)
+    seed = _resolve_seed(args, parser, scenario)
     rows = run_docket(scenario, seed=seed)
     text = csv_text(
         "company,task,doctrine,time_s,eps_ret,eps_ver,eps_tot,score",
@@ -260,7 +262,7 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             ((c, company_capacity(scenario, rows, c), theta) for c in ("legacy", "modern")),
         )
     if args.export_corpus:
-        corpus = generate_corpus(scenario, seed if seed is not None else scenario.seed)
+        corpus = generate_corpus(scenario, seed)
         Path(args.export_corpus).write_text(export_corpus(corpus), encoding="utf-8")
     _emit(text, args.out)
     return 0
@@ -268,7 +270,7 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     scenario = load_scenario(args.scenario)
-    seed = _resolve_seed(args, parser)
+    seed = _resolve_seed(args, parser, scenario)
     if args.sweep_command == "sensitivity":
         curve = sensitivity_sweep(scenario, args.eps_grid)
         header = "eps_ver,score,meets_theta,crossover"
@@ -286,7 +288,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         result = monte_carlo(scenario, runs=args.runs, jitter_sigma=args.jitter, seed=seed)
         header = "company,task,doctrine,runs,min,q1,median,q3,max"
         rows = [
-            (c.company, c.task_id, c.doctrine, result.runs, c.minimum, *c.quartiles(), c.maximum)
+            (c.company, c.task_id, c.doctrine, result.runs, min(c.scores), *c.quartiles(), max(c.scores))
             for c in result.cells
         ]
     _emit(csv_text(header, rows), args.out)
@@ -307,19 +309,19 @@ def build_parser() -> argparse.ArgumentParser:
             "Score information pipelines, issue validation certificates, "
             "classify epistemic states, and run the seeded two-firm simulation."
         ),
-        epilog=(
-            f"Seed precedence: --seed, then ${ENV_SEED}, then the scenario's seed."
-        ),
+        epilog=f"Seed precedence: --seed, then ${ENV_SEED}, then the scenario's seed.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_score = sub.add_parser("score", help="score pipelines from a CSV file")
+    p_score.set_defaults(run=_cmd_score)
     p_score.add_argument("pipelines", help="pipelines CSV")
     _add_policy_flags(p_score)
     p_score.add_argument("--out", help="write the table here instead of stdout")
 
     p_cert = sub.add_parser("certify", help="issue a validation certificate")
+    p_cert.set_defaults(run=_cmd_certify)
     p_cert.add_argument("records", help="evaluation records CSV (component,loss)")
     p_cert.add_argument("--pipeline-id", type=_pipeline_id, required=True)
     p_cert.add_argument(
@@ -337,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--out", help="write the certificate here instead of stdout")
 
     p_classify = sub.add_parser("classify", help="emit an audit report with doctrine findings")
+    p_classify.set_defaults(run=_cmd_classify)
     p_classify.add_argument("--propositions", required=True, help="propositions CSV")
     p_classify.add_argument("--pipelines", required=True, help="pipelines CSV")
     p_classify.add_argument("--executions", help="executions CSV (optional)")
@@ -345,17 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--out", help="write the report here instead of stdout")
 
     p_sim = sub.add_parser("simulate", help="run the docket simulation")
-    p_sim.add_argument("--scenario", default="appendix_a", help="scenario file or packaged name")
+    p_sim.set_defaults(run=_cmd_simulate)
+    p_sim.add_argument("--scenario", default=DEFAULT_SCENARIO_NAME, help="scenario file or packaged name")
     p_sim.add_argument("--seed", type=_seed, help="override the scenario seed")
     p_sim.add_argument("--summary", action="store_true", help="append capacity rows")
     p_sim.add_argument("--export-corpus", dest="export_corpus", help="also write the corpus here")
     p_sim.add_argument("--out", help="write the CSV here instead of stdout")
 
     p_sweep = sub.add_parser("sweep", help="sensitivity, scalability, or Monte Carlo sweeps")
+    p_sweep.set_defaults(run=_cmd_sweep)
     sweep_sub = p_sweep.add_subparsers(dest="sweep_command", required=True)
     for name in ("sensitivity", "scalability", "montecarlo"):
         p = sweep_sub.add_parser(name)
-        p.add_argument("--scenario", default="appendix_a")
+        p.add_argument("--scenario", default=DEFAULT_SCENARIO_NAME)
         p.add_argument("--seed", type=_seed)
         p.add_argument("--out")
         if name == "sensitivity":
@@ -372,21 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "score": _cmd_score,
-    "certify": _cmd_certify,
-    "classify": _cmd_classify,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args, parser)
+        return args.run(args, parser)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, CertificationRefusedError) else 1

@@ -40,9 +40,9 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
-def jitter_factor(rng: np.random.Generator | None, sigma: float) -> float:
-    """Multiplicative Gaussian jitter, clamped away from zero; 1 without rng or sigma."""
-    if rng is None or sigma <= 0.0:
+def jitter_factor(rng: np.random.Generator, sigma: float) -> float:
+    """Multiplicative Gaussian jitter, clamped away from zero; 1, with no draw, at sigma 0."""
+    if sigma <= 0.0:
         return 1.0
     return max(0.01, 1.0 + sigma * float(rng.standard_normal()))
 
@@ -155,7 +155,7 @@ def _run_docket_once(
 ) -> list[RunResult]:
     """One run: a jitter draw per retrieval, in order, and the verifier draws."""
     verifier_rng = _rng(seed, _STREAM_VERIFIER, run_index)
-    jitter_rng = _rng(seed, _STREAM_JITTER, run_index) if jitter_sigma > 0.0 else None
+    jitter_rng = _rng(seed, _STREAM_JITTER, run_index)
     return [_run_task(scenario, r, verifier_rng, jitter_factor(jitter_rng, jitter_sigma)) for r in retrievals]
 
 
@@ -184,14 +184,6 @@ class MonteCarloCell:
     task_id: str
     doctrine: str
     scores: tuple[float, ...]
-
-    @property
-    def minimum(self) -> float:
-        return min(self.scores)
-
-    @property
-    def maximum(self) -> float:
-        return max(self.scores)
 
     def quartiles(self) -> tuple[float, float, float]:
         q1, q2, q3 = np.percentile(np.array(self.scores), [25.0, 50.0, 75.0])

@@ -43,6 +43,8 @@ class TaskSpec:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("a task needs a non-empty id")
+        if self.id != self.id.strip():
+            raise ValueError(f"task id {self.id!r} has leading or trailing blanks")
         if self.ground_truth not in ("literal", "euphemism"):
             raise ValueError(
                 f"task {self.id}: ground_truth must be literal or euphemism, "
@@ -119,8 +121,8 @@ class SimScenario:
                 table[phrase] = concept
         return table
 
-    def legacy_cost(self, n_docs: int, time_scale: float = 1.0) -> float:
-        return self.c_per_doc * n_docs * time_scale
+    def legacy_cost(self, n_docs: int) -> float:
+        return self.c_per_doc * n_docs
 
     def modern_cost(self, n_docs: int, time_scale: float = 1.0) -> float:
         return (self.modern_a + self.modern_b * math.log(n_docs)) * time_scale

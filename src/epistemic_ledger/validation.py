@@ -232,27 +232,24 @@ def confidence_bound(method: BoundMethod, point: float, n: int, delta: float) ->
 
 
 @dataclass(frozen=True)
-class EqualWidth:
+class _Binning:
     bins: int = 10
+    _kind = ""
 
     def __post_init__(self) -> None:
         if self.bins < 1:
             raise ValueError("bin count must be >= 1")
 
     def describe(self) -> str:
-        return f"equal_width({self.bins})"
+        return f"{self._kind}({self.bins})"
 
 
-@dataclass(frozen=True)
-class EqualMass:
-    bins: int = 10
+class EqualWidth(_Binning):
+    _kind = "equal_width"
 
-    def __post_init__(self) -> None:
-        if self.bins < 1:
-            raise ValueError("bin count must be >= 1")
 
-    def describe(self) -> str:
-        return f"equal_mass({self.bins})"
+class EqualMass(_Binning):
+    _kind = "equal_mass"
 
 
 @dataclass(frozen=True)

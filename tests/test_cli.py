@@ -346,6 +346,18 @@ class TestClassify:
         assert captured.out == ""
         assert "Traceback" not in captured.err
 
+    def test_unreadable_certificate_names_its_row(self, tmp_path, capsys):
+        (tmp_path / "adir").mkdir()
+        executions = (
+            "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
+            "bid_independence,modern_actual,true,established,none,adir,\n"
+        )
+        argv = self._inputs(tmp_path, executions)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {argv[-1]}:2: cannot read certificate adir: Is a directory\n"
+        assert captured.out == ""
+
     def test_unknown_proposition_in_executions(self, tmp_path, capsys):
         executions = (
             "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"

@@ -406,6 +406,11 @@ EXECUTIONS_HEADER = "proposition_id,pipeline_id,executed,outcome,avoidance_evide
              "a task needs a non-empty id")
             for header in ("[task.]", "[task. ]")
         ),
+        (
+            "scenario", replace_line(APPENDIX_A, "[task.bid_independence]", "[task. bid_independence]"),
+            line_of(APPENDIX_A, "[task.bid_independence]"),
+            "task id ' bid_independence' has leading or trailing blanks",
+        ),
         *(
             ("scenario", replace_line(APPENDIX_A, "concept_query = bid", f"concept_query = {query}"),
              line_of(APPENDIX_A, "concept_query = bid"), f"concept_query has no indexable token: {query!r}")
@@ -414,7 +419,8 @@ EXECUTIONS_HEADER = "proposition_id,pipeline_id,executed,outcome,avoidance_evide
     ],
     ids=[
         "records-loss-range", "executions-executed", "scenario-duplicate-section", "policy-empty-key",
-        "scenario-empty-task-id", "scenario-blank-task-id", "scenario-empty-query", "scenario-stopword-query",
+        "scenario-empty-task-id", "scenario-blank-task-id", "scenario-padded-task-id",
+        "scenario-empty-query", "scenario-stopword-query",
     ],
 )
 def test_rejected_value_exits_1_at_its_line(tmp_path, capsys, kind, text, line, message):

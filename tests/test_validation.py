@@ -235,6 +235,22 @@ class TestEce:
         with pytest.raises(ValueError):
             ece([], EqualWidth(10))
 
+    def test_binning_names_and_values(self):
+        preds = [(0.2, True), (0.9, False)]
+        assert ece(preds, EqualWidth(10)).binning == "equal_width(10)"
+        assert ece(preds, EqualMass(7)).binning == "equal_mass(7)"
+        assert EqualMass(7).describe() == "equal_mass(7)"
+        assert repr(EqualMass(7)) == "EqualMass(bins=7)"
+        assert repr(EqualWidth()) == "EqualWidth(bins=10)"
+        assert EqualWidth(3) == EqualWidth(3)
+        assert EqualWidth(3) != EqualMass(3)
+
+    @pytest.mark.parametrize("binning", [EqualWidth, EqualMass])
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_bin_count_below_one_rejected(self, binning, bins):
+        with pytest.raises(ValueError, match="bin count must be >= 1"):
+            binning(bins)
+
 
 class TestMakeFolds:
     def test_kfold_even_split(self):
