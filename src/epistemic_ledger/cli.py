@@ -1,14 +1,16 @@
 """Command-line front end: score, certify, classify, simulate, sweep.
 
 Exit codes: 0 success, 1 input/domain diagnostic (file and line named where
-applicable), 2 usage error, 3 certification refused. Seed precedence:
---seed, then the EPISTEMIC_LEDGER_SEED environment variable, then the
-scenario file's own seed.
+applicable), 2 usage error, 3 certification refused. Seed precedence for
+simulate, sweep scalability and sweep montecarlo: --seed, then the
+EPISTEMIC_LEDGER_SEED environment variable, then the scenario file's own
+seed. classify reads no seed; its --seed is only echoed into the report.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -113,7 +115,7 @@ def _timestamp(value: str) -> str:
     return value
 
 
-def _eps_grid(value: str) -> list[float]:
+def _eps_grid(value: str) -> tuple[float, ...]:
     parts = value.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected START:STOP:STEP, e.g. 0:0.5:0.01")
@@ -124,15 +126,15 @@ def _eps_grid(value: str) -> list[float]:
     if step <= 0.0 or not (0.0 <= start <= stop <= 1.0):
         raise argparse.ArgumentTypeError(f"bad grid {value!r}: need 0 <= start <= stop <= 1, step > 0")
     count = math.floor((stop - start) / step + 1e-9)  # STOP is the last point, never passed
-    return [round(start + i * step, 10) for i in range(count + 1)]
+    return tuple(round(start + i * step, 10) for i in range(count + 1))
 
 
-def _sizes(value: str) -> list[int]:
+def _sizes(value: str) -> tuple[int, ...]:
     try:
-        sizes = [int(p) for p in value.split(",") if p.strip()]
+        sizes = tuple(int(p) for p in value.split(",") if p.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
-    if not sizes or sizes != sorted(sizes):
+    if not sizes or list(sizes) != sorted(sizes):
         raise argparse.ArgumentTypeError("sizes must be non-empty and ascending")
     return sizes
 
@@ -270,7 +272,6 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     scenario = load_scenario(args.scenario)
-    seed = _resolve_seed(args, parser, scenario)
     if args.sweep_command == "sensitivity":
         curve = sensitivity_sweep(scenario, args.eps_grid)
         header = "eps_ver,score,meets_theta,crossover"
@@ -279,12 +280,14 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             for p in curve.points
         ]
     elif args.sweep_command == "scalability":
+        seed = _resolve_seed(args, parser, scenario)
         header = "corpus_size,legacy_cost,modern_cost"
         rows = [
             (p.corpus_size, p.legacy_cost, p.modern_cost)
             for p in scalability_sweep(scenario, args.sizes, seed=seed)
         ]
     else:
+        seed = _resolve_seed(args, parser, scenario)
         result = monte_carlo(scenario, runs=args.runs, jitter_sigma=args.jitter, seed=seed)
         header = "company,task,doctrine,runs,min,q1,median,q3,max"
         rows = [
@@ -302,14 +305,24 @@ def _add_policy_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--delta", type=_bounded(0.0, 1.0), help="confidence parameter")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built at first use.
+
+    Every parse shares it, so it holds no per-call state: each subparser
+    names its handler with ``set_defaults(run=...)``, and the list-valued
+    defaults are tuples that no handler can change in place.
+    """
     parser = argparse.ArgumentParser(
         prog="epistemic-ledger",
         description=(
             "Score information pipelines, issue validation certificates, "
             "classify epistemic states, and run the seeded two-firm simulation."
         ),
-        epilog=f"Seed precedence: --seed, then ${ENV_SEED}, then the scenario's seed.",
+        epilog=(
+            "Seed precedence for simulate, sweep scalability and sweep montecarlo: "
+            f"--seed, then ${ENV_SEED}, then the scenario's seed."
+        ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -361,10 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("sensitivity", "scalability", "montecarlo"):
         p = sweep_sub.add_parser(name)
         p.add_argument("--scenario", default=DEFAULT_SCENARIO_NAME)
-        p.add_argument("--seed", type=_seed)
         p.add_argument("--out")
         if name == "sensitivity":
             p.add_argument("--eps-grid", dest="eps_grid", type=_eps_grid, default=_eps_grid("0:0.5:0.01"))
+        else:
+            p.add_argument("--seed", type=_seed)
         if name == "scalability":
             p.add_argument(
                 "--sizes",

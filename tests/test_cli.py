@@ -1,7 +1,12 @@
 """End-to-end tests for the command-line interface and file schemas."""
 
 import csv
+import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +25,7 @@ from epistemic_ledger.cli import main
 from epistemic_ledger.metrics import COMPONENTS, PipelineKind, PipelineSpec
 from epistemic_ledger.validation import BoundMethod, LossRecord, certify
 
-from test_golden import _ledger_argv
+from test_golden import GOLDEN, _ledger_argv
 from test_validation import loss_records
 
 PIPELINES_CSV = """id,kind,expected_cost,eps_ret,eps_gen,eps_ver
@@ -37,6 +42,11 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def pin(out):
+    """The golden-pin digest of a command's stdout."""
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
 
 
 def records_csv(tmp_path, n=1000, components=("retrieval", "generation", "verification")):
@@ -521,6 +531,81 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "sensitivity", "--eps-grid", "0:2:0.1"])
         assert exc.value.code == 2
+
+    def test_sensitivity_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "sensitivity", "--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+    def test_sensitivity_ignores_the_seed_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_SEED, "abc")
+        assert main(["sweep", "sensitivity"]) == 0
+        assert pin(capsys.readouterr().out) == GOLDEN["sweep", "sensitivity"]
+
+
+class TestParserReuse:
+    """Every main() call in a process parses with one parser, so no call may leave state behind."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_classify_seed_is_not_carried_over(self, tmp_path, capsys):
+        argv = _ledger_argv(tmp_path, capsys)["classify"]
+        assert argv[-2:] == ["--seed", "3"]
+        assert main(argv) == 0
+        assert "\nseed = 3\n" in capsys.readouterr().out
+        assert main(argv[:-2]) == 0
+        assert "\nseed = none\n" in capsys.readouterr().out
+
+    def test_montecarlo_runs_are_not_carried_over(self, capsys, monkeypatch):
+        monkeypatch.delenv(cli.ENV_SEED, raising=False)
+        assert main(["sweep", "montecarlo", "--runs", "2"]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "montecarlo"]) == 0
+        assert pin(capsys.readouterr().out) == GOLDEN["sweep", "montecarlo"]
+
+    def test_usage_error_leaves_nothing_behind(self, capsys, monkeypatch):
+        # --runs parses before --jitter fails, so a leak would change the next run count.
+        monkeypatch.delenv(cli.ENV_SEED, raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "montecarlo", "--runs", "2", "--jitter", "-1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["sweep", "montecarlo"]) == 0
+        assert pin(capsys.readouterr().out) == GOLDEN["sweep", "montecarlo"]
+
+    def test_same_call_twice_same_bytes(self, capsys):
+        for _ in range(2):
+            assert main(["sweep", "sensitivity"]) == 0
+            assert pin(capsys.readouterr().out) == GOLDEN["sweep", "sensitivity"]
+
+
+class TestEntryPoints:
+    def test_module_prints_version(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "epistemic_ledger", "--version"],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "epistemic-ledger 0.1.0\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        ["", "score", "certify", "classify", "simulate", "sweep", "sweep sensitivity",
+         "sweep scalability", "sweep montecarlo"],
+    )
+    def test_help_exits_zero_with_the_same_text_each_call(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main([*command.split(), "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0].startswith(f"usage: epistemic-ledger {command}".rstrip())
+        assert texts[0] == texts[1]
 
 
 class TestPipelinesCsv:

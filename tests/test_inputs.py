@@ -263,10 +263,11 @@ def test_negative_seed_flag_is_usage_error(argv):
 
 def test_negative_env_seed_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv(ENV_SEED, "-2")
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate"])
-    assert exc.value.code == 2
-    assert f"{ENV_SEED}: expected an integer in [0, inf), got '-2'" in capsys.readouterr().err
+    for argv in (["simulate"], ["sweep", "scalability"], ["sweep", "montecarlo"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"{ENV_SEED}: expected an integer in [0, inf), got '-2'" in capsys.readouterr().err
 
 
 def test_negative_scenario_seed_names_its_line(tmp_path, capsys):
