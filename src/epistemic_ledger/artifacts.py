@@ -30,7 +30,6 @@ from .metrics import (
     COMPONENTS,
     ComponentErrors,
     Docket,
-    FrontierPoint,
     PipelineKind,
     PipelineSpec,
     PolicyParams,
@@ -397,6 +396,7 @@ def read_executions_csv(
     """
     records = []
     certificates: dict[str, ValidationCertificate] = {}  # by cell, so each file is read once
+    checked: set[str] = set()  # the pipeline ids that passed their checks
     base = Path(path).parent
     rows = _rows(
         path,
@@ -418,13 +418,16 @@ def read_executions_csv(
         outcome = _choice(Verdict, outcome_raw, "outcome", path, line) if outcome_raw else None
         evidence_raw = evidence.strip() or "none"
         evidence = _choice(AvoidanceEvidence, evidence_raw, "avoidance evidence", path, line)
-        pipeline_id = _one_line(pipeline_id.strip(), "pipeline id", path, line)
-        with _at(path, line):
-            check_pipeline_id(pipeline_id)
-        if pipeline_id not in pipelines:
-            raise InputError(
-                f"execution references unknown pipeline {pipeline_id!r}", str(path), line
-            )
+        pipeline_id = pipeline_id.strip()
+        if pipeline_id not in checked:
+            _one_line(pipeline_id, "pipeline id", path, line)
+            with _at(path, line):
+                check_pipeline_id(pipeline_id)
+            if pipeline_id not in pipelines:
+                raise InputError(
+                    f"execution references unknown pipeline {pipeline_id!r}", str(path), line
+                )
+            checked.add(pipeline_id)
         cert_raw = cert_raw.strip()
         certificate = None
         if cert_raw:
@@ -584,12 +587,6 @@ def score_table(pipelines: Sequence[PipelineSpec], policy: PolicyParams) -> str:
     return scores + "\n" + summary
 
 
-def frontier_field(points: Sequence[FrontierPoint]) -> str:
-    return "; ".join(
-        f"{p.pipeline_id}:{fmt(p.cost)}:{fmt(p.total_error)}" for p in points
-    )
-
-
 def audit_report(
     version: str,
     policy: PolicyParams,
@@ -603,51 +600,68 @@ def audit_report(
     seed: str,
 ) -> str:
     """Render the sectioned audit report; byte-stable for identical inputs."""
-    lines = [
-        "# audit report (model classification, not legal advice)",
-        f"version = {version}",
-        f"policy_hash = {policy_hash(policy)}",
-        f"inputs_hash = {inputs_hash}",
-        f"seed = {seed}",
-        f"tau_star = {fmt(policy.tau_star)}",
-        f"theta_c = {fmt(policy.theta_c)}",
+    blocks = [
+        "# audit report (model classification, not legal advice)\n"
+        f"version = {version}\n"
+        f"policy_hash = {policy_hash(policy)}\n"
+        f"inputs_hash = {inputs_hash}\n"
+        f"seed = {seed}\n"
+        f"tau_star = {fmt(policy.tau_star)}\n"
+        f"theta_c = {fmt(policy.theta_c)}\n"
     ]
+    # A docket lists few pipelines and few distinct findings, so each point's
+    # text and each finding's applicable/primary/rationale lines are rendered
+    # once per report. A point is keyed by its pipeline id, which names one
+    # spec in a docket. A finding is keyed by its rationale; equal keys render
+    # equal text because:
+    # - every detail value is a str or a float;
+    # - floats that compare equal print alike at 4 decimals, except 0.0 and -0.0;
+    # - a -0.0 can only be a pipeline's own expected_cost or joint_error-derived
+    #   total_error, which sits beside that pipeline's unique id in the same detail.
+    points: dict[str, str] = {}
+    verdicts: dict[tuple, str] = {}
     for prop in docket.propositions:
         pipes = docket.pipeline_sets.get(prop.id, ())
+        frontier = "none"
+        if pipes:
+            frontier = "; ".join([
+                points.get(p.pipeline_id)
+                or points.setdefault(p.pipeline_id, f"{p.pipeline_id}:{fmt(p.cost)}:{fmt(p.total_error)}")
+                for p in epistemic_frontier(pipes)
+            ])
+        certs = "; ".join([
+            f"{c.pipeline_id}:s_lb={fmt(lower_bound_score(c, policy.tau_star))}"
+            for c in certificates.get(prop.id, ())
+        ])
         finding = findings[prop.id]
-        lines.append("")
-        lines.append(f"[proposition {prop.id}]")
-        lines.append(f"description = {prop.description}")
-        lines.append(f"weight = {fmt(prop.salience_weight)}")
-        lines.append(f"threshold = {fmt(prop.threshold)}")
-        score = org_scores.get(prop.id)
-        lines.append(f"org_score = {fmt(score) if score is not None else 'none'}")
-        lines.append(f"predicate = {_cell(score is not None and score >= prop.threshold)}")
-        lines.append(
-            "frontier = " + (frontier_field(epistemic_frontier(pipes)) if pipes else "none")
-        )
-        certs = certificates.get(prop.id, ())
-        if certs:
-            rendered = "; ".join(
-                f"{c.pipeline_id}:s_lb={fmt(lower_bound_score(c, policy.tau_star))}"
-                for c in certs
+        key = tuple([(doctrine, *detail.items()) for doctrine, detail in finding.rationale])
+        verdict = verdicts.get(key)
+        if verdict is None:
+            applicable = ",".join(sorted(d.value for d in finding.applicable)) or "none"
+            primary = finding.primary.value if finding.primary else "none"
+            rationale = "".join(
+                f"rationale.{doctrine.value} = "
+                + " ".join(f"{k}={_cell(v)}" for k, v in sorted(detail.items()))
+                + "\n"
+                for doctrine, detail in finding.rationale
             )
-            lines.append(f"certificates = {rendered}")
-        else:
-            lines.append("certificates = none")
-        applicable = ",".join(sorted(d.value for d in finding.applicable)) or "none"
-        lines.append(f"applicable = {applicable}")
-        lines.append(f"primary = {finding.primary.value if finding.primary else 'none'}")
-        for doctrine, detail in finding.rationale:
-            rendered = " ".join(f"{k}={_cell(v)}" for k, v in sorted(detail.items()))
-            lines.append(f"rationale.{doctrine.value} = {rendered}")
-    lines.append("")
-    lines.append("[capacity]")
-    lines.append(
-        f"point = {fmt(capacity_point) if capacity_point is not None else 'none'}"
+            verdict = verdicts[key] = f"applicable = {applicable}\nprimary = {primary}\n{rationale}"
+        score = org_scores.get(prop.id)
+        blocks.append(
+            f"\n[proposition {prop.id}]\n"
+            f"description = {prop.description}\n"
+            f"weight = {fmt(prop.salience_weight)}\n"
+            f"threshold = {fmt(prop.threshold)}\n"
+            f"org_score = {fmt(score) if score is not None else 'none'}\n"
+            f"predicate = {_cell(score is not None and score >= prop.threshold)}\n"
+            f"frontier = {frontier}\n"
+            f"certificates = {certs or 'none'}\n"
+            f"{verdict}"
+        )
+    blocks.append(
+        "\n[capacity]\n"
+        f"point = {fmt(capacity_point) if capacity_point is not None else 'none'}\n"
+        f"lower_bound = {fmt(capacity_lower) if capacity_lower is not None else 'none'}\n"
+        f"theta_neg = {fmt(policy.theta_neg)}\n"
     )
-    lines.append(
-        f"lower_bound = {fmt(capacity_lower) if capacity_lower is not None else 'none'}"
-    )
-    lines.append(f"theta_neg = {fmt(policy.theta_neg)}")
-    return "\n".join(lines) + "\n"
+    return "".join(blocks)

@@ -145,7 +145,8 @@ def _policy_from_args(args: argparse.Namespace) -> PolicyParams:
     return policy_params(section, tau_star=args.tau_star, theta_c=args.theta, delta=args.delta)
 
 
-def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser, scenario: SimScenario) -> int:
+def _resolve_seed(args: argparse.Namespace, scenario: SimScenario) -> int:
+    """--seed, else the seed variable, else the scenario's; a bad variable fails ``args.parser``."""
     if args.seed is not None:
         return args.seed
     raw = os.environ.get(ENV_SEED)
@@ -154,7 +155,7 @@ def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser, sce
     try:
         return _seed(raw)
     except argparse.ArgumentTypeError as exc:
-        parser.error(f"{ENV_SEED}: {exc}")
+        args.parser.error(f"{ENV_SEED}: {exc}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -164,7 +165,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_score(args: argparse.Namespace) -> int:
     policy = _policy_from_args(args)
     pipelines = read_pipelines_csv(args.pipelines)
     if not pipelines:
@@ -173,7 +174,7 @@ def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _cmd_certify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_certify(args: argparse.Namespace) -> int:
     policy = _policy_from_args(args)
     eval_sets = read_eval_records_csv(args.records)
     pipeline = PipelineSpec(
@@ -203,7 +204,7 @@ def _cmd_certify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_classify(args: argparse.Namespace) -> int:
     policy = _policy_from_args(args)
     pipelines = {p.id: p for p in read_pipelines_csv(args.pipelines)}
     docket = read_propositions_csv(args.propositions, pipelines)
@@ -245,9 +246,9 @@ def _cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    seed = _resolve_seed(args, parser, scenario)
+    seed = _resolve_seed(args, scenario)
     rows = run_docket(scenario, seed=seed)
     text = csv_text(
         "company,task,doctrine,time_s,eps_ret,eps_ver,eps_tot,score",
@@ -270,7 +271,7 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.sweep_command == "sensitivity":
         curve = sensitivity_sweep(scenario, args.eps_grid)
@@ -280,14 +281,14 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             for p in curve.points
         ]
     elif args.sweep_command == "scalability":
-        seed = _resolve_seed(args, parser, scenario)
+        seed = _resolve_seed(args, scenario)
         header = "corpus_size,legacy_cost,modern_cost"
         rows = [
             (p.corpus_size, p.legacy_cost, p.modern_cost)
             for p in scalability_sweep(scenario, args.sizes, seed=seed)
         ]
     else:
-        seed = _resolve_seed(args, parser, scenario)
+        seed = _resolve_seed(args, scenario)
         result = monte_carlo(scenario, runs=args.runs, jitter_sigma=args.jitter, seed=seed)
         header = "company,task,doctrine,runs,min,q1,median,q3,max"
         rows = [
@@ -310,8 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built at first use.
 
     Every parse shares it, so it holds no per-call state: each subparser
-    names its handler with ``set_defaults(run=...)``, and the list-valued
-    defaults are tuples that no handler can change in place.
+    names its handler with ``set_defaults(run=...)``, a subcommand that reads
+    the seed variable names its own parser (``parser=...``), and the
+    list-valued defaults are tuples that no handler can change in place.
     """
     parser = argparse.ArgumentParser(
         prog="epistemic-ledger",
@@ -361,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--out", help="write the report here instead of stdout")
 
     p_sim = sub.add_parser("simulate", help="run the docket simulation")
-    p_sim.set_defaults(run=_cmd_simulate)
+    p_sim.set_defaults(run=_cmd_simulate, parser=p_sim)
     p_sim.add_argument("--scenario", default=DEFAULT_SCENARIO_NAME, help="scenario file or packaged name")
     p_sim.add_argument("--seed", type=_seed, help="override the scenario seed")
     p_sim.add_argument("--summary", action="store_true", help="append capacity rows")
@@ -379,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eps-grid", dest="eps_grid", type=_eps_grid, default=_eps_grid("0:0.5:0.01"))
         else:
             p.add_argument("--seed", type=_seed)
+            p.set_defaults(parser=p)
         if name == "scalability":
             p.add_argument(
                 "--sizes",
@@ -392,10 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.run(args, parser)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, CertificationRefusedError) else 1

@@ -163,6 +163,8 @@ class FrontierPoint:
 class Docket:
     """Propositions under audit, each with the pipelines available for it.
 
+    A pipeline id names one spec across the docket, as the pipelines file
+    gives it; the audit report renders each id's frontier point once.
     A docket used for capacity computations must carry positive total weight;
     that is checked where the index is computed so the zero-weight case
     surfaces as a domain error there.
@@ -231,7 +233,9 @@ def best_pipeline(
 
 def org_score(pipelines: Sequence[PipelineSpec], policy: PolicyParams) -> float:
     """Best achievable pipeline score over a finite, non-empty pipeline set."""
-    return best_pipeline(pipelines, policy)[1]
+    if not pipelines:
+        raise ValueError("org_score is undefined for an empty pipeline set")
+    return max(pipeline_score(p, policy) for p in pipelines)
 
 
 def knowledge_predicate(score: float, theta_c: float) -> bool:

@@ -267,7 +267,10 @@ def test_negative_env_seed_is_usage_error(monkeypatch, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"{ENV_SEED}: expected an integer in [0, inf), got '-2'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # The usage and the error are those of the subcommand that read the seed.
+        assert err.startswith(f"usage: epistemic-ledger {' '.join(argv)} ")
+        assert f"epistemic-ledger {' '.join(argv)}: error: {ENV_SEED}: expected an integer in [0, inf), got '-2'" in err
 
 
 def test_negative_scenario_seed_names_its_line(tmp_path, capsys):
@@ -596,6 +599,30 @@ def test_execution_of_a_pipeline_not_in_the_pipelines_file_is_rejected_at_its_ro
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert f"{executions}:3: execution references unknown pipeline 'ghost'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ('"modern_actual\nx"', "pipeline id 'modern_actual\\nx' holds a line break"),
+        ("a;b", "pipeline id 'a;b' holds whitespace, ';', ':' or '='"),
+        ("ghost", "execution references unknown pipeline 'ghost'"),
+    ],
+    ids=["line-break", "semicolon", "unknown"],
+)
+def test_bad_pipeline_id_after_many_good_rows_is_rejected_at_its_row(tmp_path, capsys, cell, message):
+    # The reader checks each distinct pipeline id once; a repeated good id
+    # must not let a later bad one through.
+    good = "bid_independence,modern_actual,false,,none,,\n" * 30
+    bad = f"bid_independence,{cell},false,,none,,\n"
+    executions = write(tmp_path, "exec.csv", EXECUTIONS_HEADER + good + bad + good)
+    pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
+    props = write(tmp_path, "props.csv", PROPOSITIONS_CSV)
+    argv = ["classify", "--pipelines", pipelines, "--propositions", props, "--executions", executions]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: {executions}:32: {message}" in captured.err
     assert captured.out == ""
 
 

@@ -186,6 +186,21 @@ class TestOrgScore:
         winner, _ = best_pipeline([b, a], POLICY)
         assert winner.id == "a"
 
+    # Few costs and errors, so that exact score ties between distinct ids are common.
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 1.0, 2.06, 5.9]), st.sampled_from([0.0, 0.05, 0.5, 1.0])),
+            min_size=1,
+            max_size=6,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_org_score_is_the_best_pipelines_score(self, rows, rng):
+        pipes = [make_pipeline(f"p{i}", cost, ret) for i, (cost, ret) in enumerate(rows)]
+        rng.shuffle(pipes)
+        winner, best = best_pipeline(pipes, POLICY)
+        assert org_score(pipes, POLICY) == best == pipeline_score(winner, POLICY)
+
     def test_adding_pipeline_never_lowers(self):
         rng = random.Random(7)
         for _ in range(200):

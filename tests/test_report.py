@@ -1,0 +1,178 @@
+"""The audit report renders each frontier point and each distinct finding once;
+its text must equal that of the renderer that writes every line anew."""
+
+import random
+
+import pytest
+
+from epistemic_ledger.artifacts import _cell, audit_report, fmt, policy_hash
+from epistemic_ledger.doctrine import (
+    AvoidanceEvidence,
+    Doctrine,
+    ExecutionRecord,
+    Verdict,
+    classify,
+)
+from epistemic_ledger.metrics import (
+    ComponentErrors,
+    Docket,
+    PipelineKind,
+    PipelineSpec,
+    PolicyParams,
+    Proposition,
+    capacity_index,
+    epistemic_frontier,
+    org_score,
+)
+from epistemic_ledger.validation import lower_bound_capacity, lower_bound_score
+
+from test_validation import make_cert
+
+POLICY = PolicyParams()
+
+
+def _reference_report(
+    version, policy, docket, findings, org_scores, certificates, capacity_point, capacity_lower,
+    inputs_hash, seed,
+):
+    """The audit report one line at a time, rendering every point and finding anew."""
+    lines = [
+        "# audit report (model classification, not legal advice)",
+        f"version = {version}",
+        f"policy_hash = {policy_hash(policy)}",
+        f"inputs_hash = {inputs_hash}",
+        f"seed = {seed}",
+        f"tau_star = {fmt(policy.tau_star)}",
+        f"theta_c = {fmt(policy.theta_c)}",
+    ]
+    for prop in docket.propositions:
+        pipes = docket.pipeline_sets.get(prop.id, ())
+        finding = findings[prop.id]
+        lines.append("")
+        lines.append(f"[proposition {prop.id}]")
+        lines.append(f"description = {prop.description}")
+        lines.append(f"weight = {fmt(prop.salience_weight)}")
+        lines.append(f"threshold = {fmt(prop.threshold)}")
+        score = org_scores.get(prop.id)
+        lines.append(f"org_score = {fmt(score) if score is not None else 'none'}")
+        lines.append(f"predicate = {_cell(score is not None and score >= prop.threshold)}")
+        frontier = "none"
+        if pipes:
+            frontier = "; ".join(
+                f"{p.pipeline_id}:{fmt(p.cost)}:{fmt(p.total_error)}" for p in epistemic_frontier(pipes)
+            )
+        lines.append(f"frontier = {frontier}")
+        certs = certificates.get(prop.id, ())
+        if certs:
+            rendered = "; ".join(
+                f"{c.pipeline_id}:s_lb={fmt(lower_bound_score(c, policy.tau_star))}" for c in certs
+            )
+            lines.append(f"certificates = {rendered}")
+        else:
+            lines.append("certificates = none")
+        applicable = ",".join(sorted(d.value for d in finding.applicable)) or "none"
+        lines.append(f"applicable = {applicable}")
+        lines.append(f"primary = {finding.primary.value if finding.primary else 'none'}")
+        for doctrine, detail in finding.rationale:
+            rendered = " ".join(f"{k}={_cell(v)}" for k, v in sorted(detail.items()))
+            lines.append(f"rationale.{doctrine.value} = {rendered}")
+    lines.append("")
+    lines.append("[capacity]")
+    lines.append(f"point = {fmt(capacity_point) if capacity_point is not None else 'none'}")
+    lines.append(f"lower_bound = {fmt(capacity_lower) if capacity_lower is not None else 'none'}")
+    lines.append(f"theta_neg = {fmt(policy.theta_neg)}")
+    return "\n".join(lines) + "\n"
+
+
+def _pipelines(rng):
+    # Three cheap, exact pipelines, the wilful-blindness candidates: one costs
+    # -0.0, one has a joint error of -0.0, and one has 0 for both. Their
+    # frontier points and findings differ from each other only by id and sign.
+    pipes = [
+        PipelineSpec("z_cost", PipelineKind.FULL, -0.0),
+        PipelineSpec("z_joint", PipelineKind.FULL, 0.0, joint_error=-0.0),
+        PipelineSpec("z_zero", PipelineKind.FULL, 0.0),
+    ]
+    for i in range(6):
+        errors = ComponentErrors(retrieval=rng.choice([0.0, 0.02, 0.2]), verification=rng.choice([0.0, 0.05]))
+        pipes.append(PipelineSpec(f"p{i}", PipelineKind.FULL, rng.choice([0.5, 2.06, 5.9, 12.0]), errors))
+    return pipes
+
+
+def _record(rng, prop_id, pipes, certs):
+    pipeline_id = rng.choice(pipes).id
+    executed = rng.random() < 0.7
+    return ExecutionRecord(
+        pipeline_id=pipeline_id,
+        proposition_id=prop_id,
+        executed=executed,
+        certificate=certs[pipeline_id] if executed and rng.random() < 0.6 else None,
+        outcome=rng.choice(list(Verdict)) if executed else None,
+        avoidance_evidence=rng.choice([AvoidanceEvidence.NONE] * 3 + list(AvoidanceEvidence)),
+    )
+
+
+def _docket(seed, size):
+    """Findings of a docket whose propositions share few pipelines and certificates."""
+    rng = random.Random(seed)
+    pipes = _pipelines(rng)
+    # One certificate per pipeline, good, middling or grossly poor, shared by every record naming it.
+    certs = {
+        p.id: make_cert(rng.choice([0.05, 0.25, 0.6]), rng.choice([0.0, 1.0]), pipeline_id=p.id)
+        for p in pipes
+    }
+    props, sets, records = [], {}, {}
+    for i in range(size):
+        prop = Proposition(f"q{i}", f"Proposition {i % 7}", rng.choice([1.0, 2.0]), rng.choice([0.6, 0.7, 0.8]))
+        props.append(prop)
+        available = tuple(rng.sample(pipes, rng.randint(0, 3)))
+        sets[prop.id] = available
+        records[prop.id] = [_record(rng, prop.id, pipes, certs) for _ in range(rng.randint(0, 3))]
+    docket = Docket(tuple(props), sets)
+    org_scores = {p.id: org_score(sets[p.id], POLICY) if sets[p.id] else None for p in props}
+    by_prop = {
+        p.id: tuple(r.certificate for r in records[p.id] if r.certificate is not None) for p in props
+    }
+    # Without a firm-wide capacity, negligence is judged per proposition, so some have it.
+    findings = {
+        p.id: classify(p, sets[p.id], records[p.id], POLICY, score=org_scores[p.id]) for p in props
+    }
+    return dict(
+        version="0.1.0",
+        policy=POLICY,
+        docket=docket,
+        findings=findings,
+        org_scores=org_scores,
+        certificates=by_prop,
+        capacity_point=capacity_index(docket, org_scores),
+        capacity_lower=lower_bound_capacity(docket, by_prop, POLICY),
+        inputs_hash="0123456789ab",
+        seed=str(seed),
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_report_equals_the_line_by_line_reference(seed):
+    report = _docket(seed, 400)
+    findings = report["findings"].values()
+    assert {d for f in findings for d in f.applicable} == set(Doctrine)
+    distinct = {tuple((d, *detail.items()) for d, detail in f.rationale) for f in findings}
+    assert len(distinct) < len(findings) / 2  # findings repeat, so the memo is exercised
+    text = audit_report(**report)
+    assert "z_cost:-0.0000:0.0000" in text and "z_joint:0.0000:-0.0000" in text
+    assert "expected_cost=-0.0000" in text and "total_error=-0.0000" in text
+    assert text == _reference_report(**report)
+
+
+def test_report_without_pipelines_certificates_or_capacity():
+    report = _docket(0, 30)
+    report.update(
+        docket=Docket(report["docket"].propositions, {}),
+        certificates={},
+        org_scores={},
+        capacity_point=None,
+        capacity_lower=None,
+    )
+    text = audit_report(**report)
+    assert "frontier = none\ncertificates = none\n" in text and "point = none\n" in text
+    assert text == _reference_report(**report)
