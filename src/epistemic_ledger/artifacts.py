@@ -62,7 +62,7 @@ class InputError(ValueError):
 class _at:
     """Re-raise a plain ValueError from the block as an InputError at path:line.
 
-    A class, not a generator: it wraps every CSV row and costs a quarter as much."""
+    A class, not a generator: it wraps each pipelines row and costs a quarter as much."""
 
     def __init__(self, path: str | Path, line: int):
         self.path, self.line = str(path), line
@@ -340,18 +340,25 @@ def read_eval_records_csv(path: str | Path) -> dict[str, list[LossRecord]]:
     """Columns: component, loss[, predicted, actual]; ``predicted`` and ``actual`` are ignored.
 
     Rows with the same loss text share one record, so a 0/1 file builds two.
+    Each distinct (component, loss) cell pair is checked once; a bad one
+    fails at the first row that holds it.
     """
     sets: dict[str, list[LossRecord]] = {}
     records: dict[str, LossRecord] = {}  # by loss text
-    for line, (component, loss) in _rows(path, ("component", "loss")):
-        component = component.strip()
-        if component not in COMPONENTS:
-            raise InputError(f"unknown component {component!r}", str(path), line)
-        record = records.get(loss)
-        if record is None:
-            with _at(path, line):
-                record = records[loss] = LossRecord("", "", _number(loss, "loss", path, line))
-        sets.setdefault(component, []).append(record)
+    parsed: dict[tuple[str, str], tuple[list[LossRecord], LossRecord]] = {}  # by cell pair
+    for line, cells in _rows(path, ("component", "loss")):
+        entry = parsed.get(cells)
+        if entry is None:
+            component, loss = cells
+            component = component.strip()
+            if component not in COMPONENTS:
+                raise InputError(f"unknown component {component!r}", str(path), line)
+            record = records.get(loss)
+            if record is None:
+                with _at(path, line):
+                    record = records[loss] = LossRecord("", "", _number(loss, "loss", path, line))
+            entry = parsed[cells] = (sets.setdefault(component, []), record)
+        entry[0].append(entry[1])
     return sets
 
 
@@ -363,15 +370,13 @@ def read_propositions_csv(path: str | Path, pipelines: Mapping[str, PipelineSpec
     rows = _rows(path, ("id", "description", "weight", "threshold", "pipelines"))
     for line, (id_, description, weight, threshold, listed_raw) in rows:
         prop_id = _unique_id("proposition", id_.strip(), first_line, path, line)
-        with _at(path, line):
-            propositions.append(
-                Proposition(
-                    id=prop_id,
-                    description=_one_line(description.strip(), "description", path, line),
-                    salience_weight=_number(weight, "weight", path, line),
-                    threshold=_number(threshold, "threshold", path, line),
-                )
-            )
+        description = _one_line(description.strip(), "description", path, line)
+        weight = _number(weight, "weight", path, line)
+        threshold = _number(threshold, "threshold", path, line)
+        try:
+            propositions.append(Proposition(prop_id, description, weight, threshold))
+        except ValueError as exc:
+            raise InputError(str(exc), str(path), line) from exc
         listed = [p.strip() for p in listed_raw.split(";") if p.strip()]
         unknown = [p for p in listed if p not in pipelines]
         if unknown:
@@ -397,6 +402,9 @@ def read_executions_csv(
     records = []
     certificates: dict[str, ValidationCertificate] = {}  # by cell, so each file is read once
     checked: set[str] = set()  # the pipeline ids that passed their checks
+    # Each distinct (executed, outcome, avoidance_evidence) cell triple is parsed
+    # once: files repeat a few dozen triples, and a bad one fails at its first row.
+    states: dict[tuple[str, str, str], tuple[bool, Verdict | None, AvoidanceEvidence]] = {}
     base = Path(path).parent
     rows = _rows(
         path,
@@ -409,15 +417,11 @@ def read_executions_csv(
             raise InputError(
                 f"execution references unknown proposition {prop_id!r}", str(path), line
             )
-        executed_raw = executed.strip().lower()
-        if executed_raw not in ("true", "false"):
-            raise InputError(
-                f"column 'executed' must be true or false, got {executed!r}", str(path), line
+        state = states.get((executed, outcome, evidence))
+        if state is None:
+            state = states[executed, outcome, evidence] = _execution_state(
+                executed, outcome, evidence, path, line
             )
-        outcome_raw = outcome.strip()
-        outcome = _choice(Verdict, outcome_raw, "outcome", path, line) if outcome_raw else None
-        evidence_raw = evidence.strip() or "none"
-        evidence = _choice(AvoidanceEvidence, evidence_raw, "avoidance evidence", path, line)
         pipeline_id = pipeline_id.strip()
         if pipeline_id not in checked:
             _one_line(pipeline_id, "pipeline id", path, line)
@@ -464,19 +468,30 @@ def read_executions_csv(
                         str(path),
                         line,
                     )
-        with _at(path, line):
+        ran, verdict, flag = state
+        try:
             records.append(
-                ExecutionRecord(
-                    pipeline_id=pipeline_id,
-                    proposition_id=prop_id,
-                    executed=executed_raw == "true",
-                    certificate=certificate,
-                    outcome=outcome,
-                    avoidance_evidence=evidence,
-                    timestamp=timestamp.strip(),
-                )
+                ExecutionRecord(pipeline_id, prop_id, ran, certificate, verdict, flag, timestamp.strip())
             )
+        except ValueError as exc:
+            raise InputError(str(exc), str(path), line) from exc
     return records
+
+
+def _execution_state(
+    executed: str, outcome: str, evidence: str, path: str | Path, line: int
+) -> tuple[bool, Verdict | None, AvoidanceEvidence]:
+    """An executions row's ``executed``, ``outcome`` and ``avoidance_evidence`` cells, parsed."""
+    executed_raw = executed.strip().lower()
+    if executed_raw not in ("true", "false"):
+        raise InputError(
+            f"column 'executed' must be true or false, got {executed!r}", str(path), line
+        )
+    outcome_raw = outcome.strip()
+    verdict = _choice(Verdict, outcome_raw, "outcome", path, line) if outcome_raw else None
+    evidence_raw = evidence.strip() or "none"
+    flag = _choice(AvoidanceEvidence, evidence_raw, "avoidance evidence", path, line)
+    return executed_raw == "true", verdict, flag
 
 
 _PREFIXES = ("ret", "gen", "ver")  # the certificate key prefix of each of COMPONENTS

@@ -51,7 +51,7 @@ PRECEDENCE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionRecord:
     """What a firm actually did about one proposition with one pipeline."""
 
@@ -77,7 +77,7 @@ MAX_ERROR = 0.05
 RECKLESSNESS_MARGIN = 0.2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoctrineFinding:
     """The doctrines that apply to one proposition, each with its detail, in PRECEDENCE order."""
 
@@ -196,38 +196,39 @@ def classify(
         best = org_score(available, policy)
     if capacity is None:
         capacity = 1.0 if (best or 0.0) >= proposition.threshold else 0.0
-    found: dict[Doctrine, Mapping[str, object]] = {}
+    # The tests run in PRECEDENCE order, so each finding is appended in place.
+    found: list[tuple[Doctrine, Mapping[str, object]]] = []
 
     actual = next(
         (r for r in records if actual_knowledge_test(r, policy.theta_ak, policy.tau_star)), None
     )
     if actual is not None:
-        found[Doctrine.ACTUAL_KNOWLEDGE] = {
+        found.append((Doctrine.ACTUAL_KNOWLEDGE, {
             "pipeline_id": actual.pipeline_id,
             "lower_bound_score": lower_bound_score(
                 actual.certificate, policy.tau_star  # type: ignore[arg-type]
             ),
             "theta_ak": policy.theta_ak,
-        }
+        }))
 
     if wilful_blindness_test(available, records, policy):
         cheap = min(_cheap_unexecuted(available, records, policy), key=lambda p: p.id)
         flags = sorted({r.avoidance_evidence.value for r in records} - {AvoidanceEvidence.NONE.value})
-        found[Doctrine.WILFUL_BLINDNESS] = {
+        found.append((Doctrine.WILFUL_BLINDNESS, {
             "pipeline_id": cheap.id,
             "expected_cost": cheap.expected_cost,
             "cost_ceiling": CHEAPNESS_FACTOR * policy.tau_star,
             "total_error": cheap.total_error(),
             "max_error": MAX_ERROR,
             "avoidance_evidence": ",".join(flags),
-        }
+        }))
 
     reckless = next(
         (r for r in records if r.executed and recklessness_test(r, policy.theta_r, policy.tau_star)),
         None,
     )
     if reckless is not None:
-        detail = found[Doctrine.RECKLESSNESS] = {
+        detail = {
             "pipeline_id": reckless.pipeline_id,
             "theta_r": policy.theta_r,
             "margin": RECKLESSNESS_MARGIN,
@@ -236,11 +237,12 @@ def classify(
             detail["certificate"] = "absent"
         else:
             detail["lower_bound_score"] = lower_bound_score(reckless.certificate, policy.tau_star)
+        found.append((Doctrine.RECKLESSNESS, detail))
 
     if constructive_knowledge_test(best, records, policy):
-        found[Doctrine.CONSTRUCTIVE_KNOWLEDGE] = {"org_score": best, "theta_ck": policy.theta_ck}
+        found.append((Doctrine.CONSTRUCTIVE_KNOWLEDGE, {"org_score": best, "theta_ck": policy.theta_ck}))
 
     if negligence_test(capacity, policy.theta_neg):
-        found[Doctrine.NEGLIGENCE] = {"capacity": capacity, "theta_neg": policy.theta_neg}
+        found.append((Doctrine.NEGLIGENCE, {"capacity": capacity, "theta_neg": policy.theta_neg}))
 
-    return DoctrineFinding(proposition.id, tuple((d, found[d]) for d in PRECEDENCE if d in found))
+    return DoctrineFinding(proposition.id, tuple(found))

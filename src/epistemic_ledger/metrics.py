@@ -62,7 +62,7 @@ def _require_non_negative(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposition:
     """A weighted, thresholded fact a firm may be asked about.
 
@@ -124,6 +124,7 @@ class PipelineSpec:
     @cached_property
     def _total_error(self) -> float:
         # Worked out once: a spec is immutable, and every proposition listing it shares it.
+        # cached_property stores into the instance __dict__, so the spec is not slotted.
         return total_error(self.errors, self.joint_error)
 
 
@@ -146,7 +147,7 @@ class PolicyParams:
             _require_unit(name, getattr(self, name), open_interval=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrontierPoint:
     cost: float
     total_error: float

@@ -19,6 +19,7 @@ from epistemic_ledger.artifacts import (
     csv_text,
     read_certificate,
     read_eval_records_csv,
+    read_executions_csv,
     read_pipelines_csv,
 )
 from epistemic_ledger.cli import main
@@ -249,6 +250,125 @@ class TestEvalRecords:
         as_records = {c: [LossRecord("", "", x) for x in xs] for c, xs in reference.items()}
         for method in BoundMethod:
             assert _certificate_or_error(read, method) == _certificate_or_error(as_records, method)
+
+
+_MODERN_CERT = certify(
+    PipelineSpec(id="modern_actual", kind=PipelineKind.FULL, expected_cost=2.06),
+    {c: loss_records([0.0, 1.0, 0.0, 0.0]) for c in COMPONENTS},
+    measured_cost=2.06, delta=0.05, method=BoundMethod.WILSON, timestamp="2026-01-01T00:00:00+00:00",
+)
+
+
+def _reference_executions(text, path, known, pipelines):
+    """Each executions row parsed one dict at a time, or the first bad row's ``path:line: message``."""
+    records = []
+    reader = csv.DictReader(io.StringIO(text))
+    for row in reader:
+        where = f"{path}:{reader.line_num}: "  # every generated row is one line
+        prop_id = row["proposition_id"].strip()
+        if prop_id not in known:
+            return where + f"execution references unknown proposition {prop_id!r}"
+        executed = row["executed"].strip().lower()
+        if executed not in ("true", "false"):
+            return where + f"column 'executed' must be true or false, got {row['executed']!r}"
+        outcome = row["outcome"].strip()
+        if outcome and outcome not in [v.value for v in doctrine.Verdict]:
+            return where + f"unknown outcome {outcome!r}"
+        evidence = row["avoidance_evidence"].strip() or "none"
+        if evidence not in [v.value for v in doctrine.AvoidanceEvidence]:
+            return where + f"unknown avoidance evidence {evidence!r}"
+        pipeline_id = row["pipeline_id"].strip()
+        if pipeline_id not in pipelines:
+            return where + f"execution references unknown pipeline {pipeline_id!r}"
+        cert = row["certificate"].strip()
+        if cert and pipeline_id != _MODERN_CERT.pipeline_id:
+            return where + f"certificate {cert} is for pipeline 'modern_actual', not {pipeline_id!r}"
+        try:
+            records.append(
+                doctrine.ExecutionRecord(
+                    pipeline_id=pipeline_id,
+                    proposition_id=prop_id,
+                    executed=executed == "true",
+                    certificate=_MODERN_CERT if cert else None,
+                    outcome=doctrine.Verdict(outcome) if outcome else None,
+                    avoidance_evidence=doctrine.AvoidanceEvidence(evidence),
+                    timestamp=(row.get("timestamp") or "").strip(),
+                )
+            )
+        except ValueError as exc:
+            return where + str(exc)
+    return records
+
+
+def _execution_row(prop, pipeline, executed, outcome, evidence, cert, timestamp):
+    return dict(
+        proposition_id=prop, pipeline_id=pipeline, executed=executed, outcome=outcome,
+        avoidance_evidence=evidence, certificate=cert, timestamp=timestamp,
+    )
+
+
+# Repeated and padded cells that read cleanly; an unexecuted row has no
+# outcome, and only modern_actual's rows name its certificate.
+_GOOD_EXECUTION_ROW = st.builds(
+    lambda prop, pipeline, executed, outcome, evidence, cert, timestamp: _execution_row(
+        prop, pipeline, executed, outcome if executed.strip().lower() == "true" else "", evidence,
+        cert if "modern" in pipeline else "", timestamp,
+    ),
+    st.sampled_from(["bid_independence", " bid_independence ", "other"]),
+    st.sampled_from(["modern_actual", " modern_actual", "legacy_actual "]),
+    st.sampled_from(["true", "false", " TRUE ", "False"]),
+    st.sampled_from(["", "established", " refuted ", "inconclusive"]),
+    st.sampled_from(["", "none", " none ", "suppressed_query", " disabled_index"]),
+    st.sampled_from(["", "m.cert", " m.cert "]),
+    st.sampled_from(["", "2026-01-01T00:00:00+00:00", " 2026-01-02 "]),
+)
+# Mostly good cells with one bad value each, so that every check can be the one that fails.
+_ANY_EXECUTION_ROW = st.builds(
+    _execution_row,
+    st.sampled_from(["bid_independence"] * 3 + ["ghost"]),
+    st.sampled_from(["modern_actual", "legacy_actual", "legacy_actual", "ghost"]),
+    st.sampled_from(["true", "false", "false", "yes"]),
+    st.sampled_from(["", "established", "established", "Refuted"]),
+    st.sampled_from(["", "none", "none", "shredded"]),
+    st.sampled_from(["", "m.cert"]),
+    st.just(""),
+)
+
+
+class TestExecutions:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(_GOOD_EXECUTION_ROW, max_size=30),
+        odd=st.lists(st.tuples(st.integers(min_value=0), _ANY_EXECUTION_ROW), max_size=2),
+        timestamp=st.booleans(),
+        order=st.randoms(use_true_random=False),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_records_match_a_dict_reader_parse(self, tmp_path_factory, rows, odd, timestamp, order, newline):
+        rows = list(rows)
+        for position, row in odd:
+            rows.insert(position % (len(rows) + 1), row)
+        columns = [
+            "proposition_id", "pipeline_id", "executed", "outcome", "avoidance_evidence", "certificate",
+        ] + ["timestamp"] * timestamp
+        order.shuffle(columns)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator=newline)
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
+        text = buffer.getvalue()
+        directory = tmp_path_factory.mktemp("executions")
+        (directory / "m.cert").write_text(certificate_to_text(_MODERN_CERT))
+        path = directory / "executions.csv"
+        path.write_bytes(text.encode("utf-8"))
+        known = {"bid_independence", "other"}
+        pipelines = {p.id: p for p in read_pipelines_csv(write(directory, "pipelines.csv", PIPELINES_CSV))}
+
+        try:
+            read = read_executions_csv(path, known, pipelines)
+        except InputError as exc:
+            read = str(exc)
+        assert read == _reference_executions(text, path, known, pipelines)
 
 
 class TestClassify:

@@ -1,18 +1,23 @@
 """Unit tests for the doctrine classification layer."""
 
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epistemic_ledger.doctrine import (
+    CHEAPNESS_FACTOR,
+    MAX_ERROR,
     PRECEDENCE,
+    RECKLESSNESS_MARGIN,
     AvoidanceEvidence,
     Doctrine,
+    DoctrineFinding,
     ExecutionRecord,
     Verdict,
+    _cheap_unexecuted,
     actual_knowledge_test,
     classify,
     constructive_knowledge_test,
@@ -22,12 +27,14 @@ from epistemic_ledger.doctrine import (
 )
 from epistemic_ledger.metrics import (
     ComponentErrors,
+    FrontierPoint,
     PipelineKind,
     PipelineSpec,
     PolicyParams,
     Proposition,
     org_score,
 )
+from epistemic_ledger.validation import lower_bound_score
 
 from test_validation import make_cert
 
@@ -307,6 +314,62 @@ _CLASSIFY_INPUTS = (
 )
 
 
+def _reference_classify(proposition, available, executions, policy, capacity=None, score=None):
+    """``classify`` as first written: findings gathered by doctrine, then put in PRECEDENCE order."""
+    records = [r for r in executions if r.proposition_id == proposition.id]
+    best = score
+    if best is None and available:
+        best = org_score(available, policy)
+    if capacity is None:
+        capacity = 1.0 if (best or 0.0) >= proposition.threshold else 0.0
+    found = {}
+
+    actual = next(
+        (r for r in records if actual_knowledge_test(r, policy.theta_ak, policy.tau_star)), None
+    )
+    if actual is not None:
+        found[Doctrine.ACTUAL_KNOWLEDGE] = {
+            "pipeline_id": actual.pipeline_id,
+            "lower_bound_score": lower_bound_score(actual.certificate, policy.tau_star),
+            "theta_ak": policy.theta_ak,
+        }
+
+    if wilful_blindness_test(available, records, policy):
+        cheap = min(_cheap_unexecuted(available, records, policy), key=lambda p: p.id)
+        flags = sorted({r.avoidance_evidence.value for r in records} - {AvoidanceEvidence.NONE.value})
+        found[Doctrine.WILFUL_BLINDNESS] = {
+            "pipeline_id": cheap.id,
+            "expected_cost": cheap.expected_cost,
+            "cost_ceiling": CHEAPNESS_FACTOR * policy.tau_star,
+            "total_error": cheap.total_error(),
+            "max_error": MAX_ERROR,
+            "avoidance_evidence": ",".join(flags),
+        }
+
+    reckless = next(
+        (r for r in records if r.executed and recklessness_test(r, policy.theta_r, policy.tau_star)),
+        None,
+    )
+    if reckless is not None:
+        detail = found[Doctrine.RECKLESSNESS] = {
+            "pipeline_id": reckless.pipeline_id,
+            "theta_r": policy.theta_r,
+            "margin": RECKLESSNESS_MARGIN,
+        }
+        if reckless.certificate is None:
+            detail["certificate"] = "absent"
+        else:
+            detail["lower_bound_score"] = lower_bound_score(reckless.certificate, policy.tau_star)
+
+    if constructive_knowledge_test(best, records, policy):
+        found[Doctrine.CONSTRUCTIVE_KNOWLEDGE] = {"org_score": best, "theta_ck": policy.theta_ck}
+
+    if negligence_test(capacity, policy.theta_neg):
+        found[Doctrine.NEGLIGENCE] = {"capacity": capacity, "theta_neg": policy.theta_neg}
+
+    return DoctrineFinding(proposition.id, tuple((d, found[d]) for d in PRECEDENCE if d in found))
+
+
 class TestClassifyReference:
     """``classify`` against the five public tests, run on the proposition's own records."""
 
@@ -338,6 +401,18 @@ class TestClassifyReference:
         assert order == [d for d in PRECEDENCE if d in expected]
         assert finding.primary is (order[0] if order else None)
 
+
+    @settings(max_examples=300, deadline=None)
+    @given(*_CLASSIFY_INPUTS)
+    def test_findings_match_the_dict_reference(self, available, records, threshold, capacity):
+        prop = Proposition(id="phi", description="a salient fact", threshold=threshold)
+        finding = classify(prop, available, records, POLICY, capacity=capacity)
+        reference = _reference_classify(prop, available, records, POLICY, capacity=capacity)
+        assert finding == reference
+        # Details in the same key order too, though the report sorts them.
+        assert [(d, list(x.items())) for d, x in finding.rationale] == [
+            (d, list(x.items())) for d, x in reference.rationale
+        ]
 
     @settings(max_examples=300, deadline=None)
     @given(*_CLASSIFY_INPUTS)
@@ -392,3 +467,67 @@ class TestExecutionRecordInvariants:
                 executed=False,
                 outcome=Verdict.ESTABLISHED,
             )
+
+
+# The per-row and per-proposition records are slotted frozen dataclasses.
+_RECORDS = {
+    "proposition": (
+        Proposition("phi", "a fact", 1.5, 0.6),
+        "Proposition(id='phi', description='a fact', salience_weight=1.5, threshold=0.6)",
+    ),
+    "execution": (
+        ExecutionRecord("p", "phi", True, None, Verdict.REFUTED, AvoidanceEvidence.NONE, "t"),
+        "ExecutionRecord(pipeline_id='p', proposition_id='phi', executed=True, certificate=None, "
+        "outcome=<Verdict.REFUTED: 'refuted'>, avoidance_evidence=<AvoidanceEvidence.NONE: 'none'>, "
+        "timestamp='t')",
+    ),
+    "finding": (
+        DoctrineFinding("phi", ((Doctrine.NEGLIGENCE, {"capacity": 0.0, "theta_neg": 0.7}),)),
+        "DoctrineFinding(proposition_id='phi', rationale=((<Doctrine.NEGLIGENCE: 'negligence'>, "
+        "{'capacity': 0.0, 'theta_neg': 0.7}),))",
+    ),
+    "frontier-point": (
+        FrontierPoint(2.0, 0.1, "p"),
+        "FrontierPoint(cost=2.0, total_error=0.1, pipeline_id='p')",
+    ),
+}
+
+
+@pytest.mark.parametrize("record, text", _RECORDS.values(), ids=_RECORDS.keys())
+class TestSlottedRecords:
+    def test_frozen(self, record, text):
+        first = fields(record)[0].name
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, first, getattr(record, first))
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, first)
+        # A name that is not a field: CPython's frozen slotted dataclasses
+        # (3.10 to 3.12 at least) raise TypeError here, not FrozenInstanceError.
+        with pytest.raises((FrozenInstanceError, TypeError)):
+            record.note = "x"
+        assert not hasattr(record, "note")
+
+    def test_value_semantics(self, record, text):
+        assert repr(record) == text
+        copy = replace(record)
+        assert copy == record and copy is not record
+        first = fields(record)[0].name
+        assert replace(record, **{first: "other"}) != record
+        values = tuple(getattr(record, f.name) for f in fields(record))
+        if isinstance(record, DoctrineFinding):  # its details are dicts
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+            assert hash(DoctrineFinding("phi", ())) == hash(("phi", ()))
+        else:
+            assert hash(record) == hash(copy) == hash(values)
+
+    def test_no_instance_dict(self, record, text):
+        assert not hasattr(record, "__dict__")
+        assert type(record).__slots__ == tuple(f.name for f in fields(record))
+
+
+def test_replace_still_runs_the_checks():
+    with pytest.raises(ValueError, match="threshold"):
+        replace(_RECORDS["proposition"][0], threshold=1.5)
+    with pytest.raises(ValueError, match="cannot carry an outcome"):
+        replace(_RECORDS["execution"][0], executed=False)

@@ -10,9 +10,11 @@ from epistemic_ledger.artifacts import (
     certificate_to_text,
     policy_hash,
     read_certificate,
+    read_executions_csv,
     read_pipelines_csv,
 )
 from epistemic_ledger.cli import ENV_SEED, main
+from epistemic_ledger.doctrine import AvoidanceEvidence, Verdict
 from epistemic_ledger.metrics import PipelineKind, PipelineSpec, PolicyParams
 from epistemic_ledger.simlab import SimScenario, parse_scenario
 from epistemic_ledger.validation import (
@@ -623,6 +625,76 @@ def test_bad_pipeline_id_after_many_good_rows_is_rejected_at_its_row(tmp_path, c
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert f"error: {executions}:32: {message}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ("maybe,,none", "column 'executed' must be true or false, got 'maybe'"),
+        ("true,proven,none", "unknown outcome 'proven'"),
+        ("false,,shredded", "unknown avoidance evidence 'shredded'"),
+        ("false,refuted,none", "an unexecuted record cannot carry an outcome"),
+    ],
+    ids=["executed", "outcome", "avoidance-evidence", "unexecuted-outcome"],
+)
+def test_bad_execution_cells_after_many_good_rows_are_rejected_at_their_row(tmp_path, capsys, cells, message):
+    # The reader parses each distinct (executed, outcome, avoidance_evidence)
+    # triple once; good triples seen before must not let a bad one through.
+    good = "".join(
+        f"bid_independence,modern_actual,{state},,\n"
+        for state in ("false,,none", "true,established,none", "true,refuted,") * 10
+    )
+    bad = f"bid_independence,modern_actual,{cells},,\n"
+    executions = write(tmp_path, "exec.csv", EXECUTIONS_HEADER + good + bad + good)
+    pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
+    props = write(tmp_path, "props.csv", PROPOSITIONS_CSV)
+    argv = ["classify", "--pipelines", pipelines, "--propositions", props, "--executions", executions]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {executions}:32: {message}")
+    assert captured.out == ""
+
+
+def test_padded_and_mixed_case_execution_cells_read_as_their_plain_form(tmp_path):
+    pipelines = {p.id: p for p in read_pipelines_csv(write(tmp_path, "pipelines.csv", PIPELINES_CSV))}
+    known = {"bid_independence"}
+    padded = [" TRUE , refuted , none ", "True,refuted,", "true, refuted ,suppressed_query ", " FALSE ,,"]
+    plain = ["true,refuted,none", "true,refuted,none", "true,refuted,suppressed_query", "false,,none"]
+
+    def read(name, states):
+        rows = "".join(f"bid_independence,modern_actual,{state},,t{i}\n" for i, state in enumerate(states * 8))
+        return read_executions_csv(write(tmp_path, name, EXECUTIONS_HEADER + rows), known, pipelines)
+
+    records = read("padded.csv", padded)
+    assert records == read("plain.csv", plain)
+    assert [(r.executed, r.outcome, r.avoidance_evidence) for r in records[:4]] == [
+        (True, Verdict.REFUTED, AvoidanceEvidence.NONE),
+        (True, Verdict.REFUTED, AvoidanceEvidence.NONE),
+        (True, Verdict.REFUTED, AvoidanceEvidence.SUPPRESSED_QUERY),
+        (False, None, AvoidanceEvidence.NONE),
+    ]
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("retreival,0", "unknown component 'retreival'"),
+        (" bogus ,1", "unknown component 'bogus'"),
+        ("retrieval,x", "'loss' must be a finite number, got 'x'"),
+        ("generation,nan", "'loss' must be a finite number, got 'nan'"),
+        ("verification,1.5", "loss must lie in [0, 1], got 1.5"),
+    ],
+    ids=["component", "padded-component", "loss-text", "loss-nan", "loss-range"],
+)
+def test_bad_record_cells_after_many_good_rows_are_rejected_at_their_row(tmp_path, capsys, row, message):
+    # The reader checks each distinct (component, loss) pair once, and shares
+    # one record per loss text; neither may let a bad row through.
+    good = "".join(f"{c},{loss}\n" for c in ("retrieval", "generation", "verification") for loss in "01" * 5)
+    path = write(tmp_path, "records.csv", "component,loss\n" + good + row + "\n" + good)
+    assert main(["certify", path, "--pipeline-id", "p", "--cost", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}:32: {message}")
     assert captured.out == ""
 
 
