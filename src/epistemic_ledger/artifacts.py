@@ -290,15 +290,18 @@ def _rows(
         if repeated:
             raise InputError(f"repeated column(s): {', '.join(repeated)}", str(path), 1)
         width = 1 + max(header.index(c) for c in expected)
-        # Each row is padded with blanks, so a cell past a short row's end, or
-        # at -1 for a column the header lacks, reads "".
+        # A row narrower than the columns read is padded with blanks, so a cell
+        # past its end reads "". A column the header lacks reads the pad's last
+        # blank at -1, so then every row is padded.
         columns = [header.index(c) if c in header else -1 for c in (*expected, *optional)]
         blank = [""] * (1 + max(columns))
+        pad_below = math.inf if -1 in columns else len(blank)
         cells_of = operator.itemgetter(*columns)
         start = reader.line_num + 1
         for cells in reader:
             if len(cells) >= width:
-                cells += blank
+                if len(cells) < pad_below:
+                    cells += blank
                 yield start, cells_of(cells)
             elif cells:  # a short row, or one that an unterminated quote ran on into
                 empty = ", ".join(c for c in expected if header.index(c) >= len(cells))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .metrics import PipelineSpec, PolicyParams, Proposition, org_score
+from .metrics import PipelineSpec, PolicyParams, Proposition, _require, org_score
 from .validation import ValidationCertificate, lower_bound_score
 
 
@@ -169,8 +169,7 @@ def recklessness_test(record: ExecutionRecord, theta_r: float, tau_star: float) 
 
 def negligence_test(capacity: float, theta_neg: float) -> bool:
     """Firm-wide capacity strictly below the reasonable-care threshold."""
-    if not (0.0 <= capacity <= 1.0):
-        raise ValueError(f"capacity must lie in [0, 1], got {capacity}")
+    _require("capacity", capacity, 0, 1)
     return capacity < theta_neg
 
 

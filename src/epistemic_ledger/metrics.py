@@ -43,23 +43,18 @@ class UnsupportedCompositionError(ValueError):
     """Raised when two pipeline stages cannot be merged slot-wise."""
 
 
-def _require_unit(name: str, value: float, *, open_interval: bool = False) -> float:
-    value = float(value)
-    if math.isnan(value):
-        raise ValueError(f"{name} must not be NaN")
-    if open_interval:
-        if not (0.0 < value < 1.0):
-            raise ValueError(f"{name} must lie in (0, 1), got {value}")
-    elif not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return value
-
-
-def _require_non_negative(name: str, value: float) -> float:
-    value = float(value)
-    if math.isnan(value) or value < 0.0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
+def _require(
+    name: str, value: float, low: float = -math.inf, high: float = math.inf, *, exclusive: bool = False
+) -> float:
+    """``value`` as a float if it is finite and in [low, high], or in (low, high)
+    when ``exclusive``; else a ValueError that names it and the interval."""
+    number = float(value)
+    if (low < number < high) if exclusive else (low <= number <= high and math.isfinite(number)):
+        return number
+    if high == math.inf:
+        raise ValueError(f"{name} must be {'>' if exclusive else '>='} {low}, got {value}")
+    ends = "()" if exclusive else "[]"
+    raise ValueError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,8 +71,8 @@ class Proposition:
     threshold: float = 0.7
 
     def __post_init__(self) -> None:
-        _require_non_negative("salience_weight", self.salience_weight)
-        _require_unit("threshold", self.threshold, open_interval=True)
+        _require("salience_weight", self.salience_weight, 0)
+        _require("threshold", self.threshold, 0, 1, exclusive=True)
 
 
 @dataclass(frozen=True)
@@ -90,7 +85,7 @@ class ComponentErrors:
 
     def __post_init__(self) -> None:
         for name in COMPONENTS:
-            _require_unit(name, getattr(self, name))
+            _require(name, getattr(self, name), 0, 1)
 
 
 @dataclass(frozen=True)
@@ -109,9 +104,9 @@ class PipelineSpec:
     joint_error: float | None = None
 
     def __post_init__(self) -> None:
-        _require_non_negative("expected_cost", self.expected_cost)
+        _require("expected_cost", self.expected_cost, 0)
         if self.joint_error is not None:
-            _require_unit("joint_error", self.joint_error)
+            _require("joint_error", self.joint_error, 0, 1)
         if self.kind is PipelineKind.RETRIEVAL_ONLY and self.errors.generation != 0.0:
             raise ValueError(
                 "generation must be 0 for a retrieval_only pipeline, "
@@ -141,10 +136,9 @@ class PolicyParams:
     theta_neg: float = 0.7
 
     def __post_init__(self) -> None:
-        if not self.tau_star > 0.0:
-            raise ValueError(f"tau_star must be > 0, got {self.tau_star}")
+        _require("tau_star", self.tau_star, 0, exclusive=True)
         for name in ("theta_c", "delta", "theta_ak", "theta_ck", "theta_r", "theta_neg"):
-            _require_unit(name, getattr(self, name), open_interval=True)
+            _require(name, getattr(self, name), 0, 1, exclusive=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,12 +146,6 @@ class FrontierPoint:
     cost: float
     total_error: float
     pipeline_id: str
-
-    def dominates(self, other: "FrontierPoint") -> bool:
-        """Weakly better on both axes and strictly better on at least one."""
-        if self.cost > other.cost or self.total_error > other.total_error:
-            return False
-        return self.cost < other.cost or self.total_error < other.total_error
 
 
 @dataclass(frozen=True)
@@ -193,16 +181,16 @@ def total_error(errors: ComponentErrors, joint_error: float | None = None) -> fl
     supplied empirical joint error is returned verbatim instead.
     """
     if joint_error is not None:
-        return _require_unit("joint_error", joint_error)
+        return _require("joint_error", joint_error, 0, 1)
     return series_error(errors.retrieval, errors.generation, errors.verification)
 
 
 def efficiency(cost: float, tau_star: float) -> float:
     """Hyperbolic cost discount 1 / (1 + cost / tau_star), in (0, 1]."""
-    if not tau_star > 0.0:
-        raise ValueError(f"tau_star must be > 0, got {tau_star}")
-    if cost < 0.0 or math.isnan(cost):
-        raise ValueError(f"cost must be >= 0, got {cost}")
+    # Inline on the hot path: the scorer calls this once per pipeline scored.
+    if not (0.0 < tau_star < math.inf and 0.0 <= cost < math.inf):
+        _require("tau_star", tau_star, 0, exclusive=True)
+        _require("cost", cost, 0)
     return 1.0 / (1.0 + cost / tau_star)
 
 
@@ -241,8 +229,8 @@ def org_score(pipelines: Sequence[PipelineSpec], policy: PolicyParams) -> float:
 
 def knowledge_predicate(score: float, theta_c: float) -> bool:
     """True when the organisational score meets the context threshold (>=)."""
-    _require_unit("score", score)
-    _require_unit("theta_c", theta_c, open_interval=True)
+    _require("score", score, 0, 1)
+    _require("theta_c", theta_c, 0, 1, exclusive=True)
     return score >= theta_c
 
 

@@ -20,6 +20,7 @@ from ..metrics import (
     Docket,
     PipelineKind,
     PipelineSpec,
+    _require,
     capacity_index,
     discounted_score,
     pipeline_score,
@@ -60,11 +61,6 @@ class RunResult:
     eps_tot: float
     score: float
     verdict: Verdict
-
-    def pipeline_spec(self) -> PipelineSpec:
-        return _pipeline_spec(
-            self.company, self.task_id, self.simulated_time, self.eps_ret, self.eps_ver
-        )
 
 
 def _pipeline_spec(
@@ -209,12 +205,9 @@ def monte_carlo(
     sub-streams of the master seed. Jitter moves times only; the
     deterministic 0/1 error pattern never flips.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    _require("runs", runs, 1)
     seed = scenario.seed if seed is None else seed
-    sigma = scenario.jitter_sigma if jitter_sigma is None else jitter_sigma
-    if sigma < 0.0:
-        raise ValueError(f"jitter_sigma must be >= 0, got {sigma}")
+    sigma = scenario.jitter_sigma if jitter_sigma is None else _require("jitter_sigma", jitter_sigma, 0)
     retrievals = _retrieve(scenario, generate_corpus(scenario, seed))
     per_cell: dict[tuple[str, str], list[float]] = {}
     doctrines: dict[str, str] = {t.id: t.doctrine for t in scenario.tasks}
@@ -288,8 +281,7 @@ def sensitivity_sweep(
     if not eps_values:
         raise ValueError("sensitivity_sweep requires a non-empty grid")
     for eps in eps_values:
-        if not (0.0 <= eps <= 1.0):
-            raise ValueError(f"eps grid values must lie in [0, 1], got {eps}")
+        _require("eps grid values", eps, 0, 1)
     task = scenario.tasks[0]
     modern_time = scenario.modern_cost(scenario.corpus_size, task.modern_time_scale)
     points = []

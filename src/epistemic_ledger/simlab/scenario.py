@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ..artifacts import InputError, Section, _at, parse_sections, policy_params, read_input
 from ..doctrine import Verdict
-from ..metrics import PolicyParams, Proposition
+from ..metrics import PolicyParams, Proposition, _require
 from .corpus import tokenize
 
 DEFAULT_SCENARIO_NAME = "appendix_a"
@@ -60,8 +60,8 @@ class TaskSpec:
             )
         if not self.keywords:
             raise ValueError(f"task {self.id}: keyword list must be non-empty")
-        if min(self.legacy_time_scale, self.modern_time_scale) <= 0.0:
-            raise ValueError(f"task {self.id}: time scales must be positive")
+        for name in ("legacy_time_scale", "modern_time_scale"):
+            _require(f"task {self.id}: {name}", getattr(self, name), 0, exclusive=True)
         self.proposition_spec()  # checks the weight and threshold
 
     def proposition_spec(self) -> Proposition:
@@ -91,22 +91,16 @@ class SimScenario:
     def __post_init__(self) -> None:
         if not self.tasks:
             raise ValueError("a scenario needs at least one task")
-        if min(self.c_per_doc, self.modern_a, self.modern_b) < 0.0:
-            raise ValueError("cost model parameters must be non-negative")
-        if self.jitter_sigma < 0.0:
-            raise ValueError(f"jitter_sigma must be >= 0, got {self.jitter_sigma}")
-        if not (0.0 <= self.verifier_error <= 1.0):
-            raise ValueError(f"verifier_error must lie in [0, 1], got {self.verifier_error}")
-        if self.retrieval_k < 1:
-            raise ValueError(f"retrieval_k must be >= 1, got {self.retrieval_k}")
-        if self.ground_truth_per_task < 1:
-            raise ValueError("ground_truth_per_task must be >= 1")
-        if not (0.0 <= self.euphemism_ratio <= 1.0):
-            raise ValueError("euphemism_ratio must lie in [0, 1]")
+        for name in ("c_per_doc", "modern_a", "modern_b", "jitter_sigma"):
+            _require(name, getattr(self, name), 0)
+        _require("verifier_error", self.verifier_error, 0, 1)
+        _require("retrieval_k", self.retrieval_k, 1)
+        _require("ground_truth_per_task", self.ground_truth_per_task, 1)
+        _require("euphemism_ratio", self.euphemism_ratio, 0, 1)
         required = self.min_corpus_size()
-        if self.corpus_size < required:
+        if _require("corpus_size", self.corpus_size, 0) < required:
             raise ValueError(f"corpus size {self.corpus_size} is below the {required} ground-truth documents required")
-        if self.seed < 0:  # numpy seeds only from non-negative integers
+        if not 0 <= self.seed < math.inf:  # numpy seeds only from non-negative integers
             raise ValueError(f"'seed' must be non-negative, got {self.seed}")
 
     def min_corpus_size(self) -> int:

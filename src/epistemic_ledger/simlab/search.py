@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..doctrine import Verdict
+from ..metrics import _require
 from .corpus import Corpus, Document, embed, token_text
 
 
@@ -66,8 +67,7 @@ def semantic_search(
     Simulated cost is a + b * ln(corpus size); k is clamped to the corpus
     size.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require("k", k, 1)
     k = min(k, len(corpus))
     query_vec = embed(concept_query, synonyms)
     scores = corpus.hashed_rows(synonyms).dot(query_vec)
@@ -94,8 +94,7 @@ def simulated_verifier(
     with probability 1 - eps_ver and the wrong one with probability eps_ver,
     driven by the supplied seeded generator.
     """
-    if not (0.0 <= eps_ver <= 1.0):
-        raise ValueError(f"eps_ver must lie in [0, 1], got {eps_ver}")
+    _require("eps_ver", eps_ver, 0, 1)
     if not ground_truth_ids or not (ground_truth_ids & set(hits)):
         return Verdict.INCONCLUSIVE
     wrong = float(rng.random()) < eps_ver

@@ -22,6 +22,7 @@ from .metrics import (
     Docket,
     PipelineSpec,
     PolicyParams,
+    _require,
     capacity_index,
     discounted_score,
     series_error,
@@ -50,8 +51,7 @@ class LossRecord:
     loss: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.loss <= 1.0):
-            raise ValueError(f"loss must lie in [0, 1], got {self.loss}")
+        _require("loss", self.loss, 0, 1)
 
 
 def zero_one(predicted: object, actual: object) -> float:
@@ -60,15 +60,12 @@ def zero_one(predicted: object, actual: object) -> float:
 
 def check_delta(delta: float) -> float:
     """``delta``, or a ValueError unless it lies in (0, 1)."""
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return delta
+    return _require("delta", delta, 0, 1, exclusive=True)
 
 
 def check_sample_size(n: int) -> int:
     """``n``, or a ValueError if it is negative."""
-    if n < 0:
-        raise ValueError(f"sample size must be >= 0, got {n}")
+    _require("sample size", n, 0)
     return n
 
 
@@ -86,10 +83,8 @@ class ConfidenceBound:
     sample_size: int
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.point_estimate <= 1.0):
-            raise ValueError(f"point_estimate must lie in [0, 1], got {self.point_estimate}")
-        if self.upper < self.point_estimate - 1e-12 or self.upper > 1.0:
-            raise ValueError(f"upper must lie in [point_estimate, 1], got {self.upper}")
+        _require("point_estimate", self.point_estimate, 0, 1)
+        _require("upper", self.upper, self.point_estimate, 1)
         check_delta(self.delta)
         check_sample_size(self.sample_size)
 
@@ -115,8 +110,7 @@ class ValidationCertificate:
     timestamp: str
 
     def __post_init__(self) -> None:
-        if self.measured_cost < 0.0:
-            raise ValueError(f"measured_cost must be >= 0, got {self.measured_cost}")
+        _require("measured_cost", self.measured_cost, 0)
 
     @cached_property
     def total_upper(self) -> float:
@@ -151,8 +145,7 @@ _Q_SPLIT = 0.02425
 
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF on (0, 1)."""
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
+    _require("quantile argument", p, 0, 1, exclusive=True)
     if p < _Q_SPLIT:
         q = math.sqrt(-2.0 * math.log(p))
         x = (
@@ -182,11 +175,11 @@ def empirical_risk(records: Sequence[LossRecord]) -> float:
 
 
 def hoeffding_upper(risk: float, n: int, delta: float) -> ConfidenceBound:
-    """Concentration upper bound: risk + sqrt(ln(1/delta) / (2n)), clamped to 1."""
-    if not (0.0 <= risk <= 1.0):
-        raise ValueError(f"risk must lie in [0, 1], got {risk}")
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    """Concentration upper bound: risk + sqrt(ln(1/delta) / (2n)), clamped to 1.
+
+    The bound's own check rejects a ``risk`` outside [0, 1] as its point estimate.
+    """
+    _require("sample size", n, 1)
     check_delta(delta)
     upper = min(1.0, risk + math.sqrt(math.log(1.0 / delta) / (2.0 * n)))
     return ConfidenceBound(risk, upper, BoundMethod.HOEFFDING, delta, n)
@@ -198,10 +191,8 @@ def wilson_upper(successes: int, n: int, delta: float) -> ConfidenceBound:
     Tighter than the concentration bound at small observed rates; the
     "successes" here are the error events being bounded.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    if not 0 <= successes <= n:
-        raise ValueError(f"successes must lie in [0, n], got {successes} with n={n}")
+    _require("sample size", n, 1)
+    _require("successes", successes, 0, n)
     check_delta(delta)
     z = normal_quantile(1.0 - delta)
     p_hat = successes / n
@@ -237,8 +228,7 @@ class _Binning:
     _kind = ""
 
     def __post_init__(self) -> None:
-        if self.bins < 1:
-            raise ValueError("bin count must be >= 1")
+        _require("bin count", self.bins, 1)
 
     def describe(self) -> str:
         return f"{self._kind}({self.bins})"
@@ -276,8 +266,7 @@ def ece(
     if not predictions:
         raise ValueError("ece requires at least one prediction")
     for conf, _ in predictions:
-        if not (0.0 <= conf <= 1.0):
-            raise ValueError(f"confidence must lie in [0, 1], got {conf}")
+        _require("confidence", conf, 0, 1)
 
     m, n = binning.bins, len(predictions)
     if isinstance(binning, EqualWidth):
@@ -342,15 +331,6 @@ class FoldPlan:
     strategy: str
     folds: tuple[Fold, ...]
 
-    @property
-    def assignments(self) -> dict[int, int]:
-        """Test-fold membership per record index."""
-        out: dict[int, int] = {}
-        for fold in self.folds:
-            for i in fold.test:
-                out[i] = fold.fold_id
-        return out
-
 
 def make_folds(
     n: int,
@@ -362,14 +342,10 @@ def make_folds(
     ``keys`` supplies group labels for the grouped strategy and, optionally,
     time keys (checked monotone) for rolling windows.
     """
-    if n < 1:
-        raise ValueError(f"dataset size must be >= 1, got {n}")
+    _require("dataset size", n, 1)
 
     if isinstance(strategy, KFold):
-        if strategy.k < 2:
-            raise ValueError("kfold requires k >= 2")
-        if strategy.k > n:
-            raise ValueError(f"kfold requires n >= k, got n={n}, k={strategy.k}")
+        _require("kfold k", strategy.k, 2, n)
         indices = list(range(n))
         if strategy.shuffle_seed is not None:
             import random
@@ -387,8 +363,8 @@ def make_folds(
         return FoldPlan(strategy.describe(), tuple(folds))
 
     if isinstance(strategy, RollingWindow):
-        if min(strategy.train_size, strategy.test_size, strategy.step) < 1:
-            raise ValueError("rolling window sizes and step must all be >= 1")
+        for name in ("train_size", "test_size", "step"):
+            _require(f"rolling window {name}", getattr(strategy, name), 1)
         if keys is not None:
             if len(keys) != n:
                 raise ValueError(f"expected {n} time keys, got {len(keys)}")
@@ -415,15 +391,11 @@ def make_folds(
     if isinstance(strategy, Grouped):
         if keys is None or len(keys) != n:
             raise ValueError("grouped folds require one group key per record")
-        if strategy.k < 2:
-            raise ValueError("grouped requires k >= 2")
         members: dict[str, list[int]] = {}
         for i, key in enumerate(keys):
             members.setdefault(str(key), []).append(i)
-        if len(members) < strategy.k:
-            raise ValueError(
-                f"grouped requires at least k groups, got {len(members)} < {strategy.k}"
-            )
+        # k folds need at least k groups.
+        _require("grouped k", strategy.k, 2, len(members))
         # Largest groups first, each into the currently smallest fold.
         fold_indices: list[list[int]] = [[] for _ in range(strategy.k)]
         for label in sorted(members, key=lambda g: (-len(members[g]), g)):
@@ -455,8 +427,7 @@ class ModelCandidate:
     complexity: float
 
     def __post_init__(self) -> None:
-        if not self.complexity >= 0.0:
-            raise ValueError(f"complexity must be >= 0, got {self.complexity}")
+        _require("complexity", self.complexity, 0)
 
 
 def cv_risk(
@@ -499,8 +470,7 @@ def penalized_select(
     """
     if not candidates:
         raise ValueError("penalized_select requires at least one candidate")
-    if lam < 0.0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    _require("lambda", lam, 0)
     ranked = sorted(
         candidates, key=lambda c: (cv_risk(dataset, plan, c) + lam * c.complexity, c.complexity, c.id)
     )
@@ -558,8 +528,7 @@ def lower_bound_score(cert: ValidationCertificate, tau_star: float) -> float:
 
 def plug_in_test(cert: ValidationCertificate, theta_c: float, tau_star: float) -> bool:
     """High-confidence knowledge test: certified lower-bound score >= theta."""
-    if not (0.0 < theta_c < 1.0):
-        raise ValueError(f"theta_c must lie in (0, 1), got {theta_c}")
+    _require("theta_c", theta_c, 0, 1, exclusive=True)
     return lower_bound_score(cert, tau_star) >= theta_c
 
 

@@ -429,6 +429,7 @@ class TestDocketIntegration:
         # every modern run, once executed and certified on clean eval data,
         # lands as actual knowledge.
         from epistemic_ledger.simlab import default_scenario, run_docket
+        from epistemic_ledger.simlab.runner import _pipeline_spec
         from epistemic_ledger.validation import BoundMethod, LossRecord, certify
 
         scenario = default_scenario()
@@ -439,7 +440,7 @@ class TestDocketIntegration:
             for slot in ("retrieval", "generation", "verification")
         }
         for row in rows:
-            spec = row.pipeline_spec()
+            spec = _pipeline_spec(row.company, row.task_id, row.simulated_time, row.eps_ret, row.eps_ver)
             cert = certify(
                 spec, clean, measured_cost=row.simulated_time,
                 delta=scenario.policy.delta, method=BoundMethod.HOEFFDING,

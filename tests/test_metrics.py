@@ -1,8 +1,11 @@
-"""Unit and property tests for the pipeline scoring core."""
+"""Unit and property tests for the pipeline scoring core, and for the one range
+rule that every public number in the package meets."""
 
+import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,6 +29,36 @@ from epistemic_ledger.metrics import (
     pipeline_score,
     total_error,
 )
+from epistemic_ledger.doctrine import Verdict, negligence_test
+from epistemic_ledger.simlab import (
+    default_scenario,
+    generate_corpus,
+    monte_carlo,
+    semantic_search,
+    sensitivity_sweep,
+    simulated_verifier,
+)
+from epistemic_ledger.validation import (
+    BoundMethod,
+    ConfidenceBound,
+    EqualMass,
+    EqualWidth,
+    Grouped,
+    KFold,
+    LossRecord,
+    ModelCandidate,
+    RollingWindow,
+    ValidationCertificate,
+    check_delta,
+    check_sample_size,
+    ece,
+    hoeffding_upper,
+    make_folds,
+    normal_quantile,
+    penalized_select,
+    plug_in_test,
+    wilson_upper,
+)
 
 POLICY = PolicyParams()
 
@@ -42,12 +75,19 @@ def make_pipeline(pid, cost, ret=0.0, gen=0.0, ver=0.0, kind=PipelineKind.FULL, 
     )
 
 
+def dominates(a, b):
+    """Weakly better on both axes and strictly better on at least one."""
+    if a.cost > b.cost or a.total_error > b.total_error:
+        return False
+    return a.cost < b.cost or a.total_error < b.total_error
+
+
 def brute_force_frontier(pipelines):
     """O(n^2) dominance filter used as the independent oracle."""
     points = [FrontierPoint(p.expected_cost, p.total_error(), p.id) for p in pipelines]
     kept = []
     for point in points:
-        dominated = any(other.dominates(point) for other in points)
+        dominated = any(dominates(other, point) for other in points)
         duplicate = any(
             other.cost == point.cost
             and other.total_error == point.total_error
@@ -427,3 +467,107 @@ class TestValidationOfTypes:
     def test_proposition_threshold_open_interval(self):
         with pytest.raises(ValueError):
             Proposition(id="x", threshold=0.0)
+
+
+SCENARIO = default_scenario()
+TASK = SCENARIO.tasks[0]
+CERT = ValidationCertificate("p", 1.0, (), 0.05, "holdout", "")
+PLAN = make_folds(4, KFold(2))
+DATA = [(i, 0) for i in range(4)]
+ZERO = ModelCandidate("zero", lambda train: lambda x: 0, 0.0)
+HOEFFDING = BoundMethod.HOEFFDING
+
+# Every public constructor and function that takes a number, as
+# (what, call with the number, a value just outside its interval). The
+# number must be finite and inside the interval, or a ValueError names it.
+RANGES = [
+    ("PolicyParams.tau_star", lambda v: PolicyParams(tau_star=v), 0.0),
+    *(
+        (f"PolicyParams.{name}", lambda v, name=name: PolicyParams(**{name: v}), 1.0)
+        for name in ("theta_c", "delta", "theta_ak", "theta_ck", "theta_r", "theta_neg")
+    ),
+    ("Proposition.salience_weight", lambda v: Proposition("p", salience_weight=v), -1e-9),
+    ("Proposition.threshold", lambda v: Proposition("p", threshold=v), 0.0),
+    *(
+        (f"ComponentErrors.{name}", lambda v, name=name: ComponentErrors(**{name: v}), 1 + 1e-9)
+        for name in ("retrieval", "generation", "verification")
+    ),
+    ("PipelineSpec.expected_cost", lambda v: make_pipeline("p", v), -1e-9),
+    ("PipelineSpec.joint_error", lambda v: make_pipeline("p", 1.0, joint=v), 1 + 1e-9),
+    ("total_error.joint_error", lambda v: total_error(ComponentErrors(), v), -1e-9),
+    ("knowledge_predicate.score", lambda v: knowledge_predicate(v, 0.7), 1 + 1e-9),
+    ("knowledge_predicate.theta_c", lambda v: knowledge_predicate(0.5, v), 0.0),
+    ("efficiency.cost", lambda v: efficiency(v, 10.0), -1e-9),
+    ("efficiency.tau_star", lambda v: efficiency(1.0, v), 0.0),
+    ("LossRecord.loss", lambda v: LossRecord(None, None, v), 1 + 1e-9),
+    ("check_delta", check_delta, 1.0),
+    ("check_sample_size", check_sample_size, -1),
+    ("ConfidenceBound.point_estimate", lambda v: ConfidenceBound(v, 1.0, HOEFFDING, 0.05, 9), -1e-9),
+    ("ConfidenceBound.upper", lambda v: ConfidenceBound(0.0, v, HOEFFDING, 0.05, 9), 1 + 1e-9),
+    ("ConfidenceBound.delta", lambda v: ConfidenceBound(0.0, 0.0, HOEFFDING, v, 0), 0.0),
+    ("ConfidenceBound.sample_size", lambda v: ConfidenceBound(0.0, 0.0, HOEFFDING, 0.05, v), -1),
+    ("ValidationCertificate.measured_cost", lambda v: replace(CERT, measured_cost=v), -1e-9),
+    ("normal_quantile", normal_quantile, 1.0),
+    ("hoeffding_upper.risk", lambda v: hoeffding_upper(v, 10, 0.05), 1 + 1e-9),
+    ("hoeffding_upper.n", lambda v: hoeffding_upper(0.1, v, 0.05), 0),
+    ("hoeffding_upper.delta", lambda v: hoeffding_upper(0.1, 10, v), 0.0),
+    ("wilson_upper.successes", lambda v: wilson_upper(v, 10, 0.05), 11),
+    ("wilson_upper.n", lambda v: wilson_upper(0, v, 0.05), 0),
+    ("wilson_upper.delta", lambda v: wilson_upper(1, 10, v), 1.0),
+    ("EqualWidth.bins", EqualWidth, 0),
+    ("EqualMass.bins", EqualMass, 0),
+    ("ece.confidence", lambda v: ece([(0.5, True), (v, False)]), 1 + 1e-9),
+    ("make_folds.n", lambda v: make_folds(v, KFold(2)), 0),
+    ("make_folds.kfold_k", lambda v: make_folds(4, KFold(v)), 1),
+    ("make_folds.kfold_k_above_n", lambda v: make_folds(4, KFold(v)), 5),
+    *(
+        (
+            f"make_folds.rolling_{name}",
+            lambda v, name=name: make_folds(9, replace(RollingWindow(2, 1, 1), **{name: v})),
+            0,
+        )
+        for name in ("train_size", "test_size", "step")
+    ),
+    ("make_folds.grouped_k", lambda v: make_folds(4, Grouped(v), keys="aabb"), 1),
+    ("ModelCandidate.complexity", lambda v: ModelCandidate("m", ZERO.trainer, v), -1e-9),
+    ("penalized_select.lam", lambda v: penalized_select([ZERO], DATA, PLAN, v), -1e-9),
+    ("plug_in_test.theta_c", lambda v: plug_in_test(CERT, v, 10.0), 1.0),
+    ("negligence_test.capacity", lambda v: negligence_test(v, 0.7), 1 + 1e-9),
+    ("semantic_search.k", lambda v: semantic_search(generate_corpus(SCENARIO, 1), "q", v, 0.41, 0.4), 0),
+    (
+        "simulated_verifier.eps_ver",
+        lambda v: simulated_verifier(("d",), frozenset({"d"}), Verdict.ESTABLISHED, v, np.random.default_rng(1)),
+        1 + 1e-9,
+    ),
+    ("monte_carlo.runs", lambda v: monte_carlo(SCENARIO, v), 0),
+    ("monte_carlo.jitter_sigma", lambda v: monte_carlo(SCENARIO, 2, jitter_sigma=v, seed=1), -1e-9),
+    ("sensitivity_sweep.eps", lambda v: sensitivity_sweep(SCENARIO, [0.1, v]), 1 + 1e-9),
+    *(
+        (f"TaskSpec.{name}", lambda v, name=name: replace(TASK, **{name: v}), 0.0)
+        for name in ("legacy_time_scale", "modern_time_scale")
+    ),
+    *(
+        (f"SimScenario.{name}", lambda v, name=name: replace(SCENARIO, **{name: v}), outside)
+        for name, outside in [
+            ("c_per_doc", -1e-9),
+            ("modern_a", -1e-9),
+            ("modern_b", -1e-9),
+            ("jitter_sigma", -1e-9),
+            ("verifier_error", 1 + 1e-9),
+            ("retrieval_k", 0),
+            ("ground_truth_per_task", 0),
+            ("euphemism_ratio", 1 + 1e-9),
+            ("corpus_size", SCENARIO.min_corpus_size() - 1),
+            ("seed", -1),
+        ]
+    ),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "outside"])
+@pytest.mark.parametrize("call, outside", [case[1:] for case in RANGES], ids=[case[0] for case in RANGES])
+def test_a_number_outside_its_interval_is_refused(call, outside, value):
+    # The range diagnostic, not some later failure; a scenario's corpus size
+    # is judged against the ground-truth documents its tasks need.
+    with pytest.raises(ValueError, match="must (lie in|be)|is below the"):
+        call(outside if value == "outside" else value)

@@ -53,6 +53,11 @@ SCENARIO = default_scenario()
 SYNONYMS = SCENARIO.synonym_table()
 
 
+def pipeline_spec(row):
+    """The spec a run row was scored by."""
+    return runner._pipeline_spec(row.company, row.task_id, row.simulated_time, row.eps_ret, row.eps_ver)
+
+
 class TestCorpus:
     def test_default_size(self):
         corpus = generate_corpus(SCENARIO, seed=42)
@@ -344,7 +349,7 @@ class TestRunDocket:
             rows = run_docket(SCENARIO, seed=seed)
             for company in (LEGACY, MODERN):
                 scores = {
-                    r.task_id: org_score((r.pipeline_spec(),), SCENARIO.policy)
+                    r.task_id: org_score((pipeline_spec(r),), SCENARIO.policy)
                     for r in rows
                     if r.company == company
                 }

@@ -301,7 +301,7 @@ class TestMakeFolds:
 
     def test_assignments_map_test_membership(self):
         plan = make_folds(6, KFold(3))
-        assignments = plan.assignments
+        assignments = {i: fold.fold_id for fold in plan.folds for i in fold.test}
         assert sorted(assignments) == list(range(6))
         assert set(assignments.values()) == {0, 1, 2}
 
