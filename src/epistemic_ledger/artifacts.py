@@ -34,6 +34,7 @@ from .metrics import (
     PipelineSpec,
     PolicyParams,
     Proposition,
+    _require,
     best_pipeline,
     epistemic_frontier,
     knowledge_predicate,
@@ -86,12 +87,13 @@ def read_input(path: str | Path) -> str:
 
 
 def _number(value: str, key: str, path: str | Path, line: int, cast: type = float):
-    """Read a finite number of type ``cast`` (float, or int read strictly) from text."""
+    """Read a number of type ``cast`` from text: a finite float, or an int read strictly,
+    which is left to its field's range rule however large."""
     try:
         number = cast(value)
-        if math.isfinite(number):
+        if cast is int or math.isfinite(number):
             return number
-    except (ValueError, OverflowError):
+    except ValueError:
         pass
     kind = "an integer" if cast is int else "a finite number"
     raise InputError(f"{key!r} must be {kind}, got {value!r}", str(path), line)
@@ -366,8 +368,12 @@ def read_eval_records_csv(path: str | Path) -> dict[str, list[LossRecord]]:
 
 
 def read_propositions_csv(path: str | Path, pipelines: Mapping[str, PipelineSpec]) -> Docket:
-    """Columns: id, description, weight, threshold, pipelines (semicolon ids)."""
+    """Columns: id, description, weight, threshold, pipelines (semicolon ids).
+
+    The weights' running total must stay finite; the row where it overflows
+    is rejected."""
     propositions = []
+    total_weight = 0.0
     sets: dict[str, tuple[PipelineSpec, ...]] = {}
     first_line: dict[str, int] = {}
     rows = _rows(path, ("id", "description", "weight", "threshold", "pipelines"))
@@ -378,6 +384,7 @@ def read_propositions_csv(path: str | Path, pipelines: Mapping[str, PipelineSpec
         threshold = _number(threshold, "threshold", path, line)
         try:
             propositions.append(Proposition(prop_id, description, weight, threshold))
+            total_weight = _require("salience weight total", total_weight + weight, 0)
         except ValueError as exc:
             raise InputError(str(exc), str(path), line) from exc
         listed = [p.strip() for p in listed_raw.split(";") if p.strip()]

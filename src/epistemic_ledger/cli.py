@@ -40,6 +40,7 @@ from .metrics import (
     PipelineKind,
     PipelineSpec,
     PolicyParams,
+    _require,
     capacity_index,
     org_score,
 )
@@ -65,22 +66,22 @@ from .validation import (
 )
 
 ENV_SEED = "EPISTEMIC_LEDGER_SEED"
+MAX_GRID_POINTS = 100_001  # a step of 1e-5 over [0, 1]; the default grid has 51
 
 
 def _bounded(low: float, high: float = math.inf, *, closed: bool = False, cast=float):
-    """An argparse type for a finite number in (low, high), or [low, high) if ``closed``."""
+    """An argparse type for a number ``cast`` reads, in (low, high), or [low, high] if
+    ``closed``, under the library's range rule."""
 
     kind = "an integer" if cast is int else "a finite number"
-    interval = f"{'[' if closed else '('}{low:g}, {high:g})"
+    interval = f"{'[' if closed else '('}{low:g}, {high:g}{']' if closed and high < math.inf else ')'}"
 
     def parse(value: str):
         try:
             parsed = cast(value)
+            _require("value", parsed, low, high, exclusive=not closed)
         except ValueError:
-            parsed = math.nan
-        above = low <= parsed if closed else low < parsed
-        if not (math.isfinite(parsed) and above and parsed < high):
-            raise argparse.ArgumentTypeError(f"expected {kind} in {interval}, got {value!r}")
+            raise argparse.ArgumentTypeError(f"expected {kind} in {interval}, got {value!r}") from None
         return parsed
 
     return parse
@@ -119,14 +120,13 @@ def _eps_grid(value: str) -> tuple[float, ...]:
     parts = value.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected START:STOP:STEP, e.g. 0:0.5:0.01")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-numeric grid bound in {value!r}")
-    if step <= 0.0 or not (0.0 <= start <= stop <= 1.0):
-        raise argparse.ArgumentTypeError(f"bad grid {value!r}: need 0 <= start <= stop <= 1, step > 0")
-    count = math.floor((stop - start) / step + 1e-9)  # STOP is the last point, never passed
-    return tuple(round(start + i * step, 10) for i in range(count + 1))
+    start = _bounded(0.0, 1.0, closed=True)(parts[0])
+    stop = _bounded(start, 1.0, closed=True)(parts[1])
+    step = _bounded(0.0)(parts[2])
+    steps = (stop - start) / step + 1e-9  # STOP is the last point, never passed
+    if steps >= MAX_GRID_POINTS:  # the grid has floor(steps) + 1 points; steps is inf for a tiny step
+        raise argparse.ArgumentTypeError(f"grid {value!r} has more than {MAX_GRID_POINTS} points")
+    return tuple(round(start + i * step, 10) for i in range(math.floor(steps) + 1))
 
 
 def _sizes(value: str) -> tuple[int, ...]:
@@ -271,31 +271,30 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sensitivity(args: argparse.Namespace) -> int:
+    curve = sensitivity_sweep(load_scenario(args.scenario), args.eps_grid)
+    rows = ((p.eps_ver, p.score, p.meets_threshold, p.eps_ver == curve.first_crossing) for p in curve.points)
+    _emit(csv_text("eps_ver,score,meets_theta,crossover", rows), args.out)
+    return 0
+
+
+def _cmd_scalability(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    if args.sweep_command == "sensitivity":
-        curve = sensitivity_sweep(scenario, args.eps_grid)
-        header = "eps_ver,score,meets_theta,crossover"
-        rows = [
-            (p.eps_ver, p.score, p.meets_threshold, p.eps_ver == curve.first_crossing)
-            for p in curve.points
-        ]
-    elif args.sweep_command == "scalability":
-        seed = _resolve_seed(args, scenario)
-        header = "corpus_size,legacy_cost,modern_cost"
-        rows = [
-            (p.corpus_size, p.legacy_cost, p.modern_cost)
-            for p in scalability_sweep(scenario, args.sizes, seed=seed)
-        ]
-    else:
-        seed = _resolve_seed(args, scenario)
-        result = monte_carlo(scenario, runs=args.runs, jitter_sigma=args.jitter, seed=seed)
-        header = "company,task,doctrine,runs,min,q1,median,q3,max"
-        rows = [
-            (c.company, c.task_id, c.doctrine, result.runs, min(c.scores), *c.quartiles(), max(c.scores))
-            for c in result.cells
-        ]
-    _emit(csv_text(header, rows), args.out)
+    points = scalability_sweep(scenario, args.sizes, seed=_resolve_seed(args, scenario))
+    rows = ((p.corpus_size, p.legacy_cost, p.modern_cost) for p in points)
+    _emit(csv_text("corpus_size,legacy_cost,modern_cost", rows), args.out)
+    return 0
+
+
+def _cmd_montecarlo(args: argparse.Namespace) -> int:
+    scenario = load_scenario(args.scenario)
+    seed = _resolve_seed(args, scenario)
+    result = monte_carlo(scenario, runs=args.runs, jitter_sigma=args.jitter, seed=seed)
+    rows = (
+        (c.company, c.task_id, c.doctrine, result.runs, min(c.scores), *c.quartiles(), max(c.scores))
+        for c in result.cells
+    )
+    _emit(csv_text("company,task,doctrine,runs,min,q1,median,q3,max", rows), args.out)
     return 0
 
 
@@ -371,26 +370,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="write the CSV here instead of stdout")
 
     p_sweep = sub.add_parser("sweep", help="sensitivity, scalability, or Monte Carlo sweeps")
-    p_sweep.set_defaults(run=_cmd_sweep)
     sweep_sub = p_sweep.add_subparsers(dest="sweep_command", required=True)
-    for name in ("sensitivity", "scalability", "montecarlo"):
+
+    def sweep_parser(name: str, run) -> argparse.ArgumentParser:
         p = sweep_sub.add_parser(name)
+        p.set_defaults(run=run, parser=p)
         p.add_argument("--scenario", default=DEFAULT_SCENARIO_NAME)
         p.add_argument("--out")
-        if name == "sensitivity":
-            p.add_argument("--eps-grid", dest="eps_grid", type=_eps_grid, default=_eps_grid("0:0.5:0.01"))
-        else:
-            p.add_argument("--seed", type=_seed)
-            p.set_defaults(parser=p)
-        if name == "scalability":
-            p.add_argument(
-                "--sizes",
-                type=_sizes,
-                default=_sizes("60,100,200,300,400,500,600,700,800,900,1000"),
-            )
-        if name == "montecarlo":
-            p.add_argument("--runs", type=_bounded(1, closed=True, cast=int), default=15)
-            p.add_argument("--jitter", type=_bounded(0.0, closed=True), default=None)
+        return p
+
+    p_sens = sweep_parser("sensitivity", _cmd_sensitivity)
+    p_sens.add_argument("--eps-grid", dest="eps_grid", type=_eps_grid, default=_eps_grid("0:0.5:0.01"))
+    p_scale = sweep_parser("scalability", _cmd_scalability)
+    p_scale.add_argument("--seed", type=_seed)
+    p_scale.add_argument(
+        "--sizes", type=_sizes, default=_sizes("60,100,200,300,400,500,600,700,800,900,1000")
+    )
+    p_mc = sweep_parser("montecarlo", _cmd_montecarlo)
+    p_mc.add_argument("--seed", type=_seed)
+    p_mc.add_argument("--runs", type=_bounded(1, closed=True, cast=int), default=15)
+    p_mc.add_argument("--jitter", type=_bounded(0.0, closed=True), default=None)
     return parser
 
 

@@ -47,8 +47,12 @@ def _require(
     name: str, value: float, low: float = -math.inf, high: float = math.inf, *, exclusive: bool = False
 ) -> float:
     """``value`` as a float if it is finite and in [low, high], or in (low, high)
-    when ``exclusive``; else a ValueError that names it and the interval."""
-    number = float(value)
+    when ``exclusive``; else a ValueError that names it and the interval. An
+    int beyond float range is outside every interval."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.nan
     if (low < number < high) if exclusive else (low <= number <= high and math.isfinite(number)):
         return number
     if high == math.inf:
@@ -154,9 +158,9 @@ class Docket:
 
     A pipeline id names one spec across the docket, as the pipelines file
     gives it; the audit report renders each id's frontier point once.
-    A docket used for capacity computations must carry positive total weight;
-    that is checked where the index is computed so the zero-weight case
-    surfaces as a domain error there.
+    A docket used for capacity computations must carry a positive, finite
+    total weight; that is checked where the index is computed so the
+    zero-weight and overflowing cases surface as domain errors there.
     """
 
     propositions: tuple[Proposition, ...]
@@ -242,9 +246,7 @@ def capacity_index(docket: Docket, scores: Mapping[str, float | None]) -> float:
     score for the certified index. An absent or None score counts as 0, so
     the index is total over the docket.
     """
-    total_w = docket.total_weight()
-    if total_w <= 0.0:
-        raise ValueError("capacity_index requires positive total salience weight")
+    total_w = _require("total salience weight", docket.total_weight(), 0, exclusive=True)
     hit = 0.0
     for prop in docket.propositions:
         if (scores.get(prop.id) or 0.0) >= prop.threshold:

@@ -235,17 +235,16 @@ def scalability_sweep(
 ) -> list[ScalePoint]:
     """Simulated cost of both cost models at each corpus size.
 
-    Sizes must be ascending and no smaller than the scenario's ground-truth
-    requirement. The raw cost models are reported (per-task query scale
-    factors do not apply to the sweep).
+    Sizes must be ascending integers, each no smaller than the scenario's
+    ground-truth requirement. The raw cost models are reported (per-task
+    query scale factors do not apply to the sweep).
     """
     if not sizes:
         raise ValueError("scalability_sweep requires at least one size")
+    for size in sizes:
+        scenario._check_corpus_size(size)
     if list(sizes) != sorted(sizes):
         raise ValueError("sizes must be ascending")
-    required = scenario.min_corpus_size()
-    if sizes[0] < required:
-        raise ValueError(f"corpus size {sizes[0]} is below the {required} ground-truth documents required")
     seed = scenario.seed if seed is None else seed
     points = []
     for size in sizes:

@@ -10,11 +10,12 @@ output is a pure function of (scenario, seed).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
-from ..artifacts import InputError, Section, _at, parse_sections, policy_params, read_input
+from ..artifacts import InputError, Section, _at, _choice, parse_sections, policy_params, read_input
 from ..doctrine import Verdict
 from ..metrics import PolicyParams, Proposition, _require
 from .corpus import tokenize
@@ -97,14 +98,21 @@ class SimScenario:
         _require("retrieval_k", self.retrieval_k, 1)
         _require("ground_truth_per_task", self.ground_truth_per_task, 1)
         _require("euphemism_ratio", self.euphemism_ratio, 0, 1)
-        required = self.min_corpus_size()
-        if _require("corpus_size", self.corpus_size, 0) < required:
-            raise ValueError(f"corpus size {self.corpus_size} is below the {required} ground-truth documents required")
-        if not 0 <= self.seed < math.inf:  # numpy seeds only from non-negative integers
+        self._check_corpus_size(self.corpus_size)
+        if self.seed < 0:  # numpy seeds only from non-negative integers
             raise ValueError(f"'seed' must be non-negative, got {self.seed}")
+        _require("'seed'", self.seed, 0)
 
     def min_corpus_size(self) -> int:
         return self.ground_truth_per_task * len(self.tasks)
+
+    def _check_corpus_size(self, size: int) -> None:
+        """A ValueError naming ``size`` unless it is an integer of at least ``min_corpus_size()``."""
+        required = self.min_corpus_size()
+        if _require("corpus_size", size, 0) < required:
+            raise ValueError(f"corpus size {size} is below the {required} ground-truth documents required")
+        if not isinstance(size, numbers.Integral):
+            raise ValueError(f"corpus_size must be an integer, got {size}")
 
     def synonym_table(self) -> dict[str, tuple[str, ...]]:
         """Map each task's euphemism phrases to its concept-query tokens."""
@@ -149,13 +157,8 @@ _TASK_KEYS = tuple(f.name for f in fields(TaskSpec) if f.name != "id")
 def _task(sec: Section) -> TaskSpec:
     sec.reject_unknown(_TASK_KEYS)
     task_id = sec.name[len("task.") :]
-    truth_text, truth_line = sec.raw("truth")
-    try:
-        truth = Verdict(truth_text)
-    except ValueError:
-        raise InputError(
-            f"truth must be established or refuted, got {truth_text!r}", sec.path, truth_line
-        )
+    truth, line = sec.raw("truth")
+    truth = _choice(Verdict, truth, "truth (established or refuted)", sec.path, line)
     with _at(sec.path, sec.line):
         task = TaskSpec(
             id=task_id,
@@ -179,9 +182,10 @@ def _task(sec: Section) -> TaskSpec:
     return task
 
 
-def _valid(tasks: list[TaskSpec], **settings: object) -> bool:
+def _valid(tasks: list[TaskSpec]) -> bool:
+    """Whether the tasks make a scenario with every other key at its default."""
     try:
-        SimScenario(tuple(tasks), **settings)
+        SimScenario(tuple(tasks))
     except ValueError:
         return False
     return True
@@ -191,8 +195,9 @@ def parse_scenario(text: str, path: str = "<scenario>") -> SimScenario:
     """Build a scenario; a key left out keeps the SimScenario or TaskSpec default.
 
     An unknown section or key is rejected at its line. A broken rule names the
-    line of the first key whose value alone, over the defaults, breaks a rule;
-    else line 0.
+    first key whose value alone, over the defaults, breaks a rule, with that
+    rule's message at the key's line; else the message of all keys together
+    at line 0.
     """
     settings: dict[str, tuple[object, int]] = {}  # SimScenario field -> (value, line)
     tasks = []
@@ -214,8 +219,11 @@ def parse_scenario(text: str, path: str = "<scenario>") -> SimScenario:
     try:
         return SimScenario(tuple(tasks), **{attr: value for attr, (value, _) in settings.items()})
     except ValueError as exc:
-        alone = (line for attr, (value, line) in settings.items() if not _valid(tasks, **{attr: value}))
-        raise InputError(str(exc), path, next(alone, 0) if _valid(tasks) else 0) from None
+        if _valid(tasks):  # else no key can be judged alone over the defaults
+            for attr, (value, line) in settings.items():
+                with _at(path, line):
+                    SimScenario(tuple(tasks), **{attr: value})
+        raise InputError(str(exc), path, 0) from None
 
 
 def load_scenario(source: str | Path) -> SimScenario:

@@ -33,6 +33,8 @@ APPENDIX_A = (
     resources.files("epistemic_ledger.simlab").joinpath("data", "appendix_a.scenario").read_text()
 )
 
+NINES = "9" * 400  # an integer beyond float range
+
 MINIMAL_TASK = (
     "[task.t1]\nproposition = p\ntruth = established\nkeywords = k\n"
     "concept_query = q\nground_truth = literal\nliteral_phrases = k\n"
@@ -240,13 +242,26 @@ def test_absent_scenario_keys_keep_dataclass_defaults():
         ["certify", "{pipelines}", "--pipeline-id", "p", "--cost", "inf"],
         ["sweep", "montecarlo", "--jitter", "nan"],
         ["sweep", "montecarlo", "--runs", "0"],
+        ["simulate", "--seed", NINES],
+        ["sweep", "montecarlo", "--runs", NINES],
+        ["sweep", "sensitivity", "--eps-grid", "0:0.5:inf"],
+        ["sweep", "sensitivity", "--eps-grid", "0:0.5:nan"],
+        ["sweep", "sensitivity", "--eps-grid", "0:2:0.1"],
+        # Grids of more than MAX_GRID_POINTS points: about 1e300, and one whose
+        # step count is inf.
+        ["sweep", "sensitivity", "--eps-grid", "0:1:1e-300"],
+        ["sweep", "sensitivity", "--eps-grid", "0:1:5e-324"],
     ],
 )
-def test_non_finite_or_out_of_range_flag_is_usage_error(tmp_path, argv):
+def test_non_finite_or_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
     pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
     with pytest.raises(SystemExit) as exc:
         main([a.format(pipelines=pipelines) for a in argv])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # argparse's own "invalid <type> value" would mean a type leaked a ValueError.
+    assert "invalid" not in err
 
 
 @pytest.mark.parametrize(
@@ -264,24 +279,30 @@ def test_negative_seed_flag_is_usage_error(argv):
 
 
 def test_negative_env_seed_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv(ENV_SEED, "-2")
-    for argv in (["simulate"], ["sweep", "scalability"], ["sweep", "montecarlo"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        # The usage and the error are those of the subcommand that read the seed.
-        assert err.startswith(f"usage: epistemic-ledger {' '.join(argv)} ")
-        assert f"epistemic-ledger {' '.join(argv)}: error: {ENV_SEED}: expected an integer in [0, inf), got '-2'" in err
+    for seed in ("-2", NINES):
+        monkeypatch.setenv(ENV_SEED, seed)
+        for argv in (["simulate"], ["sweep", "scalability"], ["sweep", "montecarlo"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            # The usage and the error are those of the subcommand that read the seed.
+            command = " ".join(argv)
+            assert err.startswith(f"usage: epistemic-ledger {command} ")
+            assert f"epistemic-ledger {command}: error: {ENV_SEED}: expected an integer in [0, inf), got '{seed}'" in err
+            assert "Traceback" not in err
 
 
 def test_negative_scenario_seed_names_its_line(tmp_path, capsys):
-    text = replace_line(APPENDIX_A, "seed =", "seed = -1")
-    path = write(tmp_path, "negative.scenario", text)
-    assert main(["simulate", "--scenario", path]) == 1
-    err = capsys.readouterr().err
-    assert f"{path}:{line_of(text, 'seed =')}: 'seed' must be non-negative, got -1" in err
-    assert "Traceback" not in err
+    # A seed beyond float range is refused as a range error, as --seed and the
+    # seed variable refuse it, not as a non-integer.
+    for seed, message in [("-1", "'seed' must be non-negative, got -1"), (NINES, f"'seed' must be >= 0, got {NINES}")]:
+        text = replace_line(APPENDIX_A, "seed =", f"seed = {seed}")
+        path = write(tmp_path, "negative.scenario", text)
+        assert main(["simulate", "--scenario", path]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:{line_of(text, 'seed =')}: {message}" in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -307,6 +328,14 @@ def test_range_error_names_its_line(tmp_path, capsys, name, text, key):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {path}:{line_of(text, key)}: ")
     assert captured.out == ""
+
+
+def test_scenario_range_error_is_the_message_of_the_key_at_its_line():
+    # Both keys break a rule alone; the first in the file is named, with its own message.
+    text = "[verification]\nerror_rate = 2\n\n[costs]\njitter_sigma = -1\n" + APPENDIX_A[APPENDIX_A.index("[task."):]
+    with pytest.raises(InputError) as exc:
+        parse_scenario(text, "s.scenario")
+    assert str(exc.value) == "s.scenario:2: verifier_error must lie in [0, 1], got 2.0"
 
 
 def test_scenario_keys_are_judged_together_before_alone():
@@ -422,11 +451,18 @@ EXECUTIONS_HEADER = "proposition_id,pipeline_id,executed,outcome,avoidance_evide
              line_of(APPENDIX_A, "concept_query = bid"), f"concept_query has no indexable token: {query!r}")
             for query in ("", "the of and")
         ),
+        (
+            "propositions",
+            "id,description,weight,threshold,pipelines\n"
+            + "".join(f"p{i},d,1e308,0.5,modern_actual\n" for i in range(3)),
+            3,
+            "salience weight total must be >= 0, got inf",
+        ),
     ],
     ids=[
         "records-loss-range", "executions-executed", "scenario-duplicate-section", "policy-empty-key",
         "scenario-empty-task-id", "scenario-blank-task-id", "scenario-padded-task-id",
-        "scenario-empty-query", "scenario-stopword-query",
+        "scenario-empty-query", "scenario-stopword-query", "propositions-weight-total",
     ],
 )
 def test_rejected_value_exits_1_at_its_line(tmp_path, capsys, kind, text, line, message):
@@ -440,6 +476,7 @@ def test_rejected_value_exits_1_at_its_line(tmp_path, capsys, kind, text, line, 
         ],
         "scenario": ["simulate", "--scenario", path],
         "policy": ["score", pipelines, "--policy", path],
+        "propositions": ["classify", "--pipelines", pipelines, "--propositions", path],
     }[kind]
     assert main(argv) == 1
     captured = capsys.readouterr()

@@ -34,6 +34,7 @@ from epistemic_ledger.simlab import (
     default_scenario,
     generate_corpus,
     monte_carlo,
+    scalability_sweep,
     semantic_search,
     sensitivity_sweep,
     simulated_verifier,
@@ -295,6 +296,11 @@ class TestCapacityIndex:
         with pytest.raises(ValueError):
             self._index([0.9], weights=[0.0])
 
+    def test_total_weight_that_overflows_is_rejected(self):
+        # Each weight is finite, but their sum is not: the index would be inf / inf.
+        with pytest.raises(ValueError, match="total salience weight must be > 0, got inf"):
+            self._index([1.0, 1.0], weights=[1e308, 1e308])
+
     def test_equals_one_iff_every_positive_weight_meets(self):
         assert self._index([0.8, 0.69], weights=[1.0, 1.0]) < 1.0
 
@@ -480,6 +486,8 @@ HOEFFDING = BoundMethod.HOEFFDING
 # Every public constructor and function that takes a number, as
 # (what, call with the number, a value just outside its interval). The
 # number must be finite and inside the interval, or a ValueError names it.
+# One whose outside value is an int takes an integer, and also refuses an
+# integer beyond float range.
 RANGES = [
     ("PolicyParams.tau_star", lambda v: PolicyParams(tau_star=v), 0.0),
     *(
@@ -542,6 +550,7 @@ RANGES = [
     ("monte_carlo.runs", lambda v: monte_carlo(SCENARIO, v), 0),
     ("monte_carlo.jitter_sigma", lambda v: monte_carlo(SCENARIO, 2, jitter_sigma=v, seed=1), -1e-9),
     ("sensitivity_sweep.eps", lambda v: sensitivity_sweep(SCENARIO, [0.1, v]), 1 + 1e-9),
+    ("scalability_sweep.size", lambda v: scalability_sweep(SCENARIO, [v]), SCENARIO.min_corpus_size() - 1),
     *(
         (f"TaskSpec.{name}", lambda v, name=name: replace(TASK, **{name: v}), 0.0)
         for name in ("legacy_time_scale", "modern_time_scale")
@@ -564,10 +573,19 @@ RANGES = [
 ]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "outside"])
-@pytest.mark.parametrize("call, outside", [case[1:] for case in RANGES], ids=[case[0] for case in RANGES])
-def test_a_number_outside_its_interval_is_refused(call, outside, value):
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, value, id=f"{what}-{label}")
+        for what, call, outside in RANGES
+        for label, value in [
+            ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf), ("outside", outside),
+            *([("10**400", 10**400)] if isinstance(outside, int) else []),
+        ]
+    ],
+)
+def test_a_number_outside_its_interval_is_refused(call, value):
     # The range diagnostic, not some later failure; a scenario's corpus size
     # is judged against the ground-truth documents its tasks need.
     with pytest.raises(ValueError, match="must (lie in|be)|is below the"):
-        call(outside if value == "outside" else value)
+        call(value)

@@ -411,6 +411,11 @@ class TestScalability:
         with pytest.raises(ValueError):
             scalability_sweep(SCENARIO, [100, 60])
 
+    @pytest.mark.parametrize("size", [100.5, 100.0])
+    def test_sizes_must_be_integers(self, size):
+        with pytest.raises(ValueError, match=f"corpus_size must be an integer, got {size}"):
+            scalability_sweep(SCENARIO, [60, size])
+
     def test_deterministic(self):
         assert scalability_sweep(SCENARIO, [60, 1000]) == scalability_sweep(
             SCENARIO, [60, 1000]
