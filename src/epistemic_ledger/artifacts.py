@@ -6,6 +6,10 @@ precision, so they round-trip); audit reports as sectioned key=value text
 with every number at fixed 4-decimal precision so reports are diff-able and
 byte-reproducible. Certificates, policies and scenario files share one
 ``key = value`` grammar, read by ``parse_sections``.
+
+The parsing helpers raise a plain ValueError, and one place per format attaches
+the line: ``_rows`` the line a CSV row starts on, ``Section`` a key's line, and
+``judged`` the line of the first key whose value alone breaks a rule.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import io
 import math
 import operator
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping, NoReturn, Sequence
 
@@ -63,7 +67,7 @@ class InputError(ValueError):
 class _at:
     """Re-raise a plain ValueError from the block as an InputError at path:line.
 
-    A class, not a generator: it wraps each pipelines row and costs a quarter as much."""
+    A class, not a generator: it costs a quarter as much, and ``Section`` enters it per key."""
 
     def __init__(self, path: str | Path, line: int):
         self.path, self.line = str(path), line
@@ -86,7 +90,7 @@ def read_input(path: str | Path) -> str:
         raise InputError(f"byte 0x{data[exc.start]:02x} is not UTF-8", str(path), line) from None
 
 
-def _number(value: str, key: str, path: str | Path, line: int, cast: type = float):
+def _number(value: str, key: str, cast: type = float):
     """Read a number of type ``cast`` from text: a finite float, or an int read strictly,
     which is left to its field's range rule however large."""
     try:
@@ -96,14 +100,14 @@ def _number(value: str, key: str, path: str | Path, line: int, cast: type = floa
     except ValueError:
         pass
     kind = "an integer" if cast is int else "a finite number"
-    raise InputError(f"{key!r} must be {kind}, got {value!r}", str(path), line)
+    raise ValueError(f"{key!r} must be {kind}, got {value!r}")
 
 
-def _choice(kind: type, value: str, what: str, path: str | Path, line: int):
+def _choice(kind: type, value: str, what: str):
     try:
         return kind(value)
     except ValueError:
-        raise InputError(f"unknown {what} {value!r}", str(path), line) from None
+        raise ValueError(f"unknown {what} {value!r}") from None
 
 
 @dataclass
@@ -139,11 +143,16 @@ class Section:
         return self.raw(key)[0]
 
     def number(self, key: str, cast: type = float, to: Callable = lambda number: number):
-        """``key``'s finite number passed through ``to``, whose ValueError names ``key``'s line."""
+        """``key``'s finite number passed through ``to``; a ValueError names ``key``'s line."""
         value, line = self.raw(key)
-        number = _number(value, key, self.path, line, cast)
         with _at(self.path, line):
-            return to(number)
+            return to(_number(value, key, cast))
+
+    def choice(self, key: str, kind: type, what: str):
+        """``key``'s value as a member of the enum ``kind``, or an error at ``key``'s line."""
+        value, line = self.raw(key)
+        with _at(self.path, line):
+            return _choice(kind, value, what)
 
 
 def parse_sections(text: str, path: str, *, flat: bool = False) -> dict[str, Section]:
@@ -183,6 +192,26 @@ def parse_sections(text: str, path: str, *, flat: bool = False) -> dict[str, Sec
 _POLICY_KEYS = tuple(f.name for f in fields(PolicyParams))
 
 
+def judged(make: Callable, settings: Mapping[str, tuple[object, int]], path: str, line: int):
+    """``make(**values)``, where ``settings`` maps each key to its (value, line).
+
+    If that raises a ValueError and ``make()`` does not, the InputError names the first
+    key whose value alone breaks a rule, with that rule's message at the key's line;
+    otherwise it gives the message of all keys together at ``line``."""
+    try:
+        return make(**{key: value for key, (value, _) in settings.items()})
+    except ValueError as exc:
+        error = exc
+    try:
+        make()
+    except ValueError:  # then no key can be judged alone over the defaults
+        settings = {}
+    for key, (value, key_line) in settings.items():
+        with _at(path, key_line):
+            make(**{key: value})
+    raise InputError(str(error), path, line) from None
+
+
 def policy_params(section: Section, **overrides: float | None) -> PolicyParams:
     """The policy a section sets, with non-None overrides on top.
 
@@ -190,13 +219,10 @@ def policy_params(section: Section, **overrides: float | None) -> PolicyParams:
     out of its range is rejected at its line.
     """
     section.reject_unknown(_POLICY_KEYS, "policy key")
-    values = {key: section.number(key) for key in section.values}
-    for key, value in values.items():
-        with _at(section.path, section.values[key][1]):
-            PolicyParams(**{key: value})
-    values.update((key, value) for key, value in overrides.items() if value is not None)
+    settings = {key: (section.number(key), line) for key, (_, line) in section.values.items()}
+    policy = judged(PolicyParams, settings, section.path, section.line)
     with _at(section.path, section.line):
-        return PolicyParams(**values)
+        return replace(policy, **{key: value for key, value in overrides.items() if value is not None})
 
 
 def fmt(x: float) -> str:
@@ -242,10 +268,10 @@ def files_hash(paths: Iterable[str | Path]) -> str:
     return _short_hash(Path(path).read_bytes() for path in paths)
 
 
-def _one_line(text: str, what: str, path: str | Path, line: int) -> str:
-    """``text``, rejected at its line if it holds a line break: the report echoes it as one line."""
+def _one_line(text: str, what: str) -> str:
+    """``text``, or a ValueError if it holds a line break: the report echoes it as one line."""
     if len(text.splitlines()) > 1:
-        raise InputError(f"{what} {text!r} holds a line break", str(path), line)
+        raise ValueError(f"{what} {text!r} holds a line break")
     return text
 
 
@@ -255,26 +281,26 @@ _BLURS_REPORT = re.compile(r"[\s;:=]")
 
 
 def check_pipeline_id(text: str) -> str:
-    """``text``, or a ValueError if it holds whitespace, ``;``, ``:`` or ``=``."""
+    """``text``, or a ValueError if it is empty or holds whitespace, ``;``, ``:`` or ``=``."""
+    if not text:
+        raise ValueError("a pipeline needs a non-empty id")
     if _BLURS_REPORT.search(text):
         raise ValueError(f"pipeline id {text!r} holds whitespace, ';', ':' or '='")
     return text
 
 
-def _unique_id(kind: str, id_: str, first_line: dict[str, int], path: str | Path, line: int) -> str:
-    """``id_``, its line recorded in ``first_line``; a repeated id is rejected at its line."""
-    _one_line(id_, f"{kind} id", path, line)
+def _unique_id(kind: str, id_: str, first_line: dict[str, int], line: int) -> str:
+    """``id_``, its ``line`` recorded in ``first_line``; a repeated id is a ValueError."""
+    _one_line(id_, f"{kind} id")
     if id_ in first_line:
-        first = first_line[id_]
-        raise InputError(f"duplicate {kind} id {id_!r} (first at line {first})", str(path), line)
+        raise ValueError(f"duplicate {kind} id {id_!r} (first at line {first_line[id_]})")
     first_line[id_] = line
     return id_
 
 
-def _rows(
-    path: str | Path, expected: Sequence[str], optional: Sequence[str] = ()
-) -> Iterable[tuple[int, tuple[str, ...]]]:
-    """Each data row's ``expected`` then ``optional`` cells, with the line the row starts on.
+def _rows(path: str | Path, expected: Sequence[str], optional: Sequence[str], each: Callable) -> None:
+    """Call ``each(line, cells)`` for each data row: the line the row starts on, then its
+    ``expected`` and ``optional`` cells. A ValueError from ``each`` names that line.
 
     A quoted cell may span lines. An optional cell that the header or the row
     lacks reads "".
@@ -304,40 +330,44 @@ def _rows(
             if len(cells) >= width:
                 if len(cells) < pad_below:
                     cells += blank
-                yield start, cells_of(cells)
+                each(start, cells_of(cells))
             elif cells:  # a short row, or one that an unterminated quote ran on into
                 empty = ", ".join(c for c in expected if header.index(c) >= len(cells))
                 raise InputError(f"row has no value for column(s): {empty}", str(path), start)
             start = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise InputError(f"malformed CSV: {exc}", str(path), start) from None
+    except InputError:  # already names its file, such as a certificate a row names
+        raise
+    except ValueError as exc:
+        raise InputError(str(exc), str(path), start) from exc
 
 
 def read_pipelines_csv(path: str | Path) -> list[PipelineSpec]:
     """Columns: id, kind, expected_cost, eps_ret, eps_gen, eps_ver[, joint_error]."""
     pipelines = []
     first_line: dict[str, int] = {}
-    rows = _rows(
-        path, ("id", "kind", "expected_cost", "eps_ret", "eps_gen", "eps_ver"), ("joint_error",)
-    )
-    for line, (id_, kind_raw, cost, eps_ret, eps_gen, eps_ver, joint_raw) in rows:
-        pipeline_id = _unique_id("pipeline", id_.strip(), first_line, path, line)
-        kind = _choice(PipelineKind, kind_raw.strip(), "pipeline kind", path, line)
+
+    def row(line: int, cells: tuple[str, ...]) -> None:
+        id_, kind_raw, cost, eps_ret, eps_gen, eps_ver, joint_raw = cells
+        pipeline_id = _unique_id("pipeline", id_.strip(), first_line, line)
+        kind = _choice(PipelineKind, kind_raw.strip(), "pipeline kind")
         joint_raw = joint_raw.strip()
-        with _at(path, line):
-            pipelines.append(
-                PipelineSpec(
-                    id=check_pipeline_id(pipeline_id),
-                    kind=kind,
-                    expected_cost=_number(cost, "expected_cost", path, line),
-                    errors=ComponentErrors(
-                        retrieval=_number(eps_ret, "eps_ret", path, line),
-                        generation=_number(eps_gen, "eps_gen", path, line),
-                        verification=_number(eps_ver, "eps_ver", path, line),
-                    ),
-                    joint_error=_number(joint_raw, "joint_error", path, line) if joint_raw else None
-                )
+        pipelines.append(
+            PipelineSpec(
+                id=check_pipeline_id(pipeline_id),
+                kind=kind,
+                expected_cost=_number(cost, "expected_cost"),
+                errors=ComponentErrors(
+                    retrieval=_number(eps_ret, "eps_ret"),
+                    generation=_number(eps_gen, "eps_gen"),
+                    verification=_number(eps_ver, "eps_ver"),
+                ),
+                joint_error=_number(joint_raw, "joint_error") if joint_raw else None,
             )
+        )
+
+    _rows(path, ("id", "kind", "expected_cost", "eps_ret", "eps_gen", "eps_ver"), ("joint_error",), row)
     return pipelines
 
 
@@ -351,19 +381,21 @@ def read_eval_records_csv(path: str | Path) -> dict[str, list[LossRecord]]:
     sets: dict[str, list[LossRecord]] = {}
     records: dict[str, LossRecord] = {}  # by loss text
     parsed: dict[tuple[str, str], tuple[list[LossRecord], LossRecord]] = {}  # by cell pair
-    for line, cells in _rows(path, ("component", "loss")):
+
+    def row(line: int, cells: tuple[str, str]) -> None:
         entry = parsed.get(cells)
         if entry is None:
             component, loss = cells
             component = component.strip()
             if component not in COMPONENTS:
-                raise InputError(f"unknown component {component!r}", str(path), line)
+                raise ValueError(f"unknown component {component!r}")
             record = records.get(loss)
             if record is None:
-                with _at(path, line):
-                    record = records[loss] = LossRecord("", "", _number(loss, "loss", path, line))
+                record = records[loss] = LossRecord("", "", _number(loss, "loss"))
             entry = parsed[cells] = (sets.setdefault(component, []), record)
         entry[0].append(entry[1])
+
+    _rows(path, ("component", "loss"), (), row)
     return sets
 
 
@@ -376,27 +408,25 @@ def read_propositions_csv(path: str | Path, pipelines: Mapping[str, PipelineSpec
     total_weight = 0.0
     sets: dict[str, tuple[PipelineSpec, ...]] = {}
     first_line: dict[str, int] = {}
-    rows = _rows(path, ("id", "description", "weight", "threshold", "pipelines"))
-    for line, (id_, description, weight, threshold, listed_raw) in rows:
-        prop_id = _unique_id("proposition", id_.strip(), first_line, path, line)
-        description = _one_line(description.strip(), "description", path, line)
-        weight = _number(weight, "weight", path, line)
-        threshold = _number(threshold, "threshold", path, line)
-        try:
-            propositions.append(Proposition(prop_id, description, weight, threshold))
-            total_weight = _require("salience weight total", total_weight + weight, 0)
-        except ValueError as exc:
-            raise InputError(str(exc), str(path), line) from exc
+
+    def row(line: int, cells: tuple[str, ...]) -> None:
+        nonlocal total_weight
+        id_, description, weight, threshold, listed_raw = cells
+        prop_id = _unique_id("proposition", id_.strip(), first_line, line)
+        if not prop_id:
+            raise ValueError("a proposition needs a non-empty id")
+        description = _one_line(description.strip(), "description")
+        weight = _number(weight, "weight")
+        threshold = _number(threshold, "threshold")
+        propositions.append(Proposition(prop_id, description, weight, threshold))
+        total_weight = _require("salience weight total", total_weight + weight, 0)
         listed = [p.strip() for p in listed_raw.split(";") if p.strip()]
         unknown = [p for p in listed if p not in pipelines]
         if unknown:
-            raise InputError(
-                f"proposition {prop_id!r} references unknown pipeline(s): "
-                f"{', '.join(unknown)}",
-                str(path),
-                line,
-            )
+            raise ValueError(f"proposition {prop_id!r} references unknown pipeline(s): {', '.join(unknown)}")
         sets[prop_id] = tuple(pipelines[p] for p in listed)
+
+    _rows(path, ("id", "description", "weight", "threshold", "pipelines"), (), row)
     return Docket(propositions=tuple(propositions), pipeline_sets=sets)
 
 
@@ -416,31 +446,20 @@ def read_executions_csv(
     # once: files repeat a few dozen triples, and a bad one fails at its first row.
     states: dict[tuple[str, str, str], tuple[bool, Verdict | None, AvoidanceEvidence]] = {}
     base = Path(path).parent
-    rows = _rows(
-        path,
-        ("proposition_id", "pipeline_id", "executed", "outcome", "avoidance_evidence", "certificate"),
-        ("timestamp",),
-    )
-    for line, (prop_id, pipeline_id, executed, outcome, evidence, cert_raw, timestamp) in rows:
+
+    def row(line: int, cells: tuple[str, ...]) -> None:
+        prop_id, pipeline_id, executed, outcome, evidence, cert_raw, timestamp = cells
         prop_id = prop_id.strip()
         if prop_id not in known_propositions:
-            raise InputError(
-                f"execution references unknown proposition {prop_id!r}", str(path), line
-            )
+            raise ValueError(f"execution references unknown proposition {prop_id!r}")
         state = states.get((executed, outcome, evidence))
         if state is None:
-            state = states[executed, outcome, evidence] = _execution_state(
-                executed, outcome, evidence, path, line
-            )
+            state = states[executed, outcome, evidence] = _execution_state(executed, outcome, evidence)
         pipeline_id = pipeline_id.strip()
         if pipeline_id not in checked:
-            _one_line(pipeline_id, "pipeline id", path, line)
-            with _at(path, line):
-                check_pipeline_id(pipeline_id)
+            check_pipeline_id(_one_line(pipeline_id, "pipeline id"))
             if pipeline_id not in pipelines:
-                raise InputError(
-                    f"execution references unknown pipeline {pipeline_id!r}", str(path), line
-                )
+                raise ValueError(f"execution references unknown pipeline {pipeline_id!r}")
             checked.add(pipeline_id)
         cert_raw = cert_raw.strip()
         certificate = None
@@ -449,20 +468,15 @@ def read_executions_csv(
             if first_read:
                 cert_path = base / cert_raw  # an absolute cert_raw replaces base
                 if not cert_path.exists():
-                    raise InputError(f"certificate file not found: {cert_raw}", str(path), line)
+                    raise ValueError(f"certificate file not found: {cert_raw}")
                 try:
                     certificates[cert_raw] = read_certificate(cert_path)
                 except OSError as exc:
-                    message = f"cannot read certificate {cert_raw}: {exc.strerror}"
-                    raise InputError(message, str(path), line) from None
+                    raise ValueError(f"cannot read certificate {cert_raw}: {exc.strerror}") from None
             certificate = certificates[cert_raw]
             if certificate.pipeline_id != pipeline_id:
-                raise InputError(
-                    f"certificate {cert_raw} is for pipeline {certificate.pipeline_id!r}, "
-                    f"not {pipeline_id!r}",
-                    str(path),
-                    line,
-                )
+                wrote = certificate.pipeline_id
+                raise ValueError(f"certificate {cert_raw} is for pipeline {wrote!r}, not {pipeline_id!r}")
             if first_read:  # later rows naming this cell are for the same pipeline
                 # certify gives the synthetic n = 0 bound only to a component the
                 # kind lacks; on one it runs, it would count as error-free.
@@ -471,36 +485,31 @@ def read_executions_csv(
                     c for c, b in zip(COMPONENTS, certificate.bounds) if b.synthetic and c in runs
                 ]
                 if unvalidated:
-                    raise InputError(
-                        f"certificate {cert_raw} has no evaluation records (n = 0) for "
-                        f"component(s) {', '.join(unvalidated)}, which pipeline "
-                        f"{pipeline_id!r} runs",
-                        str(path),
-                        line,
+                    raise ValueError(
+                        f"certificate {cert_raw} has no evaluation records (n = 0) for component(s) "
+                        f"{', '.join(unvalidated)}, which pipeline {pipeline_id!r} runs"
                     )
         ran, verdict, flag = state
-        try:
-            records.append(
-                ExecutionRecord(pipeline_id, prop_id, ran, certificate, verdict, flag, timestamp.strip())
-            )
-        except ValueError as exc:
-            raise InputError(str(exc), str(path), line) from exc
+        records.append(
+            ExecutionRecord(pipeline_id, prop_id, ran, certificate, verdict, flag, timestamp.strip())
+        )
+
+    columns = ("proposition_id", "pipeline_id", "executed", "outcome", "avoidance_evidence", "certificate")
+    _rows(path, columns, ("timestamp",), row)
     return records
 
 
 def _execution_state(
-    executed: str, outcome: str, evidence: str, path: str | Path, line: int
+    executed: str, outcome: str, evidence: str
 ) -> tuple[bool, Verdict | None, AvoidanceEvidence]:
     """An executions row's ``executed``, ``outcome`` and ``avoidance_evidence`` cells, parsed."""
     executed_raw = executed.strip().lower()
     if executed_raw not in ("true", "false"):
-        raise InputError(
-            f"column 'executed' must be true or false, got {executed!r}", str(path), line
-        )
+        raise ValueError(f"column 'executed' must be true or false, got {executed!r}")
     outcome_raw = outcome.strip()
-    verdict = _choice(Verdict, outcome_raw, "outcome", path, line) if outcome_raw else None
+    verdict = _choice(Verdict, outcome_raw, "outcome") if outcome_raw else None
     evidence_raw = evidence.strip() or "none"
-    flag = _choice(AvoidanceEvidence, evidence_raw, "avoidance evidence", path, line)
+    flag = _choice(AvoidanceEvidence, evidence_raw, "avoidance evidence")
     return executed_raw == "true", verdict, flag
 
 
@@ -571,8 +580,7 @@ def _rebuild(cert: Section) -> ValidationCertificate:
     delta = cert.number("delta", to=check_delta)
     bounds = []
     for prefix in _PREFIXES:
-        method_raw, line = cert.raw(f"{prefix}_method")
-        method = _choice(BoundMethod, method_raw, "bound method", path, line)
+        method = cert.choice(f"{prefix}_method", BoundMethod, "bound method")
         n = cert.number(f"{prefix}_n", int, to=check_sample_size)
         point_key = f"{prefix}_point"
         bounds.append(cert.number(point_key, to=lambda p: confidence_bound(method, p, n, delta)))

@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
     p_score = sub.add_parser("score", help="score pipelines from a CSV file")
     p_score.set_defaults(run=_cmd_score)
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="write the CSV here instead of stdout")
 
     p_sweep = sub.add_parser("sweep", help="sensitivity, scalability, or Monte Carlo sweeps")
-    sweep_sub = p_sweep.add_subparsers(dest="sweep_command", required=True)
+    sweep_sub = p_sweep.add_subparsers(required=True)
 
     def sweep_parser(name: str, run) -> argparse.ArgumentParser:
         p = sweep_sub.add_parser(name)

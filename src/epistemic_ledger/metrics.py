@@ -17,6 +17,7 @@ Pareto frontier of a pipeline set is exposed for audit output.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -24,6 +25,7 @@ from typing import Mapping, Sequence
 
 
 COMPONENTS = ("retrieval", "generation", "verification")
+_FLOAT_MAX = sys.float_info.max
 
 
 class PipelineKind(str, Enum):
@@ -191,8 +193,9 @@ def total_error(errors: ComponentErrors, joint_error: float | None = None) -> fl
 
 def efficiency(cost: float, tau_star: float) -> float:
     """Hyperbolic cost discount 1 / (1 + cost / tau_star), in (0, 1]."""
-    # Inline on the hot path: the scorer calls this once per pipeline scored.
-    if not (0.0 < tau_star < math.inf and 0.0 <= cost < math.inf):
+    # Inline on the hot path: the scorer calls this once per pipeline scored. An int
+    # beyond the largest float fails the test too, so _require refuses it.
+    if not (0.0 < tau_star <= _FLOAT_MAX and 0.0 <= cost <= _FLOAT_MAX):
         _require("tau_star", tau_star, 0, exclusive=True)
         _require("cost", cost, 0)
     return 1.0 / (1.0 + cost / tau_star)

@@ -9,13 +9,14 @@ output is a pure function of (scenario, seed).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
-from ..artifacts import InputError, Section, _at, _choice, parse_sections, policy_params, read_input
+from ..artifacts import InputError, Section, _at, judged, parse_sections, policy_params, read_input
 from ..doctrine import Verdict
 from ..metrics import PolicyParams, Proposition, _require
 from .corpus import tokenize
@@ -157,8 +158,7 @@ _TASK_KEYS = tuple(f.name for f in fields(TaskSpec) if f.name != "id")
 def _task(sec: Section) -> TaskSpec:
     sec.reject_unknown(_TASK_KEYS)
     task_id = sec.name[len("task.") :]
-    truth, line = sec.raw("truth")
-    truth = _choice(Verdict, truth, "truth (established or refuted)", sec.path, line)
+    truth = sec.choice("truth", Verdict, "truth (established or refuted)")
     with _at(sec.path, sec.line):
         task = TaskSpec(
             id=task_id,
@@ -180,15 +180,6 @@ def _task(sec: Section) -> TaskSpec:
     if not tokenize(query):  # embed's rule: a query must give a token to search by
         raise InputError(f"concept_query has no indexable token: {query!r}", sec.path, line)
     return task
-
-
-def _valid(tasks: list[TaskSpec]) -> bool:
-    """Whether the tasks make a scenario with every other key at its default."""
-    try:
-        SimScenario(tuple(tasks))
-    except ValueError:
-        return False
-    return True
 
 
 def parse_scenario(text: str, path: str = "<scenario>") -> SimScenario:
@@ -216,14 +207,7 @@ def parse_scenario(text: str, path: str = "<scenario>") -> SimScenario:
             )
         else:
             raise InputError(f"unknown section [{name}]", path, sec.line)
-    try:
-        return SimScenario(tuple(tasks), **{attr: value for attr, (value, _) in settings.items()})
-    except ValueError as exc:
-        if _valid(tasks):  # else no key can be judged alone over the defaults
-            for attr, (value, line) in settings.items():
-                with _at(path, line):
-                    SimScenario(tuple(tasks), **{attr: value})
-        raise InputError(str(exc), path, 0) from None
+    return judged(functools.partial(SimScenario, tuple(tasks)), settings, path, 0)
 
 
 def load_scenario(source: str | Path) -> SimScenario:

@@ -3,7 +3,9 @@
 import csv
 import hashlib
 import io
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,7 @@ from epistemic_ledger.artifacts import (
     read_eval_records_csv,
     read_executions_csv,
     read_pipelines_csv,
+    read_propositions_csv,
 )
 from epistemic_ledger.cli import main
 from epistemic_ledger.metrics import COMPONENTS, PipelineKind, PipelineSpec
@@ -369,6 +372,181 @@ class TestExecutions:
         except InputError as exc:
             read = str(exc)
         assert read == _reference_executions(text, path, known, pipelines)
+
+
+def _finite(text, key):
+    """``text`` as a finite float, as the CSV readers read a number cell."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{key!r} must be a finite number, got {text!r}")
+    return value
+
+
+def _unique(kind, id_, first_line, line):
+    """``id_``, which must be one line and not in ``first_line``, recorded there at ``line``."""
+    if len(id_.splitlines()) > 1:
+        raise ValueError(f"{kind} id {id_!r} holds a line break")
+    if id_ in first_line:
+        raise ValueError(f"duplicate {kind} id {id_!r} (first at line {first_line[id_]})")
+    first_line[id_] = line
+    return id_
+
+
+def _dict_reader_parse(text, path, parse):
+    """Each row parsed one dict at a time by ``parse(row, line)``, ``line`` being where the
+    row starts; or, for the first row whose ``parse`` raises a ValueError, ``path:line: message``."""
+    parsed = []
+    reader = csv.DictReader(io.StringIO(text))
+    assert reader.fieldnames  # reads the header row
+    start = reader.line_num + 1
+    for row in reader:
+        try:
+            parsed.append(parse(row, start))
+        except ValueError as exc:
+            return f"{path}:{start}: {exc}"
+        start = reader.line_num + 1
+    return parsed
+
+
+def _reference_pipelines(text, path):
+    first_line = {}
+
+    def parse(row, line):
+        pipeline_id = _unique("pipeline", row["id"].strip(), first_line, line)
+        kind = row["kind"].strip()
+        if kind not in [k.value for k in PipelineKind]:
+            raise ValueError(f"unknown pipeline kind {kind!r}")
+        if re.search(r"[\s;:=]", pipeline_id):
+            raise ValueError(f"pipeline id {pipeline_id!r} holds whitespace, ';', ':' or '='")
+        cost = _finite(row["expected_cost"], "expected_cost")
+        errors = metrics.ComponentErrors(*(_finite(row[key], key) for key in ("eps_ret", "eps_gen", "eps_ver")))
+        joint = (row.get("joint_error") or "").strip()
+        joint_error = _finite(joint, "joint_error") if joint else None
+        return PipelineSpec(pipeline_id, PipelineKind(kind), cost, errors, joint_error)
+
+    return _dict_reader_parse(text, path, parse)
+
+
+def _reference_docket(text, path, pipelines):
+    first_line = {}
+    total = 0.0
+
+    def parse(row, line):
+        nonlocal total
+        prop_id = _unique("proposition", row["id"].strip(), first_line, line)
+        description = row["description"].strip()
+        if len(description.splitlines()) > 1:
+            raise ValueError(f"description {description!r} holds a line break")
+        weight = _finite(row["weight"], "weight")
+        prop = metrics.Proposition(prop_id, description, weight, _finite(row["threshold"], "threshold"))
+        total += weight
+        if not math.isfinite(total):
+            raise ValueError(f"salience weight total must be >= 0, got {total}")
+        listed = [p.strip() for p in row["pipelines"].split(";") if p.strip()]
+        unknown = [p for p in listed if p not in pipelines]
+        if unknown:
+            raise ValueError(f"proposition {prop_id!r} references unknown pipeline(s): {', '.join(unknown)}")
+        return prop, tuple(pipelines[p] for p in listed)
+
+    parsed = _dict_reader_parse(text, path, parse)
+    if isinstance(parsed, str):
+        return parsed
+    return metrics.Docket(tuple(p for p, _ in parsed), {p.id: specs for p, specs in parsed})
+
+
+def _csv_file(directory, name, columns, rows, order, newline):
+    """``rows`` (dicts) written under ``columns`` in a shuffled order; the file's path and text."""
+    columns = list(columns)
+    order.shuffle(columns)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=newline)
+    writer.writerow(columns)
+    writer.writerows([row[c] for c in columns] for row in rows)
+    path = directory / name
+    path.write_bytes(buffer.getvalue().encode("utf-8"))
+    return path, buffer.getvalue()
+
+
+def _with_odd_rows(good, odd, id_format):
+    """The ``good`` rows, each given a unique padded id, with the ``odd`` rows inserted."""
+    rows = [{**row, "id": id_format.format(i=i, pad=" " * (i % 2))} for i, row in enumerate(good)]
+    for position, row in odd:
+        rows.insert(position % (len(rows) + 1), row)
+    return rows
+
+
+def _pipeline_row(kind, cost, eps_ret, eps_gen, eps_ver, joint, id_="p"):
+    return dict(id=id_, kind=kind, expected_cost=cost, eps_ret=eps_ret, eps_gen=eps_gen, eps_ver=eps_ver,
+                joint_error=joint)
+
+
+# Padded cells that read cleanly; a retrieval_only pipeline has no generation error.
+_GOOD_PIPELINE_ROW = st.builds(
+    lambda kind, cost, eps_ret, eps_gen, eps_ver, joint: _pipeline_row(
+        kind, cost, eps_ret, "0" if "retrieval_only" in kind else eps_gen, eps_ver, joint
+    ),
+    st.sampled_from(["full", " retrieval_only", "retrieval_generation ", "full"]),
+    st.sampled_from(["1.0", " 0", "2.06 ", "1e3"]),
+    st.sampled_from(["0", "0.25", " 0.0"]),
+    st.sampled_from(["0.1", "0", " 0.2"]),
+    st.sampled_from(["0", "0.5 "]),
+    st.sampled_from(["", "0.123", " 1"]),
+)
+# Mostly good cells, and often two bad ones in a row, so every check can be the one that fails first.
+_ANY_PIPELINE_ROW = st.builds(
+    _pipeline_row,
+    st.sampled_from(["full", "full", "retrieval_only", "quantum", " Full"]),
+    st.sampled_from(["1.0", "1.0", "-1", "x", "inf"]),
+    st.sampled_from(["0", "0", "1.5", "nan"]),
+    st.sampled_from(["0", "0", "0.5", "y"]),
+    st.sampled_from(["0", "0", "-0.5", ""]),
+    st.sampled_from(["", "", "0.1", "2", "z"]),
+    st.sampled_from(["q", "p0", "a b", "a:b", "x\ny"]),
+)
+
+
+def _proposition_row(description, weight, threshold, listed, id_="q"):
+    return dict(id=id_, description=description, weight=weight, threshold=threshold, pipelines=listed)
+
+
+_GOOD_PROPOSITION_ROW = st.builds(  # an id is given by the test
+    _proposition_row,
+    st.sampled_from(["d", " a, b ", ""]),
+    st.sampled_from(["1.0", " 0.5", "0", "2"]),
+    st.sampled_from(["0.7", "0.5 ", "0.99"]),
+    st.sampled_from(["legacy_actual", " modern_actual ;legacy_actual", "", ";"]),
+)
+_ANY_PROPOSITION_ROW = st.builds(
+    _proposition_row,
+    st.sampled_from(["d", "d", "two\nlines"]),
+    st.sampled_from(["1", "1", "x", "-1", "1e308"]),
+    st.sampled_from(["0.7", "0.7", "y", "1.5"]),
+    st.sampled_from(["legacy_actual", "legacy_actual", "ghost", "modern_actual;ghost"]),
+    st.sampled_from(["q", "q", "q0", "x\ny"]),
+)
+
+
+class TestPropositions:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        good=st.lists(_GOOD_PROPOSITION_ROW, max_size=20),
+        odd=st.lists(st.tuples(st.integers(min_value=0), _ANY_PROPOSITION_ROW), max_size=3),
+        order=st.randoms(use_true_random=False),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_docket_matches_a_dict_reader_parse(self, tmp_path_factory, good, odd, order, newline):
+        columns = ["id", "description", "weight", "threshold", "pipelines"]
+        rows = _with_odd_rows(good, odd, "q{i}{pad}")
+        path, text = _csv_file(tmp_path_factory.mktemp("propositions"), "props.csv", columns, rows, order, newline)
+        pipelines = {p.id: p for p in read_pipelines_csv(write(path.parent, "pipelines.csv", PIPELINES_CSV))}
+        try:
+            read = read_propositions_csv(path, pipelines)
+        except InputError as exc:
+            read = str(exc)
+        assert read == _reference_docket(text, path, pipelines)
 
 
 class TestClassify:
@@ -727,8 +905,40 @@ class TestEntryPoints:
         assert texts[0].startswith(f"usage: epistemic-ledger {command}".rstrip())
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize(
+        "argv, choices",
+        [([], "{score,certify,classify,simulate,sweep}"), (["sweep"], "{sensitivity,scalability,montecarlo}")],
+        ids=["top-level", "sweep"],
+    )
+    def test_missing_subcommand_names_its_choices(self, argv, choices, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: the following arguments are required: {choices}\n")
+        assert "Traceback" not in err
+
 
 class TestPipelinesCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        good=st.lists(_GOOD_PIPELINE_ROW, max_size=20),
+        odd=st.lists(st.tuples(st.integers(min_value=0), _ANY_PIPELINE_ROW), max_size=3),
+        joint=st.booleans(),
+        order=st.randoms(use_true_random=False),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_pipelines_match_a_dict_reader_parse(self, tmp_path_factory, good, odd, joint, order, newline):
+        columns = ["id", "kind", "expected_cost", "eps_ret", "eps_gen", "eps_ver"] + ["joint_error"] * joint
+        rows = _with_odd_rows(good, odd, "{pad}p{i}")
+        directory = tmp_path_factory.mktemp("pipelines")
+        path, text = _csv_file(directory, "pipelines.csv", columns, rows, order, newline)
+        try:
+            read = read_pipelines_csv(path)
+        except InputError as exc:
+            read = str(exc)
+        assert read == _reference_pipelines(text, path)
+
     def test_joint_error_column(self, tmp_path):
         text = (
             "id,kind,expected_cost,eps_ret,eps_gen,eps_ver,joint_error\n"

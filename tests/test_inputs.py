@@ -458,11 +458,17 @@ EXECUTIONS_HEADER = "proposition_id,pipeline_id,executed,outcome,avoidance_evide
             3,
             "salience weight total must be >= 0, got inf",
         ),
+        *(
+            ("propositions", f"id,description,weight,threshold,pipelines\np1,d,1,0.5,\n{cell},d,1,0.5,\n", 3,
+             "a proposition needs a non-empty id")
+            for cell in ("", " ")
+        ),
     ],
     ids=[
         "records-loss-range", "executions-executed", "scenario-duplicate-section", "policy-empty-key",
         "scenario-empty-task-id", "scenario-blank-task-id", "scenario-padded-task-id",
         "scenario-empty-query", "scenario-stopword-query", "propositions-weight-total",
+        "propositions-empty-id", "propositions-blank-id",
     ],
 )
 def test_rejected_value_exits_1_at_its_line(tmp_path, capsys, kind, text, line, message):
@@ -760,10 +766,28 @@ def test_blurring_pipeline_id_is_rejected_at_its_row(tmp_path, capsys, column, p
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("column", ["id", "pipeline_id"])
+def test_empty_pipeline_id_is_rejected_at_its_row(tmp_path, capsys, column):
+    # An empty id would print as nothing between the report's separators.
+    header = "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
+    pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV + (" ,full,1.0,0,0,0\n" if column == "id" else ""))
+    executions = write(
+        tmp_path, "exec.csv", header + ("bid_independence,,true,established,none,,\n" if column == "pipeline_id" else "")
+    )
+    props = write(tmp_path, "props.csv", PROPOSITIONS_CSV)
+    argv = ["classify", "--pipelines", pipelines, "--propositions", props, "--executions", executions]
+    path, line = (pipelines, 4) if column == "id" else (executions, 2)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}:{line}: a pipeline needs a non-empty id\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--pipeline-id", pipeline_id) for pipeline_id in BLURRING_IDS]
     + [
+        ("--pipeline-id", ""),
         ("--fold-strategy", "holdout\nmeasured_cost = 0"),
         ("--fold-strategy", " holdout"),
         ("--fold-strategy", "holdout\t"),

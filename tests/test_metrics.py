@@ -580,7 +580,7 @@ RANGES = [
         for what, call, outside in RANGES
         for label, value in [
             ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf), ("outside", outside),
-            *([("10**400", 10**400)] if isinstance(outside, int) else []),
+            *([("10**400", 10**400)] if isinstance(outside, int) or what.startswith("efficiency.") else []),
         ]
     ],
 )
