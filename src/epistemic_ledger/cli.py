@@ -14,7 +14,6 @@ import functools
 import math
 import os
 import sys
-from datetime import datetime
 from pathlib import Path
 
 from . import __version__
@@ -60,6 +59,8 @@ from .validation import (
     BoundMethod,
     CertificationRefusedError,
     certify,
+    check_text,
+    check_timestamp,
     lower_bound_capacity,
     lower_bound_score,
     plug_in_test,
@@ -90,30 +91,16 @@ def _bounded(low: float, high: float = math.inf, *, closed: bool = False, cast=f
 _seed = _bounded(0, closed=True, cast=int)
 
 
-def _pipeline_id(value: str) -> str:
-    """An argparse type for a pipeline id, under the pipelines file's rule."""
-    try:
-        return check_pipeline_id(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(rule, *args):
+    """An argparse type that applies a library ``rule``, whose ValueError becomes a usage error."""
 
+    def parse(value: str):
+        try:
+            return rule(value, *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _cert_text(value: str) -> str:
-    """An argparse type for text a certificate must read back unchanged from its one line."""
-    if value != value.strip() or len(value.splitlines()) > 1:
-        raise argparse.ArgumentTypeError(
-            f"expected one line without leading or trailing whitespace, got {value!r}"
-        )
-    return value
-
-
-def _timestamp(value: str) -> str:
-    """An argparse type for one-line text that ``datetime.fromisoformat`` parses."""
-    try:
-        datetime.fromisoformat(_cert_text(value))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an ISO 8601 timestamp, got {value!r}") from None
-    return value
+    return parse
 
 
 def _eps_grid(value: str) -> tuple[float, ...]:
@@ -130,10 +117,7 @@ def _eps_grid(value: str) -> tuple[float, ...]:
 
 
 def _sizes(value: str) -> tuple[int, ...]:
-    try:
-        sizes = tuple(int(p) for p in value.split(",") if p.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
+    sizes = tuple(_seed(p) for p in value.split(",") if p.strip())
     if not sizes or list(sizes) != sorted(sizes):
         raise argparse.ArgumentTypeError("sizes must be non-empty and ascending")
     return sizes
@@ -337,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="issue a validation certificate")
     p_cert.set_defaults(run=_cmd_certify)
     p_cert.add_argument("records", help="evaluation records CSV (component,loss)")
-    p_cert.add_argument("--pipeline-id", type=_pipeline_id, required=True)
+    p_cert.add_argument("--pipeline-id", type=_checked(check_pipeline_id), required=True)
     p_cert.add_argument(
         "--kind",
         choices=[k.value for k in PipelineKind],
@@ -347,8 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument(
         "--method", choices=[m.value for m in BoundMethod], default=BoundMethod.WILSON.value
     )
-    p_cert.add_argument("--fold-strategy", dest="fold_strategy", type=_cert_text, default="holdout")
-    p_cert.add_argument("--timestamp", type=_timestamp, help="ISO 8601 timestamp to embed (default: now)")
+    p_cert.add_argument("--fold-strategy", type=_checked(check_text, "fold_strategy"), default="holdout")
+    p_cert.add_argument(
+        "--timestamp", type=_checked(check_timestamp), help="ISO 8601 timestamp to embed (default: now)"
+    )
     _add_policy_flags(p_cert)
     p_cert.add_argument("--out", help="write the certificate here instead of stdout")
 

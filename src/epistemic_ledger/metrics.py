@@ -221,17 +221,17 @@ def best_pipeline(
     """
     if not pipelines:
         raise ValueError("org_score is undefined for an empty pipeline set")
-    scored = [(pipeline_score(p, policy), p) for p in pipelines]
-    best_score = max(s for s, _ in scored)
-    winner = min((p for s, p in scored if s == best_score), key=lambda p: p.id)
-    return winner, best_score
+    winner, best = pipelines[0], pipeline_score(pipelines[0], policy)
+    for p in pipelines[1:]:
+        score = pipeline_score(p, policy)
+        if score > best or (score == best and p.id < winner.id):
+            winner, best = p, score
+    return winner, best
 
 
 def org_score(pipelines: Sequence[PipelineSpec], policy: PolicyParams) -> float:
     """Best achievable pipeline score over a finite, non-empty pipeline set."""
-    if not pipelines:
-        raise ValueError("org_score is undefined for an empty pipeline set")
-    return max(pipeline_score(p, policy) for p in pipelines)
+    return best_pipeline(pipelines, policy)[1]
 
 
 def knowledge_predicate(score: float, theta_c: float) -> bool:

@@ -11,8 +11,9 @@ supporting evidence trail.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from functools import cached_property
 from enum import Enum
 from typing import Callable, Mapping, Sequence
@@ -25,6 +26,7 @@ from .metrics import (
     _require,
     capacity_index,
     discounted_score,
+    knowledge_predicate,
     series_error,
 )
 
@@ -67,6 +69,22 @@ def check_sample_size(n: int) -> int:
     """``n``, or a ValueError if it is negative."""
     _require("sample size", n, 0)
     return n
+
+
+def check_text(text: str, field: str) -> str:
+    """``text``, or a ValueError naming ``field`` unless it is one line without edge whitespace."""
+    if text != text.strip() or len(text.splitlines()) > 1:
+        raise ValueError(f"{field} must be one line without leading or trailing whitespace, got {text!r}")
+    return text
+
+
+def check_timestamp(text: str) -> str:
+    """``text``, or a ValueError unless ``date.isoformat()`` or ``datetime.isoformat()`` writes it:
+    its ``fromisoformat`` must write it back unchanged, so every Python accepts the same set."""
+    with suppress(ValueError):
+        if (datetime if "T" in text else date).fromisoformat(text).isoformat() == text:
+            return text
+    raise ValueError(f"timestamp must be a date or date-time as isoformat() writes it, got {text!r}")
 
 
 @dataclass(frozen=True)
@@ -491,9 +509,14 @@ def certify(
     Every component the pipeline kind includes must come with at least one
     record; otherwise certification is refused. Components the kind excludes
     get the synthetic zero bound. Each bound is ``confidence_bound`` of the
-    component's empirical risk and record count.
+    component's empirical risk and record count. ``fold_strategy`` must pass
+    ``check_text``, and ``timestamp`` (now, if not given) ``check_timestamp``.
     """
     check_delta(delta)
+    check_text(fold_strategy, "fold_strategy")
+    if timestamp is None:
+        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    check_timestamp(timestamp)
     bounds = []
     for slot in COMPONENTS:
         if slot not in pipeline.kind.components:
@@ -511,8 +534,6 @@ def certify(
                 "bound needs 0/1 losses (use hoeffding instead)"
             )
         bounds.append(confidence_bound(method, empirical_risk(records), len(records), delta))
-    if timestamp is None:
-        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return ValidationCertificate(
         pipeline.id, measured_cost, tuple(bounds), delta, fold_strategy, timestamp
     )
@@ -528,8 +549,7 @@ def lower_bound_score(cert: ValidationCertificate, tau_star: float) -> float:
 
 def plug_in_test(cert: ValidationCertificate, theta_c: float, tau_star: float) -> bool:
     """High-confidence knowledge test: certified lower-bound score >= theta."""
-    _require("theta_c", theta_c, 0, 1, exclusive=True)
-    return lower_bound_score(cert, tau_star) >= theta_c
+    return knowledge_predicate(lower_bound_score(cert, tau_star), theta_c)
 
 
 def lower_bound_capacity(

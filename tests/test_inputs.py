@@ -251,6 +251,7 @@ def test_absent_scenario_keys_keep_dataclass_defaults():
         # step count is inf.
         ["sweep", "sensitivity", "--eps-grid", "0:1:1e-300"],
         ["sweep", "sensitivity", "--eps-grid", "0:1:5e-324"],
+        ["sweep", "scalability", "--sizes=-5"],
     ],
 )
 def test_non_finite_or_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
@@ -796,6 +797,7 @@ def test_empty_pipeline_id_is_rejected_at_its_row(tmp_path, capsys, column):
         ("--timestamp", "yesterday"),
         ("--timestamp", "2026-01-01\n12:00"),  # fromisoformat takes any one-character separator
         ("--timestamp", ""),
+        ("--timestamp", "2026-01-01T00:00:00Z"),
         ("--pipeline-id", "p\nq"),
         ("--pipeline-id", " p"),
     ],
@@ -822,6 +824,11 @@ def test_certify_text_flags_round_trip(tmp_path, capsys):
     assert cert.pipeline_id == "a,b"
     assert cert.fold_strategy == "kfold k = 5; grouped"
     assert cert.timestamp == "2026-01-01T00:00:00+00:00"
+
+
+def test_certificate_with_a_timestamp_certify_now_refuses_still_loads(tmp_path):
+    text = replace_line(certificate_text(), "timestamp", "timestamp = 2026-01-01T00:00:00Z")
+    assert read_certificate(write(tmp_path, "z.cert", text)).timestamp == "2026-01-01T00:00:00Z"
 
 
 class TestUnknownScenarioNames:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtri
 
+from epistemic_ledger.artifacts import certificate_to_text
 from epistemic_ledger.metrics import (
     ComponentErrors,
     Docket,
@@ -32,6 +33,8 @@ from epistemic_ledger.validation import (
     RollingWindow,
     ValidationCertificate,
     certify,
+    check_text,
+    check_timestamp,
     confidence_bound,
     cv_risk,
     ece,
@@ -435,6 +438,65 @@ class TestConfidenceBound:
             confidence_bound(BoundMethod.WILSON, 0.3, 4, 0.05)
 
 
+# What date.isoformat() and datetime.isoformat() write, and text they never
+# write. fromisoformat parses some of the latter on every Python (`T00:00`,
+# `-00:00`, `.000`) and the last six only from 3.11; the rule refuses them all.
+ACCEPTED_TIMESTAMPS = (
+    "2026-01-01T00:00:00+00:00",
+    "2026-01-01",
+    "2026-01-01T00:00:00",
+    "2026-01-01T00:00:00+05:30",
+    "2025-12-31T23:59:59-08:00",
+    "2026-01-01T00:00:00.500000+00:00",
+    "2026-01-01T12:34:56.123456",
+    "2026-01-01T00:00:00+05:30:15",
+)
+REFUSED_TIMESTAMPS = (
+    "yesterday",
+    "",
+    " 2026-01-01",
+    "2026-01-01T00:00:00+00:00\n",
+    "2026-02-30",
+    "2026-01-01T24:00:00",
+    "2026-01-01t00:00:00",
+    "2026-01-01 00:00:00+00:00",
+    "2026-01-01x00:00:00+00:00",
+    "2026-01-01T00:00",
+    "2026-01-01T00",
+    "2026-01-01T00:00:00-00:00",
+    "2026-01-01T00:00:00+00:00:00",
+    "2026-01-01T00:00:00.000+00:00",
+    "\uff12\uff10\uff12\uff16-01-01",  # full-width digits, which int() reads
+    "20260101",
+    "2026-01-01T00:00:00Z",
+    "2026-01-01T00:00:00+0000",
+    "20260101T000000",
+    "2026-W01-1",
+    "2026-01-01T00:00:00.5+00:00",
+)
+
+
+class TestCertificateText:
+    @pytest.mark.parametrize("text", ACCEPTED_TIMESTAMPS)
+    def test_timestamp_isoformat_writes_is_accepted(self, text):
+        assert check_timestamp(text) == text
+
+    @pytest.mark.parametrize("text", REFUSED_TIMESTAMPS)
+    def test_timestamp_isoformat_never_writes_is_refused(self, text):
+        message = r"^timestamp must be a date or date-time as isoformat\(\) writes it, got "
+        with pytest.raises(ValueError, match=message):
+            check_timestamp(text)
+
+    @pytest.mark.parametrize("text", ["holdout", "kfold k = 5; grouped", "a,b"])
+    def test_one_line_text_is_accepted(self, text):
+        assert check_text(text, "fold_strategy") == text
+
+    @pytest.mark.parametrize("text", [" holdout", "holdout\t", "a\nb", "a\rb", "holdout\n"])
+    def test_text_a_line_would_change_is_refused(self, text):
+        with pytest.raises(ValueError, match=r"^fold_strategy must be one line"):
+            check_text(text, "fold_strategy")
+
+
 class TestCertify:
     def _pipeline(self, kind=PipelineKind.FULL):
         return PipelineSpec(id="pi", kind=kind, expected_cost=2.06)
@@ -527,6 +589,24 @@ class TestCertify:
     def test_union_delta_recorded(self):
         cert = certify(self._pipeline(), self._zero_sets(), 2.06, delta=0.05)
         assert cert.union_delta == pytest.approx(0.15)
+
+    @pytest.mark.parametrize(
+        "field, value", [("timestamp", "not a time"), ("timestamp", "2026-01-01T00:00:00Z"),
+                         ("fold_strategy", " holdout"), ("fold_strategy", "holdout\nn = 1")]
+    )
+    def test_text_a_certificate_cannot_hold_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            certify(self._pipeline(), self._zero_sets(), 2.06, delta=0.05, **{field: value})
+
+    @pytest.mark.parametrize("timestamp", ACCEPTED_TIMESTAMPS)
+    def test_accepted_timestamp_round_trips_through_its_certificate(self, timestamp):
+        cert = certify(self._pipeline(), self._zero_sets(), 2.06, delta=0.05, timestamp=timestamp)
+        # certificate_to_text raises unless its text reads back as the same certificate.
+        assert f"\ntimestamp = {timestamp}\n" in certificate_to_text(cert)
+
+    def test_its_own_timestamp_passes_the_timestamp_rule(self):
+        cert = certify(self._pipeline(), self._zero_sets(), 2.06, delta=0.05)
+        assert check_timestamp(cert.timestamp) == cert.timestamp
 
 
 class TestPlugInAndLowerBound:

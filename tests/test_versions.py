@@ -1,0 +1,129 @@
+"""The ledger commands print the same bytes, and the timestamp rule gives the
+same verdicts, on every other CPython >= 3.10 found on this machine.
+
+Such an interpreter may have no third-party package at all. The ledger
+commands use none, but the package's ``__init__`` and ``cli`` import
+``simlab``, which needs numpy. So each run registers ``epistemic_ledger`` as a
+package without running its ``__init__``, and stands in an
+``epistemic_ledger.simlab`` whose names raise if called.
+"""
+
+import glob
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import epistemic_ledger
+
+from test_golden import LEDGER_GOLDEN, _ledger_argv
+from test_validation import ACCEPTED_TIMESTAMPS, REFUSED_TIMESTAMPS
+
+_VERSION = "import json, sys; print(json.dumps([sys.implementation.name, sys.version_info[:3]]))"
+
+# Reads a job from stdin: the package directory, its version, each command's
+# argv and the timestamp probes. Prints each command's exit code and stdout
+# hash, each probe's verdict, and whether numpy was loaded.
+_RUN = """
+import contextlib, hashlib, io, json, sys, types
+
+job = json.load(sys.stdin)
+package = types.ModuleType("epistemic_ledger")
+package.__path__ = [job["package"]]
+package.__version__ = job["version"]
+simlab = types.ModuleType("epistemic_ledger.simlab")
+
+
+def absent(*args, **kwargs):
+    raise AssertionError("a ledger command called into simlab")
+
+
+def stand_in(name):
+    if name.startswith("__"):
+        raise AttributeError(name)
+    return absent
+
+
+simlab.__getattr__ = stand_in
+sys.modules.update({"epistemic_ledger": package, "epistemic_ledger.simlab": simlab})
+
+from epistemic_ledger.cli import main
+from epistemic_ledger.validation import check_timestamp
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return [code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16]]
+
+
+def accepts(text):
+    try:
+        return check_timestamp(text) == text
+    except ValueError:
+        return False
+
+
+print(json.dumps({
+    "commands": {name: run(argv) for name, argv in job["commands"].items()},
+    "verdicts": [accepts(text) for text in job["probes"]],
+    "numpy": "numpy" in sys.modules,
+}))
+"""
+
+
+def _candidates() -> list[str]:
+    """``python3.1x`` on PATH, then each pyenv ``versions/3.1x*/bin/python3``."""
+    on_path = [shutil.which(f"python3.{minor}") for minor in range(10, 20)]
+    pyenv_root = os.environ.get("PYENV_ROOT", os.path.expanduser("~/.pyenv"))
+    installed = sorted(glob.glob(os.path.join(pyenv_root, "versions", "3.1*", "bin", "python3")))
+    return [path for path in on_path + installed if path]
+
+
+def other_interpreters() -> dict[str, str]:
+    """Each CPython >= 3.10 that starts and is not this one's version: version -> first path."""
+    this = ".".join(map(str, sys.version_info[:3]))
+    found: dict[str, str] = {}
+    for path in _candidates():
+        try:
+            result = subprocess.run([path, "-c", _VERSION], capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if result.returncode != 0:  # such as a pyenv shim for a version that is not selected
+            continue
+        name, version = json.loads(result.stdout)
+        text = ".".join(map(str, version))
+        if name == "cpython" and tuple(version) >= (3, 10) and text != this:
+            found.setdefault(text, path)
+    return found
+
+
+OTHERS = other_interpreters()
+NONE_FOUND = pytest.param(
+    None, marks=pytest.mark.skip(reason="no other CPython >= 3.10 on PATH or under PYENV_ROOT")
+)
+
+
+@pytest.mark.parametrize("python", list(OTHERS.values()) or [NONE_FOUND], ids=list(OTHERS) or None)
+def test_ledger_commands_and_timestamp_rule_match_this_python(python, tmp_path, capsys):
+    job = {
+        "package": str(Path(epistemic_ledger.__file__).parent),
+        "version": epistemic_ledger.__version__,
+        "commands": _ledger_argv(tmp_path, capsys),
+        "probes": ACCEPTED_TIMESTAMPS + REFUSED_TIMESTAMPS,
+    }
+    result = subprocess.run(
+        [python, "-B", "-I", "-c", _RUN], input=json.dumps(job), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout)
+    assert seen["commands"] == {name: [0, prefix] for name, prefix in LEDGER_GOLDEN.items()}
+    # test_validation.TestCertificateText holds these verdicts in this process.
+    assert seen["verdicts"] == [True] * len(ACCEPTED_TIMESTAMPS) + [False] * len(REFUSED_TIMESTAMPS)
+    assert not seen["numpy"]
