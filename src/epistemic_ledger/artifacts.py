@@ -19,7 +19,6 @@ import hashlib
 import io
 import math
 import operator
-import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping, NoReturn, Sequence
@@ -49,6 +48,7 @@ from .validation import (
     LossRecord,
     ValidationCertificate,
     check_delta,
+    check_pipeline_id,
     check_sample_size,
     confidence_bound,
     lower_bound_score,
@@ -81,13 +81,18 @@ class _at:
 
 
 def read_input(path: str | Path) -> str:
-    """A file's text, less a leading BOM; a byte that is not UTF-8 is rejected at its line."""
+    """A file's text, less a leading BOM; a byte that is not UTF-8, or a NUL, is rejected
+    at its line. ``csv`` refuses NUL only before Python 3.11, so the rule is kept here."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8-sig")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise InputError(f"byte 0x{data[exc.start]:02x} is not UTF-8", str(path), line) from None
+    if "\0" in text:
+        line = text.count("\n", 0, text.index("\0")) + 1
+        raise InputError("byte 0x00 (NUL) is not allowed", str(path), line)
+    return text
 
 
 def _number(value: str, key: str, cast: type = float):
@@ -272,20 +277,6 @@ def _one_line(text: str, what: str) -> str:
     """``text``, or a ValueError if it holds a line break: the report echoes it as one line."""
     if len(text.splitlines()) > 1:
         raise ValueError(f"{what} {text!r} holds a line break")
-    return text
-
-
-# The audit report's frontier, certificates and rationale fields join pipeline
-# ids with these, so an id holding one would blur where an id ends.
-_BLURS_REPORT = re.compile(r"[\s;:=]")
-
-
-def check_pipeline_id(text: str) -> str:
-    """``text``, or a ValueError if it is empty or holds whitespace, ``;``, ``:`` or ``=``."""
-    if not text:
-        raise ValueError("a pipeline needs a non-empty id")
-    if _BLURS_REPORT.search(text):
-        raise ValueError(f"pipeline id {text!r} holds whitespace, ';', ':' or '='")
     return text
 
 
@@ -686,7 +677,7 @@ def audit_report(
             f"weight = {fmt(prop.salience_weight)}\n"
             f"threshold = {fmt(prop.threshold)}\n"
             f"org_score = {fmt(score) if score is not None else 'none'}\n"
-            f"predicate = {_cell(score is not None and score >= prop.threshold)}\n"
+            f"predicate = {_cell(score is not None and knowledge_predicate(score, prop.threshold))}\n"
             f"frontier = {frontier}\n"
             f"certificates = {certs or 'none'}\n"
             f"{verdict}"

@@ -21,7 +21,6 @@ from .artifacts import (
     InputError,
     audit_report,
     certificate_to_text,
-    check_pipeline_id,
     csv_text,
     files_hash,
     fmt,
@@ -59,6 +58,7 @@ from .validation import (
     BoundMethod,
     CertificationRefusedError,
     certify,
+    check_pipeline_id,
     check_text,
     check_timestamp,
     lower_bound_capacity,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .metrics import PipelineSpec, PolicyParams, Proposition, _require, org_score
-from .validation import ValidationCertificate, lower_bound_score
+from .metrics import PipelineSpec, PolicyParams, Proposition, _require, knowledge_predicate, org_score
+from .validation import ValidationCertificate, lower_bound_score, plug_in_test
 
 
 class Verdict(str, Enum):
@@ -96,28 +96,24 @@ class DoctrineFinding:
 def actual_knowledge_test(
     record: ExecutionRecord, theta_ak: float, tau_star: float
 ) -> bool:
-    """Executed, certified, conclusive, and certified-reliable at theta_ak.
+    """Executed, certified, conclusive, and passing ``plug_in_test`` at theta_ak.
 
     An executed record without a certificate fails here; the certification
     gap is what the recklessness test picks up.
     """
-    if not record.executed:
+    if not record.executed or record.certificate is None or record.outcome is Verdict.INCONCLUSIVE:
         return False
-    if record.certificate is None:
-        return False
-    if record.outcome is Verdict.INCONCLUSIVE:
-        return False
-    return lower_bound_score(record.certificate, tau_star) >= theta_ak
+    return plug_in_test(record.certificate, theta_ak, tau_star)
 
 
 def constructive_knowledge_test(
     score: float | None, executions: Sequence[ExecutionRecord], policy: PolicyParams
 ) -> bool:
-    """Knowledge was achievable (org score >= theta_ck) but not obtained.
+    """Knowledge was achievable (``knowledge_predicate`` at theta_ck) but not obtained.
 
     ``score`` is the org score of the proposition's pipelines, None when it has none.
     """
-    if score is None or score < policy.theta_ck:
+    if score is None or not knowledge_predicate(score, policy.theta_ck):
         return False
     return not any(
         actual_knowledge_test(r, policy.theta_ak, policy.tau_star) for r in executions
@@ -194,7 +190,7 @@ def classify(
     if best is None and available:
         best = org_score(available, policy)
     if capacity is None:
-        capacity = 1.0 if (best or 0.0) >= proposition.threshold else 0.0
+        capacity = float(knowledge_predicate(best or 0.0, proposition.threshold))
     # The tests run in PRECEDENCE order, so each finding is appended in place.
     found: list[tuple[Doctrine, Mapping[str, object]]] = []
 

@@ -17,6 +17,7 @@ Pareto frontier of a pipeline set is exposed for audit output.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -61,6 +62,14 @@ def _require(
         raise ValueError(f"{name} must be {'>' if exclusive else '>='} {low}, got {value}")
     ends = "()" if exclusive else "[]"
     raise ValueError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {value}")
+
+
+def _count(name: str, value: int, low: float, high: float = math.inf) -> int:
+    """``value`` if ``_require`` accepts it in [low, high] and it is an integer; else a ValueError."""
+    _require(name, value, low, high)
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,9 +244,12 @@ def org_score(pipelines: Sequence[PipelineSpec], policy: PolicyParams) -> float:
 
 
 def knowledge_predicate(score: float, theta_c: float) -> bool:
-    """True when the organisational score meets the context threshold (>=)."""
-    _require("score", score, 0, 1)
-    _require("theta_c", theta_c, 0, 1, exclusive=True)
+    """K_S: True when the score meets the context threshold (>=); every such test calls this."""
+    # Inline on the hot path, as in efficiency: NaN, +-inf and an int beyond the
+    # largest float fail the test too, so _require refuses them.
+    if not (0.0 <= score <= 1.0 and 0.0 < theta_c < 1.0):
+        _require("score", score, 0, 1)
+        _require("theta_c", theta_c, 0, 1, exclusive=True)
     return score >= theta_c
 
 
@@ -252,7 +264,7 @@ def capacity_index(docket: Docket, scores: Mapping[str, float | None]) -> float:
     total_w = _require("total salience weight", docket.total_weight(), 0, exclusive=True)
     hit = 0.0
     for prop in docket.propositions:
-        if (scores.get(prop.id) or 0.0) >= prop.threshold:
+        if knowledge_predicate(scores.get(prop.id) or 0.0, prop.threshold):
             hit += prop.salience_weight
     return hit / total_w
 

@@ -20,9 +20,11 @@ from ..metrics import (
     Docket,
     PipelineKind,
     PipelineSpec,
+    _count,
     _require,
     capacity_index,
     discounted_score,
+    knowledge_predicate,
     pipeline_score,
 )
 from .corpus import Corpus, generate_corpus
@@ -161,7 +163,7 @@ def run_docket(scenario: SimScenario, seed: int | None = None) -> list[RunResult
     Emits two rows per task (legacy first), with errors in the deterministic
     0/1 regime and scores delegated to the pipeline scorer.
     """
-    seed = scenario.seed if seed is None else seed
+    seed = scenario.seed if seed is None else _count("seed", seed, 0)
     retrievals = _retrieve(scenario, generate_corpus(scenario, seed))
     return _run_docket_once(scenario, retrievals, seed, run_index=0, jitter_sigma=0.0)
 
@@ -205,8 +207,8 @@ def monte_carlo(
     sub-streams of the master seed. Jitter moves times only; the
     deterministic 0/1 error pattern never flips.
     """
-    _require("runs", runs, 1)
-    seed = scenario.seed if seed is None else seed
+    _count("runs", runs, 1)
+    seed = scenario.seed if seed is None else _count("seed", seed, 0)
     sigma = scenario.jitter_sigma if jitter_sigma is None else _require("jitter_sigma", jitter_sigma, 0)
     retrievals = _retrieve(scenario, generate_corpus(scenario, seed))
     per_cell: dict[tuple[str, str], list[float]] = {}
@@ -245,7 +247,7 @@ def scalability_sweep(
         scenario._check_corpus_size(size)
     if list(sizes) != sorted(sizes):
         raise ValueError("sizes must be ascending")
-    seed = scenario.seed if seed is None else seed
+    seed = scenario.seed if seed is None else _count("seed", seed, 0)
     points = []
     for size in sizes:
         rng = _rng(seed, _STREAM_SWEEP, size)
@@ -287,7 +289,7 @@ def sensitivity_sweep(
     first_crossing: float | None = None
     for eps in eps_values:
         score = discounted_score(modern_time, eps, scenario.policy.tau_star)
-        meets = score >= scenario.policy.theta_c
+        meets = knowledge_predicate(score, scenario.policy.theta_c)
         if not meets and first_crossing is None:
             first_crossing = eps
         points.append(SensitivityPoint(eps, score, meets))

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
 from ..artifacts import InputError, Section, _at, judged, parse_sections, policy_params, read_input
 from ..doctrine import Verdict
-from ..metrics import PolicyParams, Proposition, _require
+from ..metrics import PolicyParams, Proposition, _count, _require
 from .corpus import tokenize
 
 DEFAULT_SCENARIO_NAME = "appendix_a"
@@ -96,13 +95,11 @@ class SimScenario:
         for name in ("c_per_doc", "modern_a", "modern_b", "jitter_sigma"):
             _require(name, getattr(self, name), 0)
         _require("verifier_error", self.verifier_error, 0, 1)
-        _require("retrieval_k", self.retrieval_k, 1)
-        _require("ground_truth_per_task", self.ground_truth_per_task, 1)
+        _count("retrieval_k", self.retrieval_k, 1)
+        _count("ground_truth_per_task", self.ground_truth_per_task, 1)
         _require("euphemism_ratio", self.euphemism_ratio, 0, 1)
         self._check_corpus_size(self.corpus_size)
-        if self.seed < 0:  # numpy seeds only from non-negative integers
-            raise ValueError(f"'seed' must be non-negative, got {self.seed}")
-        _require("'seed'", self.seed, 0)
+        _count("'seed'", self.seed, 0)  # numpy seeds only from non-negative integers
 
     def min_corpus_size(self) -> int:
         return self.ground_truth_per_task * len(self.tasks)
@@ -110,10 +107,8 @@ class SimScenario:
     def _check_corpus_size(self, size: int) -> None:
         """A ValueError naming ``size`` unless it is an integer of at least ``min_corpus_size()``."""
         required = self.min_corpus_size()
-        if _require("corpus_size", size, 0) < required:
+        if _count("corpus_size", size, 0) < required:
             raise ValueError(f"corpus size {size} is below the {required} ground-truth documents required")
-        if not isinstance(size, numbers.Integral):
-            raise ValueError(f"corpus_size must be an integer, got {size}")
 
     def synonym_table(self) -> dict[str, tuple[str, ...]]:
         """Map each task's euphemism phrases to its concept-query tokens."""

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..doctrine import Verdict
-from ..metrics import _require
+from ..metrics import _count, _require
 from .corpus import Corpus, Document, embed, token_text
 
 
@@ -67,7 +67,7 @@ def semantic_search(
     Simulated cost is a + b * ln(corpus size); k is clamped to the corpus
     size.
     """
-    _require("k", k, 1)
+    _count("k", k, 1)
     k = min(k, len(corpus))
     query_vec = embed(concept_query, synonyms)
     scores = corpus.hashed_rows(synonyms).dot(query_vec)

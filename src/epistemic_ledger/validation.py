@@ -11,6 +11,7 @@ supporting evidence trail.
 from __future__ import annotations
 
 import math
+import re
 from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -23,6 +24,7 @@ from .metrics import (
     Docket,
     PipelineSpec,
     PolicyParams,
+    _count,
     _require,
     capacity_index,
     discounted_score,
@@ -66,15 +68,28 @@ def check_delta(delta: float) -> float:
 
 
 def check_sample_size(n: int) -> int:
-    """``n``, or a ValueError if it is negative."""
-    _require("sample size", n, 0)
-    return n
+    """``n``, or a ValueError unless it is a non-negative integer."""
+    return _count("sample size", n, 0)
 
 
 def check_text(text: str, field: str) -> str:
     """``text``, or a ValueError naming ``field`` unless it is one line without edge whitespace."""
     if text != text.strip() or len(text.splitlines()) > 1:
         raise ValueError(f"{field} must be one line without leading or trailing whitespace, got {text!r}")
+    return text
+
+
+# The audit report's frontier, certificates and rationale fields join pipeline
+# ids with these, so an id holding one would blur where an id ends.
+_BLURS_REPORT = re.compile(r"[\s;:=]")
+
+
+def check_pipeline_id(text: str) -> str:
+    """``text``, or a ValueError if it is empty or holds whitespace, ``;``, ``:`` or ``=``."""
+    if not text:
+        raise ValueError("a pipeline needs a non-empty id")
+    if _BLURS_REPORT.search(text):
+        raise ValueError(f"pipeline id {text!r} holds whitespace, ';', ':' or '='")
     return text
 
 
@@ -197,7 +212,7 @@ def hoeffding_upper(risk: float, n: int, delta: float) -> ConfidenceBound:
 
     The bound's own check rejects a ``risk`` outside [0, 1] as its point estimate.
     """
-    _require("sample size", n, 1)
+    _count("sample size", n, 1)
     check_delta(delta)
     upper = min(1.0, risk + math.sqrt(math.log(1.0 / delta) / (2.0 * n)))
     return ConfidenceBound(risk, upper, BoundMethod.HOEFFDING, delta, n)
@@ -209,8 +224,8 @@ def wilson_upper(successes: int, n: int, delta: float) -> ConfidenceBound:
     Tighter than the concentration bound at small observed rates; the
     "successes" here are the error events being bounded.
     """
-    _require("sample size", n, 1)
-    _require("successes", successes, 0, n)
+    _count("sample size", n, 1)
+    _count("successes", successes, 0, n)
     check_delta(delta)
     z = normal_quantile(1.0 - delta)
     p_hat = successes / n
@@ -246,7 +261,7 @@ class _Binning:
     _kind = ""
 
     def __post_init__(self) -> None:
-        _require("bin count", self.bins, 1)
+        _count("bin count", self.bins, 1)
 
     def describe(self) -> str:
         return f"{self._kind}({self.bins})"
@@ -360,10 +375,10 @@ def make_folds(
     ``keys`` supplies group labels for the grouped strategy and, optionally,
     time keys (checked monotone) for rolling windows.
     """
-    _require("dataset size", n, 1)
+    _count("dataset size", n, 1)
 
     if isinstance(strategy, KFold):
-        _require("kfold k", strategy.k, 2, n)
+        _count("kfold k", strategy.k, 2, n)
         indices = list(range(n))
         if strategy.shuffle_seed is not None:
             import random
@@ -382,7 +397,7 @@ def make_folds(
 
     if isinstance(strategy, RollingWindow):
         for name in ("train_size", "test_size", "step"):
-            _require(f"rolling window {name}", getattr(strategy, name), 1)
+            _count(f"rolling window {name}", getattr(strategy, name), 1)
         if keys is not None:
             if len(keys) != n:
                 raise ValueError(f"expected {n} time keys, got {len(keys)}")
@@ -413,7 +428,7 @@ def make_folds(
         for i, key in enumerate(keys):
             members.setdefault(str(key), []).append(i)
         # k folds need at least k groups.
-        _require("grouped k", strategy.k, 2, len(members))
+        _count("grouped k", strategy.k, 2, len(members))
         # Largest groups first, each into the currently smallest fold.
         fold_indices: list[list[int]] = [[] for _ in range(strategy.k)]
         for label in sorted(members, key=lambda g: (-len(members[g]), g)):
@@ -509,9 +524,11 @@ def certify(
     Every component the pipeline kind includes must come with at least one
     record; otherwise certification is refused. Components the kind excludes
     get the synthetic zero bound. Each bound is ``confidence_bound`` of the
-    component's empirical risk and record count. ``fold_strategy`` must pass
-    ``check_text``, and ``timestamp`` (now, if not given) ``check_timestamp``.
+    component's empirical risk and record count. The pipeline's id must pass
+    ``check_pipeline_id``, ``fold_strategy`` ``check_text``, and ``timestamp``
+    (now, if not given) ``check_timestamp``.
     """
+    check_pipeline_id(pipeline.id)
     check_delta(delta)
     check_text(fold_strategy, "fold_strategy")
     if timestamp is None:

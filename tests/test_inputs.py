@@ -297,7 +297,7 @@ def test_negative_env_seed_is_usage_error(monkeypatch, capsys):
 def test_negative_scenario_seed_names_its_line(tmp_path, capsys):
     # A seed beyond float range is refused as a range error, as --seed and the
     # seed variable refuse it, not as a non-integer.
-    for seed, message in [("-1", "'seed' must be non-negative, got -1"), (NINES, f"'seed' must be >= 0, got {NINES}")]:
+    for seed, message in [("-1", "'seed' must be >= 0, got -1"), (NINES, f"'seed' must be >= 0, got {NINES}")]:
         text = replace_line(APPENDIX_A, "seed =", f"seed = {seed}")
         path = write(tmp_path, "negative.scenario", text)
         assert main(["simulate", "--scenario", path]) == 1
@@ -425,54 +425,55 @@ def test_header_that_repeats_a_column_in_use_is_rejected(tmp_path, capsys):
 EXECUTIONS_HEADER = "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
 
 
-@pytest.mark.parametrize(
-    "kind, text, line, message",
-    [
-        ("records", "component,loss\nretrieval,0\nretrieval,1.5\n", 3, "loss must lie in [0, 1], got 1.5"),
-        (
-            "executions",
-            EXECUTIONS_HEADER + "bid_independence,modern_actual,yes,,none,,\n",
-            2,
-            "column 'executed' must be true or false, got 'yes'",
-        ),
-        ("scenario", APPENDIX_A + "[corpus]\n", APPENDIX_A.count("\n") + 1, "duplicate section [corpus]"),
-        ("policy", "tau_star = 10.0\n = 1\n", 2, "empty key"),
-        *(
-            ("scenario", APPENDIX_A + MINIMAL_TASK.replace("[task.t1]", header), APPENDIX_A.count("\n") + 1,
-             "a task needs a non-empty id")
-            for header in ("[task.]", "[task. ]")
-        ),
-        (
-            "scenario", replace_line(APPENDIX_A, "[task.bid_independence]", "[task. bid_independence]"),
-            line_of(APPENDIX_A, "[task.bid_independence]"),
-            "task id ' bid_independence' has leading or trailing blanks",
-        ),
-        *(
-            ("scenario", replace_line(APPENDIX_A, "concept_query = bid", f"concept_query = {query}"),
-             line_of(APPENDIX_A, "concept_query = bid"), f"concept_query has no indexable token: {query!r}")
-            for query in ("", "the of and")
-        ),
-        (
-            "propositions",
-            "id,description,weight,threshold,pipelines\n"
-            + "".join(f"p{i},d,1e308,0.5,modern_actual\n" for i in range(3)),
-            3,
-            "salience weight total must be >= 0, got inf",
-        ),
-        *(
-            ("propositions", f"id,description,weight,threshold,pipelines\np1,d,1,0.5,\n{cell},d,1,0.5,\n", 3,
-             "a proposition needs a non-empty id")
-            for cell in ("", " ")
-        ),
-    ],
-    ids=[
-        "records-loss-range", "executions-executed", "scenario-duplicate-section", "policy-empty-key",
-        "scenario-empty-task-id", "scenario-blank-task-id", "scenario-padded-task-id",
-        "scenario-empty-query", "scenario-stopword-query", "propositions-weight-total",
-        "propositions-empty-id", "propositions-blank-id",
-    ],
-)
-def test_rejected_value_exits_1_at_its_line(tmp_path, capsys, kind, text, line, message):
+# A file of each kind holding one rejected value: (kind, text, line, message).
+REJECTED = [
+    ("records", "component,loss\nretrieval,0\nretrieval,1.5\n", 3, "loss must lie in [0, 1], got 1.5"),
+    (
+        "executions",
+        EXECUTIONS_HEADER + "bid_independence,modern_actual,yes,,none,,\n",
+        2,
+        "column 'executed' must be true or false, got 'yes'",
+    ),
+    ("scenario", APPENDIX_A + "[corpus]\n", APPENDIX_A.count("\n") + 1, "duplicate section [corpus]"),
+    ("policy", "tau_star = 10.0\n = 1\n", 2, "empty key"),
+    *(
+        ("scenario", APPENDIX_A + MINIMAL_TASK.replace("[task.t1]", header), APPENDIX_A.count("\n") + 1,
+         "a task needs a non-empty id")
+        for header in ("[task.]", "[task. ]")
+    ),
+    (
+        "scenario", replace_line(APPENDIX_A, "[task.bid_independence]", "[task. bid_independence]"),
+        line_of(APPENDIX_A, "[task.bid_independence]"),
+        "task id ' bid_independence' has leading or trailing blanks",
+    ),
+    *(
+        ("scenario", replace_line(APPENDIX_A, "concept_query = bid", f"concept_query = {query}"),
+         line_of(APPENDIX_A, "concept_query = bid"), f"concept_query has no indexable token: {query!r}")
+        for query in ("", "the of and")
+    ),
+    (
+        "propositions",
+        "id,description,weight,threshold,pipelines\n"
+        + "".join(f"p{i},d,1e308,0.5,modern_actual\n" for i in range(3)),
+        3,
+        "salience weight total must be >= 0, got inf",
+    ),
+    *(
+        ("propositions", f"id,description,weight,threshold,pipelines\np1,d,1,0.5,\n{cell},d,1,0.5,\n", 3,
+         "a proposition needs a non-empty id")
+        for cell in ("", " ")
+    ),
+]
+REJECTED_IDS = [
+    "records-loss-range", "executions-executed", "scenario-duplicate-section", "policy-empty-key",
+    "scenario-empty-task-id", "scenario-blank-task-id", "scenario-padded-task-id",
+    "scenario-empty-query", "scenario-stopword-query", "propositions-weight-total",
+    "propositions-empty-id", "propositions-blank-id",
+]
+
+
+def rejected_argv(tmp_path, kind: str, text: str) -> tuple[str, list[str]]:
+    """Write ``text`` as a ``kind`` file beside good inputs: its path, and the argv of a command reading it."""
     path = write(tmp_path, f"{kind}.txt", text)
     pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
     argv = {
@@ -485,6 +486,12 @@ def test_rejected_value_exits_1_at_its_line(tmp_path, capsys, kind, text, line, 
         "policy": ["score", pipelines, "--policy", path],
         "propositions": ["classify", "--pipelines", pipelines, "--propositions", path],
     }[kind]
+    return path, argv
+
+
+@pytest.mark.parametrize("kind, text, line, message", REJECTED, ids=REJECTED_IDS)
+def test_rejected_value_exits_1_at_its_line(tmp_path, capsys, kind, text, line, message):
+    path, argv = rejected_argv(tmp_path, kind, text)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {path}:{line}: {message}")
@@ -858,10 +865,9 @@ class TestUnknownScenarioNames:
         assert (scenario.retrieval_k, scenario.corpus_size, len(scenario.tasks)) == (5, 62, 4)
 
 
-@pytest.mark.parametrize(
-    "kind", ["pipelines", "propositions", "executions", "records", "certificate", "policy", "scenario"]
-)
-def test_bytes_that_are_not_utf8_name_their_line(tmp_path, capsys, kind):
+def _run_on_edited(tmp_path, capsys, kind, edit):
+    """Write one good file of each kind, pass the ``kind`` file's bytes through ``edit``, and
+    run a command that reads it: that file's path, the exit code and the captured output."""
     header = "proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp\n"
     texts = {
         "pipelines": PIPELINES_CSV,
@@ -876,10 +882,7 @@ def test_bytes_that_are_not_utf8_name_their_line(tmp_path, capsys, kind):
     paths = {k: tmp_path / names.get(k, f"{k}.csv") for k in texts}
     for k, text in texts.items():
         paths[k].write_text(text, encoding="utf-8")
-    # A byte 0xff, which no UTF-8 text holds, ends the third line.
-    lines = paths[kind].read_bytes().split(b"\n")
-    lines[2] += b"\xff"
-    paths[kind].write_bytes(b"\n".join(lines))
+    paths[kind].write_bytes(edit(paths[kind].read_bytes()))
     argv = {
         "records": ["certify", str(paths["records"]), "--pipeline-id", "p", "--cost", "1"],
         "scenario": ["simulate", "--scenario", str(paths["scenario"])],
@@ -887,7 +890,38 @@ def test_bytes_that_are_not_utf8_name_their_line(tmp_path, capsys, kind):
         "classify", "--pipelines", str(paths["pipelines"]), "--propositions", str(paths["propositions"]),
         "--executions", str(paths["executions"]), "--policy", str(paths["policy"]),
     ])
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert f"error: {paths[kind]}:3: byte 0xff is not UTF-8" in captured.err
+    code = main(argv)
+    return paths[kind], code, capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "kind", ["pipelines", "propositions", "executions", "records", "certificate", "policy", "scenario"]
+)
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, capsys, kind):
+    def edit(data):
+        # A byte 0xff, which no UTF-8 text holds, ends the third line.
+        lines = data.split(b"\n")
+        lines[2] += b"\xff"
+        return b"\n".join(lines)
+
+    path, code, captured = _run_on_edited(tmp_path, capsys, kind, edit)
+    assert code == 1
+    assert f"error: {path}:3: byte 0xff is not UTF-8" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [("pipelines", "modern_actual,full"), ("certificate", "fold_strategy = holdout"), ("scenario", "seed = 42")],
+    ids=["csv-cell", "certificate-value", "scenario-value"],
+)
+def test_a_nul_byte_names_its_line(tmp_path, capsys, kind, text):
+    # csv accepts a NUL from Python 3.11 on, so without this rule the cell would reach the output.
+    nul = text[:4] + "\0" + text[4:]
+    path, code, captured = _run_on_edited(
+        tmp_path, capsys, kind, lambda data: data.replace(text.encode(), nul.encode(), 1)
+    )
+    line = line_of(path.read_text(encoding="utf-8"), nul)
+    assert code == 1
+    assert captured.err == f"error: {path}:{line}: byte 0x00 (NUL) is not allowed\n"
     assert captured.out == ""

@@ -34,6 +34,7 @@ from epistemic_ledger.simlab import (
     default_scenario,
     generate_corpus,
     monte_carlo,
+    run_docket,
     scalability_sweep,
     semantic_search,
     sensitivity_sweep,
@@ -536,7 +537,7 @@ RANGES = [
         )
         for name in ("train_size", "test_size", "step")
     ),
-    ("make_folds.grouped_k", lambda v: make_folds(4, Grouped(v), keys="aabb"), 1),
+    ("make_folds.grouped_k", lambda v: make_folds(6, Grouped(v), keys="aabbcc"), 1),
     ("ModelCandidate.complexity", lambda v: ModelCandidate("m", ZERO.trainer, v), -1e-9),
     ("penalized_select.lam", lambda v: penalized_select([ZERO], DATA, PLAN, v), -1e-9),
     ("plug_in_test.theta_c", lambda v: plug_in_test(CERT, v, 10.0), 1.0),
@@ -549,6 +550,9 @@ RANGES = [
     ),
     ("monte_carlo.runs", lambda v: monte_carlo(SCENARIO, v), 0),
     ("monte_carlo.jitter_sigma", lambda v: monte_carlo(SCENARIO, 2, jitter_sigma=v, seed=1), -1e-9),
+    ("monte_carlo.seed", lambda v: monte_carlo(SCENARIO, 2, seed=v), -1),
+    ("run_docket.seed", lambda v: run_docket(SCENARIO, seed=v), -1),
+    ("scalability_sweep.seed", lambda v: scalability_sweep(SCENARIO, [62], seed=v), -1),
     ("sensitivity_sweep.eps", lambda v: sensitivity_sweep(SCENARIO, [0.1, v]), 1 + 1e-9),
     ("scalability_sweep.size", lambda v: scalability_sweep(SCENARIO, [v]), SCENARIO.min_corpus_size() - 1),
     *(
@@ -588,4 +592,22 @@ def test_a_number_outside_its_interval_is_refused(call, value):
     # The range diagnostic, not some later failure; a scenario's corpus size
     # is judged against the ground-truth documents its tasks need.
     with pytest.raises(ValueError, match="must (lie in|be)|is below the"):
+        call(value)
+
+
+# A count's interval holds 2.5 unless it is named here.
+_FRACTIONS = dict.fromkeys(("scalability_sweep.size", "SimScenario.corpus_size"), SCENARIO.min_corpus_size() + 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, _FRACTIONS.get(what, 2.5), id=what)
+        for what, call, outside in RANGES
+        if isinstance(outside, int)
+    ],
+)
+def test_a_fraction_inside_a_counts_interval_is_refused(call, value):
+    # A count is whole: a bound is not built on, nor numpy seeded from, a fraction.
+    with pytest.raises(ValueError, match=f"must be an integer, got {value}$"):
         call(value)

@@ -22,6 +22,7 @@ from epistemic_ledger.metrics import (
     Proposition,
     capacity_index,
     epistemic_frontier,
+    knowledge_predicate,
     org_score,
 )
 from epistemic_ledger.validation import lower_bound_capacity, lower_bound_score
@@ -176,3 +177,27 @@ def test_report_without_pipelines_certificates_or_capacity():
     text = audit_report(**report)
     assert "frontier = none\ncertificates = none\n" in text and "point = none\n" in text
     assert text == _reference_report(**report)
+
+
+def _sections(text):
+    """Each ``[name]`` block of a report, as name -> {key: value}."""
+    blocks = {}
+    for chunk in text.split("\n\n")[1:]:
+        header, *lines = chunk.strip("\n").split("\n")
+        blocks[header[1:-1]] = dict(line.split(" = ", 1) for line in lines)
+    return blocks
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_each_predicate_line_is_k_s_and_the_point_capacity_their_weighted_share(seed):
+    report = _docket(seed, 400)
+    sections = _sections(audit_report(**report))
+    held = total = 0.0
+    for prop in report["docket"].propositions:
+        block = sections[f"proposition {prop.id}"]
+        score = report["org_scores"][prop.id]
+        assert block["predicate"] == _cell(score is not None and knowledge_predicate(score, prop.threshold))
+        total += float(block["weight"])
+        held += float(block["weight"]) if block["predicate"] == "true" else 0.0
+    assert 0.0 < held < total
+    assert sections["capacity"]["point"] == fmt(held / total)

@@ -598,6 +598,13 @@ class TestCertify:
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             certify(self._pipeline(), self._zero_sets(), 2.06, delta=0.05, **{field: value})
 
+    @pytest.mark.parametrize("pipeline_id", ["a;b", "x:y", "a b", "k=v", ""])
+    def test_an_id_no_executions_file_can_name_is_refused(self, pipeline_id):
+        # read_executions_csv refuses such an id at every row, so its certificate could never be used.
+        pipeline = PipelineSpec(id=pipeline_id, kind=PipelineKind.FULL, expected_cost=2.06)
+        with pytest.raises(ValueError, match="pipeline id .* holds|a pipeline needs a non-empty id"):
+            certify(pipeline, self._zero_sets(), 2.06, delta=0.05)
+
     @pytest.mark.parametrize("timestamp", ACCEPTED_TIMESTAMPS)
     def test_accepted_timestamp_round_trips_through_its_certificate(self, timestamp):
         cert = certify(self._pipeline(), self._zero_sets(), 2.06, delta=0.05, timestamp=timestamp)

@@ -1,5 +1,7 @@
-"""The ledger commands print the same bytes, and the timestamp rule gives the
-same verdicts, on every other CPython >= 3.10 found on this machine.
+"""The ledger commands print the same bytes, refuse the same bad inputs with
+the same exit code and stderr, and the timestamp rule gives the same verdicts,
+on every other CPython >= 3.10 found on this machine. Argparse usage errors
+are left out: their wording belongs to the interpreter.
 
 Such an interpreter may have no third-party package at all. The ledger
 commands use none, but the package's ``__init__`` and ``cli`` import
@@ -19,15 +21,19 @@ from pathlib import Path
 import pytest
 
 import epistemic_ledger
+from epistemic_ledger.cli import main
 
+from test_cli import PIPELINES_CSV
 from test_golden import LEDGER_GOLDEN, _ledger_argv
+from test_inputs import REJECTED, REJECTED_IDS, rejected_argv
 from test_validation import ACCEPTED_TIMESTAMPS, REFUSED_TIMESTAMPS
 
 _VERSION = "import json, sys; print(json.dumps([sys.implementation.name, sys.version_info[:3]]))"
 
 # Reads a job from stdin: the package directory, its version, each command's
-# argv and the timestamp probes. Prints each command's exit code and stdout
-# hash, each probe's verdict, and whether numpy was loaded.
+# argv, each refused command's argv and the timestamp probes. Prints each
+# command's exit code and stdout hash, each refused command's exit code and
+# stderr, each probe's verdict, and whether numpy was loaded.
 _RUN = """
 import contextlib, hashlib, io, json, sys, types
 
@@ -62,6 +68,13 @@ def run(argv):
     return [code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16]]
 
 
+def refused(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return [code, err.getvalue()]
+
+
 def accepts(text):
     try:
         return check_timestamp(text) == text
@@ -71,6 +84,7 @@ def accepts(text):
 
 print(json.dumps({
     "commands": {name: run(argv) for name, argv in job["commands"].items()},
+    "refused": {name: refused(argv) for name, argv in job["refused"].items()},
     "verdicts": [accepts(text) for text in job["probes"]],
     "numpy": "numpy" in sys.modules,
 }))
@@ -103,6 +117,22 @@ def other_interpreters() -> dict[str, str]:
     return found
 
 
+def _refused_argv(tmp_path) -> dict[str, list[str]]:
+    """Write ledger inputs that are refused; return the argv of each command reading one."""
+    argv = {}
+    for (kind, text, _, _), name in zip(REJECTED, REJECTED_IDS):
+        if kind != "scenario":
+            (tmp_path / name).mkdir()
+            argv[name] = rejected_argv(tmp_path / name, kind, text)[1]
+    nul = tmp_path / "nul.csv"
+    nul.write_text(PIPELINES_CSV.replace("legacy_actual", "p\0x"), encoding="utf-8")
+    argv["pipelines-nul"] = ["score", str(nul)]
+    records = tmp_path / "retrieval_only.csv"
+    records.write_text("component,loss\nretrieval,0\n", encoding="utf-8")
+    argv["certify-refused"] = ["certify", str(records), "--pipeline-id", "p", "--cost", "1"]
+    return argv
+
+
 OTHERS = other_interpreters()
 NONE_FOUND = pytest.param(
     None, marks=pytest.mark.skip(reason="no other CPython >= 3.10 on PATH or under PYENV_ROOT")
@@ -111,10 +141,15 @@ NONE_FOUND = pytest.param(
 
 @pytest.mark.parametrize("python", list(OTHERS.values()) or [NONE_FOUND], ids=list(OTHERS) or None)
 def test_ledger_commands_and_timestamp_rule_match_this_python(python, tmp_path, capsys):
+    refused = _refused_argv(tmp_path)
+    here = {name: [main(argv), capsys.readouterr().err] for name, argv in refused.items()}
+    assert here["certify-refused"][0] == 3
+    assert all(code == 1 for name, (code, _) in here.items() if name != "certify-refused")
     job = {
         "package": str(Path(epistemic_ledger.__file__).parent),
         "version": epistemic_ledger.__version__,
         "commands": _ledger_argv(tmp_path, capsys),
+        "refused": refused,
         "probes": ACCEPTED_TIMESTAMPS + REFUSED_TIMESTAMPS,
     }
     result = subprocess.run(
@@ -124,6 +159,7 @@ def test_ledger_commands_and_timestamp_rule_match_this_python(python, tmp_path, 
     assert result.returncode == 0, result.stderr
     seen = json.loads(result.stdout)
     assert seen["commands"] == {name: [0, prefix] for name, prefix in LEDGER_GOLDEN.items()}
+    assert seen["refused"] == here
     # test_validation.TestCertificateText holds these verdicts in this process.
     assert seen["verdicts"] == [True] * len(ACCEPTED_TIMESTAMPS) + [False] * len(REFUSED_TIMESTAMPS)
     assert not seen["numpy"]
