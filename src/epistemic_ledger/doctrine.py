@@ -179,18 +179,14 @@ def classify(
 ) -> DoctrineFinding:
     """Run all five doctrine tests for one proposition.
 
-    ``capacity`` is the firm-wide capacity index feeding the negligence
-    test; when omitted, the proposition's own indicator (best available
-    score against its threshold) stands in, so negligence is then judged
-    per proposition. ``score`` is ``org_score(available, policy)`` when the
-    caller has it already; when omitted, it is computed here.
+    ``capacity`` is the firm-wide capacity index; without it negligence is not
+    judged. ``score`` is ``org_score(available, policy)``, computed when omitted.
+    Actual knowledge and recklessness name the first qualifying record in
+    ``executions`` order; wilful blindness, the smallest cheap unexecuted id.
     """
     records = [r for r in executions if r.proposition_id == proposition.id]
-    best = score
-    if best is None and available:
-        best = org_score(available, policy)
-    if capacity is None:
-        capacity = float(knowledge_predicate(best or 0.0, proposition.threshold))
+    if score is None and available:
+        score = org_score(available, policy)
     # The tests run in PRECEDENCE order, so each finding is appended in place.
     found: list[tuple[Doctrine, Mapping[str, object]]] = []
 
@@ -234,10 +230,11 @@ def classify(
             detail["lower_bound_score"] = lower_bound_score(reckless.certificate, policy.tau_star)
         found.append((Doctrine.RECKLESSNESS, detail))
 
-    if constructive_knowledge_test(best, records, policy):
-        found.append((Doctrine.CONSTRUCTIVE_KNOWLEDGE, {"org_score": best, "theta_ck": policy.theta_ck}))
+    # No records: actual knowledge, which that test would look for in them, was decided above.
+    if actual is None and constructive_knowledge_test(score, (), policy):
+        found.append((Doctrine.CONSTRUCTIVE_KNOWLEDGE, {"org_score": score, "theta_ck": policy.theta_ck}))
 
-    if negligence_test(capacity, policy.theta_neg):
+    if capacity is not None and negligence_test(capacity, policy.theta_neg):
         found.append((Doctrine.NEGLIGENCE, {"capacity": capacity, "theta_neg": policy.theta_neg}))
 
     return DoctrineFinding(proposition.id, tuple(found))

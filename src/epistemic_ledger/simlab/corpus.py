@@ -37,6 +37,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
+from ..metrics import _count
+
 if TYPE_CHECKING:  # scenario imports tokenize from here
     from .scenario import SimScenario
 
@@ -261,7 +263,7 @@ def generate_corpus(scenario: SimScenario, seed: int) -> Corpus:
     101]))``: the draws NumPy 2's ``Generator.integers(8)`` and ``choice(10,
     size=2, replace=False)`` make, written out as NEP 19 lets those change.
     """
-    halves = _uint32s(np.random.PCG64(np.random.SeedSequence([seed, 101])))
+    halves = _uint32s(np.random.PCG64(np.random.SeedSequence([_count("seed", seed, 0), 101])))
     docs: list[Document] = []
 
     for task in scenario.tasks:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from importlib import resources
 from pathlib import Path
 
 from ..artifacts import InputError, Section, _at, judged, parse_sections, policy_params, read_input
@@ -211,9 +210,9 @@ def load_scenario(source: str | Path) -> SimScenario:
     if path.suffix == ".scenario" or path.exists():
         return parse_scenario(read_input(path), str(path))
     name = str(source)
-    packaged = resources.files(__package__).joinpath("data", f"{name}.scenario")
+    packaged = Path(__file__).parent / "data" / f"{name}.scenario"
     if packaged.is_file():
-        return parse_scenario(packaged.read_text(encoding="utf-8"), f"{name}.scenario")
+        return parse_scenario(read_input(packaged), f"{name}.scenario")
     raise InputError(f"no such scenario file or packaged scenario: {source!r}", str(source), 0)
 
 

@@ -383,7 +383,7 @@ def make_folds(
         if strategy.shuffle_seed is not None:
             import random
 
-            random.Random(strategy.shuffle_seed).shuffle(indices)
+            random.Random(_count("kfold shuffle_seed", strategy.shuffle_seed, 0)).shuffle(indices)
         base, extra = divmod(n, strategy.k)
         folds = []
         start = 0

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from epistemic_ledger.cli import main
 from epistemic_ledger.metrics import COMPONENTS, PipelineKind, PipelineSpec
 from epistemic_ledger.validation import BoundMethod, LossRecord, certify
 
-from test_golden import GOLDEN, _ledger_argv
+from test_golden import GOLDEN, LEDGER_PROPOSITIONS, _ledger_argv
 from test_validation import loss_records
 
 PIPELINES_CSV = """id,kind,expected_cost,eps_ret,eps_gen,eps_ver
@@ -736,6 +737,22 @@ class TestClassify:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_proposition_rows_give_the_same_blocks(self, seed, tmp_path, capsys):
+        argv = _ledger_argv(tmp_path, capsys)["classify"]
+        assert main(argv) == 0
+        before = capsys.readouterr().out.split("\n\n")
+        header, *rows = LEDGER_PROPOSITIONS.splitlines(keepends=True)
+        shuffled = random.Random(seed).sample(rows, len(rows))
+        assert shuffled != rows
+        (tmp_path / "props.csv").write_text(header + "".join(shuffled), encoding="utf-8")
+        assert main(argv) == 0
+        after = capsys.readouterr().out.split("\n\n")
+        # The header's inputs_hash hashes the file's bytes, so only it may move;
+        # the [capacity] block, printed at 4 decimals, is the last block.
+        assert set(after[1:]) == set(before[1:]) and after[-1] == before[-1]
+        assert after[-1].startswith("[capacity]\npoint = 0.")
 
     def test_legacy_only_inputs_fall_to_negligence(self, tmp_path, capsys):
         # With only the weak pipeline available nothing reaches the

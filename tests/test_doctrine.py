@@ -233,11 +233,12 @@ class TestClassify:
         assert finding.applicable == frozenset()
         assert finding.primary is None
 
-    def test_default_capacity_is_per_proposition_indicator(self):
-        # With no capable pipeline the proposition's own indicator is 0, so
-        # negligence applies by default.
-        finding = classify(self.PROP, [pipe("weak", 20.0, ret=0.5)], [], POLICY)
-        assert finding.primary is Doctrine.NEGLIGENCE
+    def test_no_capacity_judges_no_negligence(self):
+        # Negligence is a finding about the firm-wide capacity index; without
+        # one it is not judged, even for a proposition no pipeline can know.
+        weak = [pipe("weak", 20.0, ret=0.5)]
+        assert classify(self.PROP, weak, [], POLICY).applicable == frozenset()
+        assert classify(self.PROP, weak, [], POLICY, capacity=0.0).primary is Doctrine.NEGLIGENCE
 
     def test_rationale_reports_each_applicable_doctrine(self):
         finding = classify(
@@ -320,8 +321,6 @@ def _reference_classify(proposition, available, executions, policy, capacity=Non
     best = score
     if best is None and available:
         best = org_score(available, policy)
-    if capacity is None:
-        capacity = 1.0 if (best or 0.0) >= proposition.threshold else 0.0
     found = {}
 
     actual = next(
@@ -364,7 +363,7 @@ def _reference_classify(proposition, available, executions, policy, capacity=Non
     if constructive_knowledge_test(best, records, policy):
         found[Doctrine.CONSTRUCTIVE_KNOWLEDGE] = {"org_score": best, "theta_ck": policy.theta_ck}
 
-    if negligence_test(capacity, policy.theta_neg):
+    if capacity is not None and negligence_test(capacity, policy.theta_neg):
         found[Doctrine.NEGLIGENCE] = {"capacity": capacity, "theta_neg": policy.theta_neg}
 
     return DoctrineFinding(proposition.id, tuple((d, found[d]) for d in PRECEDENCE if d in found))
@@ -381,8 +380,6 @@ class TestClassifyReference:
 
         own = [r for r in records if r.proposition_id == "phi"]
         score = org_score(available, POLICY) if available else None
-        if capacity is None:
-            capacity = 1.0 if score is not None and score >= threshold else 0.0
         holds = {
             Doctrine.ACTUAL_KNOWLEDGE: any(
                 actual_knowledge_test(r, POLICY.theta_ak, POLICY.tau_star) for r in own
@@ -393,7 +390,7 @@ class TestClassifyReference:
                 for r in own
             ),
             Doctrine.CONSTRUCTIVE_KNOWLEDGE: constructive_knowledge_test(score, own, POLICY),
-            Doctrine.NEGLIGENCE: negligence_test(capacity, POLICY.theta_neg),
+            Doctrine.NEGLIGENCE: capacity is not None and negligence_test(capacity, POLICY.theta_neg),
         }
         expected = {d for d, held in holds.items() if held}
         assert finding.applicable == expected
@@ -421,6 +418,69 @@ class TestClassifyReference:
         score = org_score(available, POLICY) if available else None
         given = classify(prop, available, records, POLICY, capacity=capacity, score=score)
         assert given == classify(prop, available, records, POLICY, capacity=capacity)
+
+
+def _applies(doctrine, available, records, threshold, capacity, policy=POLICY):
+    prop = Proposition(id="phi", description="a salient fact", threshold=threshold)
+    return doctrine in classify(prop, available, records, policy, capacity=capacity).applicable
+
+
+# One draw of classify's inputs: (available, records, threshold, capacity).
+_CASE = st.tuples(*_CLASSIFY_INPUTS)
+_FLAGS = st.sampled_from([e for e in AvoidanceEvidence if e is not AvoidanceEvidence.NONE])
+_THETAS = st.sampled_from([0.5, 0.6, 0.7, 0.83, 0.9])
+_CAPACITIES = st.sampled_from([0.0, 0.5, 0.7, 1.0])
+
+
+class TestDirections:
+    """Each doctrine moves one way when the input it reads moves one way."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CASE, _THETAS, _THETAS)
+    def test_raising_theta_ak_never_adds_actual_knowledge(self, case, a, b):
+        low, high = sorted((a, b))
+        at = lambda theta: _applies(Doctrine.ACTUAL_KNOWLEDGE, *case, replace(POLICY, theta_ak=theta))
+        assert at(low) or not at(high)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CASE, _CAPACITIES, _CAPACITIES)
+    def test_raising_the_capacity_never_adds_negligence(self, case, a, b):
+        available, records, threshold, _ = case
+        low, high = sorted((a, b))
+        at = lambda capacity: _applies(Doctrine.NEGLIGENCE, available, records, threshold, capacity)
+        assert at(low) or not at(high)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CASE, _FLAGS)
+    def test_an_avoidance_flag_never_removes_wilful_blindness(self, case, flag):
+        available, records, threshold, capacity = case
+        if not _applies(Doctrine.WILFUL_BLINDNESS, *case):
+            return
+        for i, r in enumerate(records):
+            if r.avoidance_evidence is AvoidanceEvidence.NONE:
+                flagged = [*records[:i], replace(r, avoidance_evidence=flag), *records[i + 1 :]]
+                assert _applies(Doctrine.WILFUL_BLINDNESS, available, flagged, threshold, capacity)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CASE, st.sampled_from(["a", "b", "z"]), st.sampled_from([Verdict.ESTABLISHED, Verdict.REFUTED]))
+    def test_a_passing_certified_execution_removes_constructive_knowledge(self, case, pid, outcome):
+        available, records, threshold, capacity = case
+        passing = executed(pid=pid, s_lb=0.83, outcome=outcome)
+        assert actual_knowledge_test(passing, POLICY.theta_ak, POLICY.tau_star)
+        with_it = [*records, passing]
+        assert not _applies(Doctrine.CONSTRUCTIVE_KNOWLEDGE, available, with_it, threshold, capacity)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CASE, st.sampled_from([0.0, 0.2, 0.45, 0.6]))
+    def test_a_lower_certified_score_never_removes_recklessness(self, case, s_lb):
+        available, records, threshold, capacity = case
+        if not _applies(Doctrine.RECKLESSNESS, *case):
+            return
+        for i, r in enumerate(records):
+            if r.certificate is not None and s_lb < lower_bound_score(r.certificate, POLICY.tau_star):
+                lower = replace(r, certificate=executed(pid=r.pipeline_id, s_lb=s_lb).certificate)
+                lowered = [*records[:i], lower, *records[i + 1 :]]
+                assert _applies(Doctrine.RECKLESSNESS, available, lowered, threshold, capacity)
 
 
 class TestDocketIntegration:

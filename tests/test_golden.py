@@ -64,6 +64,13 @@ p_unscored,No pipeline available,3.0,0.7,
 p_constructive,Achievable but not obtained,0.5,0.8,legacy_actual;modern_actual
 """
 
+# A docket whose weights are all 0 has no firm-wide capacity, so its report
+# judges no negligence, whatever each proposition's own score.
+LEDGER_ZERO_WEIGHT = """id,description,weight,threshold,pipelines
+z_weak,Weightless on a weak pipeline,0,0.7,weak_full
+z_modern,Weightless on a modern pipeline,0,0.7,modern_actual
+"""
+
 LEDGER_EXECUTIONS = """proposition_id,pipeline_id,executed,outcome,avoidance_evidence,certificate,timestamp
 p_actual,modern_actual,true,established,none,modern.cert,2026-01-02T00:00:00+00:00
 p_actual,modern_actual,true,inconclusive,none,modern.cert,2026-01-03T00:00:00+00:00
@@ -90,6 +97,7 @@ LEDGER_GOLDEN = {
     "certify": "2557dde0f6ccc477",
     "certify wilson": "2fe717cf18f79e63",
     "classify": "10725d92d445ba31",
+    "classify zero-weight": "5c158e67af417018",
 }
 
 
@@ -105,6 +113,7 @@ def _ledger_argv(tmp_path, capsys):
     texts = {
         "pipelines.csv": LEDGER_PIPELINES,
         "props.csv": LEDGER_PROPOSITIONS,
+        "zero.csv": LEDGER_ZERO_WEIGHT,
         "exec.csv": LEDGER_EXECUTIONS,
         "clean.csv": CLEAN_RECORDS,
         "poor.csv": POOR_RECORDS,
@@ -125,6 +134,10 @@ def _ledger_argv(tmp_path, capsys):
             "classify", "--pipelines", str(tmp_path / "pipelines.csv"),
             "--propositions", str(tmp_path / "props.csv"),
             "--executions", str(tmp_path / "exec.csv"), "--seed", "3",
+        ],
+        "classify zero-weight": [
+            "classify", "--pipelines", str(tmp_path / "pipelines.csv"),
+            "--propositions", str(tmp_path / "zero.csv"),
         ],
     }
 

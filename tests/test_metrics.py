@@ -529,6 +529,7 @@ RANGES = [
     ("make_folds.n", lambda v: make_folds(v, KFold(2)), 0),
     ("make_folds.kfold_k", lambda v: make_folds(4, KFold(v)), 1),
     ("make_folds.kfold_k_above_n", lambda v: make_folds(4, KFold(v)), 5),
+    ("make_folds.kfold_shuffle_seed", lambda v: make_folds(4, KFold(2, shuffle_seed=v)), -1),
     *(
         (
             f"make_folds.rolling_{name}",
@@ -552,6 +553,7 @@ RANGES = [
     ("monte_carlo.jitter_sigma", lambda v: monte_carlo(SCENARIO, 2, jitter_sigma=v, seed=1), -1e-9),
     ("monte_carlo.seed", lambda v: monte_carlo(SCENARIO, 2, seed=v), -1),
     ("run_docket.seed", lambda v: run_docket(SCENARIO, seed=v), -1),
+    ("generate_corpus.seed", lambda v: generate_corpus(SCENARIO, v), -1),
     ("scalability_sweep.seed", lambda v: scalability_sweep(SCENARIO, [62], seed=v), -1),
     ("sensitivity_sweep.eps", lambda v: sensitivity_sweep(SCENARIO, [0.1, v]), 1 + 1e-9),
     ("scalability_sweep.size", lambda v: scalability_sweep(SCENARIO, [v]), SCENARIO.min_corpus_size() - 1),

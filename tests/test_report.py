@@ -134,9 +134,11 @@ def _docket(seed, size):
     by_prop = {
         p.id: tuple(r.certificate for r in records[p.id] if r.certificate is not None) for p in props
     }
-    # Without a firm-wide capacity, negligence is judged per proposition, so some have it.
+    # Capacities of 0.61-0.65 lie below theta_neg, so negligence appears too.
+    capacity = capacity_index(docket, org_scores)
     findings = {
-        p.id: classify(p, sets[p.id], records[p.id], POLICY, score=org_scores[p.id]) for p in props
+        p.id: classify(p, sets[p.id], records[p.id], POLICY, capacity=capacity, score=org_scores[p.id])
+        for p in props
     }
     return dict(
         version="0.1.0",
@@ -145,7 +147,7 @@ def _docket(seed, size):
         findings=findings,
         org_scores=org_scores,
         certificates=by_prop,
-        capacity_point=capacity_index(docket, org_scores),
+        capacity_point=capacity,
         capacity_lower=lower_bound_capacity(docket, by_prop, POLICY),
         inputs_hash="0123456789ab",
         seed=str(seed),
