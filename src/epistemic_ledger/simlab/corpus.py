@@ -17,9 +17,9 @@ table, one pass over those token texts turns every counted token into a
 ``np.unique`` over the cells counts them. That gives the embeddings of all
 documents as one sparse N x dim hashed design matrix (``HashedRows``, the
 feature-hashing view of Weinberger et al., 2009); its product with a query
-vector scores every document at once. ``embed`` is the dense form of one
-row: it embeds queries, and the rows equal its vectors bit for bit, as the
-counts are exact integers and the norm and division round the same way.
+vector scores every document at once. ``embed``, which embeds queries, is
+the dense form of a text's row in a one-document corpus, so a query and a
+document embed by one rule.
 
 Distractors draw from a seeded PCG64's raw words by the rule in
 ``generate_corpus``, as NumPy fixes bit-generator streams across releases
@@ -33,7 +33,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -103,29 +103,17 @@ def _token_index(token: str) -> int:
     return int.from_bytes(digest, "big") % EMBED_DIM
 
 
-def embed(text: str, synonyms: Mapping[str, tuple[str, ...]] | None = None) -> np.ndarray:
+def embed(text: str, synonyms: Mapping[str, Sequence[str]] | None = None) -> np.ndarray:
     """Hashed bag-of-tokens unit vector, with synonym-table expansion.
 
-    Any synonym-table phrase whose tokens appear consecutively in the text
-    contributes its mapped concept tokens alongside the text's own tokens.
-    Identical text always embeds to the identical vector.
+    The dense form of the text's row in a one-document ``Corpus``: a query
+    embeds by the documents' rule. Any synonym-table phrase whose tokens
+    appear consecutively in the text adds its concept tokens (any sequence).
     """
-    if not text or not text.strip():
-        raise ValueError("cannot embed empty text")
-    tokens = tokenize(text)
-    if synonyms:
-        padded = token_text(text)
-        for phrase, concept_tokens in synonyms.items():
-            needle = token_text(phrase)
-            if needle.strip() and needle in padded:
-                tokens.extend(concept_tokens)
-    vector = np.zeros(EMBED_DIM, dtype=np.float64)
-    for token in tokens:
-        vector[_token_index(token)] += 1.0
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        raise ValueError(f"text has no indexable tokens: {text!r}")
-    return vector / norm
+    rows = Corpus((Document("", text, frozenset(), frozenset()),)).hashed_rows(synonyms)
+    vector = np.zeros(EMBED_DIM)
+    vector[rows.indices] = rows.weights
+    return vector
 
 
 @dataclass(frozen=True)
@@ -140,9 +128,9 @@ class Document:
 class HashedRows:
     """Unit-vector embeddings as a sparse N x dim matrix in CSR form.
 
-    Row i keeps only the nonzero entries of its ``embed`` vector: bucket
+    Row i keeps only the nonzero entries of document i's unit vector: bucket
     ``indices[offsets[i]:offsets[i + 1]]`` (int32, ascending) has weight
-    ``weights[...]`` (float64, bit for bit the dense vector's).
+    ``weights[...]`` (float64).
     """
 
     indices: np.ndarray
@@ -152,7 +140,7 @@ class HashedRows:
     def dot(self, query: np.ndarray) -> np.ndarray:
         """Each row's dot product with the dense ``query``.
 
-        Every row must hold a nonzero entry (``embed`` rejects text without
+        Every row must hold a nonzero entry (``_embed_rows`` rejects text without
         tokens): ``reduceat`` reads an empty row as the next row's first entry.
         """
         return np.add.reduceat(self.weights * query[self.indices], self.offsets[:-1])
@@ -182,23 +170,23 @@ class Corpus:
         ranks[order] = np.arange(len(order))
         return ranks
 
-    def hashed_rows(self, synonyms: Mapping[str, tuple[str, ...]] | None) -> HashedRows:
-        """Every document's ``embed`` under ``synonyms``, built on first use."""
-        key = tuple(sorted(synonyms.items())) if synonyms else ()
+    def hashed_rows(self, synonyms: Mapping[str, Sequence[str]] | None) -> HashedRows:
+        """Every document's embedding under ``synonyms``, built on first use."""
+        key = tuple(sorted((phrase, tuple(concepts)) for phrase, concepts in (synonyms or {}).items()))
         rows = self._hashed_rows.get(key)
         if rows is None:
             rows = self._hashed_rows[key] = self._embed_rows(key)
         return rows
 
     def _embed_rows(self, synonyms: Iterable[tuple[str, tuple[str, ...]]]) -> HashedRows:
-        """The rows ``embed`` gives each document, from one ``np.unique`` over cell ids.
+        """Each document's unit-vector row, from one ``np.unique`` over cell ids.
 
         A document adds the cell ``row * EMBED_DIM + bucket`` for each of its
         non-stopword tokens (each distinct token hashed once; a stopword maps
         to -1) and each concept token of a synonym phrase its token text holds.
-        The unique cells are each row's buckets in ascending order; their counts
-        and summed squares are exact integers, and ``np.sqrt`` and the division
-        round as ``embed``'s norm does, so every weight is the dense vector's.
+        The unique cells are each row's buckets in ascending order; a weight is
+        a cell's count over the root of its row's summed squared counts. This
+        is the one embedding rule: ``embed`` is a one-document corpus's row.
         """
         expansions = [
             (needle, [_token_index(t) for t in concepts])
@@ -218,7 +206,7 @@ class Corpus:
             for needle, concepts in expansions:
                 if needle in padded:
                     cells.extend(base + bucket for bucket in concepts)
-            if len(cells) == start:  # embed's errors: an empty row would corrupt ``dot``
+            if len(cells) == start:  # an empty row would corrupt ``dot``
                 if not doc.text.strip():
                     raise ValueError("cannot embed empty text")
                 raise ValueError(f"text has no indexable tokens: {doc.text!r}")

@@ -11,9 +11,11 @@ task is 1 when any ground-truth document is missed, else 0.
 Both searches read the corpus index (see ``corpus``), built on a corpus's
 first search and reused by every later one: the keyword scan tests each
 document's cached token text, and semantic search scores all documents with
-one sparse product of the hashed embedding rows and the query vector. The
-rows are built from the token texts, so ``embed`` here embeds only the
-concept query; ``document_matches`` is the scan's test of one document.
+one sparse product of the hashed embedding rows and the query vector, which
+``embed`` builds by the rows' own rule. Synonym values may be any token
+sequence. ``document_matches``, the scan's test of one document, has no
+caller in the package; it stays only as a seam the benchmark traces, until
+the trace moves into the package.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def semantic_search(
     k: int,
     a: float,
     b: float,
-    synonyms: Mapping[str, tuple[str, ...]] | None = None,
+    synonyms: Mapping[str, Sequence[str]] | None = None,
     *,
     time_scale: float = 1.0,
 ) -> tuple[tuple[str, ...], float]:

@@ -37,6 +37,7 @@ from epistemic_ledger.simlab import runner, search
 from epistemic_ledger.simlab.corpus import (
     Corpus,
     Document,
+    EMBED_DIM,
     TAG_DISTRACTOR,
     TAG_EUPHEMISM,
     TAG_LITERAL,
@@ -45,8 +46,12 @@ from epistemic_ledger.simlab.corpus import (
     _FILLER_WORDS,
     _GENERIC_EUPHEMISMS,
     _LITERAL_TEMPLATE,
+    _STOPWORDS,
     _draw,
+    _token_index,
     _uint32s,
+    token_text,
+    tokenize,
 )
 
 SCENARIO = default_scenario()
@@ -193,6 +198,47 @@ class TestDistractorDraws:
         assert generate_corpus(scenario, seed).documents == _reference_corpus(scenario, seed).documents
 
 
+def _reference_embed(text, synonyms=None):
+    """The dense hashed bag-of-tokens unit vector, built token by token."""
+    if not text or not text.strip():
+        raise ValueError("cannot embed empty text")
+    tokens = tokenize(text)
+    if synonyms:
+        padded = token_text(text)
+        for phrase, concept_tokens in synonyms.items():
+            needle = token_text(phrase)
+            if needle.strip() and needle in padded:
+                tokens.extend(concept_tokens)
+    vector = np.zeros(EMBED_DIM, dtype=np.float64)
+    for token in tokens:
+        vector[_token_index(token)] += 1.0
+    norm = float(np.linalg.norm(vector))
+    if norm == 0.0:
+        raise ValueError(f"text has no indexable tokens: {text!r}")
+    return vector / norm
+
+
+def _embedding_or_error(embed_fn, text, synonyms):
+    """The embedding's bytes, or the text of the ``ValueError`` it raises."""
+    try:
+        return embed_fn(text, synonyms).tobytes()
+    except ValueError as error:
+        return str(error)
+
+
+LIST_SYNONYMS = {phrase: list(concepts) for phrase, concepts in SYNONYMS.items()}
+SCENARIO_WORDS = sorted(
+    {
+        word
+        for task in SCENARIO.tasks
+        for text in (task.concept_query, *task.keywords, *task.literal_phrases, *task.euphemism_phrases)
+        for word in text.split()
+    }
+    | set(_FILLER_WORDS)
+    | set(" ".join(_GENERIC_EUPHEMISMS).split())
+)
+
+
 class TestEmbed:
     def test_identical_text_identical_vector(self):
         a = embed("the quarterly report was filed", SYNONYMS)
@@ -216,6 +262,27 @@ class TestEmbed:
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
             embed("   ")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pieces=st.lists(
+            st.sampled_from(
+                SCENARIO_WORDS + sorted(_STOPWORDS) + sorted(SYNONYMS) + ["!", "--", ",", "?.", "", " ", "\t", "\n"]
+            ),
+            max_size=8,
+        ),
+        synonyms=st.sampled_from([None, {}, SYNONYMS, LIST_SYNONYMS]),
+    )
+    def test_embed_equals_the_reference(self, pieces, synonyms):
+        text = " ".join(pieces)
+        assert _embedding_or_error(embed, text, synonyms) == _embedding_or_error(_reference_embed, text, synonyms)
+
+    def test_synonym_values_may_be_lists_or_tuples(self):
+        assert embed("market harmony memo", LIST_SYNONYMS).tobytes() == embed("market harmony memo", SYNONYMS).tobytes()
+        corpus = generate_corpus(SCENARIO, seed=42)
+        for task in SCENARIO.tasks:
+            hits = [semantic_search(corpus, task.concept_query, 5, 0.41, 0.40, table)[0] for table in (LIST_SYNONYMS, SYNONYMS)]
+            assert hits[0] == hits[1]
 
 
 class TestKeywordSearch:
@@ -492,8 +559,8 @@ class TestScenarioParsing:
 
 def _reference_semantic(corpus, query, synonyms):
     """Per-document dot products of dense embeddings, ranked by (-score, id)."""
-    q = embed(query, synonyms)
-    scored = sorted((-float(np.dot(q, embed(d.text, synonyms))), d.id) for d in corpus.documents)
+    q = _reference_embed(query, synonyms)
+    scored = sorted((-float(np.dot(q, _reference_embed(d.text, synonyms))), d.id) for d in corpus.documents)
     return tuple(doc_id for _, doc_id in scored)
 
 
@@ -569,7 +636,8 @@ class TestCorpusIndex:
         runs = 3
         monte_carlo(SCENARIO, runs=runs)
         corpus = generate_corpus(SCENARIO, seed=SCENARIO.seed)
-        assert builds == [len(corpus)]
+        # Each query embeds as a one-document corpus; the scenario's corpus is built once.
+        assert [n for n in builds if n > 1] == [len(corpus)]
         assert set(queries) == {task.concept_query for task in SCENARIO.tasks}
         assert sum(queries.values()) == len(SCENARIO.tasks)
 
@@ -605,10 +673,10 @@ class TestCorpusIndex:
 
 
 def _assert_rows_equal_dense_embeddings(corpus, synonyms):
-    """The corpus rows hold exactly the nonzero entries of each document's dense ``embed``."""
+    """The corpus rows hold exactly the nonzero entries of each document's reference embedding."""
     indices, weights, offsets = [], [], [0]
     for doc in corpus.documents:
-        vector = embed(doc.text, synonyms)
+        vector = _reference_embed(doc.text, synonyms)
         nonzero = np.flatnonzero(vector)
         indices.extend(nonzero.tolist())
         weights.extend(vector[nonzero].tolist())
