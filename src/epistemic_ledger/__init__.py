@@ -1,7 +1,13 @@
 """Scoring, validation certificates, and doctrine classification for
-information pipelines, with a seeded two-firm simulation lab."""
+information pipelines, with a seeded two-firm simulation lab.
 
-from . import doctrine, metrics, simlab, validation
+The simulation lab, ``simlab``, needs numpy and the ledger does not, so it is
+imported when ``epistemic_ledger.simlab`` is first read.
+"""
+
+import importlib
+
+from . import doctrine, metrics, validation
 from .metrics import (
     ComponentErrors,
     Docket,
@@ -27,6 +33,13 @@ from .validation import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "simlab":
+        return importlib.import_module(".simlab", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BoundMethod",

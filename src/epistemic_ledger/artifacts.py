@@ -54,6 +54,9 @@ from .validation import (
     lower_bound_score,
 )
 
+# The packaged scenario that the simulation commands load when given none.
+DEFAULT_SCENARIO_NAME = "appendix_a"
+
 
 class InputError(ValueError):
     """A malformed input file, pointing at the offending line."""

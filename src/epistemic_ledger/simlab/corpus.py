@@ -116,6 +116,14 @@ def embed(text: str, synonyms: Mapping[str, Sequence[str]] | None = None) -> np.
     return vector
 
 
+def _concepts(phrase: str, concepts: Sequence[str]) -> tuple[str, ...]:
+    if isinstance(concepts, str):
+        raise ValueError(
+            f"synonym phrase {phrase!r} maps to the string {concepts!r}, not to a sequence of tokens"
+        )
+    return tuple(concepts)
+
+
 @dataclass(frozen=True)
 class Document:
     id: str
@@ -171,8 +179,12 @@ class Corpus:
         return ranks
 
     def hashed_rows(self, synonyms: Mapping[str, Sequence[str]] | None) -> HashedRows:
-        """Every document's embedding under ``synonyms``, built on first use."""
-        key = tuple(sorted((phrase, tuple(concepts)) for phrase, concepts in (synonyms or {}).items()))
+        """Every document's embedding under ``synonyms``, built on first use.
+
+        A phrase's concepts are a sequence of tokens; a ``str`` is refused, as
+        it would expand into one token per character.
+        """
+        key = tuple(sorted((phrase, _concepts(phrase, c)) for phrase, c in (synonyms or {}).items()))
         rows = self._hashed_rows.get(key)
         if rows is None:
             rows = self._hashed_rows[key] = self._embed_rows(key)

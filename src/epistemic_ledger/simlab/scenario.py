@@ -14,12 +14,19 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from ..artifacts import InputError, Section, _at, judged, parse_sections, policy_params, read_input
+from ..artifacts import (
+    DEFAULT_SCENARIO_NAME,
+    InputError,
+    Section,
+    _at,
+    judged,
+    parse_sections,
+    policy_params,
+    read_input,
+)
 from ..doctrine import Verdict
 from ..metrics import PolicyParams, Proposition, _count, _require
 from .corpus import tokenize
-
-DEFAULT_SCENARIO_NAME = "appendix_a"
 
 
 @dataclass(frozen=True)

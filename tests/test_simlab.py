@@ -284,6 +284,17 @@ class TestEmbed:
             hits = [semantic_search(corpus, task.concept_query, 5, 0.41, 0.40, table)[0] for table in (LIST_SYNONYMS, SYNONYMS)]
             assert hits[0] == hits[1]
 
+    def test_a_string_synonym_value_is_refused_naming_its_phrase(self):
+        table = {**SYNONYMS, "market harmony": "price"}
+        corpus = generate_corpus(SCENARIO, seed=42)
+        searches = [
+            lambda: embed("market harmony memo", table),
+            lambda: semantic_search(corpus, "price fixing", 5, 0.41, 0.40, table),
+        ]
+        for search_with_table in searches:
+            with pytest.raises(ValueError, match="synonym phrase 'market harmony' maps to the string 'price'"):
+                search_with_table()
+
 
 class TestKeywordSearch:
     CORPUS = generate_corpus(SCENARIO, seed=42)

@@ -3,11 +3,11 @@ the same exit code and stderr, and the timestamp rule gives the same verdicts,
 on every other CPython >= 3.10 found on this machine. Argparse usage errors
 are left out: their wording belongs to the interpreter.
 
-Such an interpreter may have no third-party package at all. The ledger
-commands use none, but the package's ``__init__`` and ``cli`` import
-``simlab``, which needs numpy. So each run registers ``epistemic_ledger`` as a
-package without running its ``__init__``, and stands in an
-``epistemic_ledger.simlab`` whose names raise if called.
+Such an interpreter may have no third-party package at all, numpy included.
+The ledger commands need none: the package imports ``simlab``, and with it
+numpy, only when a simulation command runs. So each run imports the real
+package from its source directory, isolated (``-I``) from this environment
+and writing no bytecode (``-B``), and reports whether numpy was loaded.
 """
 
 import glob
@@ -30,32 +30,15 @@ from test_validation import ACCEPTED_TIMESTAMPS, REFUSED_TIMESTAMPS
 
 _VERSION = "import json, sys; print(json.dumps([sys.implementation.name, sys.version_info[:3]]))"
 
-# Reads a job from stdin: the package directory, its version, each command's
+# Reads a job from stdin: the directory holding the package, each command's
 # argv, each refused command's argv and the timestamp probes. Prints each
 # command's exit code and stdout hash, each refused command's exit code and
 # stderr, each probe's verdict, and whether numpy was loaded.
 _RUN = """
-import contextlib, hashlib, io, json, sys, types
+import contextlib, hashlib, io, json, sys
 
 job = json.load(sys.stdin)
-package = types.ModuleType("epistemic_ledger")
-package.__path__ = [job["package"]]
-package.__version__ = job["version"]
-simlab = types.ModuleType("epistemic_ledger.simlab")
-
-
-def absent(*args, **kwargs):
-    raise AssertionError("a ledger command called into simlab")
-
-
-def stand_in(name):
-    if name.startswith("__"):
-        raise AttributeError(name)
-    return absent
-
-
-simlab.__getattr__ = stand_in
-sys.modules.update({"epistemic_ledger": package, "epistemic_ledger.simlab": simlab})
+sys.path.insert(0, job["source"])
 
 from epistemic_ledger.cli import main
 from epistemic_ledger.validation import check_timestamp
@@ -146,8 +129,7 @@ def test_ledger_commands_and_timestamp_rule_match_this_python(python, tmp_path, 
     assert here["certify-refused"][0] == 3
     assert all(code == 1 for name, (code, _) in here.items() if name != "certify-refused")
     job = {
-        "package": str(Path(epistemic_ledger.__file__).parent),
-        "version": epistemic_ledger.__version__,
+        "source": str(Path(epistemic_ledger.__file__).parents[1]),
         "commands": _ledger_argv(tmp_path, capsys),
         "refused": refused,
         "probes": ACCEPTED_TIMESTAMPS + REFUSED_TIMESTAMPS,
