@@ -10,20 +10,24 @@ synonym table expands euphemism phrases into their concept tokens, which is
 what lets a conceptual search find what a literal keyword scan misses.
 
 A ``Corpus`` is immutable, so its index is built on first use and kept on
-it. Each document is tokenised once per corpus, into its padded token text
-(``token_texts``), which the keyword scan tests for phrases. Per synonym
-table, one pass over those token texts turns every counted token into a
-(document, bucket) cell id, hashing each distinct token once, and one
-``np.unique`` over the cells counts them. That gives the embeddings of all
-documents as one sparse N x dim hashed design matrix (``HashedRows``, the
-feature-hashing view of Weinberger et al., 2009); its product with a query
-vector scores every document at once. ``embed``, which embeds queries, is
-the dense form of a text's row in a one-document corpus, so a query and a
-document embed by one rule.
+it. Each document is tokenised once per corpus, into its padded token text;
+the corpus keeps one text, every document's token text joined by ``"\\n"``,
+and where each document starts in it. A token text holds only ``[a-z0-9 ]``,
+so ``rows_containing`` finds a phrase's documents with ``str.find`` over
+that one text and a ``bisect`` of the starts; the keyword scan and the
+synonym expansion both use it. Per synonym table, each document's token
+buckets stream into one array (each distinct token hashed once), and one
+``np.unique`` over the (document, bucket) cell ids counts them. That gives
+the embeddings of all documents as one sparse N x dim hashed design matrix
+(``HashedRows``, the feature-hashing view of Weinberger et al., 2009); its
+product with a query vector scores every document at once. ``embed``, which
+embeds queries, is the dense form of a text's row in a one-document corpus,
+so a query and a document embed by one rule.
 
 Distractors draw from a seeded PCG64's raw words by the rule in
 ``generate_corpus``, as NumPy fixes bit-generator streams across releases
 but not ``Generator``'s algorithms (NEP 19), and a seed keeps its corpus.
+All of a corpus's draws are made in one vectorised pass (``_draws``).
 """
 
 from __future__ import annotations
@@ -31,9 +35,11 @@ from __future__ import annotations
 import hashlib
 import re
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -103,6 +109,14 @@ def _token_index(token: str) -> int:
     return int.from_bytes(digest, "big") % EMBED_DIM
 
 
+class _Buckets(dict):
+    """Token -> bucket, hashing a token on its first lookup (stopwords map to -1)."""
+
+    def __missing__(self, token: str) -> int:
+        bucket = self[token] = _token_index(token)
+        return bucket
+
+
 def embed(text: str, synonyms: Mapping[str, Sequence[str]] | None = None) -> np.ndarray:
     """Hashed bag-of-tokens unit vector, with synonym-table expansion.
 
@@ -166,9 +180,26 @@ class Corpus:
         return len(self.documents)
 
     @cached_property
-    def token_texts(self) -> tuple[str, ...]:
-        """Each document's ``token_text``, for phrase scans."""
-        return tuple(token_text(doc.text) for doc in self.documents)
+    def _token_text(self) -> tuple[str, array]:
+        """Every document's ``token_text`` joined by ``"\\n"``, and their starts, then the end + 1.
+
+        A token text holds only ``[a-z0-9 ]``, so no phrase spans two documents.
+        """
+        texts = [token_text(doc.text) for doc in self.documents]
+        return "\n".join(texts), array("q", accumulate((len(t) + 1 for t in texts), initial=0))
+
+    def rows_containing(self, phrase: str) -> list[int]:
+        """The rows, ascending, whose token text holds the phrase's tokens consecutively (none if it has none)."""
+        needle = token_text(phrase)
+        if not needle.strip():
+            return []
+        text, starts = self._token_text
+        rows = []
+        at = text.find(needle)
+        while at >= 0:
+            rows.append(row := bisect_right(starts, at) - 1)
+            at = text.find(needle, starts[row + 1])
+        return rows
 
     @cached_property
     def id_ranks(self) -> np.ndarray:
@@ -191,43 +222,46 @@ class Corpus:
         return rows
 
     def _embed_rows(self, synonyms: Iterable[tuple[str, tuple[str, ...]]]) -> HashedRows:
-        """Each document's unit-vector row, from one ``np.unique`` over cell ids.
+        """Each document's unit-vector row, from one ``np.unique`` over ``_cells``.
 
-        A document adds the cell ``row * EMBED_DIM + bucket`` for each of its
-        non-stopword tokens (each distinct token hashed once; a stopword maps
-        to -1) and each concept token of a synonym phrase its token text holds.
         The unique cells are each row's buckets in ascending order; a weight is
         a cell's count over the root of its row's summed squared counts. This
         is the one embedding rule: ``embed`` is a one-document corpus's row.
         """
-        expansions = [
-            (needle, [_token_index(t) for t in concepts])
-            for phrase, concepts in synonyms
-            if (needle := token_text(phrase)).strip()
-        ]
-        buckets = dict.fromkeys(_STOPWORDS, -1)
-        cells = array("q")
-        for row, (doc, padded) in enumerate(zip(self.documents, self.token_texts)):
-            base, start = row * EMBED_DIM, len(cells)
-            for token in padded.split():
-                bucket = buckets.get(token)
-                if bucket is None:
-                    bucket = buckets[token] = _token_index(token)
-                if bucket >= 0:
-                    cells.append(base + bucket)
-            for needle, concepts in expansions:
-                if needle in padded:
-                    cells.extend(base + bucket for bucket in concepts)
-            if len(cells) == start:  # an empty row would corrupt ``dot``
-                if not doc.text.strip():
-                    raise ValueError("cannot embed empty text")
-                raise ValueError(f"text has no indexable tokens: {doc.text!r}")
-        del buckets  # freed before the arrays below are made, to lower the peak memory
-        cells, counts = np.unique(np.frombuffer(cells, np.int64), return_counts=True)
+        cells, counts = np.unique(self._cells(synonyms), return_counts=True)
         sizes = np.bincount(cells // EMBED_DIM, minlength=len(self.documents))
+        if not sizes.all():  # an empty row would corrupt ``dot``
+            doc = self.documents[int(np.argmin(sizes))]
+            if not doc.text.strip():
+                raise ValueError("cannot embed empty text")
+            raise ValueError(f"text has no indexable tokens: {doc.text!r}")
         offsets = np.concatenate(([0], np.cumsum(sizes)))
         norms = np.sqrt(np.add.reduceat(counts * counts, offsets[:-1]))
         return HashedRows((cells % EMBED_DIM).astype(np.intc), counts / np.repeat(norms, sizes), offsets)
+
+    def _cells(self, synonyms: Iterable[tuple[str, tuple[str, ...]]]) -> np.ndarray:
+        """The cells ``row * EMBED_DIM + bucket`` that the rows count, unsorted.
+
+        A row counts one per non-stopword token and one per concept token of
+        each synonym phrase it holds. Cells are int32 while every id fits; that,
+        and freeing this build's arrays on return, lowers ``np.unique``'s peak.
+        """
+        text, starts = self._token_text
+        buckets = _Buckets.fromkeys(_STOPWORDS, -1)
+        ids, sizes = array("i"), array("q")
+        for start, end in zip(starts, starts[1:]):
+            words = text[start:end].split()
+            ids.extend(map(buckets.__getitem__, words))
+            sizes.append(len(words))
+        cell = np.int32 if len(self.documents) * EMBED_DIM <= 2**31 else np.int64
+        ids = np.frombuffer(ids, np.intc)
+        cells = np.repeat(np.arange(len(sizes), dtype=cell) * EMBED_DIM, sizes) + ids
+        concepts = [
+            np.add.outer(np.array(rows, cell) * EMBED_DIM, np.array([_token_index(t) for t in tokens], cell)).ravel()
+            for phrase, tokens in synonyms
+            if (rows := self.rows_containing(phrase))
+        ]
+        return np.concatenate([cells[ids >= 0], *concepts])
 
     def ground_truth_ids(self, task_id: str) -> frozenset[str]:
         return frozenset(
@@ -235,20 +269,27 @@ class Corpus:
         )
 
 
-def _uint32s(bits: np.random.PCG64) -> Iterator[int]:
-    """The bit generator's 32-bit words: each raw word's low half, then its high half."""
-    while True:
-        words = bits.random_raw(1024)
-        yield from np.column_stack((words & 0xFFFFFFFF, words >> 32)).ravel().tolist()
+def _draws(bits: np.random.PCG64, bounds: Sequence[int]) -> np.ndarray:
+    """A uniform integer in ``[0, k)`` for each bound ``k``, in order, by Lemire's method.
 
-
-def _draw(halves: Iterator[int], k: int) -> int:
-    """A uniform integer in ``[0, k)`` by Lemire's method, rejecting biased words."""
-    threshold = (2**32 - k) % k
-    while True:
-        m = next(halves) * k
-        if m & 0xFFFFFFFF >= threshold:
-            return m >> 32
+    A draw reads the next 32-bit word ``u`` (each raw word's low half, then its
+    high half) and gives ``(u * k) >> 32``, unless ``(u * k) mod 2**32 <
+    (2**32 - k) mod k`` rejects ``u`` as biased and the draw reads the next
+    word. One vectorised pass draws up to the first rejected word, then
+    restarts on the word after it.
+    """
+    bounds = np.asarray(bounds, np.uint64)
+    draws, words = [np.empty(0, np.uint64)], np.empty(0, np.uint64)
+    while len(bounds):
+        if len(words) < len(bounds):
+            raw = bits.random_raw((len(bounds) - len(words) + 1) // 2)
+            words = np.concatenate((words, np.column_stack((raw & 0xFFFFFFFF, raw >> 32)).ravel()))
+        products = words[: len(bounds)] * bounds
+        rejected = np.flatnonzero(products & 0xFFFFFFFF < (2**32 - bounds) % bounds)
+        accepted = int(rejected[0]) if len(rejected) else len(bounds)
+        draws.append(products[:accepted] >> 32)
+        bounds, words = bounds[accepted:], words[accepted + 1 :]
+    return np.concatenate(draws)
 
 
 def generate_corpus(scenario: SimScenario, seed: int) -> Corpus:
@@ -263,7 +304,7 @@ def generate_corpus(scenario: SimScenario, seed: int) -> Corpus:
     101]))``: the draws NumPy 2's ``Generator.integers(8)`` and ``choice(10,
     size=2, replace=False)`` make, written out as NEP 19 lets those change.
     """
-    halves = _uint32s(np.random.PCG64(np.random.SeedSequence([_count("seed", seed, 0), 101])))
+    bits = np.random.PCG64(np.random.SeedSequence([_count("seed", seed, 0), 101]))
     docs: list[Document] = []
 
     for task in scenario.tasks:
@@ -281,15 +322,15 @@ def generate_corpus(scenario: SimScenario, seed: int) -> Corpus:
 
     n_distractors = scenario.corpus_size - len(docs)
     n_euphemistic = int(round(scenario.euphemism_ratio * n_distractors))
-    for j in range(n_distractors):
+    bounds = (len(_DISTRACTOR_TOPICS), len(_FILLER_WORDS) - 1, len(_FILLER_WORDS), 2)
+    draws = _draws(bits, bounds * n_distractors).reshape(-1, len(bounds)).tolist()
+    for j, (topic, first, second, swap) in enumerate(draws):
         doc_id = f"doc-{len(docs):04d}"
-        topic = _DISTRACTOR_TOPICS[_draw(halves, len(_DISTRACTOR_TOPICS))]
-        first, second = _draw(halves, len(_FILLER_WORDS) - 1), _draw(halves, len(_FILLER_WORDS))
         if second == first:
             second = len(_FILLER_WORDS) - 1
-        if _draw(halves, 2) == 0:
+        if swap == 0:
             first, second = second, first
-        text = topic.format(num=doc_id[-4:]) + " reference tag {} {}.".format(
+        text = _DISTRACTOR_TOPICS[topic].format(num=doc_id[-4:]) + " reference tag {} {}.".format(
             _FILLER_WORDS[first], _FILLER_WORDS[second]
         )
         tags = {TAG_DISTRACTOR}

@@ -9,13 +9,14 @@ the cost by a fresh jitter factor in each run. Retrieval error for a
 task is 1 when any ground-truth document is missed, else 0.
 
 Both searches read the corpus index (see ``corpus``), built on a corpus's
-first search and reused by every later one: the keyword scan tests each
-document's cached token text, and semantic search scores all documents with
-one sparse product of the hashed embedding rows and the query vector, which
-``embed`` builds by the rows' own rule. Synonym values may be any token
-sequence. ``document_matches``, the scan's test of one document, has no
-caller in the package; it stays only as a seam the benchmark traces, until
-the trace moves into the package.
+first search and reused by every later one: the keyword scan finds each
+phrase's documents with ``Corpus.rows_containing``, one ``str.find`` scan of
+the corpus's joined token text, and semantic search scores all documents
+with one sparse product of the hashed embedding rows and the query vector,
+which ``embed`` builds by the rows' own rule. Synonym values may be any
+token sequence. ``document_matches``, the scan's test of one document, has
+no caller in the package; it stays only as a seam the benchmark traces,
+until the trace moves into the package.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from ..doctrine import Verdict
 from ..metrics import _count, _require
-from .corpus import Corpus, Document, embed, token_text
+from .corpus import Corpus, Document, embed
 
 
 def keyword_search(
@@ -40,12 +41,8 @@ def keyword_search(
     """Linear scan for literal phrase matches: (hit ids, simulated seconds)."""
     if not keywords:
         raise ValueError("keyword_search requires a non-empty keyword list")
-    needles = [needle for needle in map(token_text, keywords) if needle.strip()]
-    hits = tuple(
-        doc.id
-        for doc, text in zip(corpus.documents, corpus.token_texts)
-        if any(needle in text for needle in needles)
-    )
+    rows = sorted(set().union(*map(corpus.rows_containing, keywords)))
+    hits = tuple(corpus.documents[row].id for row in rows)
     return hits, c_per_doc * len(corpus) * time_scale
 
 

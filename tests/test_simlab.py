@@ -1,7 +1,6 @@
 """Tests for the corpus, searches, verifier, and experiment runners."""
 
 import dataclasses
-import itertools
 import math
 import re
 from collections import Counter
@@ -33,6 +32,7 @@ from epistemic_ledger.simlab import (
     sensitivity_sweep,
     simulated_verifier,
 )
+from epistemic_ledger.simlab import corpus as corpus_module
 from epistemic_ledger.simlab import runner, search
 from epistemic_ledger.simlab.corpus import (
     Corpus,
@@ -47,9 +47,8 @@ from epistemic_ledger.simlab.corpus import (
     _GENERIC_EUPHEMISMS,
     _LITERAL_TEMPLATE,
     _STOPWORDS,
-    _draw,
+    _draws,
     _token_index,
-    _uint32s,
     token_text,
     tokenize,
 )
@@ -132,60 +131,114 @@ def _reference_corpus(scenario, seed):
     return Corpus(tuple(docs))
 
 
-def _corpus_words(seed):
-    return _uint32s(np.random.PCG64(np.random.SeedSequence([seed, 101])))
+def _corpus_bits(seed):
+    return np.random.PCG64(np.random.SeedSequence([seed, 101]))
 
 
-def _filler_pair(halves):
-    """The two distinct filler indices a distractor draws, as ``generate_corpus`` draws them."""
-    first, second = _draw(halves, 9), _draw(halves, 10)
-    if second == first:
-        second = 9
-    return [second, first] if _draw(halves, 2) == 0 else [first, second]
+def _filler_pairs(draws):
+    """The two distinct filler indices of each ``(9, 10, 2)`` draw triple, as ``generate_corpus`` makes them."""
+    pairs = []
+    for first, second, swap in np.reshape(draws, (-1, 3)).tolist():
+        if second == first:
+            second = 9
+        pairs.append([second, first] if swap == 0 else [first, second])
+    return pairs
+
+
+def _words(bits):
+    """The bit generator's 32-bit words, one raw word at a time: its low half, then its high half."""
+    while True:
+        raw = int(bits.random_raw())
+        yield raw & 0xFFFFFFFF
+        yield raw >> 32
+
+
+def _scalar_lemire(bits, bounds):
+    """Lemire's bounded integers, one word at a time in Python ints: (draws, words read)."""
+    words, draws, read = _words(bits), [], 0
+    for k in bounds:
+        while True:
+            product = next(words) * k
+            read += 1
+            if product & 0xFFFFFFFF >= (2**32 - k) % k:
+                draws.append(product >> 32)
+                break
+    return draws, read
+
+
+class _LeadingZeroWord:
+    """A bit generator whose 32-bit words are 0, then those of ``PCG64(seed)``."""
+
+    def __init__(self, seed):
+        self._bits = np.random.PCG64(seed)
+        self._high = np.zeros(1, np.uint64)
+
+    def random_raw(self, size):
+        raw = self._bits.random_raw(size)
+        # Shifted by one word: a raw word is the last one's high half, then this one's low half.
+        shifted = (raw << np.uint64(32)) | np.concatenate((self._high, raw[:-1] >> np.uint64(32)))
+        self._high = raw[-1:] >> np.uint64(32)
+        return shifted
 
 
 class TestDistractorDraws:
-    """``_draw`` on PCG64's 32-bit words is NumPy's ``integers`` and ``choice``."""
+    """``_draws`` on PCG64's 32-bit words is NumPy's ``integers`` and ``choice``."""
 
     def test_first_draws_are_pinned(self):
-        halves = _corpus_words(20)
-        draws = [_draw(halves, k) for k in (8, 9, 10, 2) * 4]
+        draws = _draws(_corpus_bits(20), (8, 9, 10, 2) * 4).tolist()
         assert draws == [0, 7, 8, 1, 6, 7, 1, 1, 1, 2, 2, 0, 7, 5, 1, 0]
 
     @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 10])
     def test_draw_is_generator_integers(self, k):
         for seed in range(200):
             rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-            halves = _corpus_words(seed)
-            assert [_draw(halves, k) for _ in range(2000)] == rng.integers(k, size=2000).tolist()
+            assert _draws(_corpus_bits(seed), [k] * 2000).tolist() == rng.integers(k, size=2000).tolist()
 
     def test_floyd_pair_is_generator_choice(self):
         for seed in range(200):
             rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-            halves = _corpus_words(seed)
-            for _ in range(2000):
-                assert _filler_pair(halves) == rng.choice(10, size=2, replace=False).tolist()
+            pairs = _filler_pairs(_draws(_corpus_bits(seed), (9, 10, 2) * 2000))
+            assert pairs == [rng.choice(10, size=2, replace=False).tolist() for _ in range(2000)]
 
     @staticmethod
     def _after_a_zero_word(seed):
-        """A Generator whose next 32-bit word is 0, and the words ``_draw`` reads for it.
+        """A Generator whose next 32-bit word is 0, and a bit generator whose words ``_draws`` reads for it.
 
         A word of 0 is biased for k = 9 and 10, whose thresholds (2**32 - k) % k
         are 4 and 6, so NumPy rejects it; a seeded stream almost never holds one.
         """
         bits = np.random.PCG64(seed)
         bits.state = {**bits.state, "has_uint32": 1, "uinteger": 0}
-        return np.random.Generator(bits), itertools.chain([0], _uint32s(np.random.PCG64(seed)))
+        return np.random.Generator(bits), _LeadingZeroWord(seed)
 
     @pytest.mark.parametrize("k", [9, 10])
     def test_rejected_word_is_skipped_as_integers_skips_it(self, k):
-        rng, halves = self._after_a_zero_word(7)
-        assert [_draw(halves, k) for _ in range(50)] == rng.integers(k, size=50).tolist()
+        rng, bits = self._after_a_zero_word(7)
+        assert _draws(bits, [k] * 50).tolist() == rng.integers(k, size=50).tolist()
 
     def test_rejected_word_is_skipped_as_choice_skips_it(self):
-        rng, halves = self._after_a_zero_word(7)
-        for _ in range(50):
-            assert _filler_pair(halves) == rng.choice(10, size=2, replace=False).tolist()
+        rng, bits = self._after_a_zero_word(7)
+        pairs = _filler_pairs(_draws(bits, (9, 10, 2) * 50))
+        assert pairs == [rng.choice(10, size=2, replace=False).tolist() for _ in range(50)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", [2**31 + 1, 2**31 + 3, 3 * 2**30])
+    def test_bounds_that_reject_words_equal_the_scalar_reference(self, k, seed):
+        # For k just over 2**31 about half the words are rejected; for 3 * 2**30, a quarter.
+        bounds = [k, 8, k, 9] * 250
+        draws, read = _scalar_lemire(_corpus_bits(seed), bounds)
+        assert read > len(bounds) * 1.1
+        assert _draws(_corpus_bits(seed), bounds).tolist() == draws
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0),
+        bounds=st.lists(
+            st.one_of(st.integers(2**31 - 2**10, 2**31 + 2**10), st.integers(1, 2**32)), max_size=300
+        ),
+    )
+    def test_any_bounds_equal_the_scalar_reference(self, seed, bounds):
+        assert _draws(_corpus_bits(seed), bounds).tolist() == _scalar_lemire(_corpus_bits(seed), bounds)[0]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -723,3 +776,96 @@ class TestHashedRows:
         with pytest.raises(ValueError) as raised:
             corpus.hashed_rows(SYNONYMS)
         assert str(raised.value) == str(expected.value)
+
+
+def _rows_or_error(corpus, synonyms):
+    """The rows' arrays as bytes, or the text of the ``ValueError`` the build raises."""
+    try:
+        rows = corpus.hashed_rows(synonyms)
+    except ValueError as error:
+        return str(error)
+    return rows.indices.tobytes(), rows.weights.tobytes(), rows.offsets.tobytes()
+
+
+def _reference_rows_or_error(corpus, synonyms):
+    """``_rows_or_error`` from each document's reference embedding; the first failing document's error."""
+    indices, weights, offsets = [], [], [0]
+    for doc in corpus.documents:
+        try:
+            vector = _reference_embed(doc.text, synonyms)
+        except ValueError as error:
+            return str(error)
+        nonzero = np.flatnonzero(vector)
+        indices.extend(nonzero.tolist())
+        weights.extend(vector[nonzero].tolist())
+        offsets.append(len(indices))
+    return (
+        np.array(indices, np.intc).tobytes(),
+        np.array(weights, np.float64).tobytes(),
+        np.array(offsets, np.int64).tobytes(),
+    )
+
+
+def _corpus_of(texts):
+    return Corpus(tuple(Document(f"doc-{i:04d}", text, frozenset(), frozenset()) for i, text in enumerate(texts)))
+
+
+# Text pieces that probe the joined token text: line breaks, punctuation only,
+# stopwords only, and characters whose lower case is not one ASCII letter
+# ("İ" lowers to "i" and a combining dot; the Kelvin sign lowers to "k").
+TRICKY_PIECES = SCENARIO_WORDS[:40] + sorted(_STOPWORDS)[:8] + sorted(SYNONYMS) + [
+    "\n", "\n\n", "!", "--", "?.", " ", "\t", "İ", "\u212a", "\u212aelvin", "İnternal", "k", "i",
+]
+TRICKY_TEXTS = st.lists(st.sampled_from(TRICKY_PIECES), max_size=8).map(" ".join) | st.lists(
+    st.sampled_from(TRICKY_PIECES), max_size=8
+).map("".join)
+
+
+class TestJoinedTokenText:
+    """Phrase scans of the one joined token text are the per-document scans."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        texts=st.lists(TRICKY_TEXTS, max_size=6),
+        keywords=st.lists(TRICKY_TEXTS, min_size=1, max_size=3),
+        synonyms=st.sampled_from([None, SYNONYMS, {"k i": ("kelvin",), "internal memo": ("the", "memo")}]),
+    )
+    def test_scans_and_rows_equal_the_per_document_references(self, texts, keywords, synonyms):
+        corpus = _corpus_of(texts)
+        hits, _ = keyword_search(corpus, keywords, 1.0)
+        assert hits == _reference_keyword(corpus, keywords)
+        assert _rows_or_error(corpus, synonyms) == _reference_rows_or_error(corpus, synonyms)
+
+    def test_a_phrase_across_two_documents_hits_neither(self):
+        corpus = _corpus_of(["records show price", "fixing across regions", "price fixing"])
+        assert keyword_search(corpus, ["price fixing"], 1.0)[0] == ("doc-0002",)
+        assert keyword_search(corpus, ["show price fixing across"], 1.0)[0] == ()
+        synonyms = {"price fixing": ("cartel",)}
+        assert corpus.rows_containing("price fixing") == [2]
+        _assert_rows_equal_dense_embeddings(corpus, synonyms)
+
+    def test_a_phrase_twice_in_a_document_names_its_row_once(self):
+        corpus = _corpus_of(["market harmony memo", "market harmony and market harmony", "memo"])
+        assert corpus.rows_containing("Market, harmony!") == [0, 1]
+        _assert_rows_equal_dense_embeddings(corpus, SYNONYMS)
+
+    def test_a_phrase_at_the_first_token_of_a_document_is_in_that_row(self):
+        corpus = _corpus_of(["alpha beta", "beta gamma", "gamma beta"])
+        assert corpus.rows_containing("beta") == [0, 1, 2]
+        assert corpus.rows_containing("gamma") == [1, 2]
+
+    def test_the_first_of_two_documents_without_tokens_is_named(self):
+        corpus = _corpus_of(["price memo", "!!! --", "fixing memo", "the and of"])
+        with pytest.raises(ValueError, match=re.escape("text has no indexable tokens: '!!! --'")):
+            corpus.hashed_rows(None)
+
+    def test_cells_past_int32_are_int64(self, monkeypatch):
+        # 1,100 rows of 2**21 buckets: cell ids pass 2**31 in the whole corpus,
+        # and fit int32 in each one-document corpus.
+        monkeypatch.setattr(corpus_module, "EMBED_DIM", 2**21)
+        docs = generate_corpus(dataclasses.replace(SCENARIO, corpus_size=1100), seed=1).documents
+        rows = Corpus(docs).hashed_rows(SYNONYMS)
+        singles = [Corpus((doc,)).hashed_rows(SYNONYMS) for doc in docs]
+        assert rows.indices.max() >= 2**20
+        assert np.array_equal(rows.indices, np.concatenate([r.indices for r in singles]))
+        assert rows.weights.tobytes() == np.concatenate([r.weights for r in singles]).tobytes()
