@@ -368,12 +368,10 @@ def read_pipelines_csv(path: str | Path) -> list[PipelineSpec]:
 def read_eval_records_csv(path: str | Path) -> dict[str, list[LossRecord]]:
     """Columns: component, loss[, predicted, actual]; ``predicted`` and ``actual`` are ignored.
 
-    Rows with the same loss text share one record, so a 0/1 file builds two.
-    Each distinct (component, loss) cell pair is checked once; a bad one
-    fails at the first row that holds it.
+    Rows with the same (component, loss) cell pair share one record, checked
+    once; a bad pair fails at the first row that holds it.
     """
     sets: dict[str, list[LossRecord]] = {}
-    records: dict[str, LossRecord] = {}  # by loss text
     parsed: dict[tuple[str, str], tuple[list[LossRecord], LossRecord]] = {}  # by cell pair
 
     def row(line: int, cells: tuple[str, str]) -> None:
@@ -383,9 +381,7 @@ def read_eval_records_csv(path: str | Path) -> dict[str, list[LossRecord]]:
             component = component.strip()
             if component not in COMPONENTS:
                 raise ValueError(f"unknown component {component!r}")
-            record = records.get(loss)
-            if record is None:
-                record = records[loss] = LossRecord("", "", _number(loss, "loss"))
+            record = LossRecord("", "", _number(loss, "loss"))
             entry = parsed[cells] = (sets.setdefault(component, []), record)
         entry[0].append(entry[1])
 
@@ -430,12 +426,12 @@ def read_executions_csv(
     """Columns: proposition_id, pipeline_id, executed, outcome, avoidance_evidence,
     certificate[, timestamp].
 
-    A certificate must be for the row's pipeline and validate every component
-    that pipeline's kind runs.
+    The ids of ``pipelines`` are taken as proven, as ``read_pipelines_csv`` gives
+    them. A certificate must be for the row's pipeline and validate every
+    component that pipeline's kind runs.
     """
     records = []
     certificates: dict[str, ValidationCertificate] = {}  # by cell, so each file is read once
-    checked: set[str] = set()  # the pipeline ids that passed their checks
     # Each distinct (executed, outcome, avoidance_evidence) cell triple is parsed
     # once: files repeat a few dozen triples, and a bad one fails at its first row.
     states: dict[tuple[str, str, str], tuple[bool, Verdict | None, AvoidanceEvidence]] = {}
@@ -450,11 +446,9 @@ def read_executions_csv(
         if state is None:
             state = states[executed, outcome, evidence] = _execution_state(executed, outcome, evidence)
         pipeline_id = pipeline_id.strip()
-        if pipeline_id not in checked:
+        if pipeline_id not in pipelines:
             check_pipeline_id(_one_line(pipeline_id, "pipeline id"))
-            if pipeline_id not in pipelines:
-                raise ValueError(f"execution references unknown pipeline {pipeline_id!r}")
-            checked.add(pipeline_id)
+            raise ValueError(f"execution references unknown pipeline {pipeline_id!r}")
         cert_raw = cert_raw.strip()
         certificate = None
         if cert_raw:

@@ -33,35 +33,3 @@ from .scenario import (
     parse_scenario,
 )
 from .search import keyword_search, semantic_search, simulated_verifier
-
-__all__ = [
-    "Corpus",
-    "Document",
-    "EMBED_DIM",
-    "DEFAULT_SCENARIO_NAME",
-    "LEGACY",
-    "MODERN",
-    "MonteCarloCell",
-    "MonteCarloResult",
-    "RunResult",
-    "ScalePoint",
-    "SensitivityCurve",
-    "SensitivityPoint",
-    "SimScenario",
-    "TaskSpec",
-    "company_capacity",
-    "default_scenario",
-    "embed",
-    "export_corpus",
-    "generate_corpus",
-    "keyword_search",
-    "load_scenario",
-    "monte_carlo",
-    "parse_scenario",
-    "run_docket",
-    "scalability_sweep",
-    "semantic_search",
-    "sensitivity_sweep",
-    "simulated_verifier",
-    "tokenize",
-]

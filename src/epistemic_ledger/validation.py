@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -179,22 +180,20 @@ _Q_SPLIT = 0.02425
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF on (0, 1)."""
     _require("quantile argument", p, 0, 1, exclusive=True)
-    if p < _Q_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (
-            ((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5]
-        ) / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0)
-    elif p <= 1.0 - _Q_SPLIT:
+    if _Q_SPLIT <= p <= 1.0 - _Q_SPLIT:
         q = p - 0.5
         r = q * q
         x = (
             ((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]
         ) * q / (((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0)
     else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(
+        # The tail rational of the nearer tail; the upper tail is its negation.
+        q = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+        x = (
             ((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5]
         ) / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0)
+        if p > 0.5:
+            x = -x
     err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
     u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
     return x - u / (1.0 + x * u / 2.0)
@@ -293,8 +292,9 @@ def ece(
     """Expected calibration error: count-weighted mean |accuracy - confidence|.
 
     Predictions are (confidence, correct) pairs; empty bins contribute
-    nothing. Equal-mass binning sorts by confidence and splits into chunks
-    whose sizes differ by at most one.
+    nothing. Each bin is a run of the sorted predictions, whose order makes the
+    result bitwise invariant under permutation: equal-width bin k holds those
+    with ``min(int(conf * m), m - 1) == k``, and equal-mass runs differ in size by at most one.
     """
     if not predictions:
         raise ValueError("ece requires at least one prediction")
@@ -302,19 +302,15 @@ def ece(
         _require("confidence", conf, 0, 1)
 
     m, n = binning.bins, len(predictions)
+    ordered = sorted(predictions)
     if isinstance(binning, EqualWidth):
-        groups: list[list[tuple[float, bool]]] = [[] for _ in range(m)]
-        for conf, correct in predictions:
-            groups[min(int(conf * m), m - 1)].append((conf, correct))
-        # Fixed summation order inside each bin keeps the result bitwise
-        # invariant under permutation of the input.
-        for chunk in groups:
-            chunk.sort()
+        cuts = [
+            bisect_left(ordered, k, key=lambda pair: min(int(pair[0] * m), m - 1)) for k in range(m + 1)
+        ]
     else:
-        ordered = sorted(predictions)
         base, extra = divmod(n, m)
         cuts = [k * base + min(k, extra) for k in range(m + 1)]
-        groups = [ordered[start:stop] for start, stop in zip(cuts, cuts[1:])]
+    groups = [ordered[start:stop] for start, stop in zip(cuts, cuts[1:])]
 
     total_gap = 0.0
     for chunk in groups:
