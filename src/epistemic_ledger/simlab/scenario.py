@@ -106,6 +106,9 @@ class SimScenario:
         _require("euphemism_ratio", self.euphemism_ratio, 0, 1)
         self._check_corpus_size(self.corpus_size)
         _count("'seed'", self.seed, 0)  # numpy seeds only from non-negative integers
+        owners: dict[str, str] = {}
+        for task in self.tasks:
+            _claim_phrases(owners, task)
 
     def min_corpus_size(self) -> int:
         return self.ground_truth_per_task * len(self.tasks)
@@ -117,7 +120,7 @@ class SimScenario:
             raise ValueError(f"corpus size {size} is below the {required} ground-truth documents required")
 
     def synonym_table(self) -> dict[str, tuple[str, ...]]:
-        """Map each task's euphemism phrases to its concept-query tokens."""
+        """Map each task's euphemism phrases to its concept-query tokens; no two tasks list a phrase."""
         table: dict[str, tuple[str, ...]] = {}
         for task in self.tasks:
             concept = tuple(tokenize(task.concept_query))
@@ -130,6 +133,15 @@ class SimScenario:
 
     def modern_cost(self, n_docs: int, time_scale: float = 1.0) -> float:
         return (self.modern_a + self.modern_b * math.log(n_docs)) * time_scale
+
+
+def _claim_phrases(owners: dict[str, str], task: TaskSpec) -> None:
+    """Record ``task`` in ``owners`` as the task of each of its euphemism phrases. The synonym
+    table maps a phrase to one concept query, so a phrase another task lists is a ValueError."""
+    for phrase in task.euphemism_phrases:
+        owner = owners.setdefault(phrase, task.id)
+        if owner != task.id:
+            raise ValueError(f"euphemism phrase {phrase!r} is listed by tasks {owner!r} and {task.id!r}")
 
 
 def _phrases(value: str) -> tuple[str, ...]:
@@ -156,7 +168,7 @@ _SECTIONS: dict[str, dict[str, tuple[str, type]]] = {
 _TASK_KEYS = tuple(f.name for f in fields(TaskSpec) if f.name != "id")
 
 
-def _task(sec: Section) -> TaskSpec:
+def _task(sec: Section, owners: dict[str, str]) -> TaskSpec:
     sec.reject_unknown(_TASK_KEYS)
     task_id = sec.name[len("task.") :]
     truth = sec.choice("truth", Verdict, "truth (established or refuted)")
@@ -180,6 +192,9 @@ def _task(sec: Section) -> TaskSpec:
     query, line = sec.raw("concept_query")
     if not tokenize(query):  # embed's rule: a query must give a token to search by
         raise InputError(f"concept_query has no indexable token: {query!r}", sec.path, line)
+    if task.euphemism_phrases:
+        with _at(sec.path, sec.raw("euphemism_phrases")[1]):
+            _claim_phrases(owners, task)
     return task
 
 
@@ -193,9 +208,10 @@ def parse_scenario(text: str, path: str = "<scenario>") -> SimScenario:
     """
     settings: dict[str, tuple[object, int]] = {}  # SimScenario field -> (value, line)
     tasks = []
+    owners: dict[str, str] = {}  # euphemism phrase -> the task that lists it
     for name, sec in parse_sections(text, path).items():
         if name.startswith("task."):
-            tasks.append(_task(sec))
+            tasks.append(_task(sec, owners))
         elif name == "policy":
             settings["policy"] = (policy_params(sec), sec.line)
         elif name in _SECTIONS:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import dataclass
@@ -194,6 +195,10 @@ def normal_quantile(p: float) -> float:
         ) / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0)
         if p > 0.5:
             x = -x
+        elif p < sys.float_info.min:
+            # erfc is subnormal here, and exp(x * x / 2) overflows below about
+            # 5e-311, so the rational's value stands: it is within 1e-7.
+            return x
     err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
     u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
     return x - u / (1.0 + x * u / 2.0)
@@ -226,7 +231,8 @@ def wilson_upper(successes: int, n: int, delta: float) -> ConfidenceBound:
     _count("sample size", n, 1)
     _count("successes", successes, 0, n)
     check_delta(delta)
-    z = normal_quantile(1.0 - delta)
+    # 1 - delta rounds to 1 for delta <= 2**-54; the lower tail holds delta exactly.
+    z = -normal_quantile(delta) if 1.0 - delta == 1.0 else normal_quantile(1.0 - delta)
     p_hat = successes / n
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2.0 * n)) / denom
@@ -292,9 +298,10 @@ def ece(
     """Expected calibration error: count-weighted mean |accuracy - confidence|.
 
     Predictions are (confidence, correct) pairs; empty bins contribute
-    nothing. Each bin is a run of the sorted predictions, whose order makes the
-    result bitwise invariant under permutation: equal-width bin k holds those
-    with ``min(int(conf * m), m - 1) == k``, and equal-mass runs differ in size by at most one.
+    nothing. Each bin is a run of the sorted predictions, whose order makes
+    the result bitwise invariant under permutation: equal-width bin k holds
+    those with ``min(int(conf * m), m - 1) == k``, and equal-mass runs differ
+    in size by at most one.
     """
     if not predictions:
         raise ValueError("ece requires at least one prediction")

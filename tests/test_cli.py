@@ -177,6 +177,21 @@ class TestCertify:
             main(["certify", records, "--pipeline-id", "p", "--cost", "1", "--delta", "1.5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("delta", [2.0**-54, 1e-17, 1e-300, 5e-324], ids=repr)
+    def test_wilson_takes_a_delta_below_the_rounding_of_one_minus_delta(self, tmp_path, delta):
+        # 1 - delta rounds to 1 for each of these, but the range rule accepts them.
+        records = write(
+            tmp_path, "records.csv", "component,loss\nretrieval,0\nretrieval,1\ngeneration,0\nverification,0\n"
+        )
+        out = tmp_path / "w.cert"
+        argv = ["certify", records, "--pipeline-id", "p", "--cost", "1", "--method", "wilson",
+                "--delta", repr(delta), "--timestamp", "2026-01-01T00:00:00+00:00", "--out", str(out)]
+        assert main(argv) == 0
+        cert = read_certificate(out)
+        assert cert.delta == delta
+        assert 0.98 < cert.bounds[1].upper < 1.0
+        assert certificate_to_text(cert) == out.read_text()
+
     def test_certificate_round_trip(self, tmp_path):
         binary, graded = [0.0, 1.0, 0.0, 0.0], [0.0, 0.25, 0.5, 1.0, 0.125]
         cases = [

@@ -306,6 +306,26 @@ def test_negative_scenario_seed_names_its_line(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_euphemism_phrase_of_two_tasks_is_rejected_at_the_second(tmp_path, capsys):
+    # The synonym table maps a phrase to one task's concept query, so a second
+    # task listing it would silently take over the first task's expansion.
+    start = APPENDIX_A.index("[task.device_tolerance]")
+    task = APPENDIX_A[start:].replace("ground_truth = literal", "ground_truth = euphemism")
+    task = task.replace("euphemism_phrases =\n", "euphemism_phrases = market harmony\n")
+    text = APPENDIX_A[:start] + task
+    path = write(tmp_path, "shared.scenario", text)
+    assert main(["simulate", "--scenario", path]) == 1
+    captured = capsys.readouterr()
+    line = text.count("\n", 0, start + task.index("euphemism_phrases")) + 1
+    message = "euphemism phrase 'market harmony' is listed by tasks 'regional_pricing' and 'device_tolerance'"
+    assert captured.err == f"error: {path}:{line}: {message}\n"
+    assert captured.out == ""
+
+    tasks = parse_scenario(APPENDIX_A).tasks
+    with pytest.raises(ValueError, match=r"^euphemism phrase 'culture fit filtering' is listed by tasks "):
+        SimScenario(tasks + (replace(tasks[1], id="copy"),))
+
+
 @pytest.mark.parametrize(
     "name, text, key",
     [

@@ -2,10 +2,11 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtri
@@ -21,6 +22,11 @@ from epistemic_ledger.metrics import (
     pipeline_score,
 )
 from epistemic_ledger.validation import (
+    _Q_SPLIT,
+    _QA,
+    _QB,
+    _QC,
+    _QD,
     BoundMethod,
     CertificationRefusedError,
     ConfidenceBound,
@@ -145,6 +151,17 @@ class TestWilsonUpper:
         with pytest.raises(ValueError):
             wilson_upper(5, 4, 0.05)
 
+    def test_z_rises_as_delta_falls_where_one_minus_delta_rounds_to_one(self):
+        # 1 - 2**-53 is a float and 1 - 2**-54 rounds to 1, so below the seam z
+        # comes from the lower tail. With k = 0 the upper is z^2 / (n + z^2).
+        n = 1000
+        deltas = (2.0**-52, 2.0**-53, 2.0**-54, 2.0**-55, 1e-17, 1e-300, 5e-324)
+        uppers = [wilson_upper(0, n, d).upper for d in deltas]
+        z = [math.sqrt(n * u / (1.0 - u)) for u in uppers]
+        assert z == sorted(z) and len(set(z)) == len(z)
+        assert z[1] == pytest.approx(8.2095, abs=1e-4)
+        assert z[2] == pytest.approx(8.2924, abs=1e-4)
+
     def test_bounds_tighten_with_more_data_and_looser_delta(self):
         # At a fixed observed rate, both bound families shrink as n grows
         # and as delta grows (less confidence demanded).
@@ -158,7 +175,70 @@ class TestWilsonUpper:
             assert by_delta == sorted(by_delta, reverse=True)
 
 
+def _reference_normal_quantile(p):
+    """``normal_quantile`` with a copy of the tail rational for each tail, as first written."""
+    if p < _Q_SPLIT:
+        q = math.sqrt(-2.0 * math.log(p))
+        x = (
+            ((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5]
+        ) / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0)
+    elif p <= 1.0 - _Q_SPLIT:
+        q = p - 0.5
+        r = q * q
+        x = (
+            ((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]
+        ) * q / (((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0)
+    else:
+        q = math.sqrt(-2.0 * math.log(1.0 - p))
+        x = -(
+            ((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5]
+        ) / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0)
+    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
+    u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
+    return x - u / (1.0 + x * u / 2.0)
+
+
+def _steps_around(p, steps=40):
+    """``p`` and the ``steps`` floats on each side of it."""
+    below, above = [p], [p]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 1.0))
+    return below[1:] + above
+
+
+# Both seams between the central and tail rationals, p near 0 down to the
+# smallest normal float, p near 1 up to the float below 1, and a sweep between.
+QUANTILE_GRID = sorted(
+    {
+        *_steps_around(_Q_SPLIT),
+        *_steps_around(1.0 - _Q_SPLIT),
+        *_steps_around(0.5),
+        *(10.0 ** -(k / 4) for k in range(1, 4 * 307)),
+        *(1.0 - 2.0**-k for k in range(1, 54)),
+        *(2.0**-k for k in range(1, 1023)),
+        *_steps_around(1.0 - 2.0**-20),
+        *(i / 997 for i in range(1, 997)),
+        sys.float_info.min,
+        math.nextafter(1.0, 0.0),
+    }
+)
+
+
 class TestNormalQuantile:
+    def test_bit_equal_to_the_two_tail_reference(self):
+        for p in QUANTILE_GRID:
+            assert normal_quantile(p) == _reference_normal_quantile(p), p
+
+    def test_subnormal_p_has_a_finite_quantile(self):
+        # Below the smallest normal float the Halley step would overflow in exp.
+        for p in (1e-310, 1e-320, 5e-324):
+            assert normal_quantile(p) == pytest.approx(float(ndtri(p)), abs=1e-7)
+        edge = sys.float_info.min
+        below = [math.nextafter(edge, 0.0), edge / 2, 1e-310, 1e-320, 5e-324]
+        values = [normal_quantile(p) for p in [edge, *below]]
+        assert values == sorted(values, reverse=True)
+
     def test_matches_reference_to_1e7(self):
         for p in np.concatenate(
             (
@@ -181,7 +261,50 @@ class TestNormalQuantile:
             normal_quantile(1.0)
 
 
+def _reference_ece(predictions, binning):
+    """``ece`` with a list per equal-width bin, each then sorted, as first written."""
+    m, n = binning.bins, len(predictions)
+    if isinstance(binning, EqualWidth):
+        groups = [[] for _ in range(m)]
+        for conf, correct in predictions:
+            groups[min(int(conf * m), m - 1)].append((conf, correct))
+        for chunk in groups:
+            chunk.sort()
+    else:
+        ordered = sorted(predictions)
+        base, extra = divmod(n, m)
+        cuts = [k * base + min(k, extra) for k in range(m + 1)]
+        groups = [ordered[start:stop] for start, stop in zip(cuts, cuts[1:])]
+    total_gap = 0.0
+    for chunk in groups:
+        if chunk:
+            mean_conf = sum(c for c, _ in chunk) / len(chunk)
+            mean_acc = sum(1.0 for _, ok in chunk if ok) / len(chunk)
+            total_gap += (len(chunk) / n) * abs(mean_acc - mean_conf)
+    return tuple(map(len, groups)), total_gap
+
+
+@st.composite
+def _binned_predictions(draw):
+    """A bin count in 1..20 and up to 30 predictions, many of them exactly on a
+    bin edge k/m or repeated, so more bins than predictions is common."""
+    bins = draw(st.integers(1, 20))
+    edge = st.integers(0, bins).map(lambda k: k / bins)
+    fresh = st.one_of(edge, st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+    pool = draw(st.lists(fresh, min_size=1, max_size=6))
+    conf = st.one_of(st.sampled_from(pool), fresh)
+    return bins, draw(st.lists(st.tuples(conf, st.booleans()), min_size=1, max_size=30))
+
+
 class TestEce:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_binned_predictions())
+    def test_bit_equal_to_the_per_bin_reference(self, case):
+        bins, preds = case
+        for binning in (EqualWidth(bins), EqualMass(bins)):
+            report = ece(preds, binning)
+            assert (report.counts, report.ece) == _reference_ece(preds, binning)
+
     def test_perfectly_calibrated_is_zero(self):
         # Three bins where confidence equals empirical accuracy exactly.
         preds = []
@@ -704,3 +827,34 @@ class TestCertificateConservatism:
             if lower_bound_score(cert, POLICY.tau_star) <= true_score:
                 ok += 1
         assert ok / trials >= 1.0 - 3.0 * delta
+
+
+
+# 200 evenly spaced p in (0, 0.3].
+COVERAGE_GRID = [0.3 * i / 200 for i in range(1, 201)]
+
+
+def _lowest_coverage(method, n, delta=0.05):
+    """The least, over COVERAGE_GRID, of P(upper(K/n) >= p) for K ~ Binomial(n, p),
+    summed exactly over K with math.lgamma."""
+    uppers = [confidence_bound(method, k / n, n, delta).upper for k in range(n + 1)]
+    log_choose = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in range(n + 1)]
+    return min(
+        math.fsum(
+            math.exp(log_choose[k] + k * math.log(p) + (n - k) * math.log1p(-p))
+            for k in range(n + 1)
+            if uppers[k] >= p
+        )
+        for p in COVERAGE_GRID
+    )
+
+
+class TestExactCoverage:
+    @pytest.mark.parametrize("n", [10, 100, 500])
+    def test_hoeffding_covers_every_p_at_confidence_one_minus_delta(self, n):
+        assert _lowest_coverage(BoundMethod.HOEFFDING, n) >= 0.95
+
+    def test_wilson_is_approximate(self):
+        # Wilson's one-sided limit holds only asymptotically: at n = 10 its
+        # coverage dips to 0.9089 (p = 0.213), as the README records.
+        assert _lowest_coverage(BoundMethod.WILSON, 10) == pytest.approx(0.9089, abs=1e-4)
