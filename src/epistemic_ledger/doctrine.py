@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .metrics import PipelineSpec, PolicyParams, Proposition, _require, knowledge_predicate, org_score
-from .validation import ValidationCertificate, lower_bound_score, plug_in_test
+from .validation import ValidationCertificate, lower_bound_score
 
 
 class Verdict(str, Enum):
@@ -75,6 +75,7 @@ CHEAPNESS_FACTOR = 0.1
 MAX_ERROR = 0.05
 # Recklessness's "grossly poor": a lower-bound score more than this below theta_r.
 RECKLESSNESS_MARGIN = 0.2
+_Detail = dict[str, object]  # a finding's detail: what its doctrine compared and named
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,17 +94,32 @@ class DoctrineFinding:
         return self.rationale[0][0] if self.rationale else None
 
 
-def actual_knowledge_test(
-    record: ExecutionRecord, theta_ak: float, tau_star: float
-) -> bool:
-    """Executed, certified, conclusive, and passing ``plug_in_test`` at theta_ak.
+def _actual(records: Sequence[ExecutionRecord], theta_ak: float, tau_star: float) -> _Detail | None:
+    """Actual knowledge's detail for the first record that is executed, certified,
+    conclusive and passing ``plug_in_test`` at theta_ak; None when no record is.
 
     An executed record without a certificate fails here; the certification
     gap is what the recklessness test picks up.
     """
-    if not record.executed or record.certificate is None or record.outcome is Verdict.INCONCLUSIVE:
-        return False
-    return plug_in_test(record.certificate, theta_ak, tau_star)
+    for r in records:
+        if r.executed and r.certificate is not None and r.outcome is not Verdict.INCONCLUSIVE:
+            s_lb = lower_bound_score(r.certificate, tau_star)
+            if knowledge_predicate(s_lb, theta_ak):
+                return {"pipeline_id": r.pipeline_id, "lower_bound_score": s_lb, "theta_ak": theta_ak}
+    return None
+
+
+def actual_knowledge_test(record: ExecutionRecord, theta_ak: float, tau_star: float) -> bool:
+    """Executed, certified, conclusive, and passing ``plug_in_test`` at theta_ak."""
+    return _actual((record,), theta_ak, tau_star) is not None
+
+
+def _constructive(score: float | None, theta_ck: float) -> _Detail | None:
+    """Constructive knowledge's detail when knowledge was achievable (``knowledge_predicate``
+    at theta_ck), None when not; whether it was also obtained is for ``_actual`` to say."""
+    if score is None or not knowledge_predicate(score, theta_ck):
+        return None
+    return {"org_score": score, "theta_ck": theta_ck}
 
 
 def constructive_knowledge_test(
@@ -113,33 +129,42 @@ def constructive_knowledge_test(
 
     ``score`` is the org score of the proposition's pipelines, None when it has none.
     """
-    if score is None or not knowledge_predicate(score, policy.theta_ck):
+    if _constructive(score, policy.theta_ck) is None:
         return False
-    return not any(
-        actual_knowledge_test(r, policy.theta_ak, policy.tau_star) for r in executions
-    )
+    return _actual(executions, policy.theta_ak, policy.tau_star) is None
 
 
-def _cheap_unexecuted(
-    available: Sequence[PipelineSpec],
-    records: Sequence[ExecutionRecord],
-    policy: PolicyParams,
-) -> list[PipelineSpec]:
-    """The cheap, near-certain pipelines of ``available`` that no record executed."""
+def _blind(
+    available: Sequence[PipelineSpec], records: Sequence[ExecutionRecord], policy: PolicyParams
+) -> _Detail | None:
+    """Wilful blindness's detail for the smallest id among the cheap, near-certain
+    pipelines of ``available`` that no record executed, when some record carries
+    an avoidance flag; None when no record does or no such pipeline exists."""
+    if all(r.avoidance_evidence is AvoidanceEvidence.NONE for r in records):
+        return None
+    ceiling = CHEAPNESS_FACTOR * policy.tau_star
     executed_ids = {r.pipeline_id for r in records if r.executed}
-    return [
+    cheap = [
         p
         for p in available
-        if p.expected_cost <= CHEAPNESS_FACTOR * policy.tau_star
-        and p.total_error() <= MAX_ERROR
-        and p.id not in executed_ids
+        if p.expected_cost <= ceiling and p.total_error() <= MAX_ERROR and p.id not in executed_ids
     ]
+    if not cheap:
+        return None
+    first = min(cheap, key=lambda p: p.id)
+    flags = sorted({r.avoidance_evidence.value for r in records} - {AvoidanceEvidence.NONE.value})
+    return {
+        "pipeline_id": first.id,
+        "expected_cost": first.expected_cost,
+        "cost_ceiling": ceiling,
+        "total_error": first.total_error(),
+        "max_error": MAX_ERROR,
+        "avoidance_evidence": ",".join(flags),
+    }
 
 
 def wilful_blindness_test(
-    available: Sequence[PipelineSpec],
-    executions: Sequence[ExecutionRecord],
-    policy: PolicyParams,
+    available: Sequence[PipelineSpec], executions: Sequence[ExecutionRecord], policy: PolicyParams
 ) -> bool:
     """A cheap, near-certain pipeline went unexecuted amid avoidance evidence.
 
@@ -148,19 +173,26 @@ def wilful_blindness_test(
     Mere non-execution without avoidance evidence is at most constructive
     knowledge.
     """
-    deliberate = any(
-        r.avoidance_evidence is not AvoidanceEvidence.NONE for r in executions
-    )
-    return deliberate and bool(_cheap_unexecuted(available, executions, policy))
+    return _blind(available, executions, policy) is not None
+
+
+def _reckless(records: Sequence[ExecutionRecord], theta_r: float, tau_star: float) -> _Detail | None:
+    """Recklessness's detail for the first executed record with no certificate, or with a
+    lower-bound score more than RECKLESSNESS_MARGIN below theta_r; None when no record is."""
+    for r in records:
+        if r.executed:
+            s_lb = None if r.certificate is None else lower_bound_score(r.certificate, tau_star)
+            if s_lb is None or s_lb < theta_r - RECKLESSNESS_MARGIN:
+                key, value = ("certificate", "absent") if s_lb is None else ("lower_bound_score", s_lb)
+                return {"pipeline_id": r.pipeline_id, "theta_r": theta_r, "margin": RECKLESSNESS_MARGIN, key: value}
+    return None
 
 
 def recklessness_test(record: ExecutionRecord, theta_r: float, tau_star: float) -> bool:
     """Executed despite a grossly poor certificate, or with none at all."""
     if not record.executed:
         raise ValueError("recklessness_test applies only to executed records")
-    if record.certificate is None:
-        return True
-    return lower_bound_score(record.certificate, tau_star) < theta_r - RECKLESSNESS_MARGIN
+    return _reckless((record,), theta_r, tau_star) is not None
 
 
 def negligence_test(capacity: float, theta_neg: float) -> bool:
@@ -187,53 +219,16 @@ def classify(
     records = [r for r in executions if r.proposition_id == proposition.id]
     if score is None and available:
         score = org_score(available, policy)
-    # The tests run in PRECEDENCE order, so each finding is appended in place.
+    # Each doctrine is decided in PRECEDENCE order, so its finding is appended in place.
     found: list[tuple[Doctrine, Mapping[str, object]]] = []
-
-    actual = next(
-        (r for r in records if actual_knowledge_test(r, policy.theta_ak, policy.tau_star)), None
-    )
-    if actual is not None:
-        found.append((Doctrine.ACTUAL_KNOWLEDGE, {
-            "pipeline_id": actual.pipeline_id,
-            "lower_bound_score": lower_bound_score(
-                actual.certificate, policy.tau_star  # type: ignore[arg-type]
-            ),
-            "theta_ak": policy.theta_ak,
-        }))
-
-    if wilful_blindness_test(available, records, policy):
-        cheap = min(_cheap_unexecuted(available, records, policy), key=lambda p: p.id)
-        flags = sorted({r.avoidance_evidence.value for r in records} - {AvoidanceEvidence.NONE.value})
-        found.append((Doctrine.WILFUL_BLINDNESS, {
-            "pipeline_id": cheap.id,
-            "expected_cost": cheap.expected_cost,
-            "cost_ceiling": CHEAPNESS_FACTOR * policy.tau_star,
-            "total_error": cheap.total_error(),
-            "max_error": MAX_ERROR,
-            "avoidance_evidence": ",".join(flags),
-        }))
-
-    reckless = next(
-        (r for r in records if r.executed and recklessness_test(r, policy.theta_r, policy.tau_star)),
-        None,
-    )
-    if reckless is not None:
-        detail = {
-            "pipeline_id": reckless.pipeline_id,
-            "theta_r": policy.theta_r,
-            "margin": RECKLESSNESS_MARGIN,
-        }
-        if reckless.certificate is None:
-            detail["certificate"] = "absent"
-        else:
-            detail["lower_bound_score"] = lower_bound_score(reckless.certificate, policy.tau_star)
-        found.append((Doctrine.RECKLESSNESS, detail))
-
-    # No records: actual knowledge, which that test would look for in them, was decided above.
-    if actual is None and constructive_knowledge_test(score, (), policy):
-        found.append((Doctrine.CONSTRUCTIVE_KNOWLEDGE, {"org_score": score, "theta_ck": policy.theta_ck}))
-
+    if (actual := _actual(records, policy.theta_ak, policy.tau_star)) is not None:
+        found.append((Doctrine.ACTUAL_KNOWLEDGE, actual))
+    if (blind := _blind(available, records, policy)) is not None:
+        found.append((Doctrine.WILFUL_BLINDNESS, blind))
+    if (reckless := _reckless(records, policy.theta_r, policy.tau_star)) is not None:
+        found.append((Doctrine.RECKLESSNESS, reckless))
+    if actual is None and (constructive := _constructive(score, policy.theta_ck)) is not None:
+        found.append((Doctrine.CONSTRUCTIVE_KNOWLEDGE, constructive))
     if capacity is not None and negligence_test(capacity, policy.theta_neg):
         found.append((Doctrine.NEGLIGENCE, {"capacity": capacity, "theta_neg": policy.theta_neg}))
 

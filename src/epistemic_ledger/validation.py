@@ -135,6 +135,8 @@ class ValidationCertificate:
     ``bounds`` are in ``COMPONENTS`` order. The total upper bound is the
     ``series_error`` of their uppers; with each bound holding at confidence
     1-delta, the joint statement holds at confidence >= 1 - ``union_delta``.
+    It bounds the end-to-end error only if stage failures are independent or positively
+    associated: three stages failing at 0.1 on disjoint inputs err 0.3, in series 0.271.
     """
 
     pipeline_id: str
@@ -218,7 +220,9 @@ def hoeffding_upper(risk: float, n: int, delta: float) -> ConfidenceBound:
     """
     _count("sample size", n, 1)
     check_delta(delta)
-    upper = min(1.0, risk + math.sqrt(math.log(1.0 / delta) / (2.0 * n)))
+    # 1 / delta is inf below about 5.56e-309; there -ln(delta) gives the finite log.
+    log_inverse = math.log(1.0 / delta) if 1.0 / delta < math.inf else -math.log(delta)
+    upper = min(1.0, risk + math.sqrt(log_inverse / (2.0 * n)))
     return ConfidenceBound(risk, upper, BoundMethod.HOEFFDING, delta, n)
 
 
@@ -562,7 +566,8 @@ def certify(
 def lower_bound_score(cert: ValidationCertificate, tau_star: float) -> float:
     """Certified lower bound on the pipeline score, at confidence 1 - ``union_delta``.
 
-    Each component bound holds at 1 - delta; by the union bound, the total at 1 - min(1, 3 delta).
+    Each component bound holds at 1 - delta; by the union bound, the total at 1 - min(1, 3 delta),
+    if stage failures are independent or positively associated (see ``ValidationCertificate``).
     """
     return discounted_score(cert.measured_cost, cert.total_upper, tau_star)
 

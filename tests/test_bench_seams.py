@@ -19,3 +19,22 @@ def test_benchmark_layers_install_and_undo(monkeypatch):
     finally:
         undo()
     assert cli.main is original
+
+
+def test_benchmark_counters_see_classify(tmp_path, capsys, monkeypatch):
+    # A refactor that binds a wrapped name where the bench does not look would
+    # leave its counter at 0; the golden docket pins what the bench sees.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from spans import Recorder
+    from test_golden import _ledger_argv
+
+    argv = _ledger_argv(tmp_path, capsys)["classify"]
+    rec = Recorder()
+    _, undo = layers.install(rec, {})
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        undo()
+    assert rec.calls()["doctrine.classify"] == 6
+    assert rec.counts["validation.lower_bound_score.calls"] == 11

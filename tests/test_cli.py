@@ -192,6 +192,19 @@ class TestCertify:
         assert 0.98 < cert.bounds[1].upper < 1.0
         assert certificate_to_text(cert) == out.read_text()
 
+    def test_hoeffding_takes_a_delta_whose_inverse_overflows(self, tmp_path, capsys):
+        # 1 / 1e-310 is inf; each bound is sqrt(-ln(1e-310) / 2000), not the clamp at 1.
+        out = tmp_path / "h.cert"
+        argv = ["certify", records_csv(tmp_path), "--pipeline-id", "p", "--cost", "1", "--method", "hoeffding",
+                "--delta", "1e-310", "--timestamp", "2026-01-01T00:00:00+00:00", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("s_lb = 0.0593\n")
+        cert = read_certificate(out)
+        assert cert.delta == 1e-310
+        assert [b.upper for b in cert.bounds] == [pytest.approx(0.5974, abs=1e-4)] * 3
+        assert "ret_upper = 0.597411658250889\n" in out.read_text()
+        assert certificate_to_text(cert) == out.read_text()
+
     def test_certificate_round_trip(self, tmp_path):
         binary, graded = [0.0, 1.0, 0.0, 0.0], [0.0, 0.25, 0.5, 1.0, 0.125]
         cases = [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epistemic_ledger import doctrine, validation
 from epistemic_ledger.doctrine import (
     CHEAPNESS_FACTOR,
     MAX_ERROR,
@@ -17,7 +18,6 @@ from epistemic_ledger.doctrine import (
     DoctrineFinding,
     ExecutionRecord,
     Verdict,
-    _cheap_unexecuted,
     actual_knowledge_test,
     classify,
     constructive_knowledge_test,
@@ -32,9 +32,11 @@ from epistemic_ledger.metrics import (
     PipelineSpec,
     PolicyParams,
     Proposition,
+    _require,
+    knowledge_predicate,
     org_score,
 )
-from epistemic_ledger.validation import lower_bound_score
+from epistemic_ledger.validation import lower_bound_score, plug_in_test
 
 from test_validation import make_cert
 
@@ -263,6 +265,18 @@ class TestClassify:
         )
         assert classify(*args) == classify(*args)
 
+    def test_a_passing_record_is_scored_once_per_doctrine(self, monkeypatch):
+        calls = []
+        for module in (doctrine, validation):  # every name lower_bound_score is called by here
+            bound = module.lower_bound_score
+            monkeypatch.setattr(
+                module, "lower_bound_score", lambda *args, bound=bound: calls.append(args) or bound(*args)
+            )
+        finding = classify(self.PROP, [pipe("modern", 2.06)], [executed(s_lb=0.83, pid="modern")], POLICY)
+        assert finding.primary is Doctrine.ACTUAL_KNOWLEDGE
+        # Once for actual knowledge, which also names it, and once for recklessness.
+        assert len(calls) == 2
+
     def test_ignores_records_for_other_propositions(self):
         finding = classify(
             self.PROP,
@@ -315,6 +329,56 @@ _CLASSIFY_INPUTS = (
 )
 
 
+# The five public tests and their helper as first written, kept here so that
+# the reference below does not share the code that decides each doctrine in
+# ``classify`` and its public tests.
+
+
+def _reference_actual_knowledge_test(record, theta_ak, tau_star):
+    if not record.executed or record.certificate is None or record.outcome is Verdict.INCONCLUSIVE:
+        return False
+    return plug_in_test(record.certificate, theta_ak, tau_star)
+
+
+def _reference_constructive_knowledge_test(score, executions, policy):
+    if score is None or not knowledge_predicate(score, policy.theta_ck):
+        return False
+    return not any(
+        _reference_actual_knowledge_test(r, policy.theta_ak, policy.tau_star) for r in executions
+    )
+
+
+def _reference_cheap_unexecuted(available, records, policy):
+    executed_ids = {r.pipeline_id for r in records if r.executed}
+    return [
+        p
+        for p in available
+        if p.expected_cost <= CHEAPNESS_FACTOR * policy.tau_star
+        and p.total_error() <= MAX_ERROR
+        and p.id not in executed_ids
+    ]
+
+
+def _reference_wilful_blindness_test(available, executions, policy):
+    deliberate = any(
+        r.avoidance_evidence is not AvoidanceEvidence.NONE for r in executions
+    )
+    return deliberate and bool(_reference_cheap_unexecuted(available, executions, policy))
+
+
+def _reference_recklessness_test(record, theta_r, tau_star):
+    if not record.executed:
+        raise ValueError("recklessness_test applies only to executed records")
+    if record.certificate is None:
+        return True
+    return lower_bound_score(record.certificate, tau_star) < theta_r - RECKLESSNESS_MARGIN
+
+
+def _reference_negligence_test(capacity, theta_neg):
+    _require("capacity", capacity, 0, 1)
+    return capacity < theta_neg
+
+
 def _reference_classify(proposition, available, executions, policy, capacity=None, score=None):
     """``classify`` as first written: findings gathered by doctrine, then put in PRECEDENCE order."""
     records = [r for r in executions if r.proposition_id == proposition.id]
@@ -324,7 +388,7 @@ def _reference_classify(proposition, available, executions, policy, capacity=Non
     found = {}
 
     actual = next(
-        (r for r in records if actual_knowledge_test(r, policy.theta_ak, policy.tau_star)), None
+        (r for r in records if _reference_actual_knowledge_test(r, policy.theta_ak, policy.tau_star)), None
     )
     if actual is not None:
         found[Doctrine.ACTUAL_KNOWLEDGE] = {
@@ -333,8 +397,8 @@ def _reference_classify(proposition, available, executions, policy, capacity=Non
             "theta_ak": policy.theta_ak,
         }
 
-    if wilful_blindness_test(available, records, policy):
-        cheap = min(_cheap_unexecuted(available, records, policy), key=lambda p: p.id)
+    if _reference_wilful_blindness_test(available, records, policy):
+        cheap = min(_reference_cheap_unexecuted(available, records, policy), key=lambda p: p.id)
         flags = sorted({r.avoidance_evidence.value for r in records} - {AvoidanceEvidence.NONE.value})
         found[Doctrine.WILFUL_BLINDNESS] = {
             "pipeline_id": cheap.id,
@@ -346,7 +410,7 @@ def _reference_classify(proposition, available, executions, policy, capacity=Non
         }
 
     reckless = next(
-        (r for r in records if r.executed and recklessness_test(r, policy.theta_r, policy.tau_star)),
+        (r for r in records if r.executed and _reference_recklessness_test(r, policy.theta_r, policy.tau_star)),
         None,
     )
     if reckless is not None:
@@ -360,13 +424,26 @@ def _reference_classify(proposition, available, executions, policy, capacity=Non
         else:
             detail["lower_bound_score"] = lower_bound_score(reckless.certificate, policy.tau_star)
 
-    if constructive_knowledge_test(best, records, policy):
+    if _reference_constructive_knowledge_test(best, records, policy):
         found[Doctrine.CONSTRUCTIVE_KNOWLEDGE] = {"org_score": best, "theta_ck": policy.theta_ck}
 
-    if capacity is not None and negligence_test(capacity, policy.theta_neg):
+    if capacity is not None and _reference_negligence_test(capacity, policy.theta_neg):
         found[Doctrine.NEGLIGENCE] = {"capacity": capacity, "theta_neg": policy.theta_neg}
 
     return DoctrineFinding(proposition.id, tuple((d, found[d]) for d in PRECEDENCE if d in found))
+
+
+def _outcome(test, *args):
+    """What ``test(*args)`` gives: its result, or the type and text of the error it raises."""
+    try:
+        return test(*args)
+    except Exception as error:
+        return type(error), str(error)
+
+
+# A theta_r with the 0.2 certificate's lower-bound score (0.19999999999999996)
+# exactly RECKLESSNESS_MARGIN below it, so that the margin's strict < is tested.
+_ON_THE_MARGIN = lower_bound_score(executed(s_lb=0.2).certificate, POLICY.tau_star) + RECKLESSNESS_MARGIN
 
 
 class TestClassifyReference:
@@ -418,6 +495,47 @@ class TestClassifyReference:
         score = org_score(available, POLICY) if available else None
         given = classify(prop, available, records, POLICY, capacity=capacity, score=score)
         assert given == classify(prop, available, records, POLICY, capacity=capacity)
+
+    def test_the_margin_theta_is_on_the_margin(self):
+        s_lb = lower_bound_score(executed(s_lb=0.2).certificate, POLICY.tau_star)
+        assert _ON_THE_MARGIN - RECKLESSNESS_MARGIN == s_lb
+        assert recklessness_test(executed(s_lb=0.2), _ON_THE_MARGIN, POLICY.tau_star) is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(*_CLASSIFY_INPUTS, st.sampled_from([0.5, 0.6, 0.7, 0.83, 0.9, _ON_THE_MARGIN]))
+    def test_each_public_test_matches_its_reference(self, available, records, threshold, capacity, theta):
+        policy = replace(POLICY, theta_ak=theta, theta_ck=threshold, theta_r=theta, theta_neg=threshold)
+        score = org_score(available, policy) if available else None
+        cases = [
+            (actual_knowledge_test, _reference_actual_knowledge_test, (r, theta, POLICY.tau_star))
+            for r in records
+        ] + [
+            (recklessness_test, _reference_recklessness_test, (r, theta, POLICY.tau_star))
+            for r in records
+        ] + [
+            (constructive_knowledge_test, _reference_constructive_knowledge_test, (score, records, policy)),
+            (wilful_blindness_test, _reference_wilful_blindness_test, (available, records, policy)),
+            (negligence_test, _reference_negligence_test, (capacity, threshold)),
+        ]
+        for public, reference, args in cases:
+            assert _outcome(public, *args) == _outcome(reference, *args), public.__name__
+
+    @settings(max_examples=300, deadline=None)
+    @given(*_CLASSIFY_INPUTS, st.data())
+    def test_row_order_moves_only_the_named_record(self, available, records, threshold, capacity, data):
+        prop = Proposition(id="phi", description="a salient fact", threshold=threshold)
+        finding = classify(prop, available, records, POLICY, capacity=capacity)
+        shuffled = classify(prop, available, data.draw(st.permutations(records)), POLICY, capacity=capacity)
+        assert shuffled.applicable == finding.applicable
+        assert shuffled.primary is finding.primary
+        # Actual knowledge and recklessness name the first qualifying record in row
+        # order; only that record, and the score that goes with it, may move.
+        names = ("pipeline_id", "lower_bound_score", "certificate")
+        for (doctrine_, detail), (_, moved) in zip(finding.rationale, shuffled.rationale):
+            if doctrine_ in (Doctrine.ACTUAL_KNOWLEDGE, Doctrine.RECKLESSNESS):
+                detail = {k: v for k, v in detail.items() if k not in names}
+                moved = {k: v for k, v in moved.items() if k not in names}
+            assert moved == detail, doctrine_
 
 
 def _applies(doctrine, available, records, threshold, capacity, policy=POLICY):

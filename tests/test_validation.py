@@ -99,6 +99,23 @@ class TestHoeffdingUpper:
     def test_clamped_to_one(self):
         assert hoeffding_upper(0.99, 10, 0.05).upper == 1.0
 
+    def test_delta_whose_inverse_overflows(self):
+        # 1 / 1e-310 is inf; the bound is sqrt(-ln(1e-310) / 2000), not the clamp at 1.
+        assert hoeffding_upper(0.0, 1000, 1e-310).upper == pytest.approx(0.5974, abs=1e-4)
+        assert hoeffding_upper(0.0, 1000, 5e-324).upper == pytest.approx(0.6101, abs=1e-4)
+
+    def test_bits_unchanged_where_the_inverse_is_finite(self):
+        # Every delta whose 1 / delta is finite keeps the figure of ln(1 / delta);
+        # the smallest such delta is just above 1 / max float, whose own inverse is inf.
+        smallest = math.nextafter(1.0 / sys.float_info.max, 1.0)
+        assert 1.0 / smallest < math.inf and 1.0 / math.nextafter(smallest, 0.0) == math.inf
+        deltas = [smallest, 5.6e-309, 1e-308, 1e-300, 1e-17, 0.05, 0.5, 0.999999]
+        deltas += [10.0 ** -e for e in range(1, 308, 7)]
+        for delta in deltas:
+            for risk, n in ((0.0, 1000), (0.1, 200), (0.3, 7)):
+                expected = min(1.0, risk + math.sqrt(math.log(1.0 / delta) / (2.0 * n)))
+                assert hoeffding_upper(risk, n, delta).upper == expected, (delta, risk, n)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             hoeffding_upper(0.1, 0, 0.05)
