@@ -5,8 +5,6 @@ The simulation lab, ``simlab``, needs numpy and the ledger does not, so it is
 imported when ``epistemic_ledger.simlab`` is first read.
 """
 
-import importlib
-
 from . import doctrine, metrics, validation
 from .metrics import (
     ComponentErrors,
@@ -37,33 +35,7 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     if name == "simlab":
+        import importlib
+
         return importlib.import_module(".simlab", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "BoundMethod",
-    "ComponentErrors",
-    "Docket",
-    "PipelineKind",
-    "PipelineSpec",
-    "PolicyParams",
-    "Proposition",
-    "ValidationCertificate",
-    "capacity_index",
-    "certify",
-    "doctrine",
-    "efficiency",
-    "epistemic_frontier",
-    "knowledge_predicate",
-    "lower_bound_capacity",
-    "lower_bound_score",
-    "metrics",
-    "org_score",
-    "pipeline_score",
-    "plug_in_test",
-    "simlab",
-    "total_error",
-    "validation",
-    "__version__",
-]

@@ -219,6 +219,7 @@ def classify(
     records = [r for r in executions if r.proposition_id == proposition.id]
     if score is None and available:
         score = org_score(available, policy)
+    constructive = _constructive(score, policy.theta_ck)  # checks the score even when actual knowledge holds
     # Each doctrine is decided in PRECEDENCE order, so its finding is appended in place.
     found: list[tuple[Doctrine, Mapping[str, object]]] = []
     if (actual := _actual(records, policy.theta_ak, policy.tau_star)) is not None:
@@ -227,7 +228,7 @@ def classify(
         found.append((Doctrine.WILFUL_BLINDNESS, blind))
     if (reckless := _reckless(records, policy.theta_r, policy.tau_star)) is not None:
         found.append((Doctrine.RECKLESSNESS, reckless))
-    if actual is None and (constructive := _constructive(score, policy.theta_ck)) is not None:
+    if actual is None and constructive is not None:
         found.append((Doctrine.CONSTRUCTIVE_KNOWLEDGE, constructive))
     if capacity is not None and negligence_test(capacity, policy.theta_neg):
         found.append((Doctrine.NEGLIGENCE, {"capacity": capacity, "theta_neg": policy.theta_neg}))

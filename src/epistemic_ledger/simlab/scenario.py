@@ -67,6 +67,7 @@ class TaskSpec:
             )
         if not self.keywords:
             raise ValueError(f"task {self.id}: keyword list must be non-empty")
+        _check_query(self.concept_query)
         for name in ("legacy_time_scale", "modern_time_scale"):
             _require(f"task {self.id}: {name}", getattr(self, name), 0, exclusive=True)
         self.proposition_spec()  # checks the weight and threshold
@@ -144,6 +145,12 @@ def _claim_phrases(owners: dict[str, str], task: TaskSpec) -> None:
             raise ValueError(f"euphemism phrase {phrase!r} is listed by tasks {owner!r} and {task.id!r}")
 
 
+def _check_query(query: str) -> None:
+    """embed's rule: a concept query must give a token to search by, else a ValueError."""
+    if not tokenize(query):
+        raise ValueError(f"concept_query has no indexable token: {query!r}")
+
+
 def _phrases(value: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in value.split(",") if p.strip())
 
@@ -172,6 +179,9 @@ def _task(sec: Section, owners: dict[str, str]) -> TaskSpec:
     sec.reject_unknown(_TASK_KEYS)
     task_id = sec.name[len("task.") :]
     truth = sec.choice("truth", Verdict, "truth (established or refuted)")
+    query, line = sec.raw("concept_query")
+    with _at(sec.path, line):
+        _check_query(query)
     with _at(sec.path, sec.line):
         task = TaskSpec(
             id=task_id,
@@ -179,7 +189,7 @@ def _task(sec: Section, owners: dict[str, str]) -> TaskSpec:
             proposition=sec.text("proposition"),
             truth=truth,
             keywords=_phrases(sec.text("keywords")),
-            concept_query=sec.text("concept_query"),
+            concept_query=query,
             ground_truth=sec.text("ground_truth"),
             literal_phrases=_phrases(sec.text("literal_phrases", "")),
             euphemism_phrases=_phrases(sec.text("euphemism_phrases", "")),
@@ -189,9 +199,6 @@ def _task(sec: Section, owners: dict[str, str]) -> TaskSpec:
                 if key in sec.values
             },
         )
-    query, line = sec.raw("concept_query")
-    if not tokenize(query):  # embed's rule: a query must give a token to search by
-        raise InputError(f"concept_query has no indexable token: {query!r}", sec.path, line)
     if task.euphemism_phrases:
         with _at(sec.path, sec.raw("euphemism_phrases")[1]):
             _claim_phrases(owners, task)

@@ -277,6 +277,11 @@ class TestClassify:
         # Once for actual knowledge, which also names it, and once for recklessness.
         assert len(calls) == 2
 
+    def test_the_callers_score_is_checked_whether_or_not_a_record_passes(self):
+        for records in ([executed(s_lb=0.83, pid="modern")], []):
+            with pytest.raises(ValueError, match=r"^score must lie in \[0, 1\], got 1.5$"):
+                classify(self.PROP, [pipe("modern", 2.06)], records, POLICY, score=1.5)
+
     def test_ignores_records_for_other_propositions(self):
         finding = classify(
             self.PROP,

@@ -326,6 +326,13 @@ def test_euphemism_phrase_of_two_tasks_is_rejected_at_the_second(tmp_path, capsy
         SimScenario(tasks + (replace(tasks[1], id="copy"),))
 
 
+def test_a_task_built_in_code_needs_an_indexable_concept_query():
+    # The parser's rule, at construction: embed finds nothing to search by in stopwords alone.
+    task = parse_scenario(APPENDIX_A).tasks[0]
+    with pytest.raises(ValueError, match=r"^concept_query has no indexable token: 'the of and'$"):
+        replace(task, concept_query="the of and")
+
+
 @pytest.mark.parametrize(
     "name, text, key",
     [

@@ -90,6 +90,22 @@ def test_simlab_loads_on_first_access():
     assert _printed(code) == [False, True, 4]
 
 
+def test_star_import_binds_the_ledger_names_without_numpy():
+    code = (
+        "import json, sys\n"
+        "before = set(globals())\n"
+        "from epistemic_ledger import *\n"
+        "print(json.dumps(['numpy' in sys.modules, sorted(set(globals()) - before - {'before'})]))\n"
+    )
+    ledger = [
+        "BoundMethod", "ComponentErrors", "Docket", "PipelineKind", "PipelineSpec", "PolicyParams",
+        "Proposition", "ValidationCertificate", "capacity_index", "certify", "doctrine", "efficiency",
+        "epistemic_frontier", "knowledge_predicate", "lower_bound_capacity", "lower_bound_score",
+        "metrics", "org_score", "pipeline_score", "plug_in_test", "total_error", "validation",
+    ]
+    assert _printed(code) == [False, ledger]
+
+
 def test_an_unknown_package_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_module'"):
         epistemic_ledger.no_such_module
