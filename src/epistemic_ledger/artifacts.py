@@ -25,6 +25,7 @@ from typing import Callable, Collection, Iterable, Mapping, NoReturn, Sequence
 
 from .doctrine import (
     AvoidanceEvidence,
+    Doctrine,
     DoctrineFinding,
     ExecutionRecord,
     Verdict,
@@ -37,9 +38,11 @@ from .metrics import (
     PipelineSpec,
     PolicyParams,
     Proposition,
+    _frontier_key,
+    _pareto,
     _require,
     best_pipeline,
-    epistemic_frontier,
+    epistemic_frontier,  # not called here; kept bound because the bench wraps it here
     knowledge_predicate,
     pipeline_score,
 )
@@ -630,43 +633,52 @@ def audit_report(
         f"tau_star = {fmt(policy.tau_star)}\n"
         f"theta_c = {fmt(policy.theta_c)}\n"
     ]
-    # A docket lists few pipelines and few distinct findings, so each point's
-    # text and each finding's applicable/primary/rationale lines are rendered
-    # once per report. A point is keyed by its pipeline id, which names one
-    # spec in a docket. A finding is keyed by its rationale; equal keys render
-    # equal text because:
+    # Each frontier point, certificate and rationale line is rendered once per
+    # report, as is each doctrine tuple's applicable/primary pair: propositions
+    # share pipelines and certificates, and their verdicts, distinct as a whole,
+    # repeat line by line. The docket's pipelines are sorted into the frontier's
+    # order once. A point is keyed by its pipeline id, which names one spec in a
+    # docket; a certificate by identity, its entry holding it so that no id is
+    # reused. A rationale line is keyed by its doctrine and detail; equal keys
+    # render equal text because:
     # - every detail value is a str or a float;
     # - floats that compare equal print alike at 4 decimals, except 0.0 and -0.0;
     # - a -0.0 can only be a pipeline's own expected_cost or joint_error-derived
     #   total_error, which sits beside that pipeline's unique id in the same detail.
-    points: dict[str, str] = {}
-    verdicts: dict[tuple, str] = {}
+    specs = {p.id: p for pipes in docket.pipeline_sets.values() for p in pipes}
+    rank = {p.id: i for i, p in enumerate(sorted(specs.values(), key=_frontier_key))}
+    points = {id_: f"{id_}:{fmt(p.expected_cost)}:{fmt(p.total_error())}" for id_, p in specs.items()}
+    cert_texts: dict[int, tuple[ValidationCertificate, str]] = {}
+    heads: dict[tuple[Doctrine, ...], str] = {}
+    lines: dict[tuple, str] = {}
     for prop in docket.propositions:
         pipes = docket.pipeline_sets.get(prop.id, ())
         frontier = "none"
         if pipes:
-            frontier = "; ".join([
-                points.get(p.pipeline_id)
-                or points.setdefault(p.pipeline_id, f"{p.pipeline_id}:{fmt(p.cost)}:{fmt(p.total_error)}")
-                for p in epistemic_frontier(pipes)
-            ])
-        certs = "; ".join([
-            f"{c.pipeline_id}:s_lb={fmt(lower_bound_score(c, policy.tau_star))}"
-            for c in certificates.get(prop.id, ())
-        ])
+            ordered = sorted(pipes, key=lambda p: rank[p.id])
+            frontier = "; ".join([points[p.id] for p in _pareto(ordered)])
+        certs = []
+        for c in certificates.get(prop.id, ()):
+            entry = cert_texts.get(id(c))
+            if entry is None:
+                s_lb = lower_bound_score(c, policy.tau_star)
+                entry = cert_texts[id(c)] = (c, f"{c.pipeline_id}:s_lb={fmt(s_lb)}")
+            certs.append(entry[1])
         finding = findings[prop.id]
-        key = tuple([(doctrine, *detail.items()) for doctrine, detail in finding.rationale])
-        verdict = verdicts.get(key)
-        if verdict is None:
+        doctrines = tuple([doctrine for doctrine, _ in finding.rationale])
+        head = heads.get(doctrines)
+        if head is None:
             applicable = ",".join(sorted(d.value for d in finding.applicable)) or "none"
             primary = finding.primary.value if finding.primary else "none"
-            rationale = "".join(
-                f"rationale.{doctrine.value} = "
-                + " ".join(f"{k}={_cell(v)}" for k, v in sorted(detail.items()))
-                + "\n"
-                for doctrine, detail in finding.rationale
-            )
-            verdict = verdicts[key] = f"applicable = {applicable}\nprimary = {primary}\n{rationale}"
+            head = heads[doctrines] = f"applicable = {applicable}\nprimary = {primary}\n"
+        verdict = [head]
+        for doctrine, detail in finding.rationale:
+            key = (doctrine, *detail.items())
+            line = lines.get(key)
+            if line is None:
+                rendered = " ".join(f"{k}={_cell(v)}" for k, v in sorted(detail.items()))
+                line = lines[key] = f"rationale.{doctrine.value} = {rendered}\n"
+            verdict.append(line)
         score = org_scores.get(prop.id)
         blocks.append(
             f"\n[proposition {prop.id}]\n"
@@ -676,8 +688,8 @@ def audit_report(
             f"org_score = {fmt(score) if score is not None else 'none'}\n"
             f"predicate = {_cell(score is not None and knowledge_predicate(score, prop.threshold))}\n"
             f"frontier = {frontier}\n"
-            f"certificates = {certs or 'none'}\n"
-            f"{verdict}"
+            f"certificates = {'; '.join(certs) or 'none'}\n"
+            f"{''.join(verdict)}"
         )
     blocks.append(
         "\n[capacity]\n"

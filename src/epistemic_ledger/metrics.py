@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 COMPONENTS = ("retrieval", "generation", "verification")
@@ -311,12 +311,22 @@ def epistemic_frontier(pipelines: Sequence[PipelineSpec]) -> list[FrontierPoint]
     """
     if not pipelines:
         raise ValueError("epistemic_frontier requires a non-empty pipeline set")
-    ordered = sorted(pipelines, key=lambda p: (p.expected_cost, p.total_error(), p.id))
-    frontier: list[FrontierPoint] = []
+    return [
+        FrontierPoint(p.expected_cost, p.total_error(), p.id)
+        for p in _pareto(sorted(pipelines, key=_frontier_key))
+    ]
+
+
+def _frontier_key(p: PipelineSpec) -> tuple[float, float, str]:
+    """The frontier's order: ascending cost, then total error, then id."""
+    return p.expected_cost, p.total_error(), p.id
+
+
+def _pareto(ordered: Iterable[PipelineSpec]) -> Iterator[PipelineSpec]:
+    """The frontier of pipelines given in ``_frontier_key`` order: each that lowers the
+    least total error so far, so exact ties keep the smallest id."""
     best_error = math.inf
     for p in ordered:
-        error = p.total_error()
-        if error < best_error:
-            frontier.append(FrontierPoint(p.expected_cost, error, p.id))
+        if (error := p.total_error()) < best_error:
             best_error = error
-    return frontier
+            yield p

@@ -656,19 +656,22 @@ class TestClassify:
         assert "primary = actual_knowledge" in reports[0]
         assert reports[1] == reports[0]
 
-    def test_each_proposition_is_scored_once(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def test_each_pipeline_is_scored_once(self, tmp_path, capsys, monkeypatch):
         argv = _ledger_argv(tmp_path, capsys)["classify"]
-        calls = []
-        for module in (cli, doctrine, metrics):  # every name org_score is called by
-            score = module.org_score
+        calls = {"pipeline_score": [], "org_score": []}
+        # cli calls pipeline_score through metrics; org_score is patched wherever it is bound.
+        for module, name in (
+            (metrics, "pipeline_score"), (cli, "org_score"), (doctrine, "org_score"), (metrics, "org_score"),
+        ):
+            real = getattr(module, name)
             monkeypatch.setattr(
-                module, "org_score", lambda *args, score=score: calls.append(args) or score(*args)
+                module, name, lambda *args, real=real, name=name: calls[name].append(args) or real(*args)
             )
         assert main(argv) == 0
-        # The golden docket has five propositions with pipelines and one without.
-        assert len(calls) == 5
+        # One call per row of the golden pipelines file, and every org score is the max of these.
+        scored = [pipeline.id for pipeline, _ in calls["pipeline_score"]]
+        assert scored == ["legacy_actual", "modern_actual", "cheap_check", "weak_full"]
+        assert calls["org_score"] == []
 
     def test_missing_certificate_names_its_row(self, tmp_path, capsys):
         executions = (

@@ -1,5 +1,5 @@
-"""The audit report renders each frontier point and each distinct finding once;
-its text must equal that of the renderer that writes every line anew."""
+"""The audit report renders each frontier point, certificate and distinct rationale
+line once; its text must equal that of the renderer that writes every line anew."""
 
 import random
 
@@ -100,6 +100,20 @@ def _pipelines(rng):
     return pipes
 
 
+def _bench_pipelines(rng):
+    """As on the bench's docket, many pipelines: those of ``_pipelines``, four that tie
+    on cost and total error, and 30 of assorted cost and error, so org scores vary."""
+    tied = [PipelineSpec(f"t{i}", PipelineKind.FULL, 1.5, ComponentErrors(retrieval=0.1)) for i in range(4)]
+    assorted = [
+        PipelineSpec(
+            f"r{i:02d}", PipelineKind.FULL, round(rng.uniform(0.2, 14.0), 4),
+            ComponentErrors(retrieval=round(rng.uniform(0.0, 0.2), 4)),
+        )
+        for i in range(30)
+    ]
+    return _pipelines(rng) + tied + assorted
+
+
 def _record(rng, prop_id, pipes, certs):
     pipeline_id = rng.choice(pipes).id
     executed = rng.random() < 0.7
@@ -113,10 +127,11 @@ def _record(rng, prop_id, pipes, certs):
     )
 
 
-def _docket(seed, size):
-    """Findings of a docket whose propositions share few pipelines and certificates."""
+def _docket(seed, size, pipelines=_pipelines, counts=(0, 3)):
+    """Findings of a docket whose propositions share pipelines and certificates; each
+    proposition lists ``counts[0]`` to ``counts[1]`` pipelines and records."""
     rng = random.Random(seed)
-    pipes = _pipelines(rng)
+    pipes = pipelines(rng)
     # One certificate per pipeline, good, middling or grossly poor, shared by every record naming it.
     certs = {
         p.id: make_cert(rng.choice([0.05, 0.25, 0.6]), rng.choice([0.0, 1.0]), pipeline_id=p.id)
@@ -126,9 +141,9 @@ def _docket(seed, size):
     for i in range(size):
         prop = Proposition(f"q{i}", f"Proposition {i % 7}", rng.choice([1.0, 2.0]), rng.choice([0.6, 0.7, 0.8]))
         props.append(prop)
-        available = tuple(rng.sample(pipes, rng.randint(0, 3)))
+        available = tuple(rng.sample(pipes, rng.randint(*counts)))
         sets[prop.id] = available
-        records[prop.id] = [_record(rng, prop.id, pipes, certs) for _ in range(rng.randint(0, 3))]
+        records[prop.id] = [_record(rng, prop.id, pipes, certs) for _ in range(rng.randint(*counts))]
     docket = Docket(tuple(props), sets)
     org_scores = {p.id: org_score(sets[p.id], POLICY) if sets[p.id] else None for p in props}
     by_prop = {
@@ -159,11 +174,33 @@ def test_report_equals_the_line_by_line_reference(seed):
     report = _docket(seed, 400)
     findings = report["findings"].values()
     assert {d for f in findings for d in f.applicable} == set(Doctrine)
-    distinct = {tuple((d, *detail.items()) for d, detail in f.rationale) for f in findings}
-    assert len(distinct) < len(findings) / 2  # findings repeat, so the memo is exercised
+    lines = [(d, *detail.items()) for f in findings for d, detail in f.rationale]
+    assert len(set(lines)) < len(lines) / 2  # rationale lines repeat, so the per-line memo is exercised
     text = audit_report(**report)
     assert "z_cost:-0.0000:0.0000" in text and "z_joint:0.0000:-0.0000" in text
     assert "expected_cost=-0.0000" in text and "total_error=-0.0000" in text
+    assert text == _reference_report(**report)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_report_of_distinct_verdicts_and_tied_pipelines_equals_the_reference(seed):
+    # As on the bench's docket: most verdicts differ as a whole while their lines
+    # repeat, and pipelines that tie on cost and total error are listed in either order.
+    report = _docket(seed, 400, _bench_pipelines, counts=(1, 4))
+    findings = report["findings"].values()
+    verdicts = {tuple((d, *detail.items()) for d, detail in f.rationale) for f in findings}
+    assert len(verdicts) > len(findings) / 2
+    lines = [(d, *detail.items()) for f in findings for d, detail in f.rationale]
+    assert len(set(lines)) < len(lines) / 2
+    tied = [
+        ids for ids in (
+            [p.id for p in pipes if p.id.startswith("t")] for pipes in report["docket"].pipeline_sets.values()
+        )
+        if len(ids) > 1
+    ]
+    assert any(ids == sorted(ids) for ids in tied) and any(ids != sorted(ids) for ids in tied)
+    text = audit_report(**report)
+    assert "t0:1.5000:0.1000" in text
     assert text == _reference_report(**report)
 
 
