@@ -636,18 +636,14 @@ def audit_report(
     # Each frontier point, certificate and rationale line is rendered once per
     # report, as is each doctrine tuple's applicable/primary pair: propositions
     # share pipelines and certificates, and their verdicts, distinct as a whole,
-    # repeat line by line. The docket's pipelines are sorted into the frontier's
-    # order once. A point is keyed by its pipeline id, which names one spec in a
-    # docket; a certificate by identity, its entry holding it so that no id is
-    # reused. A rationale line is keyed by its doctrine and detail; equal keys
-    # render equal text because:
-    # - every detail value is a str or a float;
-    # - floats that compare equal print alike at 4 decimals, except 0.0 and -0.0;
-    # - a -0.0 can only be a pipeline's own expected_cost or joint_error-derived
-    #   total_error, which sits beside that pipeline's unique id in the same detail.
-    specs = {p.id: p for pipes in docket.pipeline_sets.values() for p in pipes}
-    rank = {p.id: i for i, p in enumerate(sorted(specs.values(), key=_frontier_key))}
-    points = {id_: f"{id_}:{fmt(p.expected_cost)}:{fmt(p.total_error())}" for id_, p in specs.items()}
+    # repeat line by line. Pipelines and certificates are keyed by identity, and
+    # `specs` and the certificate entries hold them so that no id is reused. A
+    # rationale line is keyed by its doctrine and detail (strs and floats); as
+    # 0.0 and -0.0 compare equal but print apart, a line with a falsy value, such
+    # as a zero, is also keyed by its values' text, so its bare key never finds it.
+    specs = {id(p): p for pipes in docket.pipeline_sets.values() for p in pipes}
+    keys = {ref: _frontier_key(p) for ref, p in specs.items()}
+    points = {ref: f"{p.id}:{fmt(p.expected_cost)}:{fmt(p.total_error())}" for ref, p in specs.items()}
     cert_texts: dict[int, tuple[ValidationCertificate, str]] = {}
     heads: dict[tuple[Doctrine, ...], str] = {}
     lines: dict[tuple, str] = {}
@@ -655,8 +651,8 @@ def audit_report(
         pipes = docket.pipeline_sets.get(prop.id, ())
         frontier = "none"
         if pipes:
-            ordered = sorted(pipes, key=lambda p: rank[p.id])
-            frontier = "; ".join([points[p.id] for p in _pareto(ordered)])
+            ordered = sorted(pipes, key=lambda p: keys[id(p)])
+            frontier = "; ".join([points[id(p)] for p in _pareto(ordered)])
         certs = []
         for c in certificates.get(prop.id, ()):
             entry = cert_texts.get(id(c))
@@ -675,6 +671,9 @@ def audit_report(
         for doctrine, detail in finding.rationale:
             key = (doctrine, *detail.items())
             line = lines.get(key)
+            if line is None and not all(detail.values()):
+                key += tuple(map(str, detail.values()))
+                line = lines.get(key)
             if line is None:
                 rendered = " ".join(f"{k}={_cell(v)}" for k, v in sorted(detail.items()))
                 line = lines[key] = f"rationale.{doctrine.value} = {rendered}\n"

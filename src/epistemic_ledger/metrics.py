@@ -167,8 +167,6 @@ class FrontierPoint:
 class Docket:
     """Propositions under audit, each with the pipelines available for it.
 
-    A pipeline id names one spec across the docket, as the pipelines file
-    gives it; the audit report renders each id's frontier point once.
     A docket used for capacity computations must carry a positive, finite
     total weight; that is checked where the index is computed so the
     zero-weight and overflowing cases surface as domain errors there.

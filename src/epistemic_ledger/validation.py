@@ -60,10 +60,6 @@ class LossRecord:
         _require("loss", self.loss, 0, 1)
 
 
-def zero_one(predicted: object, actual: object) -> float:
-    return 0.0 if predicted == actual else 1.0
-
-
 def check_delta(delta: float) -> float:
     """``delta``, or a ValueError unless it lies in (0, 1)."""
     return _require("delta", delta, 0, 1, exclusive=True)
@@ -264,6 +260,12 @@ def confidence_bound(method: BoundMethod, point: float, n: int, delta: float) ->
     return hoeffding_upper(point, n, delta)
 
 
+def _runs(n: int, k: int) -> list[int]:
+    """The k + 1 cuts that split n items into k runs whose sizes differ by at most one, larger runs first."""
+    base, extra = divmod(n, k)
+    return [j * base + min(j, extra) for j in range(k + 1)]
+
+
 @dataclass(frozen=True)
 class _Binning:
     bins: int = 10
@@ -319,8 +321,7 @@ def ece(
             bisect_left(ordered, k, key=lambda pair: min(int(pair[0] * m), m - 1)) for k in range(m + 1)
         ]
     else:
-        base, extra = divmod(n, m)
-        cuts = [k * base + min(k, extra) for k in range(m + 1)]
+        cuts = _runs(n, m)
     groups = [ordered[start:stop] for start, stop in zip(cuts, cuts[1:])]
 
     total_gap = 0.0
@@ -386,49 +387,29 @@ def make_folds(
 
     if isinstance(strategy, KFold):
         _count("kfold k", strategy.k, 2, n)
-        indices = list(range(n))
+        order = list(range(n))
         if strategy.shuffle_seed is not None:
             import random
 
-            random.Random(_count("kfold shuffle_seed", strategy.shuffle_seed, 0)).shuffle(indices)
-        base, extra = divmod(n, strategy.k)
-        folds = []
-        start = 0
-        for j in range(strategy.k):
-            size = base + (1 if j < extra else 0)
-            test = tuple(indices[start : start + size])
-            train = tuple(indices[:start] + indices[start + size :])
-            folds.append(Fold(j, train, test))
-            start += size
-        return FoldPlan(strategy.describe(), tuple(folds))
-
-    if isinstance(strategy, RollingWindow):
+            random.Random(_count("kfold shuffle_seed", strategy.shuffle_seed, 0)).shuffle(order)
+        cuts = _runs(n, strategy.k)
+        splits = [(order[:a] + order[b:], order[a:b]) for a, b in zip(cuts, cuts[1:])]
+    elif isinstance(strategy, RollingWindow):
         for name in ("train_size", "test_size", "step"):
             _count(f"rolling window {name}", getattr(strategy, name), 1)
         if keys is not None:
             if len(keys) != n:
                 raise ValueError(f"expected {n} time keys, got {len(keys)}")
-            for a, b in zip(keys, keys[1:]):
-                if b < a:  # type: ignore[operator]
-                    raise ValueError("time keys must be monotone non-decreasing")
-        folds = []
-        j = 0
-        start = 0
-        while start + strategy.train_size + strategy.test_size <= n:
-            split = start + strategy.train_size
-            folds.append(
-                Fold(j, tuple(range(start, split)), tuple(range(split, split + strategy.test_size)))
-            )
-            j += 1
-            start += strategy.step
-        if not folds:
-            raise ValueError(
-                f"no rolling window fits: n={n} < train+test="
-                f"{strategy.train_size + strategy.test_size}"
-            )
-        return FoldPlan(strategy.describe(), tuple(folds))
-
-    if isinstance(strategy, Grouped):
+            if any(b < a for a, b in zip(keys, keys[1:])):  # type: ignore[operator]
+                raise ValueError("time keys must be monotone non-decreasing")
+        width = strategy.train_size + strategy.test_size
+        splits = [
+            (range(start, start + strategy.train_size), range(start + strategy.train_size, start + width))
+            for start in range(0, n - width + 1, strategy.step)
+        ]
+        if not splits:
+            raise ValueError(f"no rolling window fits: n={n} < train+test={width}")
+    elif isinstance(strategy, Grouped):
         if keys is None or len(keys) != n:
             raise ValueError("grouped folds require one group key per record")
         members: dict[str, list[int]] = {}
@@ -436,20 +417,18 @@ def make_folds(
             members.setdefault(str(key), []).append(i)
         # k folds need at least k groups.
         _count("grouped k", strategy.k, 2, len(members))
-        # Largest groups first, each into the currently smallest fold.
-        fold_indices: list[list[int]] = [[] for _ in range(strategy.k)]
+        # Largest groups first, each into the smallest fold, the lowest-numbered on a tie.
+        tests: list[list[int]] = [[] for _ in range(strategy.k)]
         for label in sorted(members, key=lambda g: (-len(members[g]), g)):
-            target = min(range(strategy.k), key=lambda j: (len(fold_indices[j]), j))
-            fold_indices[target].extend(members[label])
-        all_indices = set(range(n))
-        folds = []
-        for j in range(strategy.k):
-            test = tuple(sorted(fold_indices[j]))
-            train = tuple(sorted(all_indices - set(test)))
-            folds.append(Fold(j, train, test))
-        return FoldPlan(strategy.describe(), tuple(folds))
-
-    raise TypeError(f"unknown fold strategy: {strategy!r}")
+            min(tests, key=len).extend(members[label])
+        everything = set(range(n))
+        splits = [(sorted(everything.difference(test)), sorted(test)) for test in tests]
+    else:
+        raise TypeError(f"unknown fold strategy: {strategy!r}")
+    return FoldPlan(
+        strategy.describe(),
+        tuple(Fold(j, tuple(train), tuple(test)) for j, (train, test) in enumerate(splits)),
+    )
 
 
 Trainer = Callable[[Sequence[tuple[object, object]]], Callable[[object], object]]
@@ -484,8 +463,11 @@ def cv_risk(
     """
     if not plan.folds:
         raise ValueError("fold plan has no folds")
+    n = len(dataset)
     fold_risks = []
     for fold in sorted(plan.folds, key=lambda f: f.fold_id):
+        if not fold.test:
+            raise ValueError(f"fold {fold.fold_id} has no test records")
         train = [dataset[i] for i in fold.train]
         try:
             predict = candidate.trainer(train)
@@ -493,8 +475,14 @@ def cv_risk(
             raise RuntimeError(
                 f"trainer for candidate {candidate.id} failed on fold {fold.fold_id}"
             ) from exc
-        losses = [zero_one(predict(x), y) for x, y in (dataset[i] for i in fold.test)]
-        fold_risks.append(sum(losses) / len(losses))
+        wrong = 0
+        for i in fold.test:
+            if not 0 <= i < n:
+                raise ValueError(f"fold {fold.fold_id} test index {i} is outside 0..{n - 1}")
+            x, y = dataset[i]
+            if not predict(x) == y:
+                wrong += 1
+        fold_risks.append(wrong / len(fold.test))
     return sum(fold_risks) / len(fold_risks)
 
 
@@ -511,10 +499,9 @@ def penalized_select(
     if not candidates:
         raise ValueError("penalized_select requires at least one candidate")
     _require("lambda", lam, 0)
-    ranked = sorted(
+    return min(
         candidates, key=lambda c: (cv_risk(dataset, plan, c) + lam * c.complexity, c.complexity, c.id)
     )
-    return ranked[0]
 
 
 def certify(

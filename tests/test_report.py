@@ -204,6 +204,40 @@ def test_report_of_distinct_verdicts_and_tied_pipelines_equals_the_reference(see
     assert text == _reference_report(**report)
 
 
+def test_report_of_specs_sharing_an_id_equals_the_reference():
+    # A docket built in code may list different specs under one id. Each is its
+    # own frontier point, and the signed zeros of z print apart in both its
+    # point and the wilful-blindness line that names it.
+    x_cheap, x_dear = PipelineSpec("x", PipelineKind.FULL, 1.0), PipelineSpec("x", PipelineKind.FULL, 9.0)
+    z_zero, z_negative = PipelineSpec("z", PipelineKind.FULL, 0.0), PipelineSpec("z", PipelineKind.FULL, -0.0)
+    sets = {
+        "p": (x_cheap,), "q": (x_dear,), "r": (z_zero,), "s": (z_negative,),
+        "t": (z_zero, z_negative), "u": (z_negative, z_zero),
+    }
+    props = tuple(Proposition(pid, f"Proposition {pid}", 1.0, 0.7) for pid in sets)
+    docket = Docket(props, sets)
+    org_scores = {pid: org_score(pipes, POLICY) for pid, pipes in sets.items()}
+    flagged = AvoidanceEvidence.SUPPRESSED_QUERY
+    findings = {
+        p.id: classify(p, sets[p.id], [ExecutionRecord("y", p.id, False, avoidance_evidence=flagged)], POLICY)
+        for p in props
+    }
+    report = dict(
+        version="0.1.0", policy=POLICY, docket=docket, findings=findings, org_scores=org_scores,
+        certificates={}, capacity_point=capacity_index(docket, org_scores), capacity_lower=None,
+        inputs_hash="0123456789ab", seed="0",
+    )
+    text = audit_report(**report)
+    blocks = _sections(text)
+    assert blocks["proposition p"]["frontier"] == "x:1.0000:0.0000"
+    assert blocks["proposition q"]["frontier"] == "x:9.0000:0.0000"
+    assert [blocks[f"proposition {pid}"]["frontier"] for pid in "rstu"] == [
+        "z:0.0000:0.0000", "z:-0.0000:0.0000", "z:0.0000:0.0000", "z:-0.0000:0.0000"
+    ]
+    assert "expected_cost=-0.0000" in blocks["proposition s"]["rationale.wilful_blindness"]
+    assert text == _reference_report(**report)
+
+
 def test_report_without_pipelines_certificates_or_capacity():
     report = _docket(0, 30)
     report.update(

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -19,6 +20,7 @@ from epistemic_ledger.metrics import (
     PipelineSpec,
     PolicyParams,
     Proposition,
+    _count,
     pipeline_score,
 )
 from epistemic_ledger.validation import (
@@ -32,6 +34,8 @@ from epistemic_ledger.validation import (
     ConfidenceBound,
     EqualMass,
     EqualWidth,
+    Fold,
+    FoldPlan,
     Grouped,
     KFold,
     LossRecord,
@@ -449,6 +453,109 @@ class TestMakeFolds:
         assert set(assignments.values()) == {0, 1, 2}
 
 
+def _reference_make_folds(n, strategy, keys=None):
+    """``make_folds`` as written before one builder made the folds of every strategy."""
+    _count("dataset size", n, 1)
+
+    if isinstance(strategy, KFold):
+        _count("kfold k", strategy.k, 2, n)
+        indices = list(range(n))
+        if strategy.shuffle_seed is not None:
+            random.Random(_count("kfold shuffle_seed", strategy.shuffle_seed, 0)).shuffle(indices)
+        base, extra = divmod(n, strategy.k)
+        folds = []
+        start = 0
+        for j in range(strategy.k):
+            size = base + (1 if j < extra else 0)
+            test = tuple(indices[start : start + size])
+            train = tuple(indices[:start] + indices[start + size :])
+            folds.append(Fold(j, train, test))
+            start += size
+        return FoldPlan(strategy.describe(), tuple(folds))
+
+    if isinstance(strategy, RollingWindow):
+        for name in ("train_size", "test_size", "step"):
+            _count(f"rolling window {name}", getattr(strategy, name), 1)
+        if keys is not None:
+            if len(keys) != n:
+                raise ValueError(f"expected {n} time keys, got {len(keys)}")
+            for a, b in zip(keys, keys[1:]):
+                if b < a:
+                    raise ValueError("time keys must be monotone non-decreasing")
+        folds = []
+        j = 0
+        start = 0
+        while start + strategy.train_size + strategy.test_size <= n:
+            split = start + strategy.train_size
+            folds.append(
+                Fold(j, tuple(range(start, split)), tuple(range(split, split + strategy.test_size)))
+            )
+            j += 1
+            start += strategy.step
+        if not folds:
+            raise ValueError(
+                f"no rolling window fits: n={n} < train+test="
+                f"{strategy.train_size + strategy.test_size}"
+            )
+        return FoldPlan(strategy.describe(), tuple(folds))
+
+    if isinstance(strategy, Grouped):
+        if keys is None or len(keys) != n:
+            raise ValueError("grouped folds require one group key per record")
+        members = {}
+        for i, key in enumerate(keys):
+            members.setdefault(str(key), []).append(i)
+        _count("grouped k", strategy.k, 2, len(members))
+        fold_indices = [[] for _ in range(strategy.k)]
+        for label in sorted(members, key=lambda g: (-len(members[g]), g)):
+            target = min(range(strategy.k), key=lambda j: (len(fold_indices[j]), j))
+            fold_indices[target].extend(members[label])
+        all_indices = set(range(n))
+        folds = []
+        for j in range(strategy.k):
+            test = tuple(sorted(fold_indices[j]))
+            train = tuple(sorted(all_indices - set(test)))
+            folds.append(Fold(j, train, test))
+        return FoldPlan(strategy.describe(), tuple(folds))
+
+    raise TypeError(f"unknown fold strategy: {strategy!r}")
+
+
+_COUNTS = st.integers(-1, 12)
+
+
+@st.composite
+def _fold_calls(draw):
+    """``make_folds`` arguments of every strategy, valid or not: keys absent, of the
+    wrong length, monotone or not, and group labels that ``str`` may merge."""
+    n = draw(st.integers(-1, 30))
+    kind = draw(st.sampled_from(["kfold", "rolling", "grouped", "unknown"]))
+    if kind == "kfold":
+        return n, KFold(draw(_COUNTS), draw(st.none() | st.integers(-2, 3) | st.integers(0, 2**40))), None
+    length = draw(st.sampled_from([n, n, n, n - 1, n + 1]).map(lambda m: max(m, 0)))
+    if kind == "rolling":
+        times = st.lists(st.integers(0, 4), min_size=length, max_size=length)
+        keys = draw(st.none() | times.map(sorted) | times)
+        return n, RollingWindow(draw(_COUNTS), draw(_COUNTS), draw(_COUNTS)), keys
+    if kind == "grouped":
+        labels = st.lists(st.sampled_from(["a", "b", "c", "d", "e", 1, "1"]), min_size=length, max_size=length)
+        return n, Grouped(draw(_COUNTS)), draw(st.none() | labels)
+    return n, draw(st.sampled_from([EqualMass(3), "kfold(3)", None])), None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_fold_calls())
+def test_make_folds_equals_the_reference(call):
+    assert _outcome(make_folds, *call) == _outcome(_reference_make_folds, *call)
+
+
 def constant_trainer(value):
     def train(_train_pairs):
         return lambda x: value
@@ -493,6 +600,32 @@ class TestCvRisk:
         first = cv_risk(data, plan, candidate)
         second = cv_risk(data, plan, candidate)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "fold, message",
+        [
+            (Fold(0, (0,), ()), "fold 0 has no test records"),
+            (Fold(3, (0,), (1, 2)), "fold 3 test index 2 is outside 0..1"),
+            # Indexing from the end would score record 1, the one the model gets right.
+            (Fold(0, (0,), (-1,)), "fold 0 test index -1 is outside 0..1"),
+        ],
+    )
+    def test_hand_built_fold_it_would_misread_is_refused(self, fold, message):
+        data = [(0, False), (1, True)]
+        candidate = ModelCandidate("const", constant_trainer(True), complexity=0.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cv_risk(data, FoldPlan("manual", (fold,)), candidate)
+
+    @pytest.mark.parametrize(
+        "strategy, keys",
+        [(KFold(4, shuffle_seed=2), None), (Grouped(3), "aabbcddeef"), (RollingWindow(4, 2, 3), None)],
+    )
+    def test_plans_from_make_folds_are_read(self, strategy, keys):
+        data = [(i, i % 3 == 0) for i in range(10)]
+        plan = make_folds(10, strategy, keys)
+        candidate = ModelCandidate("const", constant_trainer(False), complexity=0.0)
+        fold_means = [sum(data[i][1] for i in f.test) / len(f.test) for f in plan.folds]
+        assert cv_risk(data, plan, candidate) == sum(fold_means) / len(fold_means)
 
     def test_trainer_failure_names_fold(self):
         def broken(_train):
