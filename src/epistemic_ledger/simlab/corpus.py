@@ -10,19 +10,24 @@ synonym table expands euphemism phrases into their concept tokens, which is
 what lets a conceptual search find what a literal keyword scan misses.
 
 A ``Corpus`` is immutable, so its index is built on first use and kept on
-it. Each document is tokenised once per corpus, into its padded token text;
-the corpus keeps one text, every document's token text joined by ``"\\n"``,
-and where each document starts in it. A token text holds only ``[a-z0-9 ]``,
-so ``rows_containing`` finds a phrase's documents with ``str.find`` over
-that one text and a ``bisect`` of the starts; the keyword scan and the
-synonym expansion both use it. Per synonym table, each document's token
-buckets stream into one array (each distinct token hashed once), and one
-``np.unique`` over the (document, bucket) cell ids counts them. That gives
-the embeddings of all documents as one sparse N x dim hashed design matrix
-(``HashedRows``, the feature-hashing view of Weinberger et al., 2009); its
-product with a query vector scores every document at once. ``embed``, which
-embeds queries, is the dense form of a text's row in a one-document corpus,
-so a query and a document embed by one rule.
+it. ``_token_texts`` tokenises all documents in one pass: their texts (line
+breaks made spaces) are joined by ``"\\n"``, lower-cased and UTF-8 encoded
+once, one ``bytes.translate`` makes every byte but ``a-z0-9\\n`` a space,
+and each line's spaces collapse, one padding each end. That equals each
+lower-cased text's ``[a-z0-9]+`` runs: a non-ASCII character (a lone
+surrogate too) encodes to bytes >= 0x80, and ``"\\n"`` is neither cased nor
+case-ignorable, so lowering the join lowers each text alike. The corpus
+keeps that one text and where each document starts; a token text holds no
+``"\\n"``, so ``rows_containing`` finds a phrase's documents with
+``str.find`` and a ``bisect``; the keyword scan and the synonym expansion
+both use it. Per synonym table, each document's token buckets stream into
+one array (each distinct token hashed once), and one ``np.unique`` over the
+(document, bucket) cell ids counts them. That gives the embeddings of all
+documents as one sparse N x dim hashed design matrix (``HashedRows``, the
+feature-hashing view of Weinberger et al., 2009); its product with a query
+vector scores every document at once. ``embed``, which embeds queries, is
+the dense form of a text's row in a one-document corpus, so a query and a
+document embed by one rule.
 
 Distractors draw from a seeded PCG64's raw words by the rule in
 ``generate_corpus``, as NumPy fixes bit-generator streams across releases
@@ -33,7 +38,6 @@ All of a corpus's draws are made in one vectorised pass (``_draws``).
 from __future__ import annotations
 
 import hashlib
-import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -58,7 +62,7 @@ _STOPWORDS = frozenset(
     "a an and are as at be by for from has have in is it its no not of on or "
     "our the their this to was were with".split()
 )
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+_TOKEN_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789\n" else 32 for b in range(256))
 
 _LITERAL_TEMPLATE = (
     "internal memo {num}: quarterly review records that {phrase} findings "
@@ -89,19 +93,29 @@ _FILLER_WORDS = (
 )
 
 
-def tokenize(text: str) -> list[str]:
-    return [t for t in _TOKEN_RE.findall(text.lower()) if t not in _STOPWORDS]
+def _token_texts(texts: Sequence[str]) -> tuple[str, array]:
+    """Each text's ``token_text``, joined by ``"\\n"``, and where each starts, then the end + 1."""
+    if not texts:
+        return "", array("q", [0])
+    data = "\n".join(text.replace("\n", " ") for text in texts).lower().encode("utf-8", "surrogatepass")
+    lines = list(map(b" ".join, map(bytes.split, data.translate(_TOKEN_BYTES).split(b"\n"))))
+    starts = array("q", accumulate((len(line) + 3 for line in lines), initial=0))
+    return " " + b" \n ".join(lines).decode("ascii") + " ", starts
 
 
 def token_text(text: str) -> str:
-    """The text's lower-case tokens, joined and padded by single spaces.
+    """The text's lower-case ``[a-z0-9]+`` runs by the one-pass rule, joined and padded by single spaces.
 
     A phrase's tokens appear consecutively in a text exactly when the
     phrase's token text is a substring of the text's. A phrase without
     tokens matches no text, but its token text (two spaces) is a substring
     of that of every other text without tokens.
     """
-    return f" {' '.join(_TOKEN_RE.findall(text.lower()))} "
+    return _token_texts((text,))[0]
+
+
+def tokenize(text: str) -> list[str]:
+    return [t for t in token_text(text).split() if t not in _STOPWORDS]
 
 
 def _token_index(token: str) -> int:
@@ -185,8 +199,7 @@ class Corpus:
 
         A token text holds only ``[a-z0-9 ]``, so no phrase spans two documents.
         """
-        texts = [token_text(doc.text) for doc in self.documents]
-        return "\n".join(texts), array("q", accumulate((len(t) + 1 for t in texts), initial=0))
+        return _token_texts([doc.text for doc in self.documents])
 
     def rows_containing(self, phrase: str) -> list[int]:
         """The rows, ascending, whose token text holds the phrase's tokens consecutively (none if it has none)."""
@@ -204,7 +217,7 @@ class Corpus:
     @cached_property
     def id_ranks(self) -> np.ndarray:
         """Each document's position in id order, the tie-break of a ranking."""
-        order = sorted(range(len(self.documents)), key=lambda i: self.documents[i].id)
+        order = sorted(range(len(self.documents)), key=[doc.id for doc in self.documents].__getitem__)
         ranks = np.empty(len(order), dtype=np.int64)
         ranks[order] = np.arange(len(order))
         return ranks
@@ -324,21 +337,19 @@ def generate_corpus(scenario: SimScenario, seed: int) -> Corpus:
     n_euphemistic = int(round(scenario.euphemism_ratio * n_distractors))
     bounds = (len(_DISTRACTOR_TOPICS), len(_FILLER_WORDS) - 1, len(_FILLER_WORDS), 2)
     draws = _draws(bits, bounds * n_distractors).reshape(-1, len(bounds)).tolist()
+    topics = [topic.split("{num}") for topic in _DISTRACTOR_TOPICS]
+    softeners = [f" filed under the {softener}." for softener in _GENERIC_EUPHEMISMS]
+    plain, softened, no_truth = frozenset({TAG_DISTRACTOR}), frozenset({TAG_DISTRACTOR, TAG_EUPHEMISM}), frozenset()
     for j, (topic, first, second, swap) in enumerate(draws):
         doc_id = f"doc-{len(docs):04d}"
         if second == first:
             second = len(_FILLER_WORDS) - 1
         if swap == 0:
             first, second = second, first
-        text = _DISTRACTOR_TOPICS[topic].format(num=doc_id[-4:]) + " reference tag {} {}.".format(
-            _FILLER_WORDS[first], _FILLER_WORDS[second]
-        )
-        tags = {TAG_DISTRACTOR}
-        if j < n_euphemistic:
-            softener = _GENERIC_EUPHEMISMS[j % len(_GENERIC_EUPHEMISMS)]
-            text += f" filed under the {softener}."
-            tags.add(TAG_EUPHEMISM)
-        docs.append(Document(doc_id, text, frozenset(tags), frozenset()))
+        suffix, tags = (softeners[j % len(softeners)], softened) if j < n_euphemistic else ("", plain)
+        head, tail = topics[topic]
+        text = f"{head}{doc_id[-4:]}{tail} reference tag {_FILLER_WORDS[first]} {_FILLER_WORDS[second]}.{suffix}"
+        docs.append(Document(doc_id, text, tags, no_truth))
 
     return Corpus(tuple(docs))
 

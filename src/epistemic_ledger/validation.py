@@ -468,6 +468,9 @@ def cv_risk(
     for fold in sorted(plan.folds, key=lambda f: f.fold_id):
         if not fold.test:
             raise ValueError(f"fold {fold.fold_id} has no test records")
+        if fold.train and not (0 <= min(fold.train) and max(fold.train) < n):
+            i = next(i for i in fold.train if not 0 <= i < n)
+            raise ValueError(f"fold {fold.fold_id} train index {i} is outside 0..{n - 1}")
         train = [dataset[i] for i in fold.train]
         try:
             predict = candidate.trainer(train)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -249,6 +250,12 @@ class TestDistractorDraws:
     def test_corpus_equals_the_generator_reference(self, seed, size, ratio):
         scenario = dataclasses.replace(SCENARIO, corpus_size=size, euphemism_ratio=ratio)
         assert generate_corpus(scenario, seed).documents == _reference_corpus(scenario, seed).documents
+
+    def test_ids_past_9999_wrap_to_four_digits_in_the_text_as_in_the_reference(self):
+        scenario = dataclasses.replace(SCENARIO, corpus_size=10_050)
+        documents = generate_corpus(scenario, 3).documents
+        assert documents == _reference_corpus(scenario, 3).documents
+        assert documents[10_001].id == "doc-10001" and " 0001: " in documents[10_001].text
 
 
 def _reference_embed(text, synonyms=None):
@@ -811,14 +818,38 @@ def _corpus_of(texts):
 
 
 # Text pieces that probe the joined token text: line breaks, punctuation only,
-# stopwords only, and characters whose lower case is not one ASCII letter
-# ("İ" lowers to "i" and a combining dot; the Kelvin sign lowers to "k").
+# stopwords only, characters whose lower case is not one ASCII letter ("İ"
+# lowers to "i" and a combining dot; the Kelvin sign lowers to "k"; "Σ" lowers
+# by its context; "ß" stays one non-ASCII letter), control and separator
+# characters that str.splitlines breaks at, and a lone surrogate.
 TRICKY_PIECES = SCENARIO_WORDS[:40] + sorted(_STOPWORDS)[:8] + sorted(SYNONYMS) + [
     "\n", "\n\n", "!", "--", "?.", " ", "\t", "İ", "\u212a", "\u212aelvin", "İnternal", "k", "i",
+    "Σ", "ß", "\r", "\x0b", "\x1c", "\x85", "\u2028", "\ud800",
 ]
 TRICKY_TEXTS = st.lists(st.sampled_from(TRICKY_PIECES), max_size=8).map(" ".join) | st.lists(
     st.sampled_from(TRICKY_PIECES), max_size=8
 ).map("".join)
+
+
+def _reference_token_text(text):
+    """The token text by the per-document regex rule: the ``[a-z0-9]+`` runs of the lower-cased text."""
+    return f" {' '.join(re.findall('[a-z0-9]+', text.lower()))} "
+
+
+class TestTokenText:
+    """The one-pass byte-table tokeniser is the per-document regex rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(TRICKY_TEXTS | st.text(st.characters(exclude_categories=())), max_size=6))
+    def test_token_text_tokenize_and_the_corpus_text_equal_the_regex_rule(self, texts):
+        expected = [_reference_token_text(text) for text in texts]
+        assert [token_text(text) for text in texts] == expected
+        assert [tokenize(text) for text in texts] == [
+            [t for t in padded.split() if t not in _STOPWORDS] for padded in expected
+        ]
+        text, starts = _corpus_of(texts)._token_text
+        assert text == "\n".join(expected)
+        assert starts.tolist() == list(accumulate((len(padded) + 1 for padded in expected), initial=0))
 
 
 class TestJoinedTokenText:

@@ -608,6 +608,10 @@ class TestCvRisk:
             (Fold(3, (0,), (1, 2)), "fold 3 test index 2 is outside 0..1"),
             # Indexing from the end would score record 1, the one the model gets right.
             (Fold(0, (0,), (-1,)), "fold 0 test index -1 is outside 0..1"),
+            # A negative train index would train on the record counted from the
+            # end; one past the end would raise IndexError. The first is named.
+            (Fold(0, (-1,), (1,)), "fold 0 train index -1 is outside 0..1"),
+            (Fold(2, (0, 2, -1), (1,)), "fold 2 train index 2 is outside 0..1"),
         ],
     )
     def test_hand_built_fold_it_would_misread_is_refused(self, fold, message):
