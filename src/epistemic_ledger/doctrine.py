@@ -99,7 +99,7 @@ def _actual(records: Sequence[ExecutionRecord], theta_ak: float, tau_star: float
     conclusive and passing ``plug_in_test`` at theta_ak; None when no record is.
 
     An executed record without a certificate fails here; the certification
-    gap is what the recklessness test picks up.
+    gap is what ``_reckless`` picks up.
     """
     for r in records:
         if r.executed and r.certificate is not None and r.outcome is not Verdict.INCONCLUSIVE:
@@ -107,11 +107,6 @@ def _actual(records: Sequence[ExecutionRecord], theta_ak: float, tau_star: float
             if knowledge_predicate(s_lb, theta_ak):
                 return {"pipeline_id": r.pipeline_id, "lower_bound_score": s_lb, "theta_ak": theta_ak}
     return None
-
-
-def actual_knowledge_test(record: ExecutionRecord, theta_ak: float, tau_star: float) -> bool:
-    """Executed, certified, conclusive, and passing ``plug_in_test`` at theta_ak."""
-    return _actual((record,), theta_ak, tau_star) is not None
 
 
 def _constructive(score: float | None, theta_ck: float) -> _Detail | None:
@@ -122,24 +117,13 @@ def _constructive(score: float | None, theta_ck: float) -> _Detail | None:
     return {"org_score": score, "theta_ck": theta_ck}
 
 
-def constructive_knowledge_test(
-    score: float | None, executions: Sequence[ExecutionRecord], policy: PolicyParams
-) -> bool:
-    """Knowledge was achievable (``knowledge_predicate`` at theta_ck) but not obtained.
-
-    ``score`` is the org score of the proposition's pipelines, None when it has none.
-    """
-    if _constructive(score, policy.theta_ck) is None:
-        return False
-    return _actual(executions, policy.theta_ak, policy.tau_star) is None
-
-
 def _blind(
     available: Sequence[PipelineSpec], records: Sequence[ExecutionRecord], policy: PolicyParams
 ) -> _Detail | None:
     """Wilful blindness's detail for the smallest id among the cheap, near-certain
     pipelines of ``available`` that no record executed, when some record carries
-    an avoidance flag; None when no record does or no such pipeline exists."""
+    an avoidance flag; None when no record does or no such pipeline exists. Mere
+    non-execution without avoidance evidence is at most constructive knowledge."""
     if all(r.avoidance_evidence is AvoidanceEvidence.NONE for r in records):
         return None
     ceiling = CHEAPNESS_FACTOR * policy.tau_star
@@ -163,19 +147,6 @@ def _blind(
     }
 
 
-def wilful_blindness_test(
-    available: Sequence[PipelineSpec], executions: Sequence[ExecutionRecord], policy: PolicyParams
-) -> bool:
-    """A cheap, near-certain pipeline went unexecuted amid avoidance evidence.
-
-    Both conditions are required: capability (such a pipeline exists and was
-    not run) and deliberateness (some record carries an avoidance flag).
-    Mere non-execution without avoidance evidence is at most constructive
-    knowledge.
-    """
-    return _blind(available, executions, policy) is not None
-
-
 def _reckless(records: Sequence[ExecutionRecord], theta_r: float, tau_star: float) -> _Detail | None:
     """Recklessness's detail for the first executed record with no certificate, or with a
     lower-bound score more than RECKLESSNESS_MARGIN below theta_r; None when no record is."""
@@ -186,13 +157,6 @@ def _reckless(records: Sequence[ExecutionRecord], theta_r: float, tau_star: floa
                 key, value = ("certificate", "absent") if s_lb is None else ("lower_bound_score", s_lb)
                 return {"pipeline_id": r.pipeline_id, "theta_r": theta_r, "margin": RECKLESSNESS_MARGIN, key: value}
     return None
-
-
-def recklessness_test(record: ExecutionRecord, theta_r: float, tau_star: float) -> bool:
-    """Executed despite a grossly poor certificate, or with none at all."""
-    if not record.executed:
-        raise ValueError("recklessness_test applies only to executed records")
-    return _reckless((record,), theta_r, tau_star) is not None
 
 
 def negligence_test(capacity: float, theta_neg: float) -> bool:
@@ -209,7 +173,7 @@ def classify(
     capacity: float | None = None,
     score: float | None = None,
 ) -> DoctrineFinding:
-    """Run all five doctrine tests for one proposition.
+    """Decide all five doctrines for one proposition.
 
     ``capacity`` is the firm-wide capacity index; without it negligence is not
     judged. ``score`` is ``org_score(available, policy)``, computed when omitted.

@@ -321,17 +321,16 @@ def generate_corpus(scenario: SimScenario, seed: int) -> Corpus:
     docs: list[Document] = []
 
     for task in scenario.tasks:
+        template, phrases, tag = (
+            (_LITERAL_TEMPLATE, task.literal_phrases, TAG_LITERAL)
+            if task.ground_truth == "literal"
+            else (_EUPHEMISM_TEMPLATE, task.euphemism_phrases, TAG_EUPHEMISM)
+        )
+        tags, truth = frozenset({tag}), frozenset({task.id})
         for j in range(scenario.ground_truth_per_task):
             doc_id = f"doc-{len(docs):04d}"
-            if task.ground_truth == "literal":
-                phrase = task.literal_phrases[j % len(task.literal_phrases)]
-                text = _LITERAL_TEMPLATE.format(num=doc_id[-4:], phrase=phrase)
-                tags = frozenset({TAG_LITERAL})
-            else:
-                phrase = task.euphemism_phrases[j % len(task.euphemism_phrases)]
-                text = _EUPHEMISM_TEMPLATE.format(num=doc_id[-4:], phrase=phrase)
-                tags = frozenset({TAG_EUPHEMISM})
-            docs.append(Document(doc_id, text, tags, frozenset({task.id})))
+            text = template.format(num=doc_id[-4:], phrase=phrases[j % len(phrases)])
+            docs.append(Document(doc_id, text, tags, truth))
 
     n_distractors = scenario.corpus_size - len(docs)
     n_euphemistic = int(round(scenario.euphemism_ratio * n_distractors))

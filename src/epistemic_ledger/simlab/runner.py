@@ -211,15 +211,11 @@ def monte_carlo(
     seed = scenario.seed if seed is None else _count("seed", seed, 0)
     sigma = scenario.jitter_sigma if jitter_sigma is None else _require("jitter_sigma", jitter_sigma, 0)
     retrievals = _retrieve(scenario, generate_corpus(scenario, seed))
-    per_cell: dict[tuple[str, str], list[float]] = {}
-    doctrines: dict[str, str] = {t.id: t.doctrine for t in scenario.tasks}
+    per_cell: dict[tuple[str, str, str], list[float]] = {}
     for i in range(runs):
         for row in _run_docket_once(scenario, retrievals, seed, run_index=i, jitter_sigma=sigma):
-            per_cell.setdefault((row.company, row.task_id), []).append(row.score)
-    cells = tuple(
-        MonteCarloCell(company, task_id, doctrines[task_id], tuple(scores))
-        for (company, task_id), scores in sorted(per_cell.items())
-    )
+            per_cell.setdefault((row.company, row.task_id, row.doctrine), []).append(row.score)
+    cells = tuple(MonteCarloCell(*cell, tuple(scores)) for cell, scores in sorted(per_cell.items()))
     return MonteCarloResult(cells=cells, runs=runs)
 
 

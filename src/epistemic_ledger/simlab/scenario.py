@@ -108,7 +108,11 @@ class SimScenario:
         self._check_corpus_size(self.corpus_size)
         _count("'seed'", self.seed, 0)  # numpy seeds only from non-negative integers
         owners: dict[str, str] = {}
+        ids: set[str] = set()
         for task in self.tasks:
+            if task.id in ids:  # a cell, a docket row pair and a phrase owner are each keyed by it
+                raise ValueError(f"duplicate task id {task.id!r}")
+            ids.add(task.id)
             _claim_phrases(owners, task)
 
     def min_corpus_size(self) -> int:

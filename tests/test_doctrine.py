@@ -4,7 +4,7 @@ import random
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epistemic_ledger import doctrine, validation
@@ -18,12 +18,8 @@ from epistemic_ledger.doctrine import (
     DoctrineFinding,
     ExecutionRecord,
     Verdict,
-    actual_knowledge_test,
     classify,
-    constructive_knowledge_test,
     negligence_test,
-    recklessness_test,
-    wilful_blindness_test,
 )
 from epistemic_ledger.metrics import (
     ComponentErrors,
@@ -76,67 +72,67 @@ def unexecuted(prop="phi", pid="pi", evidence=AvoidanceEvidence.NONE):
     )
 
 
+def _applies(doctrine, available, records, threshold=0.7, capacity=None, policy=POLICY):
+    prop = Proposition(id="phi", description="a salient fact", threshold=threshold)
+    return doctrine in classify(prop, available, records, policy, capacity=capacity).applicable
+
+
 class TestActualKnowledge:
     def test_certified_high_score(self):
-        record = executed(s_lb=0.83)
-        assert actual_knowledge_test(record, 0.7, 10.0) is True
+        assert _applies(Doctrine.ACTUAL_KNOWLEDGE, [], [executed(s_lb=0.83)])
 
     def test_requires_an_epistemic_act(self):
-        assert actual_knowledge_test(unexecuted(), 0.7, 10.0) is False
+        assert not _applies(Doctrine.ACTUAL_KNOWLEDGE, [], [unexecuted()])
 
     def test_boundary_below_threshold(self):
-        assert actual_knowledge_test(executed(s_lb=0.69), 0.7, 10.0) is False
+        assert not _applies(Doctrine.ACTUAL_KNOWLEDGE, [], [executed(s_lb=0.69)])
 
     def test_missing_certificate_fails(self):
-        record = executed(s_lb=None)
-        assert actual_knowledge_test(record, 0.7, 10.0) is False
+        assert not _applies(Doctrine.ACTUAL_KNOWLEDGE, [], [executed(s_lb=None)])
 
     def test_inconclusive_outcome_fails(self):
         record = executed(s_lb=0.83, outcome=Verdict.INCONCLUSIVE)
-        assert actual_knowledge_test(record, 0.7, 10.0) is False
+        assert not _applies(Doctrine.ACTUAL_KNOWLEDGE, [], [record])
 
 
 class TestConstructiveKnowledge:
     def test_available_but_unexecuted(self):
-        assert constructive_knowledge_test(org_score([pipe("modern", 2.06)], POLICY), [], POLICY)
+        assert _applies(Doctrine.CONSTRUCTIVE_KNOWLEDGE, [pipe("modern", 2.06)], [])
 
     def test_no_capable_pipeline(self):
-        score = org_score([pipe("legacy", 6.05, ret=1.0)], POLICY)
-        assert not constructive_knowledge_test(score, [], POLICY)
+        assert not _applies(Doctrine.CONSTRUCTIVE_KNOWLEDGE, [pipe("legacy", 6.05, ret=1.0)], [])
 
     def test_actual_supersedes(self):
-        assert not constructive_knowledge_test(
-            org_score([pipe("modern", 2.06)], POLICY), [executed(s_lb=0.83)], POLICY
-        )
+        assert not _applies(Doctrine.CONSTRUCTIVE_KNOWLEDGE, [pipe("modern", 2.06)], [executed(s_lb=0.83)])
 
     def test_empty_available_is_false(self):
-        assert not constructive_knowledge_test(None, [], POLICY)
+        assert not _applies(Doctrine.CONSTRUCTIVE_KNOWLEDGE, [], [])
 
 
 class TestWilfulBlindness:
     def test_cheap_certain_pipeline_avoided(self):
         cheap = pipe("cheap", 0.5, ver=0.01)
         records = [unexecuted(pid="cheap", evidence=AvoidanceEvidence.SUPPRESSED_QUERY)]
-        assert wilful_blindness_test([cheap], records, POLICY) is True
+        assert _applies(Doctrine.WILFUL_BLINDNESS, [cheap], records)
 
     def test_no_avoidance_evidence_is_not_blindness(self):
         cheap = pipe("cheap", 0.5, ver=0.01)
-        assert wilful_blindness_test([cheap], [unexecuted(pid="cheap")], POLICY) is False
+        assert not _applies(Doctrine.WILFUL_BLINDNESS, [cheap], [unexecuted(pid="cheap")])
 
     def test_unreliable_pipeline_does_not_qualify(self):
         shaky = pipe("shaky", 0.5, ver=0.3)
         records = [unexecuted(pid="shaky", evidence=AvoidanceEvidence.DISABLED_INDEX)]
-        assert wilful_blindness_test([shaky], records, POLICY) is False
+        assert not _applies(Doctrine.WILFUL_BLINDNESS, [shaky], records)
 
     def test_expensive_pipeline_does_not_qualify(self):
         slow = pipe("slow", 5.0, ver=0.01)  # above kappa * tau_star = 1 s
         records = [unexecuted(pid="slow", evidence=AvoidanceEvidence.FILTERED_ALERTS)]
-        assert wilful_blindness_test([slow], records, POLICY) is False
+        assert not _applies(Doctrine.WILFUL_BLINDNESS, [slow], records)
 
     def test_executed_pipeline_does_not_qualify(self):
         cheap = pipe("cheap", 0.5, ver=0.01)
         records = [executed(pid="cheap", s_lb=0.9, evidence=AvoidanceEvidence.SUPPRESSED_QUERY)]
-        assert wilful_blindness_test([cheap], records, POLICY) is False
+        assert not _applies(Doctrine.WILFUL_BLINDNESS, [cheap], records)
 
     def test_toggling_evidence_always_flips_positive_findings(self):
         rng = random.Random(13)
@@ -146,24 +142,20 @@ class TestWilfulBlindness:
                 [e for e in AvoidanceEvidence if e is not AvoidanceEvidence.NONE]
             )
             records = [unexecuted(pid="cheap", evidence=evidence)]
-            if wilful_blindness_test([cheap], records, POLICY):
+            if _applies(Doctrine.WILFUL_BLINDNESS, [cheap], records):
                 stripped = [unexecuted(pid="cheap")]
-                assert not wilful_blindness_test([cheap], stripped, POLICY)
+                assert not _applies(Doctrine.WILFUL_BLINDNESS, [cheap], stripped)
 
 
 class TestRecklessness:
     def test_no_certificate_is_reckless(self):
-        assert recklessness_test(executed(s_lb=None), 0.7, 10.0) is True
+        assert _applies(Doctrine.RECKLESSNESS, [], [executed(s_lb=None)])
 
     def test_grossly_low_score(self):
-        assert recklessness_test(executed(s_lb=0.2), 0.7, 10.0) is True
+        assert _applies(Doctrine.RECKLESSNESS, [], [executed(s_lb=0.2)])
 
     def test_merely_below_threshold_is_not_gross(self):
-        assert recklessness_test(executed(s_lb=0.69), 0.7, 10.0) is False
-
-    def test_requires_execution(self):
-        with pytest.raises(ValueError):
-            recklessness_test(unexecuted(), 0.7, 10.0)
+        assert not _applies(Doctrine.RECKLESSNESS, [], [executed(s_lb=0.69)])
 
 
 class TestNegligence:
@@ -297,9 +289,10 @@ class TestClassify:
             score_pipe = pipe("p", rng.uniform(0, 15), ret=rng.random())
             low = rng.uniform(0.05, 0.9)
             high = rng.uniform(low, 0.95)
-            score = org_score([score_pipe], POLICY)
-            base = constructive_knowledge_test(score, [], replace(POLICY, theta_ck=low))
-            raised = constructive_knowledge_test(score, [], replace(POLICY, theta_ck=high))
+            base, raised = (
+                _applies(Doctrine.CONSTRUCTIVE_KNOWLEDGE, [score_pipe], [], policy=replace(POLICY, theta_ck=theta))
+                for theta in (low, high)
+            )
             if not base:
                 assert not raised
 
@@ -334,9 +327,9 @@ _CLASSIFY_INPUTS = (
 )
 
 
-# The five public tests and their helper as first written, kept here so that
-# the reference below does not share the code that decides each doctrine in
-# ``classify`` and its public tests.
+# The five doctrine tests and their helper as first written, kept here so
+# that the reference below does not share the code that decides each
+# doctrine in ``classify``.
 
 
 def _reference_actual_knowledge_test(record, theta_ak, tau_star):
@@ -438,55 +431,22 @@ def _reference_classify(proposition, available, executions, policy, capacity=Non
     return DoctrineFinding(proposition.id, tuple((d, found[d]) for d in PRECEDENCE if d in found))
 
 
-def _outcome(test, *args):
-    """What ``test(*args)`` gives: its result, or the type and text of the error it raises."""
-    try:
-        return test(*args)
-    except Exception as error:
-        return type(error), str(error)
-
-
 # A theta_r with the 0.2 certificate's lower-bound score (0.19999999999999996)
 # exactly RECKLESSNESS_MARGIN below it, so that the margin's strict < is tested.
 _ON_THE_MARGIN = lower_bound_score(executed(s_lb=0.2).certificate, POLICY.tau_star) + RECKLESSNESS_MARGIN
 
 
 class TestClassifyReference:
-    """``classify`` against the five public tests, run on the proposition's own records."""
+    """``classify`` against a reference that shares none of its code."""
 
     @settings(max_examples=300, deadline=None)
-    @given(*_CLASSIFY_INPUTS)
-    def test_findings_match_the_public_tests(self, available, records, threshold, capacity):
+    @given(*_CLASSIFY_INPUTS, st.sampled_from([0.5, 0.6, 0.7, 0.83, 0.9, _ON_THE_MARGIN]))
+    @example((), [executed(s_lb=0.2)], 0.7, None, _ON_THE_MARGIN)  # the margin's strict <, every run
+    def test_findings_match_the_dict_reference(self, available, records, threshold, capacity, theta):
         prop = Proposition(id="phi", description="a salient fact", threshold=threshold)
-        finding = classify(prop, available, records, POLICY, capacity=capacity)
-
-        own = [r for r in records if r.proposition_id == "phi"]
-        score = org_score(available, POLICY) if available else None
-        holds = {
-            Doctrine.ACTUAL_KNOWLEDGE: any(
-                actual_knowledge_test(r, POLICY.theta_ak, POLICY.tau_star) for r in own
-            ),
-            Doctrine.WILFUL_BLINDNESS: wilful_blindness_test(available, own, POLICY),
-            Doctrine.RECKLESSNESS: any(
-                r.executed and recklessness_test(r, POLICY.theta_r, POLICY.tau_star)
-                for r in own
-            ),
-            Doctrine.CONSTRUCTIVE_KNOWLEDGE: constructive_knowledge_test(score, own, POLICY),
-            Doctrine.NEGLIGENCE: capacity is not None and negligence_test(capacity, POLICY.theta_neg),
-        }
-        expected = {d for d, held in holds.items() if held}
-        assert finding.applicable == expected
-        order = [d for d, _ in finding.rationale]
-        assert order == [d for d in PRECEDENCE if d in expected]
-        assert finding.primary is (order[0] if order else None)
-
-
-    @settings(max_examples=300, deadline=None)
-    @given(*_CLASSIFY_INPUTS)
-    def test_findings_match_the_dict_reference(self, available, records, threshold, capacity):
-        prop = Proposition(id="phi", description="a salient fact", threshold=threshold)
-        finding = classify(prop, available, records, POLICY, capacity=capacity)
-        reference = _reference_classify(prop, available, records, POLICY, capacity=capacity)
+        policy = replace(POLICY, theta_ak=theta, theta_ck=threshold, theta_r=theta, theta_neg=threshold)
+        finding = classify(prop, available, records, policy, capacity=capacity)
+        reference = _reference_classify(prop, available, records, policy, capacity=capacity)
         assert finding == reference
         # Details in the same key order too, though the report sorts them.
         assert [(d, list(x.items())) for d, x in finding.rationale] == [
@@ -504,26 +464,8 @@ class TestClassifyReference:
     def test_the_margin_theta_is_on_the_margin(self):
         s_lb = lower_bound_score(executed(s_lb=0.2).certificate, POLICY.tau_star)
         assert _ON_THE_MARGIN - RECKLESSNESS_MARGIN == s_lb
-        assert recklessness_test(executed(s_lb=0.2), _ON_THE_MARGIN, POLICY.tau_star) is False
-
-    @settings(max_examples=300, deadline=None)
-    @given(*_CLASSIFY_INPUTS, st.sampled_from([0.5, 0.6, 0.7, 0.83, 0.9, _ON_THE_MARGIN]))
-    def test_each_public_test_matches_its_reference(self, available, records, threshold, capacity, theta):
-        policy = replace(POLICY, theta_ak=theta, theta_ck=threshold, theta_r=theta, theta_neg=threshold)
-        score = org_score(available, policy) if available else None
-        cases = [
-            (actual_knowledge_test, _reference_actual_knowledge_test, (r, theta, POLICY.tau_star))
-            for r in records
-        ] + [
-            (recklessness_test, _reference_recklessness_test, (r, theta, POLICY.tau_star))
-            for r in records
-        ] + [
-            (constructive_knowledge_test, _reference_constructive_knowledge_test, (score, records, policy)),
-            (wilful_blindness_test, _reference_wilful_blindness_test, (available, records, policy)),
-            (negligence_test, _reference_negligence_test, (capacity, threshold)),
-        ]
-        for public, reference, args in cases:
-            assert _outcome(public, *args) == _outcome(reference, *args), public.__name__
+        on_the_margin = replace(POLICY, theta_r=_ON_THE_MARGIN)
+        assert not _applies(Doctrine.RECKLESSNESS, [], [executed(s_lb=0.2)], policy=on_the_margin)
 
     @settings(max_examples=300, deadline=None)
     @given(*_CLASSIFY_INPUTS, st.data())
@@ -541,11 +483,6 @@ class TestClassifyReference:
                 detail = {k: v for k, v in detail.items() if k not in names}
                 moved = {k: v for k, v in moved.items() if k not in names}
             assert moved == detail, doctrine_
-
-
-def _applies(doctrine, available, records, threshold, capacity, policy=POLICY):
-    prop = Proposition(id="phi", description="a salient fact", threshold=threshold)
-    return doctrine in classify(prop, available, records, policy, capacity=capacity).applicable
 
 
 # One draw of classify's inputs: (available, records, threshold, capacity).
@@ -589,7 +526,7 @@ class TestDirections:
     def test_a_passing_certified_execution_removes_constructive_knowledge(self, case, pid, outcome):
         available, records, threshold, capacity = case
         passing = executed(pid=pid, s_lb=0.83, outcome=outcome)
-        assert actual_knowledge_test(passing, POLICY.theta_ak, POLICY.tau_star)
+        assert _applies(Doctrine.ACTUAL_KNOWLEDGE, [], [passing])
         with_it = [*records, passing]
         assert not _applies(Doctrine.CONSTRUCTIVE_KNOWLEDGE, available, with_it, threshold, capacity)
 

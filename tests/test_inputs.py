@@ -16,7 +16,7 @@ from epistemic_ledger.artifacts import (
 from epistemic_ledger.cli import ENV_SEED, main
 from epistemic_ledger.doctrine import AvoidanceEvidence, Verdict
 from epistemic_ledger.metrics import PipelineKind, PipelineSpec, PolicyParams
-from epistemic_ledger.simlab import SimScenario, parse_scenario
+from epistemic_ledger.simlab import SimScenario, default_scenario, parse_scenario
 from epistemic_ledger.validation import (
     BoundMethod,
     ConfidenceBound,
@@ -331,6 +331,16 @@ def test_a_task_built_in_code_needs_an_indexable_concept_query():
     task = parse_scenario(APPENDIX_A).tasks[0]
     with pytest.raises(ValueError, match=r"^concept_query has no indexable token: 'the of and'$"):
         replace(task, concept_query="the of and")
+
+
+def test_a_task_id_twice_in_a_scenario_built_in_code_is_rejected():
+    # A Monte Carlo cell, a docket row pair and a phrase owner are each keyed by
+    # task id, so a second task under one id would pool its runs with the first's.
+    # A scenario file cannot get here: its repeated [task.<id>] section is refused first.
+    scenario = default_scenario()
+    twin = replace(scenario.tasks[1], euphemism_phrases=("quiet alignment",))
+    with pytest.raises(ValueError, match=rf"^duplicate task id {scenario.tasks[1].id!r}$"):
+        replace(scenario, tasks=scenario.tasks + (twin,))
 
 
 @pytest.mark.parametrize(
