@@ -157,6 +157,13 @@ class TestRecklessness:
     def test_merely_below_threshold_is_not_gross(self):
         assert not _applies(Doctrine.RECKLESSNESS, [], [executed(s_lb=0.69)])
 
+    def test_requires_execution(self):
+        assert not _applies(Doctrine.RECKLESSNESS, [], [unexecuted()])
+        # Neither an absent nor a grossly poor certificate makes an unexecuted record reckless.
+        poor = ExecutionRecord("pi", "phi", False, executed(s_lb=0.2).certificate)
+        assert not _applies(Doctrine.RECKLESSNESS, [], [poor])
+        assert doctrine._reckless([unexecuted(), poor], POLICY.theta_r, POLICY.tau_star) is None
+
 
 class TestNegligence:
     def test_zero_capacity(self):
@@ -431,13 +438,55 @@ def _reference_classify(proposition, available, executions, policy, capacity=Non
     return DoctrineFinding(proposition.id, tuple((d, found[d]) for d in PRECEDENCE if d in found))
 
 
+def _outcome(test, *args):
+    """What ``test(*args)`` gives: its result, or the type and text of the error it raises."""
+    try:
+        return test(*args)
+    except Exception as error:
+        return type(error), str(error)
+
+
 # A theta_r with the 0.2 certificate's lower-bound score (0.19999999999999996)
 # exactly RECKLESSNESS_MARGIN below it, so that the margin's strict < is tested.
 _ON_THE_MARGIN = lower_bound_score(executed(s_lb=0.2).certificate, POLICY.tau_star) + RECKLESSNESS_MARGIN
 
 
 class TestClassifyReference:
-    """``classify`` against a reference that shares none of its code."""
+    """``classify`` against its deciders run one record at a time, and against a
+    reference that shares none of its code."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(*_CLASSIFY_INPUTS)
+    def test_findings_match_the_public_tests(self, available, records, threshold, capacity):
+        prop = Proposition(id="phi", description="a salient fact", threshold=threshold)
+        finding = classify(prop, available, records, POLICY, capacity=capacity)
+
+        own = [r for r in records if r.proposition_id == "phi"]
+        score = org_score(available, POLICY) if available else None
+        # Actual knowledge and recklessness name the first own record that qualifies alone.
+        actual, reckless = (
+            next((d for r in own if (d := decide([r], theta, POLICY.tau_star)) is not None), None)
+            for decide, theta in ((doctrine._actual, POLICY.theta_ak), (doctrine._reckless, POLICY.theta_r))
+        )
+        holds = {
+            Doctrine.ACTUAL_KNOWLEDGE: actual,
+            Doctrine.WILFUL_BLINDNESS: doctrine._blind(available, own, POLICY),
+            Doctrine.RECKLESSNESS: reckless,
+            Doctrine.CONSTRUCTIVE_KNOWLEDGE: (
+                doctrine._constructive(score, POLICY.theta_ck) if actual is None else None
+            ),
+            Doctrine.NEGLIGENCE: (
+                {"capacity": capacity, "theta_neg": POLICY.theta_neg}
+                if capacity is not None and negligence_test(capacity, POLICY.theta_neg)
+                else None
+            ),
+        }
+        expected = {d for d, detail in holds.items() if detail is not None}
+        assert finding.applicable == expected
+        order = [d for d, _ in finding.rationale]
+        assert order == [d for d in PRECEDENCE if d in expected]
+        assert finding.primary is (order[0] if order else None)
+        assert all(detail == holds[d] for d, detail in finding.rationale)
 
     @settings(max_examples=300, deadline=None)
     @given(*_CLASSIFY_INPUTS, st.sampled_from([0.5, 0.6, 0.7, 0.83, 0.9, _ON_THE_MARGIN]))
@@ -466,6 +515,32 @@ class TestClassifyReference:
         assert _ON_THE_MARGIN - RECKLESSNESS_MARGIN == s_lb
         on_the_margin = replace(POLICY, theta_r=_ON_THE_MARGIN)
         assert not _applies(Doctrine.RECKLESSNESS, [], [executed(s_lb=0.2)], policy=on_the_margin)
+
+    @settings(max_examples=300, deadline=None)
+    @given(*_CLASSIFY_INPUTS, st.sampled_from([0.5, 0.6, 0.7, 0.83, 0.9, _ON_THE_MARGIN]))
+    def test_each_public_test_matches_its_reference(self, available, records, threshold, capacity, theta):
+        """Each decider ``classify`` runs, and ``negligence_test``, against its ``_reference_*`` body."""
+        policy = replace(POLICY, theta_ak=theta, theta_ck=threshold, theta_r=theta, theta_neg=threshold)
+        tau_star = POLICY.tau_star
+        for r in records:
+            actual = doctrine._actual([r], theta, tau_star) is not None
+            assert actual == _reference_actual_knowledge_test(r, theta, tau_star)
+            reckless = doctrine._reckless([r], theta, tau_star) is not None
+            if r.executed:
+                assert reckless == _reference_recklessness_test(r, theta, tau_star)
+            else:  # the reference refuses an unexecuted record; the decider passes it over
+                assert not reckless
+                assert _outcome(_reference_recklessness_test, r, theta, tau_star)[0] is ValueError
+        score = org_score(available, policy) if available else None
+        achievable = doctrine._constructive(score, policy.theta_ck) is not None
+        assert achievable == _reference_constructive_knowledge_test(score, [], policy)
+        blind = doctrine._blind(available, records, policy)
+        assert (blind is not None) == _reference_wilful_blindness_test(available, records, policy)
+        if blind is not None:
+            cheap = _reference_cheap_unexecuted(available, records, policy)
+            assert blind["pipeline_id"] == min(p.id for p in cheap)
+        args = (capacity, threshold)
+        assert _outcome(negligence_test, *args) == _outcome(_reference_negligence_test, *args)
 
     @settings(max_examples=300, deadline=None)
     @given(*_CLASSIFY_INPUTS, st.data())
