@@ -7,9 +7,10 @@ with every number at fixed 4-decimal precision so reports are diff-able and
 byte-reproducible. Certificates, policies and scenario files share one
 ``key = value`` grammar, read by ``parse_sections``.
 
-The parsing helpers raise a plain ValueError, and one place per format attaches
-the line: ``_rows`` the line a CSV row starts on, ``Section`` a key's line, and
-``judged`` the line of the first key whose value alone breaks a rule.
+The parsing helpers raise a plain ValueError, and ``_at`` alone turns it into an
+InputError at ``path:line``: a CSV reader's ``_at`` holds the line ``_rows`` is on,
+``Section`` enters one at a key's line, and ``judged`` at the line of the first key
+whose value alone breaks a rule.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping, NoReturn, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .doctrine import (
     AvoidanceEvidence,
@@ -71,7 +72,9 @@ class InputError(ValueError):
 
 
 class _at:
-    """Re-raise a plain ValueError from the block as an InputError at path:line.
+    """Re-raise a plain ValueError from the block as an InputError at path:line: the one
+    place that attaches a line to one. ``line`` may move while the block runs, as ``_rows``
+    moves it from row to row.
 
     A class, not a generator: it costs a quarter as much, and ``Section`` enters it per key."""
 
@@ -220,7 +223,8 @@ def judged(make: Callable, settings: Mapping[str, tuple[object, int]], path: str
     for key, (value, key_line) in settings.items():
         with _at(path, key_line):
             make(**{key: value})
-    raise InputError(str(error), path, line) from None
+    with _at(path, line):
+        raise error
 
 
 def policy_params(section: Section, **overrides: float | None) -> PolicyParams:
@@ -295,25 +299,26 @@ def _unique_id(kind: str, id_: str, first_line: dict[str, int], line: int) -> st
     return id_
 
 
-def _rows(path: str | Path, expected: Sequence[str], optional: Sequence[str], each: Callable) -> None:
-    """Call ``each(line, cells)`` for each data row: the line the row starts on, then its
-    ``expected`` and ``optional`` cells. A ValueError from ``each`` names that line.
+def _rows(at: _at, expected: Sequence[str], optional: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """Yield the ``expected`` and ``optional`` cells of each data row of the CSV file
+    ``at.path``, with ``at.line`` set to the line the row starts on, so that a ValueError
+    raised under ``with at`` names that line.
 
     A quoted cell may span lines. An optional cell that the header or the row
     lacks reads "".
     """
-    reader = csv.reader(io.StringIO(read_input(path)))
-    start = 1  # the line the row being read starts on
+    reader = csv.reader(io.StringIO(read_input(at.path)))
+    at.line = 1
     try:
         header = next(reader, None)
         if header is None:
-            raise InputError("empty file (missing header)", str(path), 1)
+            raise ValueError("empty file (missing header)")
         missing = [c for c in expected if c not in header]
         if missing:
-            raise InputError(f"missing column(s): {', '.join(missing)}", str(path), 1)
+            raise ValueError(f"missing column(s): {', '.join(missing)}")
         repeated = [c for c in (*expected, *optional) if header.count(c) > 1]
         if repeated:
-            raise InputError(f"repeated column(s): {', '.join(repeated)}", str(path), 1)
+            raise ValueError(f"repeated column(s): {', '.join(repeated)}")
         width = 1 + max(header.index(c) for c in expected)
         # A row narrower than the columns read is padded with blanks, so a cell
         # past its end reads "". A column the header lacks reads the pad's last
@@ -322,49 +327,44 @@ def _rows(path: str | Path, expected: Sequence[str], optional: Sequence[str], ea
         blank = [""] * (1 + max(columns))
         pad_below = math.inf if -1 in columns else len(blank)
         cells_of = operator.itemgetter(*columns)
-        start = reader.line_num + 1
+        at.line = reader.line_num + 1
         for cells in reader:
             if len(cells) >= width:
                 if len(cells) < pad_below:
                     cells += blank
-                each(start, cells_of(cells))
+                yield cells_of(cells)
             elif cells:  # a short row, or one that an unterminated quote ran on into
                 empty = ", ".join(c for c in expected if header.index(c) >= len(cells))
-                raise InputError(f"row has no value for column(s): {empty}", str(path), start)
-            start = reader.line_num + 1
+                raise ValueError(f"row has no value for column(s): {empty}")
+            at.line = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise InputError(f"malformed CSV: {exc}", str(path), start) from None
-    except InputError:  # already names its file, such as a certificate a row names
-        raise
-    except ValueError as exc:
-        raise InputError(str(exc), str(path), start) from exc
+        raise ValueError(f"malformed CSV: {exc}") from None
 
 
 def read_pipelines_csv(path: str | Path) -> list[PipelineSpec]:
     """Columns: id, kind, expected_cost, eps_ret, eps_gen, eps_ver[, joint_error]."""
     pipelines = []
     first_line: dict[str, int] = {}
-
-    def row(line: int, cells: tuple[str, ...]) -> None:
-        id_, kind_raw, cost, eps_ret, eps_gen, eps_ver, joint_raw = cells
-        pipeline_id = _unique_id("pipeline", id_.strip(), first_line, line)
-        kind = _choice(PipelineKind, kind_raw.strip(), "pipeline kind")
-        joint_raw = joint_raw.strip()
-        pipelines.append(
-            PipelineSpec(
-                id=check_pipeline_id(pipeline_id),
-                kind=kind,
-                expected_cost=_number(cost, "expected_cost"),
-                errors=ComponentErrors(
-                    retrieval=_number(eps_ret, "eps_ret"),
-                    generation=_number(eps_gen, "eps_gen"),
-                    verification=_number(eps_ver, "eps_ver"),
-                ),
-                joint_error=_number(joint_raw, "joint_error") if joint_raw else None,
+    at = _at(path, 1)
+    with at:
+        columns = ("id", "kind", "expected_cost", "eps_ret", "eps_gen", "eps_ver")
+        for id_, kind_raw, cost, eps_ret, eps_gen, eps_ver, joint_raw in _rows(at, columns, ("joint_error",)):
+            pipeline_id = _unique_id("pipeline", id_.strip(), first_line, at.line)
+            kind = _choice(PipelineKind, kind_raw.strip(), "pipeline kind")
+            joint_raw = joint_raw.strip()
+            pipelines.append(
+                PipelineSpec(
+                    id=check_pipeline_id(pipeline_id),
+                    kind=kind,
+                    expected_cost=_number(cost, "expected_cost"),
+                    errors=ComponentErrors(
+                        retrieval=_number(eps_ret, "eps_ret"),
+                        generation=_number(eps_gen, "eps_gen"),
+                        verification=_number(eps_ver, "eps_ver"),
+                    ),
+                    joint_error=_number(joint_raw, "joint_error") if joint_raw else None,
+                )
             )
-        )
-
-    _rows(path, ("id", "kind", "expected_cost", "eps_ret", "eps_gen", "eps_ver"), ("joint_error",), row)
     return pipelines
 
 
@@ -376,19 +376,18 @@ def read_eval_records_csv(path: str | Path) -> dict[str, list[LossRecord]]:
     """
     sets: dict[str, list[LossRecord]] = {}
     parsed: dict[tuple[str, str], tuple[list[LossRecord], LossRecord]] = {}  # by cell pair
-
-    def row(line: int, cells: tuple[str, str]) -> None:
-        entry = parsed.get(cells)
-        if entry is None:
-            component, loss = cells
-            component = component.strip()
-            if component not in COMPONENTS:
-                raise ValueError(f"unknown component {component!r}")
-            record = LossRecord("", "", _number(loss, "loss"))
-            entry = parsed[cells] = (sets.setdefault(component, []), record)
-        entry[0].append(entry[1])
-
-    _rows(path, ("component", "loss"), (), row)
+    at = _at(path, 1)
+    with at:
+        for cells in _rows(at, ("component", "loss"), ()):
+            entry = parsed.get(cells)
+            if entry is None:
+                component, loss = cells
+                component = component.strip()
+                if component not in COMPONENTS:
+                    raise ValueError(f"unknown component {component!r}")
+                record = LossRecord("", "", _number(loss, "loss"))
+                entry = parsed[cells] = (sets.setdefault(component, []), record)
+            entry[0].append(entry[1])
     return sets
 
 
@@ -401,25 +400,23 @@ def read_propositions_csv(path: str | Path, pipelines: Mapping[str, PipelineSpec
     total_weight = 0.0
     sets: dict[str, tuple[PipelineSpec, ...]] = {}
     first_line: dict[str, int] = {}
-
-    def row(line: int, cells: tuple[str, ...]) -> None:
-        nonlocal total_weight
-        id_, description, weight, threshold, listed_raw = cells
-        prop_id = _unique_id("proposition", id_.strip(), first_line, line)
-        if not prop_id:
-            raise ValueError("a proposition needs a non-empty id")
-        description = _one_line(description.strip(), "description")
-        weight = _number(weight, "weight")
-        threshold = _number(threshold, "threshold")
-        propositions.append(Proposition(prop_id, description, weight, threshold))
-        total_weight = _require("salience weight total", total_weight + weight, 0)
-        listed = [p.strip() for p in listed_raw.split(";") if p.strip()]
-        unknown = [p for p in listed if p not in pipelines]
-        if unknown:
-            raise ValueError(f"proposition {prop_id!r} references unknown pipeline(s): {', '.join(unknown)}")
-        sets[prop_id] = tuple(pipelines[p] for p in listed)
-
-    _rows(path, ("id", "description", "weight", "threshold", "pipelines"), (), row)
+    at = _at(path, 1)
+    with at:
+        columns = ("id", "description", "weight", "threshold", "pipelines")
+        for id_, description, weight, threshold, listed_raw in _rows(at, columns, ()):
+            prop_id = _unique_id("proposition", id_.strip(), first_line, at.line)
+            if not prop_id:
+                raise ValueError("a proposition needs a non-empty id")
+            description = _one_line(description.strip(), "description")
+            weight = _number(weight, "weight")
+            threshold = _number(threshold, "threshold")
+            propositions.append(Proposition(prop_id, description, weight, threshold))
+            total_weight = _require("salience weight total", total_weight + weight, 0)
+            listed = [p.strip() for p in listed_raw.split(";") if p.strip()]
+            unknown = [p for p in listed if p not in pipelines]
+            if unknown:
+                raise ValueError(f"proposition {prop_id!r} references unknown pipeline(s): {', '.join(unknown)}")
+            sets[prop_id] = tuple(pipelines[p] for p in listed)
     return Docket(propositions=tuple(propositions), pipeline_sets=sets)
 
 
@@ -439,54 +436,54 @@ def read_executions_csv(
     # once: files repeat a few dozen triples, and a bad one fails at its first row.
     states: dict[tuple[str, str, str], tuple[bool, Verdict | None, AvoidanceEvidence]] = {}
     base = Path(path).parent
-
-    def row(line: int, cells: tuple[str, ...]) -> None:
-        prop_id, pipeline_id, executed, outcome, evidence, cert_raw, timestamp = cells
-        prop_id = prop_id.strip()
-        if prop_id not in known_propositions:
-            raise ValueError(f"execution references unknown proposition {prop_id!r}")
-        state = states.get((executed, outcome, evidence))
-        if state is None:
-            state = states[executed, outcome, evidence] = _execution_state(executed, outcome, evidence)
-        pipeline_id = pipeline_id.strip()
-        if pipeline_id not in pipelines:
-            check_pipeline_id(_one_line(pipeline_id, "pipeline id"))
-            raise ValueError(f"execution references unknown pipeline {pipeline_id!r}")
-        cert_raw = cert_raw.strip()
-        certificate = None
-        if cert_raw:
-            first_read = cert_raw not in certificates
-            if first_read:
-                cert_path = base / cert_raw  # an absolute cert_raw replaces base
-                if not cert_path.exists():
-                    raise ValueError(f"certificate file not found: {cert_raw}")
-                try:
-                    certificates[cert_raw] = read_certificate(cert_path)
-                except OSError as exc:
-                    raise ValueError(f"cannot read certificate {cert_raw}: {exc.strerror}") from None
-            certificate = certificates[cert_raw]
-            if certificate.pipeline_id != pipeline_id:
-                wrote = certificate.pipeline_id
-                raise ValueError(f"certificate {cert_raw} is for pipeline {wrote!r}, not {pipeline_id!r}")
-            if first_read:  # later rows naming this cell are for the same pipeline
-                # certify gives the synthetic n = 0 bound only to a component the
-                # kind lacks; on one it runs, it would count as error-free.
-                runs = pipelines[pipeline_id].kind.components
-                unvalidated = [
-                    c for c, b in zip(COMPONENTS, certificate.bounds) if b.synthetic and c in runs
-                ]
-                if unvalidated:
-                    raise ValueError(
-                        f"certificate {cert_raw} has no evaluation records (n = 0) for component(s) "
-                        f"{', '.join(unvalidated)}, which pipeline {pipeline_id!r} runs"
-                    )
-        ran, verdict, flag = state
-        records.append(
-            ExecutionRecord(pipeline_id, prop_id, ran, certificate, verdict, flag, timestamp.strip())
-        )
-
     columns = ("proposition_id", "pipeline_id", "executed", "outcome", "avoidance_evidence", "certificate")
-    _rows(path, columns, ("timestamp",), row)
+    at = _at(path, 1)
+    with at:
+        for prop_id, pipeline_id, executed, outcome, evidence, cert_raw, timestamp in _rows(
+            at, columns, ("timestamp",)
+        ):
+            prop_id = prop_id.strip()
+            if prop_id not in known_propositions:
+                raise ValueError(f"execution references unknown proposition {prop_id!r}")
+            state = states.get((executed, outcome, evidence))
+            if state is None:
+                state = states[executed, outcome, evidence] = _execution_state(executed, outcome, evidence)
+            pipeline_id = pipeline_id.strip()
+            if pipeline_id not in pipelines:
+                check_pipeline_id(_one_line(pipeline_id, "pipeline id"))
+                raise ValueError(f"execution references unknown pipeline {pipeline_id!r}")
+            cert_raw = cert_raw.strip()
+            certificate = None
+            if cert_raw:
+                first_read = cert_raw not in certificates
+                if first_read:
+                    cert_path = base / cert_raw  # an absolute cert_raw replaces base
+                    if not cert_path.exists():
+                        raise ValueError(f"certificate file not found: {cert_raw}")
+                    try:
+                        certificates[cert_raw] = read_certificate(cert_path)
+                    except OSError as exc:
+                        raise ValueError(f"cannot read certificate {cert_raw}: {exc.strerror}") from None
+                certificate = certificates[cert_raw]
+                if certificate.pipeline_id != pipeline_id:
+                    wrote = certificate.pipeline_id
+                    raise ValueError(f"certificate {cert_raw} is for pipeline {wrote!r}, not {pipeline_id!r}")
+                if first_read:  # later rows naming this cell are for the same pipeline
+                    # certify gives the synthetic n = 0 bound only to a component the
+                    # kind lacks; on one it runs, it would count as error-free.
+                    runs = pipelines[pipeline_id].kind.components
+                    unvalidated = [
+                        c for c, b in zip(COMPONENTS, certificate.bounds) if b.synthetic and c in runs
+                    ]
+                    if unvalidated:
+                        raise ValueError(
+                            f"certificate {cert_raw} has no evaluation records (n = 0) for component(s) "
+                            f"{', '.join(unvalidated)}, which pipeline {pipeline_id!r} runs"
+                        )
+            ran, verdict, flag = state
+            records.append(
+                ExecutionRecord(pipeline_id, prop_id, ran, certificate, verdict, flag, timestamp.strip())
+            )
     return records
 
 
