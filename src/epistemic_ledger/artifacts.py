@@ -54,6 +54,7 @@ from .validation import (
     check_delta,
     check_pipeline_id,
     check_sample_size,
+    check_timestamp,
     confidence_bound,
     lower_bound_score,
 )
@@ -428,7 +429,8 @@ def read_executions_csv(
 
     The ids of ``pipelines`` are taken as proven, as ``read_pipelines_csv`` gives
     them. A certificate must be for the row's pipeline and validate every
-    component that pipeline's kind runs.
+    component that pipeline's kind runs. A timestamp cell that is not blank must pass
+    ``check_timestamp``; a blank one leaves the execution undated.
     """
     records = []
     certificates: dict[str, ValidationCertificate] = {}  # by cell, so each file is read once
@@ -480,10 +482,11 @@ def read_executions_csv(
                             f"certificate {cert_raw} has no evaluation records (n = 0) for component(s) "
                             f"{', '.join(unvalidated)}, which pipeline {pipeline_id!r} runs"
                         )
+            timestamp = timestamp.strip()
+            if timestamp:
+                check_timestamp(timestamp)
             ran, verdict, flag = state
-            records.append(
-                ExecutionRecord(pipeline_id, prop_id, ran, certificate, verdict, flag, timestamp.strip())
-            )
+            records.append(ExecutionRecord(pipeline_id, prop_id, ran, certificate, verdict, flag, timestamp))
     return records
 
 

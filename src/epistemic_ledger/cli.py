@@ -262,9 +262,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     if args.summary:
         theta = scenario.policy.theta_c
+        # Tasks whose weights are all 0 have no capacity index, as in classify's report.
+        weighted = sum(task.weight for task in scenario.tasks) > 0
         text += "\n" + csv_text(
             "company,capacity,theta",
-            ((c, company_capacity(scenario, rows, c), theta) for c in ("legacy", "modern")),
+            (
+                (c, company_capacity(scenario, rows, c) if weighted else "none", theta)
+                for c in ("legacy", "modern")
+            ),
         )
     if args.export_corpus:
         corpus = generate_corpus(scenario, seed)

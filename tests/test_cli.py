@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from epistemic_ledger.artifacts import (
 )
 from epistemic_ledger.cli import main
 from epistemic_ledger.metrics import COMPONENTS, PipelineKind, PipelineSpec
-from epistemic_ledger.validation import BoundMethod, LossRecord, certify
+from epistemic_ledger.validation import BoundMethod, LossRecord, certify, check_timestamp
 
 from test_golden import GOLDEN, LEDGER_PROPOSITIONS, _ledger_argv
 from test_validation import loss_records
@@ -315,7 +316,10 @@ def _reference_executions(text, path, known, pipelines):
         cert = row["certificate"].strip()
         if cert and pipeline_id != _MODERN_CERT.pipeline_id:
             return where + f"certificate {cert} is for pipeline 'modern_actual', not {pipeline_id!r}"
+        timestamp = (row.get("timestamp") or "").strip()
         try:
+            if timestamp:
+                check_timestamp(timestamp)
             records.append(
                 doctrine.ExecutionRecord(
                     pipeline_id=pipeline_id,
@@ -324,7 +328,7 @@ def _reference_executions(text, path, known, pipelines):
                     certificate=_MODERN_CERT if cert else None,
                     outcome=doctrine.Verdict(outcome) if outcome else None,
                     avoidance_evidence=doctrine.AvoidanceEvidence(evidence),
-                    timestamp=(row.get("timestamp") or "").strip(),
+                    timestamp=timestamp,
                 )
             )
         except ValueError as exc:
@@ -363,7 +367,7 @@ _ANY_EXECUTION_ROW = st.builds(
     st.sampled_from(["", "established", "established", "Refuted"]),
     st.sampled_from(["", "none", "none", "shredded"]),
     st.sampled_from(["", "m.cert"]),
-    st.just(""),
+    st.sampled_from(["", "", "", "yesterday"]),
 )
 
 
@@ -819,6 +823,15 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "legacy,0.0000,0.7000" in out
         assert "modern,1.0000,0.7000" in out
+
+    def test_summary_of_tasks_weighted_0_has_no_capacity(self, tmp_path, capsys):
+        # As classify's [capacity] point reads none for a docket whose weights are all 0.
+        appendix_a = resources.files("epistemic_ledger.simlab").joinpath("data", "appendix_a.scenario")
+        path = write(tmp_path, "zero.scenario", appendix_a.read_text().replace("weight = 1.0", "weight = 0"))
+        assert main(["simulate", "--scenario", path, "--summary"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("\ncompany,capacity,theta\nlegacy,none,0.7000\nmodern,none,0.7000\n")
+        assert captured.err == ""
 
     def test_export_corpus(self, tmp_path, capsys):
         target = tmp_path / "corpus.tsv"

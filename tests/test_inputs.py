@@ -471,6 +471,13 @@ REJECTED = [
         2,
         "column 'executed' must be true or false, got 'yes'",
     ),
+    (
+        "executions",
+        EXECUTIONS_HEADER + "bid_independence,modern_actual,true,,none,,\n"
+        + "bid_independence,modern_actual,true,,none,, yesterday \n",
+        3,
+        "timestamp must be a date or date-time as isoformat() writes it, got 'yesterday'",
+    ),
     ("scenario", APPENDIX_A + "[corpus]\n", APPENDIX_A.count("\n") + 1, "duplicate section [corpus]"),
     ("policy", "tau_star = 10.0\n = 1\n", 2, "empty key"),
     *(
@@ -502,8 +509,8 @@ REJECTED = [
     ),
 ]
 REJECTED_IDS = [
-    "records-loss-range", "executions-executed", "scenario-duplicate-section", "policy-empty-key",
-    "scenario-empty-task-id", "scenario-blank-task-id", "scenario-padded-task-id",
+    "records-loss-range", "executions-executed", "executions-timestamp", "scenario-duplicate-section",
+    "policy-empty-key", "scenario-empty-task-id", "scenario-blank-task-id", "scenario-padded-task-id",
     "scenario-empty-query", "scenario-stopword-query", "propositions-weight-total",
     "propositions-empty-id", "propositions-blank-id",
 ]
@@ -751,7 +758,10 @@ def test_padded_and_mixed_case_execution_cells_read_as_their_plain_form(tmp_path
     plain = ["true,refuted,none", "true,refuted,none", "true,refuted,suppressed_query", "false,,none"]
 
     def read(name, states):
-        rows = "".join(f"bid_independence,modern_actual,{state},,t{i}\n" for i, state in enumerate(states * 8))
+        rows = "".join(
+            f"bid_independence,modern_actual,{state},,2026-01-01T00:00:{i:02d}\n"
+            for i, state in enumerate(states * 8)
+        )
         return read_executions_csv(write(tmp_path, name, EXECUTIONS_HEADER + rows), known, pipelines)
 
     records = read("padded.csv", padded)

@@ -128,6 +128,11 @@ def test_ledger_commands_and_timestamp_rule_match_this_python(python, tmp_path, 
     here = {name: [main(argv), capsys.readouterr().err] for name, argv in refused.items()}
     assert here["certify-refused"][0] == 3
     assert all(code == 1 for name, (code, _) in here.items() if name != "certify-refused")
+    # Each refused file names its line, a bad execution timestamp among them.
+    assert "executions-timestamp" in here
+    for (kind, _, line, message), name in zip(REJECTED, REJECTED_IDS):
+        if kind != "scenario":
+            assert f":{line}: {message}" in here[name][1]
     job = {
         "source": str(Path(epistemic_ledger.__file__).parents[1]),
         "commands": _ledger_argv(tmp_path, capsys),
