@@ -73,8 +73,8 @@ class InputError(ValueError):
 
 
 class _at:
-    """Re-raise a plain ValueError from the block as an InputError at path:line: the one
-    place that attaches a line to one. ``line`` may move while the block runs, as ``_rows``
+    """Re-raise a plain ValueError from the block as an InputError at path:line; no other
+    code turns one into the other. ``line`` may move while the block runs, as ``_rows``
     moves it from row to row.
 
     A class, not a generator: it costs a quarter as much, and ``Section`` enters it per key."""
@@ -346,9 +346,9 @@ def read_pipelines_csv(path: str | Path) -> list[PipelineSpec]:
     """Columns: id, kind, expected_cost, eps_ret, eps_gen, eps_ver[, joint_error]."""
     pipelines = []
     first_line: dict[str, int] = {}
+    columns = ("id", "kind", "expected_cost", "eps_ret", "eps_gen", "eps_ver")
     at = _at(path, 1)
     with at:
-        columns = ("id", "kind", "expected_cost", "eps_ret", "eps_gen", "eps_ver")
         for id_, kind_raw, cost, eps_ret, eps_gen, eps_ver, joint_raw in _rows(at, columns, ("joint_error",)):
             pipeline_id = _unique_id("pipeline", id_.strip(), first_line, at.line)
             kind = _choice(PipelineKind, kind_raw.strip(), "pipeline kind")
@@ -401,9 +401,9 @@ def read_propositions_csv(path: str | Path, pipelines: Mapping[str, PipelineSpec
     total_weight = 0.0
     sets: dict[str, tuple[PipelineSpec, ...]] = {}
     first_line: dict[str, int] = {}
+    columns = ("id", "description", "weight", "threshold", "pipelines")
     at = _at(path, 1)
     with at:
-        columns = ("id", "description", "weight", "threshold", "pipelines")
         for id_, description, weight, threshold, listed_raw in _rows(at, columns, ()):
             prop_id = _unique_id("proposition", id_.strip(), first_line, at.line)
             if not prop_id:
