@@ -94,16 +94,8 @@ def _retrieve(scenario: SimScenario, corpus: Corpus) -> list[_Retrieval]:
     retrievals = []
     for task in scenario.tasks:
         ground_truth = corpus.ground_truth_ids(task.id)
-        keyword = keyword_search(corpus, task.keywords, scenario.c_per_doc, time_scale=task.legacy_time_scale)
-        semantic = semantic_search(
-            corpus,
-            task.concept_query,
-            scenario.retrieval_k,
-            scenario.modern_a,
-            scenario.modern_b,
-            synonyms,
-            time_scale=task.modern_time_scale,
-        )
+        keyword = keyword_search(corpus, task.keywords, scenario, time_scale=task.legacy_time_scale)
+        semantic = semantic_search(corpus, task.concept_query, scenario, synonyms, time_scale=task.modern_time_scale)
         for company, (hits, cost) in ((LEGACY, keyword), (MODERN, semantic)):
             retrievals.append(
                 _Retrieval(task, company, hits, cost, ground_truth, ground_truth <= set(hits))

@@ -1,12 +1,13 @@
 """The two firms' retrieval procedures and the simulated verifier.
 
-Keyword search scans every document for literal phrase matches at linear
-cost; semantic search ranks documents by cosine similarity of hashed
-embeddings at logarithmic cost. Each returns its hits and the cost its
-scenario cost model gives, without jitter: the hits depend only on the
-corpus and the query, so the runner searches once per corpus and multiplies
-the cost by a fresh jitter factor in each run. Retrieval error for a
-task is 1 when any ground-truth document is missed, else 0.
+Keyword search scans every document for literal phrase matches at the
+scenario's linear ``legacy_cost``; semantic search ranks documents by cosine
+similarity of hashed embeddings, keeps the ``retrieval_k`` best, and costs
+the logarithmic ``modern_cost``. Each returns its hits and that cost at the
+task's time scale, without jitter: the hits depend only on the corpus and
+the query, so the runner searches once per corpus and multiplies the cost by
+a fresh jitter factor in each run. A task's retrieval error is 1 when any
+ground-truth document is missed, else 0.
 
 Both searches read the corpus index (see ``corpus``), built on a corpus's
 first search and reused by every later one: the keyword scan finds each
@@ -21,20 +22,20 @@ until the trace moves into the package.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..doctrine import Verdict
-from ..metrics import _count, _require
+from ..metrics import _require
 from .corpus import Corpus, Document, embed
+from .scenario import SimScenario
 
 
 def keyword_search(
     corpus: Corpus,
     keywords: Sequence[str],
-    c_per_doc: float,
+    scenario: SimScenario,
     *,
     time_scale: float = 1.0,
 ) -> tuple[tuple[str, ...], float]:
@@ -43,36 +44,28 @@ def keyword_search(
         raise ValueError("keyword_search requires a non-empty keyword list")
     rows = sorted(set().union(*map(corpus.rows_containing, keywords)))
     hits = tuple(corpus.documents[row].id for row in rows)
-    return hits, c_per_doc * len(corpus) * time_scale
+    return hits, scenario.legacy_cost(len(corpus)) * time_scale
 
 
 def document_matches(doc: Document, phrase: str) -> bool:
     """Whether ``keyword_search`` for the phrase hits the document."""
-    return bool(keyword_search(Corpus((doc,)), [phrase], 0.0)[0])
+    return bool(Corpus((doc,)).rows_containing(phrase))
 
 
 def semantic_search(
     corpus: Corpus,
     concept_query: str,
-    k: int,
-    a: float,
-    b: float,
+    scenario: SimScenario,
     synonyms: Mapping[str, Sequence[str]] | None = None,
     *,
     time_scale: float = 1.0,
 ) -> tuple[tuple[str, ...], float]:
-    """Exact top-k by cosine similarity (ties by id): (hit ids, seconds).
-
-    Simulated cost is a + b * ln(corpus size); k is clamped to the corpus
-    size.
-    """
-    _count("k", k, 1)
-    k = min(k, len(corpus))
+    """Exact top-``retrieval_k`` by cosine similarity (ties by id; all, in a smaller corpus): (hit ids, seconds)."""
     query_vec = embed(concept_query, synonyms)
     scores = corpus.hashed_rows(synonyms).dot(query_vec)
     ranked = np.lexsort((corpus.id_ranks, -scores))
-    hits = tuple(corpus.documents[i].id for i in ranked[:k])
-    return hits, (a + b * math.log(len(corpus))) * time_scale
+    hits = tuple(corpus.documents[i].id for i in ranked[: min(scenario.retrieval_k, len(corpus))])
+    return hits, scenario.modern_cost(len(corpus), time_scale)
 
 
 def _flip(verdict: Verdict) -> Verdict:

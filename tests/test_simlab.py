@@ -341,7 +341,7 @@ class TestEmbed:
         assert embed("market harmony memo", LIST_SYNONYMS).tobytes() == embed("market harmony memo", SYNONYMS).tobytes()
         corpus = generate_corpus(SCENARIO, seed=42)
         for task in SCENARIO.tasks:
-            hits = [semantic_search(corpus, task.concept_query, 5, 0.41, 0.40, table)[0] for table in (LIST_SYNONYMS, SYNONYMS)]
+            hits = [semantic_search(corpus, task.concept_query, SCENARIO, table)[0] for table in (LIST_SYNONYMS, SYNONYMS)]
             assert hits[0] == hits[1]
 
     def test_a_string_synonym_value_is_refused_naming_its_phrase(self):
@@ -349,7 +349,7 @@ class TestEmbed:
         corpus = generate_corpus(SCENARIO, seed=42)
         searches = [
             lambda: embed("market harmony memo", table),
-            lambda: semantic_search(corpus, "price fixing", 5, 0.41, 0.40, table),
+            lambda: semantic_search(corpus, "price fixing", SCENARIO, table),
         ]
         for search_with_table in searches:
             with pytest.raises(ValueError, match="synonym phrase 'market harmony' maps to the string 'price'"):
@@ -361,23 +361,23 @@ class TestKeywordSearch:
 
     def test_literal_keywords_hit_ground_truth(self):
         task = SCENARIO.tasks[0]  # literal ground truth
-        hits, cost = keyword_search(self.CORPUS, task.keywords, SCENARIO.c_per_doc)
+        hits, cost = keyword_search(self.CORPUS, task.keywords, SCENARIO)
         assert self.CORPUS.ground_truth_ids(task.id) <= set(hits)
         assert cost == pytest.approx(SCENARIO.c_per_doc * 62)
 
     def test_euphemistic_ground_truth_missed(self):
         task = SCENARIO.tasks[2]  # regional_pricing, euphemism ground truth
-        hits, _ = keyword_search(self.CORPUS, task.keywords, SCENARIO.c_per_doc)
+        hits, _ = keyword_search(self.CORPUS, task.keywords, SCENARIO)
         assert not (self.CORPUS.ground_truth_ids(task.id) & set(hits))
 
     def test_empty_keywords_rejected(self):
         with pytest.raises(ValueError):
-            keyword_search(self.CORPUS, [], SCENARIO.c_per_doc)
+            keyword_search(self.CORPUS, [], SCENARIO)
 
     def test_phrase_must_match_contiguously(self):
         # "rate failure" reverses the phrase tokens; nothing should match it
         # even though both words appear in the ground-truth documents.
-        hits, _ = keyword_search(self.CORPUS, ["rate failure"], SCENARIO.c_per_doc)
+        hits, _ = keyword_search(self.CORPUS, ["rate failure"], SCENARIO)
         assert hits == ()
 
 
@@ -386,32 +386,17 @@ class TestSemanticSearch:
 
     def test_finds_ground_truth_for_every_task(self):
         for task in SCENARIO.tasks:
-            hits, cost = semantic_search(
-                self.CORPUS,
-                task.concept_query,
-                SCENARIO.retrieval_k,
-                SCENARIO.modern_a,
-                SCENARIO.modern_b,
-                SYNONYMS,
-            )
+            hits, cost = semantic_search(self.CORPUS, task.concept_query, SCENARIO, SYNONYMS)
             assert self.CORPUS.ground_truth_ids(task.id) <= set(hits)
             assert cost == pytest.approx(SCENARIO.modern_a + SCENARIO.modern_b * math.log(62))
 
     def test_k_equal_corpus_returns_all(self):
-        hits, _ = semantic_search(
-            self.CORPUS, "anything at all", 62, 0.41, 0.40, SYNONYMS
-        )
+        hits, _ = semantic_search(self.CORPUS, "anything at all", dataclasses.replace(SCENARIO, retrieval_k=62), SYNONYMS)
         assert len(hits) == 62
 
     def test_k_above_corpus_clamped(self):
-        hits, _ = semantic_search(
-            self.CORPUS, "anything at all", 500, 0.41, 0.40, SYNONYMS
-        )
+        hits, _ = semantic_search(self.CORPUS, "anything at all", dataclasses.replace(SCENARIO, retrieval_k=500), SYNONYMS)
         assert len(hits) == 62
-
-    def test_k_zero_rejected(self):
-        with pytest.raises(ValueError):
-            semantic_search(self.CORPUS, "x", 0, 0.41, 0.40, SYNONYMS)
 
 
 class TestSimulatedVerifier:
@@ -476,6 +461,22 @@ class TestRunDocket:
 
     def test_deterministic(self):
         assert run_docket(SCENARIO) == self.ROWS
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [SCENARIO, dataclasses.replace(SCENARIO, c_per_doc=0.0371, modern_b=1.25)],
+        ids=["packaged", "edited-costs"],
+    )
+    def test_each_time_is_the_scenarios_cost_model(self, scenario):
+        # The docket's times come from the same two cost models as the sweeps.
+        tasks = {task.id: task for task in scenario.tasks}
+        n = scenario.corpus_size
+        for row in run_docket(scenario):
+            task = tasks[row.task_id]
+            if row.company == LEGACY:
+                assert row.simulated_time == scenario.legacy_cost(n) * task.legacy_time_scale
+            else:
+                assert row.simulated_time == scenario.modern_cost(n, task.modern_time_scale)
 
     def test_capacities(self):
         assert company_capacity(SCENARIO, self.ROWS, MODERN) == 1.0
@@ -659,9 +660,10 @@ class TestCorpusIndex:
     @pytest.mark.parametrize("size", [62, 2000])
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_semantic_hits_equal_brute_force(self, seed, size):
-        corpus = generate_corpus(dataclasses.replace(SCENARIO, corpus_size=size), seed=seed)
+        scenario = dataclasses.replace(SCENARIO, corpus_size=size, retrieval_k=size)
+        corpus = generate_corpus(scenario, seed=seed)
         for task in SCENARIO.tasks:
-            hits, _ = semantic_search(corpus, task.concept_query, size, 0.41, 0.40, SYNONYMS)
+            hits, _ = semantic_search(corpus, task.concept_query, scenario, SYNONYMS)
             assert hits == _reference_semantic(corpus, task.concept_query, SYNONYMS)
 
     @pytest.mark.parametrize(
@@ -680,14 +682,14 @@ class TestCorpusIndex:
     )
     def test_keyword_hits_equal_per_document_scan(self, keywords):
         corpus = generate_corpus(dataclasses.replace(SCENARIO, corpus_size=300), seed=3)
-        hits, _ = keyword_search(corpus, keywords, SCENARIO.c_per_doc)
+        hits, _ = keyword_search(corpus, keywords, SCENARIO)
         assert hits == _reference_keyword(corpus, keywords)
 
     def test_punctuation_only_keyword_matches_nothing(self):
         # Not even a document that has no tokens either.
         docs = generate_corpus(SCENARIO, seed=42).documents[:3]
         corpus = Corpus(docs + (Document("doc-blank", "!!! --", frozenset(), frozenset()),))
-        hits, _ = keyword_search(corpus, ["...", " "], SCENARIO.c_per_doc)
+        hits, _ = keyword_search(corpus, ["...", " "], SCENARIO)
         assert hits == _reference_keyword(corpus, ["...", " "]) == ()
 
     def test_monte_carlo_embeds_each_document_once(self, monkeypatch):
@@ -731,9 +733,10 @@ class TestCorpusIndex:
 
     def test_searches_return_the_unjittered_cost(self):
         corpus = generate_corpus(SCENARIO, seed=42)
-        _, cost = keyword_search(corpus, ["price fixing"], 0.003, time_scale=1.7)
+        scenario = dataclasses.replace(SCENARIO, c_per_doc=0.003, modern_a=0.41, modern_b=0.40)
+        _, cost = keyword_search(corpus, ["price fixing"], scenario, time_scale=1.7)
         assert cost == 0.003 * len(corpus) * 1.7
-        _, cost = semantic_search(corpus, "price fixing", 5, 0.41, 0.40, SYNONYMS, time_scale=0.6)
+        _, cost = semantic_search(corpus, "price fixing", scenario, SYNONYMS, time_scale=0.6)
         assert cost == (0.41 + 0.40 * math.log(len(corpus))) * 0.6
 
     def test_index_is_kept_per_synonym_table(self):
@@ -863,14 +866,14 @@ class TestJoinedTokenText:
     )
     def test_scans_and_rows_equal_the_per_document_references(self, texts, keywords, synonyms):
         corpus = _corpus_of(texts)
-        hits, _ = keyword_search(corpus, keywords, 1.0)
+        hits, _ = keyword_search(corpus, keywords, SCENARIO)
         assert hits == _reference_keyword(corpus, keywords)
         assert _rows_or_error(corpus, synonyms) == _reference_rows_or_error(corpus, synonyms)
 
     def test_a_phrase_across_two_documents_hits_neither(self):
         corpus = _corpus_of(["records show price", "fixing across regions", "price fixing"])
-        assert keyword_search(corpus, ["price fixing"], 1.0)[0] == ("doc-0002",)
-        assert keyword_search(corpus, ["show price fixing across"], 1.0)[0] == ()
+        assert keyword_search(corpus, ["price fixing"], SCENARIO)[0] == ("doc-0002",)
+        assert keyword_search(corpus, ["show price fixing across"], SCENARIO)[0] == ()
         synonyms = {"price fixing": ("cartel",)}
         assert corpus.rows_containing("price fixing") == [2]
         _assert_rows_equal_dense_embeddings(corpus, synonyms)
