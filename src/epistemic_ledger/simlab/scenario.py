@@ -114,6 +114,7 @@ class SimScenario:
                 raise ValueError(f"duplicate task id {task.id!r}")
             ids.add(task.id)
             _claim_phrases(owners, task)
+        _require("salience weight total", sum(task.weight for task in self.tasks), 0)
 
     def min_corpus_size(self) -> int:
         return self.ground_truth_per_task * len(self.tasks)
@@ -212,17 +213,21 @@ def _task(sec: Section, owners: dict[str, str]) -> TaskSpec:
 def parse_scenario(text: str, path: str = "<scenario>") -> SimScenario:
     """Build a scenario; a key left out keeps the SimScenario or TaskSpec default.
 
-    An unknown section or key is rejected at its line. A broken rule names the
-    first key whose value alone, over the defaults, breaks a rule, with that
-    rule's message at the key's line; else the message of all keys together
-    at line 0.
+    An unknown section or key is rejected at its line, and so is the
+    ``[task.<id>]`` line at which the tasks' running weight total overflows.
+    A broken rule names the first key whose value alone, over the defaults,
+    breaks a rule, with that rule's message at the key's line; else the
+    message of all keys together at line 0.
     """
     settings: dict[str, tuple[object, int]] = {}  # SimScenario field -> (value, line)
     tasks = []
     owners: dict[str, str] = {}  # euphemism phrase -> the task that lists it
+    total_weight = 0.0
     for name, sec in parse_sections(text, path).items():
         if name.startswith("task."):
             tasks.append(_task(sec, owners))
+            with _at(path, sec.line):
+                total_weight = _require("salience weight total", total_weight + tasks[-1].weight, 0)
         elif name == "policy":
             settings["policy"] = (policy_params(sec), sec.line)
         elif name in _SECTIONS:

@@ -343,6 +343,14 @@ def test_a_task_id_twice_in_a_scenario_built_in_code_is_rejected():
         replace(scenario, tasks=scenario.tasks + (twin,))
 
 
+def test_a_weight_total_past_float_range_in_a_scenario_built_in_code_is_rejected():
+    # Each weight is finite; their total is not, and would leave no capacity index.
+    scenario = default_scenario()
+    heavy = tuple(replace(task, weight=1e308) for task in scenario.tasks)
+    with pytest.raises(ValueError, match=r"^salience weight total must be >= 0, got inf$"):
+        replace(scenario, tasks=heavy)
+
+
 @pytest.mark.parametrize(
     "name, text, key",
     [
@@ -496,6 +504,11 @@ REJECTED = [
         for query in ("", "the of and")
     ),
     (
+        "scenario", APPENDIX_A.replace("\nweight = 1.0\n", "\nweight = 1e308\n"),
+        line_of(APPENDIX_A, "[task.screening_bias]"),  # the second task: 1e308 + 1e308 is inf
+        "salience weight total must be >= 0, got inf",
+    ),
+    (
         "propositions",
         "id,description,weight,threshold,pipelines\n"
         + "".join(f"p{i},d,1e308,0.5,modern_actual\n" for i in range(3)),
@@ -511,7 +524,7 @@ REJECTED = [
 REJECTED_IDS = [
     "records-loss-range", "executions-executed", "executions-timestamp", "scenario-duplicate-section",
     "policy-empty-key", "scenario-empty-task-id", "scenario-blank-task-id", "scenario-padded-task-id",
-    "scenario-empty-query", "scenario-stopword-query", "propositions-weight-total",
+    "scenario-empty-query", "scenario-stopword-query", "scenario-weight-total", "propositions-weight-total",
     "propositions-empty-id", "propositions-blank-id",
 ]
 
