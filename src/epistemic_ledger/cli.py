@@ -247,7 +247,7 @@ def monte_carlo(
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .simlab import company_capacity, export_corpus, generate_corpus, run_docket
+    from .simlab import LEGACY, MODERN, company_capacity, export_corpus, generate_corpus, run_docket
 
     scenario = load_scenario(args.scenario)
     seed = _resolve_seed(args, scenario)
@@ -266,10 +266,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         weighted = sum(task.weight for task in scenario.tasks) > 0
         text += "\n" + csv_text(
             "company,capacity,theta",
-            (
-                (c, company_capacity(scenario, rows, c) if weighted else "none", theta)
-                for c in ("legacy", "modern")
-            ),
+            ((c, company_capacity(scenario, rows, c) if weighted else "none", theta) for c in (LEGACY, MODERN)),
         )
     if args.export_corpus:
         corpus = generate_corpus(scenario, seed)
