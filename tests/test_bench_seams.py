@@ -41,3 +41,28 @@ def test_benchmark_counters_see_classify(tmp_path, capsys, monkeypatch):
     # call per certificate listed.
     assert rec.counts["validation.lower_bound_score.calls"] == 10
     assert rec.counts["metrics.pipeline_score.calls"] == 4  # one per row of the pipelines file
+
+
+def test_benchmark_counters_see_the_simulation(capsys, monkeypatch):
+    # The bench reads each search's corpus and concept query from its first two
+    # arguments and its hits from the result; the packaged scenario's Monte Carlo
+    # pins what it sees: 4 tasks over 62 documents, 2 ground-truth documents each.
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    import layers
+    from spans import Recorder
+
+    from epistemic_ledger.simlab import default_scenario
+
+    concept_tasks = {task.concept_query: task.id for task in default_scenario().tasks}
+    rec = Recorder()
+    _, undo = layers.install(rec, concept_tasks)
+    try:
+        assert cli.main(["sweep", "montecarlo", "--runs", "2"]) == 0
+    finally:
+        undo()
+    capsys.readouterr()
+    assert rec.counts["simlab.search.keyword.docs_scanned"] == 248
+    assert rec.counts["simlab.search.semantic.gt"] == 8
+    assert rec.counts["simlab.search.semantic.gt_found"] == 8
+    assert rec.counts["simlab.runner.dockets"] == 2
