@@ -60,7 +60,7 @@ def semantic_search(
     *,
     time_scale: float = 1.0,
 ) -> tuple[tuple[str, ...], float]:
-    """Exact top-``retrieval_k`` by cosine similarity (ties by id; all, in a smaller corpus): (hit ids, seconds)."""
+    """Exact top ``retrieval_k`` (all of a smaller corpus) by cosine similarity, ties by id: (hit ids, seconds)."""
     query_vec = embed(concept_query, synonyms)
     scores = corpus.hashed_rows(synonyms).dot(query_vec)
     ranked = np.lexsort((corpus.id_ranks, -scores))
