@@ -36,6 +36,7 @@ from epistemic_ledger.simlab import (
     monte_carlo,
     run_docket,
     scalability_sweep,
+    semantic_search,
     sensitivity_sweep,
     simulated_verifier,
 )
@@ -542,6 +543,11 @@ RANGES = [
     ("penalized_select.lam", lambda v: penalized_select([ZERO], DATA, PLAN, v), -1e-9),
     ("plug_in_test.theta_c", lambda v: plug_in_test(CERT, v, 10.0), 1.0),
     ("negligence_test.capacity", lambda v: negligence_test(v, 0.7), 1 + 1e-9),
+    (
+        "semantic_search.k",
+        lambda v: semantic_search(generate_corpus(SCENARIO, 1), "q", replace(SCENARIO, retrieval_k=v)),
+        0,
+    ),
     (
         "simulated_verifier.eps_ver",
         lambda v: simulated_verifier(("d",), frozenset({"d"}), Verdict.ESTABLISHED, v, np.random.default_rng(1)),

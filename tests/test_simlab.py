@@ -398,6 +398,10 @@ class TestSemanticSearch:
         hits, _ = semantic_search(self.CORPUS, "anything at all", dataclasses.replace(SCENARIO, retrieval_k=500), SYNONYMS)
         assert len(hits) == 62
 
+    def test_k_zero_rejected(self):
+        with pytest.raises(ValueError):
+            semantic_search(self.CORPUS, "x", dataclasses.replace(SCENARIO, retrieval_k=0), SYNONYMS)
+
 
 class TestSimulatedVerifier:
     GT = frozenset({"doc-0000"})
