@@ -891,6 +891,19 @@ class TestSweep:
             main(["sweep", "sensitivity", "--eps-grid", "0:2:0.1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sensitivity", "--eps-grid", "0:1"], "expected START:STOP:STEP, e.g. 0:0.5:0.01"),
+            (["scalability", "--sizes", "100,60"], "sizes must be non-empty and ascending"),
+        ],
+    )
+    def test_malformed_grid_or_sizes_is_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"{argv[1]}: {message}\n")
+
     def test_sensitivity_takes_no_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "sensitivity", "--seed", "5"])

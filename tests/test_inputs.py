@@ -41,14 +41,14 @@ MINIMAL_TASK = (
 )
 
 
-def certificate_text() -> str:
+def certificate_text(losses=(0.0, 1.0, 0.0, 0.0), cost=2.06) -> str:
     pipeline = PipelineSpec(id="pi", kind=PipelineKind.FULL, expected_cost=2.06)
     sets = {
-        slot: loss_records([0.0, 1.0, 0.0, 0.0])
+        slot: loss_records(losses)
         for slot in ("retrieval", "generation", "verification")
     }
     cert = certify(
-        pipeline, sets, measured_cost=2.06, delta=0.05,
+        pipeline, sets, measured_cost=cost, delta=0.05,
         method=BoundMethod.WILSON, timestamp="2026-01-01T00:00:00+00:00",
     )
     return certificate_to_text(cert)
@@ -158,6 +158,21 @@ def test_certificate_number_out_of_range_names_its_line(tmp_path, key, value):
     text = replace_line(certificate_text(), f"{key} =", f"{key} = {value}")
     with pytest.raises(InputError, match=rf"r\.cert:{line_of(text, f'{key} =')}: "):
         read_certificate(write(tmp_path, "r.cert", text))
+
+
+def test_unknown_certificate_method_names_its_line(tmp_path):
+    text = replace_line(certificate_text(), "ret_method", "ret_method = wilsn")
+    with pytest.raises(InputError, match=r"m\.cert:8: unknown bound method 'wilsn'$"):
+        read_certificate(write(tmp_path, "m.cert", text))
+
+
+@pytest.mark.parametrize("key, value", [("ret_n", "01"), ("ret_n", "+1"), ("measured_cost", "1")])
+def test_certificate_number_written_another_way_loads(tmp_path, key, value):
+    # One record per component at cost 1.0: certify writes ret_n = 1 and measured_cost = 1.0.
+    text = certificate_text(losses=[0.0], cost=1.0)
+    edited = replace_line(text, f"{key} =", f"{key} = {value}")
+    assert edited != text
+    assert certificate_to_text(read_certificate(write(tmp_path, "n.cert", edited))) == text
 
 
 def test_unknown_certificate_key_names_its_line(tmp_path):
@@ -520,12 +535,32 @@ REJECTED = [
          "a proposition needs a non-empty id")
         for cell in ("", " ")
     ),
+    ("scenario", APPENDIX_A.replace("truth = established", "truth = maybe"), 39,
+     "unknown truth (established or refuted) 'maybe'"),
+    # TaskSpec's rules, broken in the first task (line 36) or the second (line 50).
+    *(
+        ("scenario", APPENDIX_A.replace(old, new, 1), line, message)
+        for old, new, line, message in [
+            ("ground_truth = literal", "ground_truth = neither", 36,
+             "task bid_independence: ground_truth must be literal or euphemism, got 'neither'"),
+            ("truth = established", "truth = inconclusive", 36,
+             "task bid_independence: truth must be established or refuted"),
+            ("literal_phrases = bid correlation audit, independent bidding", "literal_phrases =", 36,
+             "task bid_independence: literal ground truth needs literal_phrases"),
+            ("euphemism_phrases = culture fit filtering, profile consistency screen", "euphemism_phrases =", 50,
+             "task screening_bias: euphemism ground truth needs euphemism_phrases"),
+            ("keywords = bid correlation audit, independent bidding", "keywords = ,", 36,
+             "task bid_independence: keyword list must be non-empty"),
+        ]
+    ),
 ]
 REJECTED_IDS = [
     "records-loss-range", "executions-executed", "executions-timestamp", "scenario-duplicate-section",
     "policy-empty-key", "scenario-empty-task-id", "scenario-blank-task-id", "scenario-padded-task-id",
     "scenario-empty-query", "scenario-stopword-query", "scenario-weight-total", "propositions-weight-total",
-    "propositions-empty-id", "propositions-blank-id",
+    "propositions-empty-id", "propositions-blank-id", "scenario-unknown-truth", "scenario-task-ground-truth",
+    "scenario-task-inconclusive-truth", "scenario-task-no-literal-phrases", "scenario-task-no-euphemism-phrases",
+    "scenario-task-no-keywords",
 ]
 
 

@@ -554,6 +554,10 @@ class TestScalability:
         with pytest.raises(ValueError):
             scalability_sweep(SCENARIO, [100, 60])
 
+    def test_sizes_must_be_given(self):
+        with pytest.raises(ValueError, match="^scalability_sweep requires at least one size$"):
+            scalability_sweep(SCENARIO, [])
+
     @pytest.mark.parametrize("size", [100.5, 100.0])
     def test_sizes_must_be_integers(self, size):
         with pytest.raises(ValueError, match=f"corpus_size must be an integer, got {size}"):
@@ -582,6 +586,10 @@ class TestSensitivity:
     def test_grid_validated(self):
         with pytest.raises(ValueError):
             sensitivity_sweep(SCENARIO, [0.2, 1.5])
+
+    def test_grid_must_be_given(self):
+        with pytest.raises(ValueError, match="^sensitivity_sweep requires a non-empty grid$"):
+            sensitivity_sweep(SCENARIO, [])
 
 
 class TestScenarioParsing:

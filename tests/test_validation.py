@@ -620,6 +620,11 @@ class TestCvRisk:
         with pytest.raises(ValueError, match=re.escape(message)):
             cv_risk(data, FoldPlan("manual", (fold,)), candidate)
 
+    def test_plan_with_no_folds_is_refused(self):
+        candidate = ModelCandidate("const", constant_trainer(True), complexity=0.0)
+        with pytest.raises(ValueError, match="^fold plan has no folds$"):
+            cv_risk([(0, True)], FoldPlan("x", ()), candidate)
+
     @pytest.mark.parametrize(
         "strategy, keys",
         [(KFold(4, shuffle_seed=2), None), (Grouped(3), "aabbcddeef"), (RollingWindow(4, 2, 3), None)],
