@@ -152,22 +152,18 @@ class Section:
             if key not in known:
                 self._fail(f"unknown {what} {key!r}", line)
 
-    def text(self, key: str, default: str | None = None) -> str:
+    def text(self, key: str, default: str | None = None, to: Callable = lambda text: text):
+        """``key``'s text passed through ``to``, whose ValueError names ``key``'s line; or, if
+        ``key`` is absent, a ``default`` other than None, as given."""
         if default is not None and key not in self.values:
             return default
-        return self.raw(key)[0]
+        value, line = self.raw(key)
+        with _at(self.path, line):
+            return to(value)
 
     def number(self, key: str, cast: type = float, to: Callable = lambda number: number):
-        """``key``'s finite number passed through ``to``; a ValueError names ``key``'s line."""
-        value, line = self.raw(key)
-        with _at(self.path, line):
-            return to(_number(value, key, cast))
-
-    def choice(self, key: str, kind: type, what: str):
-        """``key``'s value as a member of the enum ``kind``, or an error at ``key``'s line."""
-        value, line = self.raw(key)
-        with _at(self.path, line):
-            return _choice(kind, value, what)
+        """``key``'s text read by ``_number`` as a finite ``cast``, then passed through ``to``."""
+        return self.text(key, to=lambda value: to(_number(value, key, cast)))
 
 
 def parse_sections(text: str, path: str, *, flat: bool = False) -> dict[str, Section]:
@@ -505,11 +501,6 @@ def _execution_state(
 
 
 _PREFIXES = ("ret", "gen", "ver")  # the certificate key prefix of each of COMPONENTS
-# The keys certificate_to_text writes that read_certificate derives from the rest.
-_DERIVED = frozenset(
-    ["total_upper", "sample_sizes", "union_delta"]
-    + [f"{prefix}_{key}" for prefix in _PREFIXES for key in ("upper", "delta", "synthetic")]
-)
 
 
 def _certificate_items(cert: ValidationCertificate) -> list[tuple[str, object]]:
@@ -563,15 +554,16 @@ def read_certificate(path: str | Path) -> ValidationCertificate:
 def _rebuild(cert: Section) -> ValidationCertificate:
     """Rebuild a certificate from its evidence keys, as ``certify`` builds one.
 
-    Each derived key must hold what the evidence gives: a number equal as a
-    number, any other value as the text ``certificate_to_text`` writes. A key
-    that does not, an unknown key and a number out of range fail at their line.
+    Every key ``certificate_to_text`` writes must hold what the rebuilt certificate
+    gives: an int or float equal as a number, anything else as the text written.
+    An evidence key, read through its rule, always does. A key that does not, an
+    unknown key and a number out of range fail at their line.
     """
     path = cert.path
     delta = cert.number("delta", to=check_delta)
     bounds = []
     for prefix in _PREFIXES:
-        method = cert.choice(f"{prefix}_method", BoundMethod, "bound method")
+        method = cert.text(f"{prefix}_method", to=lambda text: _choice(BoundMethod, text, "bound method"))
         n = cert.number(f"{prefix}_n", int, to=check_sample_size)
         point_key = f"{prefix}_point"
         bounds.append(cert.number(point_key, to=lambda p: confidence_bound(method, p, n, delta)))
@@ -583,11 +575,9 @@ def _rebuild(cert: Section) -> ValidationCertificate:
     items = dict(_certificate_items(rebuilt))
     cert.reject_unknown(items, "certificate key")
     for key, value in items.items():
-        if key not in _DERIVED:
-            continue
         written, line = cert.raw(key)
         wanted = _cert_value(value)
-        if written != wanted and not (isinstance(value, float) and cert.number(key) == value):
+        if written != wanted and not (type(value) in (int, float) and cert.number(key, type(value)) == value):
             message = f"{key} = {written} does not match its evidence, which gives {wanted}"
             raise InputError(message, str(path), line)
     return rebuilt

@@ -19,6 +19,7 @@ from ..artifacts import (
     InputError,
     Section,
     _at,
+    _choice,
     judged,
     parse_sections,
     policy_params,
@@ -150,10 +151,11 @@ def _claim_phrases(owners: dict[str, str], task: TaskSpec) -> None:
             raise ValueError(f"euphemism phrase {phrase!r} is listed by tasks {owner!r} and {task.id!r}")
 
 
-def _check_query(query: str) -> None:
-    """embed's rule: a concept query must give a token to search by, else a ValueError."""
+def _check_query(query: str) -> str:
+    """``query``, or a ValueError unless it gives a token to search by, as embed needs."""
     if not tokenize(query):
         raise ValueError(f"concept_query has no indexable token: {query!r}")
+    return query
 
 
 def _phrases(value: str) -> tuple[str, ...]:
@@ -183,10 +185,8 @@ _TASK_KEYS = tuple(f.name for f in fields(TaskSpec) if f.name != "id")
 def _task(sec: Section, owners: dict[str, str]) -> TaskSpec:
     sec.reject_unknown(_TASK_KEYS)
     task_id = sec.name[len("task.") :]
-    truth = sec.choice("truth", Verdict, "truth (established or refuted)")
-    query, line = sec.raw("concept_query")
-    with _at(sec.path, line):
-        _check_query(query)
+    truth = sec.text("truth", to=lambda text: _choice(Verdict, text, "truth (established or refuted)"))
+    query = sec.text("concept_query", to=_check_query)
     with _at(sec.path, sec.line):
         task = TaskSpec(
             id=task_id,
