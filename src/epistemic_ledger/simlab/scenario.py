@@ -244,9 +244,9 @@ def parse_scenario(text: str, path: str = "<scenario>") -> SimScenario:
 
 
 def load_scenario(source: str | Path) -> SimScenario:
-    """Load a scenario from a file path or a packaged scenario name."""
+    """Load a scenario from a file path or a packaged scenario name; a directory is no scenario file."""
     path = Path(source)
-    if path.suffix == ".scenario" or path.exists():
+    if path.suffix == ".scenario" or path.is_file():
         return parse_scenario(read_input(path), str(path))
     name = str(source)
     packaged = Path(__file__).parent / "data" / f"{name}.scenario"

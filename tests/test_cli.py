@@ -848,6 +848,13 @@ class TestSimulate:
         assert main(["simulate", "--seed", "123"]) == 0
         assert capsys.readouterr().out == with_env
 
+    def test_directory_named_as_the_packaged_scenario_is_not_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(cli.ENV_SEED, raising=False)
+        (tmp_path / "appendix_a").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--summary"]) == 0
+        assert pin(capsys.readouterr().out) == GOLDEN["simulate", "--summary"]
+
     def test_bad_scenario_diagnostic(self, tmp_path, capsys):
         path = write(tmp_path, "broken.scenario", "seed = 1\n???\n")
         assert main(["simulate", "--scenario", path]) == 1
