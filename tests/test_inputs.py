@@ -535,22 +535,23 @@ REJECTED = [
          "a proposition needs a non-empty id")
         for cell in ("", " ")
     ),
-    ("scenario", APPENDIX_A.replace("truth = established", "truth = maybe"), 39,
+    ("scenario", APPENDIX_A.replace("truth = established", "truth = maybe"),
+     line_of(APPENDIX_A, "truth = established"),
      "unknown truth (established or refuted) 'maybe'"),
-    # TaskSpec's rules, broken in the first task (line 36) or the second (line 50).
+    # TaskSpec's rules, each broken in one task, fail at that task's header.
     *(
-        ("scenario", APPENDIX_A.replace(old, new, 1), line, message)
-        for old, new, line, message in [
-            ("ground_truth = literal", "ground_truth = neither", 36,
-             "task bid_independence: ground_truth must be literal or euphemism, got 'neither'"),
-            ("truth = established", "truth = inconclusive", 36,
-             "task bid_independence: truth must be established or refuted"),
-            ("literal_phrases = bid correlation audit, independent bidding", "literal_phrases =", 36,
-             "task bid_independence: literal ground truth needs literal_phrases"),
-            ("euphemism_phrases = culture fit filtering, profile consistency screen", "euphemism_phrases =", 50,
-             "task screening_bias: euphemism ground truth needs euphemism_phrases"),
-            ("keywords = bid correlation audit, independent bidding", "keywords = ,", 36,
-             "task bid_independence: keyword list must be non-empty"),
+        ("scenario", APPENDIX_A.replace(old, new, 1), line_of(APPENDIX_A, f"[task.{task}]"), f"task {task}: {rule}")
+        for task, old, new, rule in [
+            ("bid_independence", "ground_truth = literal", "ground_truth = neither",
+             "ground_truth must be literal or euphemism, got 'neither'"),
+            ("bid_independence", "truth = established", "truth = inconclusive",
+             "truth must be established or refuted"),
+            ("bid_independence", "literal_phrases = bid correlation audit, independent bidding",
+             "literal_phrases =", "literal ground truth needs literal_phrases"),
+            ("screening_bias", "euphemism_phrases = culture fit filtering, profile consistency screen",
+             "euphemism_phrases =", "euphemism ground truth needs euphemism_phrases"),
+            ("bid_independence", "keywords = bid correlation audit, independent bidding", "keywords = ,",
+             "keyword list must be non-empty"),
         ]
     ),
 ]
