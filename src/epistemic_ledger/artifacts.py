@@ -8,16 +8,18 @@ byte-reproducible. Certificates, policies and scenario files share one
 ``key = value`` grammar, read by ``parse_sections``.
 
 The parsing helpers raise a plain ValueError, and ``_at`` alone turns it into an
-InputError at ``path:line``: a CSV reader's ``_at`` holds the line ``_rows`` is on,
-``Section`` enters one at a key's line, and ``judged`` at the line of the first key
+InputError at ``path:line``: a CSV reader's ``_rows`` finds the line of the row it failed
+on, ``Section`` enters one at a key's line, and ``judged`` at the line of the first key
 whose value alone breaks a rule.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
+import itertools
 import math
 import operator
 from dataclasses import dataclass, fields, replace
@@ -74,16 +76,15 @@ class InputError(ValueError):
 
 class _at:
     """Re-raise a plain ValueError from the block as an InputError at path:line; no other
-    code turns one into the other. ``line`` may move while the block runs, as ``_rows``
-    moves it from row to row.
+    code turns one into the other.
 
     A class, not a generator: it costs a quarter as much, and ``Section`` enters it per key."""
 
-    def __init__(self, path: str | Path, line: int):
+    def __init__(self, path: str | Path, line: int | None):
         self.path, self.line = str(path), line
 
-    def __enter__(self) -> None:
-        return None
+    def __enter__(self):
+        return self
 
     def __exit__(self, kind, exc, tb) -> None:
         if kind is not None and issubclass(kind, ValueError) and not issubclass(kind, InputError):
@@ -158,8 +159,11 @@ class Section:
         if default is not None and key not in self.values:
             return default
         value, line = self.raw(key)
-        with _at(self.path, line):
+        try:
             return to(value)
+        except ValueError:  # ``_at`` is entered only here: it costs as much as a rule
+            with _at(self.path, line):
+                raise
 
     def number(self, key: str, cast: type = float, to: Callable = lambda number: number):
         """``key``'s text read by ``_number`` as a finite ``cast``, then passed through ``to``."""
@@ -282,87 +286,102 @@ def files_hash(paths: Iterable[str | Path]) -> str:
 
 def _one_line(text: str, what: str) -> str:
     """``text``, or a ValueError if it holds a line break: the report echoes it as one line."""
-    if len(text.splitlines()) > 1:
+    if not text.isprintable() and len(text.splitlines()) > 1:  # every line break is unprintable
         raise ValueError(f"{what} {text!r} holds a line break")
     return text
 
 
-def _unique_id(kind: str, id_: str, first_line: dict[str, int], line: int) -> str:
-    """``id_``, its ``line`` recorded in ``first_line``; a repeated id is a ValueError."""
+def _unique_id(kind: str, id_: str, seen: Collection[str], rows: _rows) -> str:
+    """``id_``, or a ValueError if it holds a line break or is one of the ids ``seen``."""
     _one_line(id_, f"{kind} id")
-    if id_ in first_line:
-        raise ValueError(f"duplicate {kind} id {id_!r} (first at line {first_line[id_]})")
-    first_line[id_] = line
+    if id_ in seen:
+        at = rows.header.index("id")
+        first = next(n for n, _, cells in _starts(rows.text) if n > 1 and cells and cells[at].strip() == id_)
+        raise ValueError(f"duplicate {kind} id {id_!r} (first at line {first})")
     return id_
 
 
-def _rows(at: _at, expected: Sequence[str], optional: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """Yield the ``expected`` and ``optional`` cells of each data row of the CSV file
-    ``at.path``, with ``at.line`` set to the line the row starts on, so that a ValueError
-    raised under ``with at`` names that line.
-
-    A quoted cell may span lines. An optional cell that the header or the row
-    lacks reads "".
-    """
-    reader = csv.reader(io.StringIO(read_input(at.path)))
-    at.line = 1
+def _starts(text: str) -> Iterator[tuple[int, float, list[str]]]:
+    """Each row of ``text`` (a blank line as []) with its first and last line; malformed CSV ends them."""
+    reader = csv.reader(io.StringIO(text))
+    start = 1
     try:
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty file (missing header)")
-        missing = [c for c in expected if c not in header]
-        if missing:
-            raise ValueError(f"missing column(s): {', '.join(missing)}")
-        repeated = [c for c in (*expected, *optional) if header.count(c) > 1]
-        if repeated:
-            raise ValueError(f"repeated column(s): {', '.join(repeated)}")
-        width = 1 + max(header.index(c) for c in expected)
-        # A row narrower than the columns read is padded with blanks, so a cell
-        # past its end reads "". A column the header lacks reads the pad's last
-        # blank at -1, so then every row is padded.
-        columns = [header.index(c) if c in header else -1 for c in (*expected, *optional)]
-        blank = [""] * (1 + max(columns))
-        pad_below = math.inf if -1 in columns else len(blank)
-        cells_of = operator.itemgetter(*columns)
-        at.line = reader.line_num + 1
         for cells in reader:
-            if len(cells) >= width:
-                if len(cells) < pad_below:
-                    cells += blank
-                yield cells_of(cells)
-            elif cells:  # a short row, or one that an unterminated quote ran on into
-                empty = ", ".join(c for c in expected if header.index(c) >= len(cells))
-                raise ValueError(f"row has no value for column(s): {empty}")
-            at.line = reader.line_num + 1
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise ValueError(f"malformed CSV: {exc}") from None
+            yield start, reader.line_num, cells
+            start = reader.line_num + 1
+    except csv.Error:
+        yield start, math.inf, []
+
+
+class _rows(_at):
+    """The ``expected`` and ``optional`` cells of each data row of the CSV file ``path``,
+    iterated under ``with``. A quoted cell may span lines and a blank line is no row; an
+    optional cell that the header or the row lacks reads "". No line is kept per row: when
+    the block raises, the text is read again for the line the row being read starts on.
+    """
+
+    def __init__(self, path: str | Path, expected: Sequence[str], optional: Sequence[str]):
+        super().__init__(path, 1)
+        self.text, self.expected = read_input(path), expected
+        self.reader = csv.reader(io.StringIO(self.text))
+        with self:
+            header = self.header = next(self.reader, None)
+            if header is None:
+                raise ValueError("empty file (missing header)")
+            missing = [c for c in expected if c not in header]
+            if missing:
+                raise ValueError(f"missing column(s): {', '.join(missing)}")
+            repeated = [c for c in (*expected, *optional) if header.count(c) > 1]
+            if repeated:
+                raise ValueError(f"repeated column(s): {', '.join(repeated)}")
+        columns = [header.index(c) if c in header else -1 for c in (*expected, *optional)]
+        # Rows are padded in C: at the end for optional cells past the expected ones, so that a
+        # row short of an expected cell still raises IndexError; at the start for any column
+        # the header lacks, which reads that blank.
+        rows = filter(None, self.reader)  # a blank line is no row
+        self.width = 1 + max(columns[: len(expected)])
+        if max(columns) >= self.width:
+            rows = map(operator.iadd, rows, itertools.repeat([""] * (1 + max(columns) - self.width)))
+        if -1 in columns:
+            rows, columns = map(operator.add, itertools.repeat([""]), rows), [c + 1 for c in columns]
+        self.cells = map(operator.itemgetter(*columns), rows)
+        self.line = None
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        return self.cells
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is csv.Error:  # e.g. a field over csv.field_size_limit()
+            kind, exc = ValueError, ValueError(f"malformed CSV: {exc}")
+        if kind is not None and self.line is None:
+            self.line, _, cells = next(row for row in _starts(self.text) if row[1] >= self.reader.line_num)
+            if kind is IndexError and len(cells) < self.width:  # a short row, or one a quote ran on into
+                empty = ", ".join(c for c in self.expected if self.header.index(c) >= len(cells))
+                kind, exc = ValueError, ValueError(f"row has no value for column(s): {empty}")
+        super().__exit__(kind, exc, tb)
 
 
 def read_pipelines_csv(path: str | Path) -> list[PipelineSpec]:
     """Columns: id, kind, expected_cost, eps_ret, eps_gen, eps_ver[, joint_error]."""
-    pipelines = []
-    first_line: dict[str, int] = {}
+    pipelines: dict[str, PipelineSpec] = {}
     columns = ("id", "kind", "expected_cost", "eps_ret", "eps_gen", "eps_ver")
-    at = _at(path, 1)
-    with at:
-        for id_, kind_raw, cost, eps_ret, eps_gen, eps_ver, joint_raw in _rows(at, columns, ("joint_error",)):
-            pipeline_id = _unique_id("pipeline", id_.strip(), first_line, at.line)
+    with _rows(path, columns, ("joint_error",)) as rows:
+        for id_, kind_raw, cost, eps_ret, eps_gen, eps_ver, joint_raw in rows:
+            pipeline_id = _unique_id("pipeline", id_.strip(), pipelines, rows)
             kind = _choice(PipelineKind, kind_raw.strip(), "pipeline kind")
             joint_raw = joint_raw.strip()
-            pipelines.append(
-                PipelineSpec(
-                    id=check_pipeline_id(pipeline_id),
-                    kind=kind,
-                    expected_cost=_number(cost, "expected_cost"),
-                    errors=ComponentErrors(
-                        retrieval=_number(eps_ret, "eps_ret"),
-                        generation=_number(eps_gen, "eps_gen"),
-                        verification=_number(eps_ver, "eps_ver"),
-                    ),
-                    joint_error=_number(joint_raw, "joint_error") if joint_raw else None,
-                )
+            pipelines[pipeline_id] = PipelineSpec(
+                id=check_pipeline_id(pipeline_id),
+                kind=kind,
+                expected_cost=_number(cost, "expected_cost"),
+                errors=ComponentErrors(
+                    retrieval=_number(eps_ret, "eps_ret"),
+                    generation=_number(eps_gen, "eps_gen"),
+                    verification=_number(eps_ver, "eps_ver"),
+                ),
+                joint_error=_number(joint_raw, "joint_error") if joint_raw else None,
             )
-    return pipelines
+    return list(pipelines.values())
 
 
 def read_eval_records_csv(path: str | Path) -> dict[str, list[LossRecord]]:
@@ -372,48 +391,51 @@ def read_eval_records_csv(path: str | Path) -> dict[str, list[LossRecord]]:
     once; a bad pair fails at the first row that holds it.
     """
     sets: dict[str, list[LossRecord]] = {}
-    parsed: dict[tuple[str, str], tuple[list[LossRecord], LossRecord]] = {}  # by cell pair
-    at = _at(path, 1)
-    with at:
-        for cells in _rows(at, ("component", "loss"), ()):
-            entry = parsed.get(cells)
-            if entry is None:
-                component, loss = cells
-                component = component.strip()
-                if component not in COMPONENTS:
-                    raise ValueError(f"unknown component {component!r}")
-                record = LossRecord("", "", _number(loss, "loss"))
-                entry = parsed[cells] = (sets.setdefault(component, []), record)
-            entry[0].append(entry[1])
+
+    @functools.cache  # by cell pair
+    def parsed(component: str, loss: str) -> tuple[Callable, LossRecord]:
+        component = component.strip()
+        if component not in COMPONENTS:
+            raise ValueError(f"unknown component {component!r}")
+        return sets.setdefault(component, []).append, LossRecord("", "", _number(loss, "loss"))
+
+    with _rows(path, ("component", "loss"), ()) as rows:
+        for append, record in itertools.starmap(parsed, rows):
+            append(record)
     return sets
 
 
 def read_propositions_csv(path: str | Path, pipelines: Mapping[str, PipelineSpec]) -> Docket:
     """Columns: id, description, weight, threshold, pipelines (semicolon ids).
 
-    The weights' running total must stay finite; the row where it overflows
-    is rejected."""
+    Each distinct pipelines cell is read once, and a bad one fails at the first row
+    that holds it. The weights' running total must stay finite; the row where it
+    overflows is rejected."""
     propositions = []
     total_weight = 0.0
     sets: dict[str, tuple[PipelineSpec, ...]] = {}
-    first_line: dict[str, int] = {}
-    columns = ("id", "description", "weight", "threshold", "pipelines")
-    at = _at(path, 1)
-    with at:
-        for id_, description, weight, threshold, listed_raw in _rows(at, columns, ()):
-            prop_id = _unique_id("proposition", id_.strip(), first_line, at.line)
+
+    @functools.cache
+    def listed_pipelines(cell: str) -> tuple[PipelineSpec, ...]:  # first held by the row of prop_id
+        listed = list(filter(None, map(str.strip, cell.split(";"))))
+        try:
+            return tuple(map(pipelines.__getitem__, listed))
+        except KeyError:
+            unknown = ", ".join(p for p in listed if p not in pipelines)
+            raise ValueError(f"proposition {prop_id!r} references unknown pipeline(s): {unknown}") from None
+
+    with _rows(path, ("id", "description", "weight", "threshold", "pipelines"), ()) as rows:
+        for id_, description, weight, threshold, listed in rows:
+            prop_id = _unique_id("proposition", id_.strip(), sets, rows)
             if not prop_id:
                 raise ValueError("a proposition needs a non-empty id")
             description = _one_line(description.strip(), "description")
             weight = _number(weight, "weight")
-            threshold = _number(threshold, "threshold")
-            propositions.append(Proposition(prop_id, description, weight, threshold))
-            total_weight = _require("salience weight total", total_weight + weight, 0)
-            listed = [p.strip() for p in listed_raw.split(";") if p.strip()]
-            unknown = [p for p in listed if p not in pipelines]
-            if unknown:
-                raise ValueError(f"proposition {prop_id!r} references unknown pipeline(s): {', '.join(unknown)}")
-            sets[prop_id] = tuple(pipelines[p] for p in listed)
+            propositions.append(Proposition(prop_id, description, weight, _number(threshold, "threshold")))
+            total_weight += weight
+            if total_weight == math.inf:  # each weight is finite and >= 0, so the total is < inf or inf
+                _require("salience weight total", total_weight, 0)
+            sets[prop_id] = listed_pipelines(listed)
     return Docket(propositions=tuple(propositions), pipeline_sets=sets)
 
 
@@ -429,59 +451,50 @@ def read_executions_csv(
     ``check_timestamp``; a blank one leaves the execution undated.
     """
     records = []
-    certificates: dict[str, ValidationCertificate] = {}  # by cell, so each file is read once
     # Each distinct (executed, outcome, avoidance_evidence) cell triple is parsed
     # once: files repeat a few dozen triples, and a bad one fails at its first row.
-    states: dict[tuple[str, str, str], tuple[bool, Verdict | None, AvoidanceEvidence]] = {}
+    states = functools.cache(_execution_state)
     base = Path(path).parent
+
+    @functools.cache  # so each certificate cell is read once: a second pipeline beside it fails
+    def certificate_for(cert_raw: str, pipeline_id: str) -> ValidationCertificate:
+        cert_path = base / cert_raw  # an absolute cert_raw replaces base
+        if not cert_path.exists():
+            raise ValueError(f"certificate file not found: {cert_raw}")
+        try:
+            certificate = read_certificate(cert_path)
+        except OSError as exc:
+            raise ValueError(f"cannot read certificate {cert_raw}: {exc.strerror}") from None
+        if certificate.pipeline_id != pipeline_id:
+            wrote = certificate.pipeline_id
+            raise ValueError(f"certificate {cert_raw} is for pipeline {wrote!r}, not {pipeline_id!r}")
+        # certify gives the synthetic n = 0 bound only to a component the
+        # kind lacks; on one it runs, it would count as error-free.
+        runs = pipelines[pipeline_id].kind.components
+        unvalidated = [c for c, b in zip(COMPONENTS, certificate.bounds) if b.synthetic and c in runs]
+        if unvalidated:
+            raise ValueError(
+                f"certificate {cert_raw} has no evaluation records (n = 0) for component(s) "
+                f"{', '.join(unvalidated)}, which pipeline {pipeline_id!r} runs"
+            )
+        return certificate
+
     columns = ("proposition_id", "pipeline_id", "executed", "outcome", "avoidance_evidence", "certificate")
-    at = _at(path, 1)
-    with at:
-        for prop_id, pipeline_id, executed, outcome, evidence, cert_raw, timestamp in _rows(
-            at, columns, ("timestamp",)
-        ):
+    with _rows(path, columns, ("timestamp",)) as rows:
+        for prop_id, pipeline_id, executed, outcome, evidence, cert_raw, timestamp in rows:
             prop_id = prop_id.strip()
             if prop_id not in known_propositions:
                 raise ValueError(f"execution references unknown proposition {prop_id!r}")
-            state = states.get((executed, outcome, evidence))
-            if state is None:
-                state = states[executed, outcome, evidence] = _execution_state(executed, outcome, evidence)
+            ran, verdict, flag = states(executed, outcome, evidence)
             pipeline_id = pipeline_id.strip()
             if pipeline_id not in pipelines:
                 check_pipeline_id(_one_line(pipeline_id, "pipeline id"))
                 raise ValueError(f"execution references unknown pipeline {pipeline_id!r}")
             cert_raw = cert_raw.strip()
-            certificate = None
-            if cert_raw:
-                first_read = cert_raw not in certificates
-                if first_read:
-                    cert_path = base / cert_raw  # an absolute cert_raw replaces base
-                    if not cert_path.exists():
-                        raise ValueError(f"certificate file not found: {cert_raw}")
-                    try:
-                        certificates[cert_raw] = read_certificate(cert_path)
-                    except OSError as exc:
-                        raise ValueError(f"cannot read certificate {cert_raw}: {exc.strerror}") from None
-                certificate = certificates[cert_raw]
-                if certificate.pipeline_id != pipeline_id:
-                    wrote = certificate.pipeline_id
-                    raise ValueError(f"certificate {cert_raw} is for pipeline {wrote!r}, not {pipeline_id!r}")
-                if first_read:  # later rows naming this cell are for the same pipeline
-                    # certify gives the synthetic n = 0 bound only to a component the
-                    # kind lacks; on one it runs, it would count as error-free.
-                    runs = pipelines[pipeline_id].kind.components
-                    unvalidated = [
-                        c for c, b in zip(COMPONENTS, certificate.bounds) if b.synthetic and c in runs
-                    ]
-                    if unvalidated:
-                        raise ValueError(
-                            f"certificate {cert_raw} has no evaluation records (n = 0) for component(s) "
-                            f"{', '.join(unvalidated)}, which pipeline {pipeline_id!r} runs"
-                        )
+            certificate = certificate_for(cert_raw, pipeline_id) if cert_raw else None
             timestamp = timestamp.strip()
             if timestamp:
                 check_timestamp(timestamp)
-            ran, verdict, flag = state
             records.append(ExecutionRecord(pipeline_id, prop_id, ran, certificate, verdict, flag, timestamp))
     return records
 

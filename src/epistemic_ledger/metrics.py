@@ -67,7 +67,7 @@ def _require(
 def _count(name: str, value: int, low: float, high: float = math.inf) -> int:
     """``value`` if ``_require`` accepts it in [low, high] and it is an integer; else a ValueError."""
     _require(name, value, low, high)
-    if not isinstance(value, numbers.Integral):
+    if type(value) is not int and not isinstance(value, numbers.Integral):  # the ABC test is slow
         raise ValueError(f"{name} must be an integer, got {value}")
     return value
 
@@ -86,8 +86,10 @@ class Proposition:
     threshold: float = 0.7
 
     def __post_init__(self) -> None:
-        _require("salience_weight", self.salience_weight, 0)
-        _require("threshold", self.threshold, 0, 1, exclusive=True)
+        weight, threshold = self.salience_weight, self.threshold
+        if not (type(weight) is type(threshold) is float and 0.0 <= weight < math.inf and 0.0 < threshold < 1.0):
+            _require("salience_weight", weight, 0)
+            _require("threshold", threshold, 0, 1, exclusive=True)
 
 
 @dataclass(frozen=True)

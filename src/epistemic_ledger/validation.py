@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from functools import cached_property
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
 from .metrics import (
@@ -206,7 +207,7 @@ def empirical_risk(records: Sequence[LossRecord]) -> float:
     """Arithmetic mean of the recorded losses."""
     if not records:
         raise ValueError("empirical_risk requires at least one record")
-    return sum(r.loss for r in records) / len(records)
+    return sum(map(attrgetter("loss"), records)) / len(records)
 
 
 def hoeffding_upper(risk: float, n: int, delta: float) -> ConfidenceBound:
@@ -391,7 +392,7 @@ def make_folds(
         if strategy.shuffle_seed is not None:
             import random
 
-            random.Random(_count("kfold shuffle_seed", strategy.shuffle_seed, 0)).shuffle(order)
+            random.Random(int(_count("kfold shuffle_seed", strategy.shuffle_seed, 0))).shuffle(order)  # a numpy int too
         cuts = _runs(n, strategy.k)
         splits = [(order[:a] + order[b:], order[a:b]) for a, b in zip(cuts, cuts[1:])]
     elif isinstance(strategy, RollingWindow):
@@ -542,7 +543,7 @@ def certify(
                 f"pipeline {pipeline.id}: no evaluation records for component "
                 f"'{slot}'; an unvalidated component cannot be certified"
             )
-        if method is BoundMethod.WILSON and any(r.loss not in (0.0, 1.0) for r in records):
+        if method is BoundMethod.WILSON and not all(map((0.0, 1.0).__contains__, map(attrgetter("loss"), records))):
             raise ValueError(
                 f"component '{slot}' has non-binary losses; the Wilson "
                 "bound needs 0/1 losses (use hoeffding instead)"

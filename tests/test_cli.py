@@ -229,10 +229,63 @@ class TestCertify:
             assert certificate_to_text(read_certificate(path)) == path.read_text()
 
 
-def _reference_sets(text):
-    """Each component's losses in file order, parsed one dict per row."""
+def _dict_reader_parse(text, path, expected, parse):
+    """Each row parsed one dict at a time by ``parse(row, line)``, ``line`` being where the
+    row starts; or, for the first row whose ``parse`` raises a ValueError or that lacks a
+    cell of an ``expected`` column, ``path:line: message``. A blank line is no row."""
+    parsed = []
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    start = reader.line_num + 1
+    for cells in reader:
+        try:
+            empty = [c for c in expected if header.index(c) >= len(cells)]
+            if cells and empty:
+                raise ValueError(f"row has no value for column(s): {', '.join(empty)}")
+            if cells:
+                parsed.append(parse(dict(zip(header, cells)), start))
+        except ValueError as exc:
+            return f"{path}:{start}: {exc}"
+        start = reader.line_num + 1
+    return parsed
+
+
+# How a file lays its rows out: each row gets a cell of an ignored "note" column, which
+# may span lines; a blank line goes before each row whose index is in "blanks"; and a
+# row whose index is in "short" keeps only that many of its first cells.
+_LAYOUT = st.fixed_dictionaries({
+    "notes": st.lists(st.sampled_from(["", "n", "two\nlines", 'x\r\ny, "z"', "\n\n"]), max_size=4),
+    "blanks": st.sets(st.integers(0, 30), max_size=3),
+    "short": st.dictionaries(st.integers(0, 30), st.integers(0, 8), max_size=1),
+})
+
+
+def _csv_file(directory, name, columns, rows, order, newline, layout):
+    """``rows`` (dicts) written under ``columns`` and a "note" column in a shuffled order, laid
+    out as ``layout`` says (see ``_LAYOUT``); the file's path and text."""
+    columns = [*columns, "note"]
+    order.shuffle(columns)
+    notes = layout["notes"] or [""]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=newline)
+    writer.writerow(columns)
+    for i, row in enumerate(rows):
+        if i in layout["blanks"]:
+            buffer.write(newline)
+        cells = [{**row, "note": notes[i % len(notes)]}[c] for c in columns]
+        writer.writerow(cells[: layout["short"].get(i, len(cells))])
+    path = directory / name
+    path.write_bytes(buffer.getvalue().encode("utf-8"))
+    return path, buffer.getvalue()
+
+
+def _reference_sets(text, path):
+    """Each component's losses in file order, parsed one dict per row; or a short row's diagnostic."""
+    parsed = _dict_reader_parse(text, path, ("component", "loss"), lambda row, _: row)
+    if isinstance(parsed, str):
+        return parsed
     sets = {}
-    for row in csv.DictReader(io.StringIO(text)):
+    for row in parsed:
         sets.setdefault(row["component"].strip(), []).append(float(row["loss"]))
     return sets
 
@@ -262,23 +315,22 @@ class TestEvalRecords:
         extra=st.sampled_from([(), ("predicted", "actual"), ("actual",)]),
         order=st.randoms(use_true_random=False),
         newline=st.sampled_from(["\n", "\r\n"]),
+        layout=_LAYOUT,
     )
-    def test_losses_match_a_dict_reader_parse(self, tmp_path_factory, rows, extra, order, newline):
+    def test_losses_match_a_dict_reader_parse(self, tmp_path_factory, rows, extra, order, newline, layout):
         rows = rows + [(c, "0", "", "") for c in COMPONENTS]  # every component certify needs
+        rows = [dict(component=c, loss=loss, predicted=p, actual=a) for c, loss, p, a in rows]
+        directory = tmp_path_factory.mktemp("records")
         columns = ["component", "loss", *extra]
-        order.shuffle(columns)
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator=newline)
-        writer.writerow(columns)
-        for component, loss, predicted, actual in rows:
-            cells = {"component": component, "loss": loss, "predicted": predicted, "actual": actual}
-            writer.writerow([cells[c] for c in columns])
-        text = buffer.getvalue()
-        path = tmp_path_factory.mktemp("records") / "records.csv"
-        path.write_bytes(text.encode("utf-8"))
-
-        read = read_eval_records_csv(path)
-        reference = _reference_sets(text)
+        path, text = _csv_file(directory, "records.csv", columns, rows, order, newline, layout)
+        try:
+            read = read_eval_records_csv(path)
+        except InputError as exc:
+            read = str(exc)
+        reference = _reference_sets(text, path)
+        if isinstance(reference, str):  # a short row
+            assert read == reference
+            return
         assert {c: [r.loss for r in records] for c, records in read.items()} == reference
         as_records = {c: [LossRecord("", "", x) for x in xs] for c, xs in reference.items()}
         for method in BoundMethod:
@@ -292,48 +344,45 @@ _MODERN_CERT = certify(
 )
 
 
+_EXECUTION_COLUMNS = ("proposition_id", "pipeline_id", "executed", "outcome", "avoidance_evidence", "certificate")
+
+
 def _reference_executions(text, path, known, pipelines):
     """Each executions row parsed one dict at a time, or the first bad row's ``path:line: message``."""
-    records = []
-    reader = csv.DictReader(io.StringIO(text))
-    for row in reader:
-        where = f"{path}:{reader.line_num}: "  # every generated row is one line
+
+    def parse(row, _line):
         prop_id = row["proposition_id"].strip()
         if prop_id not in known:
-            return where + f"execution references unknown proposition {prop_id!r}"
+            raise ValueError(f"execution references unknown proposition {prop_id!r}")
         executed = row["executed"].strip().lower()
         if executed not in ("true", "false"):
-            return where + f"column 'executed' must be true or false, got {row['executed']!r}"
+            raise ValueError(f"column 'executed' must be true or false, got {row['executed']!r}")
         outcome = row["outcome"].strip()
         if outcome and outcome not in [v.value for v in doctrine.Verdict]:
-            return where + f"unknown outcome {outcome!r}"
+            raise ValueError(f"unknown outcome {outcome!r}")
         evidence = row["avoidance_evidence"].strip() or "none"
         if evidence not in [v.value for v in doctrine.AvoidanceEvidence]:
-            return where + f"unknown avoidance evidence {evidence!r}"
+            raise ValueError(f"unknown avoidance evidence {evidence!r}")
         pipeline_id = row["pipeline_id"].strip()
         if pipeline_id not in pipelines:
-            return where + f"execution references unknown pipeline {pipeline_id!r}"
+            raise ValueError(f"execution references unknown pipeline {pipeline_id!r}")
         cert = row["certificate"].strip()
         if cert and pipeline_id != _MODERN_CERT.pipeline_id:
-            return where + f"certificate {cert} is for pipeline 'modern_actual', not {pipeline_id!r}"
+            raise ValueError(f"certificate {cert} is for pipeline 'modern_actual', not {pipeline_id!r}")
         timestamp = (row.get("timestamp") or "").strip()
-        try:
-            if timestamp:
-                check_timestamp(timestamp)
-            records.append(
-                doctrine.ExecutionRecord(
-                    pipeline_id=pipeline_id,
-                    proposition_id=prop_id,
-                    executed=executed == "true",
-                    certificate=_MODERN_CERT if cert else None,
-                    outcome=doctrine.Verdict(outcome) if outcome else None,
-                    avoidance_evidence=doctrine.AvoidanceEvidence(evidence),
-                    timestamp=timestamp,
-                )
-            )
-        except ValueError as exc:
-            return where + str(exc)
-    return records
+        if timestamp:
+            check_timestamp(timestamp)
+        return doctrine.ExecutionRecord(
+            pipeline_id=pipeline_id,
+            proposition_id=prop_id,
+            executed=executed == "true",
+            certificate=_MODERN_CERT if cert else None,
+            outcome=doctrine.Verdict(outcome) if outcome else None,
+            avoidance_evidence=doctrine.AvoidanceEvidence(evidence),
+            timestamp=timestamp,
+        )
+
+    return _dict_reader_parse(text, path, _EXECUTION_COLUMNS, parse)
 
 
 def _execution_row(prop, pipeline, executed, outcome, evidence, cert, timestamp):
@@ -379,24 +428,18 @@ class TestExecutions:
         timestamp=st.booleans(),
         order=st.randoms(use_true_random=False),
         newline=st.sampled_from(["\n", "\r\n"]),
+        layout=_LAYOUT,
     )
-    def test_records_match_a_dict_reader_parse(self, tmp_path_factory, rows, odd, timestamp, order, newline):
+    def test_records_match_a_dict_reader_parse(
+        self, tmp_path_factory, rows, odd, timestamp, order, newline, layout
+    ):
         rows = list(rows)
         for position, row in odd:
             rows.insert(position % (len(rows) + 1), row)
-        columns = [
-            "proposition_id", "pipeline_id", "executed", "outcome", "avoidance_evidence", "certificate",
-        ] + ["timestamp"] * timestamp
-        order.shuffle(columns)
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator=newline)
-        writer.writerow(columns)
-        writer.writerows([row[c] for c in columns] for row in rows)
-        text = buffer.getvalue()
+        columns = [*_EXECUTION_COLUMNS] + ["timestamp"] * timestamp
         directory = tmp_path_factory.mktemp("executions")
         (directory / "m.cert").write_text(certificate_to_text(_MODERN_CERT))
-        path = directory / "executions.csv"
-        path.write_bytes(text.encode("utf-8"))
+        path, text = _csv_file(directory, "executions.csv", columns, rows, order, newline, layout)
         known = {"bid_independence", "other"}
         pipelines = {p.id: p for p in read_pipelines_csv(write(directory, "pipelines.csv", PIPELINES_CSV))}
 
@@ -428,22 +471,6 @@ def _unique(kind, id_, first_line, line):
     return id_
 
 
-def _dict_reader_parse(text, path, parse):
-    """Each row parsed one dict at a time by ``parse(row, line)``, ``line`` being where the
-    row starts; or, for the first row whose ``parse`` raises a ValueError, ``path:line: message``."""
-    parsed = []
-    reader = csv.DictReader(io.StringIO(text))
-    assert reader.fieldnames  # reads the header row
-    start = reader.line_num + 1
-    for row in reader:
-        try:
-            parsed.append(parse(row, start))
-        except ValueError as exc:
-            return f"{path}:{start}: {exc}"
-        start = reader.line_num + 1
-    return parsed
-
-
 def _reference_pipelines(text, path):
     first_line = {}
 
@@ -460,7 +487,7 @@ def _reference_pipelines(text, path):
         joint_error = _finite(joint, "joint_error") if joint else None
         return PipelineSpec(pipeline_id, PipelineKind(kind), cost, errors, joint_error)
 
-    return _dict_reader_parse(text, path, parse)
+    return _dict_reader_parse(text, path, ("id", "kind", "expected_cost", "eps_ret", "eps_gen", "eps_ver"), parse)
 
 
 def _reference_docket(text, path, pipelines):
@@ -484,23 +511,10 @@ def _reference_docket(text, path, pipelines):
             raise ValueError(f"proposition {prop_id!r} references unknown pipeline(s): {', '.join(unknown)}")
         return prop, tuple(pipelines[p] for p in listed)
 
-    parsed = _dict_reader_parse(text, path, parse)
+    parsed = _dict_reader_parse(text, path, ("id", "description", "weight", "threshold", "pipelines"), parse)
     if isinstance(parsed, str):
         return parsed
     return metrics.Docket(tuple(p for p, _ in parsed), {p.id: specs for p, specs in parsed})
-
-
-def _csv_file(directory, name, columns, rows, order, newline):
-    """``rows`` (dicts) written under ``columns`` in a shuffled order; the file's path and text."""
-    columns = list(columns)
-    order.shuffle(columns)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator=newline)
-    writer.writerow(columns)
-    writer.writerows([row[c] for c in columns] for row in rows)
-    path = directory / name
-    path.write_bytes(buffer.getvalue().encode("utf-8"))
-    return path, buffer.getvalue()
 
 
 def _with_odd_rows(good, odd, id_format):
@@ -569,11 +583,13 @@ class TestPropositions:
         odd=st.lists(st.tuples(st.integers(min_value=0), _ANY_PROPOSITION_ROW), max_size=3),
         order=st.randoms(use_true_random=False),
         newline=st.sampled_from(["\n", "\r\n"]),
+        layout=_LAYOUT,
     )
-    def test_docket_matches_a_dict_reader_parse(self, tmp_path_factory, good, odd, order, newline):
+    def test_docket_matches_a_dict_reader_parse(self, tmp_path_factory, good, odd, order, newline, layout):
         columns = ["id", "description", "weight", "threshold", "pipelines"]
         rows = _with_odd_rows(good, odd, "q{i}{pad}")
-        path, text = _csv_file(tmp_path_factory.mktemp("propositions"), "props.csv", columns, rows, order, newline)
+        directory = tmp_path_factory.mktemp("propositions")
+        path, text = _csv_file(directory, "props.csv", columns, rows, order, newline, layout)
         pipelines = {p.id: p for p in read_pipelines_csv(write(path.parent, "pipelines.csv", PIPELINES_CSV))}
         try:
             read = read_propositions_csv(path, pipelines)
@@ -1008,12 +1024,13 @@ class TestPipelinesCsv:
         joint=st.booleans(),
         order=st.randoms(use_true_random=False),
         newline=st.sampled_from(["\n", "\r\n"]),
+        layout=_LAYOUT,
     )
-    def test_pipelines_match_a_dict_reader_parse(self, tmp_path_factory, good, odd, joint, order, newline):
+    def test_pipelines_match_a_dict_reader_parse(self, tmp_path_factory, good, odd, joint, order, newline, layout):
         columns = ["id", "kind", "expected_cost", "eps_ret", "eps_gen", "eps_ver"] + ["joint_error"] * joint
         rows = _with_odd_rows(good, odd, "{pad}p{i}")
         directory = tmp_path_factory.mktemp("pipelines")
-        path, text = _csv_file(directory, "pipelines.csv", columns, rows, order, newline)
+        path, text = _csv_file(directory, "pipelines.csv", columns, rows, order, newline, layout)
         try:
             read = read_pipelines_csv(path)
         except InputError as exc:

@@ -617,3 +617,26 @@ def test_a_fraction_inside_a_counts_interval_is_refused(call, value):
     # A count is whole: a bound is not built on, nor numpy seeded from, a fraction.
     with pytest.raises(ValueError, match=f"must be an integer, got {value}$"):
         call(value)
+
+
+def _accepts(call, value) -> bool:
+    try:
+        call(value)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("call, outside", [pytest.param(call, outside, id=what) for what, call, outside in RANGES])
+def test_a_number_inside_its_interval_is_accepted_as_each_numeric_type(call, outside):
+    # The checks take a fast path for a Python float or int, so a value that they accept
+    # must pass as whatever type holds it: a count as an int and a numpy int, any other
+    # number as a float, a numpy float and, where a whole number is inside, an int.
+    if isinstance(outside, int):
+        inside = next(v for v in (outside + 1, outside + 2, outside - 1) if _accepts(call, v))
+        assert _accepts(call, np.int64(inside))
+    else:
+        assert _accepts(call, 0.5) and _accepts(call, np.float64(0.5))
+        for whole in (0, 1):
+            if _accepts(call, float(whole)):
+                assert _accepts(call, whole) and _accepts(call, np.float64(whole))
