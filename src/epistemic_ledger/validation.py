@@ -17,7 +17,7 @@ from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from functools import cached_property
+from functools import cached_property, partial
 from enum import Enum
 from operator import attrgetter
 from typing import Callable, Mapping, Sequence
@@ -454,27 +454,31 @@ def cv_risk(
     dataset: Sequence[tuple[object, object]],
     plan: FoldPlan,
     candidate: ModelCandidate,
+    trains: list[list[tuple[object, object]]] | None = None,
 ) -> float:
     """Cross-validated 0/1 risk with equal per-fold weight.
 
     Each fold's model is trained on that fold's train indices and evaluated
     on its test indices; the fold means are then averaged with weight 1/K
     regardless of fold size. Folds are evaluated in fold-id order so results
-    are bitwise reproducible.
+    are bitwise reproducible. ``trains`` keeps each fold's train records, in
+    that order, for later calls on the same dataset and plan; a trainer gets a copy.
     """
     if not plan.folds:
         raise ValueError("fold plan has no folds")
     n = len(dataset)
+    trains = [] if trains is None else trains
     fold_risks = []
-    for fold in sorted(plan.folds, key=lambda f: f.fold_id):
+    for j, fold in enumerate(sorted(plan.folds, key=lambda f: f.fold_id)):
         if not fold.test:
             raise ValueError(f"fold {fold.fold_id} has no test records")
-        if fold.train and not (0 <= min(fold.train) and max(fold.train) < n):
-            i = next(i for i in fold.train if not 0 <= i < n)
-            raise ValueError(f"fold {fold.fold_id} train index {i} is outside 0..{n - 1}")
-        train = [dataset[i] for i in fold.train]
+        if j == len(trains):
+            if fold.train and not (0 <= min(fold.train) and max(fold.train) < n):
+                i = next(i for i in fold.train if not 0 <= i < n)
+                raise ValueError(f"fold {fold.fold_id} train index {i} is outside 0..{n - 1}")
+            trains.append([dataset[i] for i in fold.train])
         try:
-            predict = candidate.trainer(train)
+            predict = candidate.trainer(list(trains[j]))
         except Exception as exc:
             raise RuntimeError(
                 f"trainer for candidate {candidate.id} failed on fold {fold.fold_id}"
@@ -503,9 +507,8 @@ def penalized_select(
     if not candidates:
         raise ValueError("penalized_select requires at least one candidate")
     _require("lambda", lam, 0)
-    return min(
-        candidates, key=lambda c: (cv_risk(dataset, plan, c) + lam * c.complexity, c.complexity, c.id)
-    )
+    risk = partial(cv_risk, dataset, plan, trains=[])  # the folds' train records, built once for all
+    return min(candidates, key=lambda c: (risk(c) + lam * c.complexity, c.complexity, c.id))
 
 
 def certify(

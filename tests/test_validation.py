@@ -652,6 +652,50 @@ class TestPenalizedSelect:
         data = [(i, True) for i in range(10)]
         return data, make_folds(10, KFold(5))
 
+    def test_each_folds_train_records_are_gathered_once_for_all_candidates(self):
+        class Counted(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                Counted.reads += 1
+                return super().__getitem__(i)
+
+        data = Counted((i, i % 3 == 0) for i in range(20))
+        plan = make_folds(20, KFold(4, shuffle_seed=3))
+        candidates = [ModelCandidate(f"c{v}", constant_trainer(v), complexity=0.0) for v in (True, False, 1)]
+        risks = {c.id: cv_risk(list(data), plan, c) for c in candidates}
+        chosen = penalized_select(candidates, data, plan, lam=0.0)
+        assert chosen.id == min(candidates, key=lambda c: (risks[c.id], c.complexity, c.id)).id
+        trains = sum(len(f.train) for f in plan.folds)
+        assert Counted.reads == trains + len(candidates) * sum(len(f.test) for f in plan.folds)
+
+    def test_a_trainer_that_changes_its_records_leaves_the_next_ones(self):
+        data, plan = self._data_plan()
+        seen = []
+
+        def greedy(train):
+            seen.append(list(train))
+            train.clear()
+            return lambda x: True
+
+        candidates = [ModelCandidate(name, greedy, complexity=0.0) for name in ("a", "b")]
+        penalized_select(candidates, data, plan, lam=0.0)
+        assert seen[len(plan.folds):] == seen[: len(plan.folds)]
+        assert [len(train) for train in seen] == [len(f.train) for f in plan.folds] * 2
+
+    def test_a_failing_trainer_is_named_before_a_later_folds_bad_train_index(self):
+        data = [(i, True) for i in range(4)]
+        plan = FoldPlan("manual", (Fold(0, (0, 1), (2,)), Fold(1, (0, 9), (3,))))
+
+        def broken(_train):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="failed on fold 0"):
+            penalized_select([ModelCandidate("broken", broken, 0.0)], data, plan, lam=0.0)
+        good = ModelCandidate("good", constant_trainer(True), 0.0)
+        with pytest.raises(ValueError, match="^fold 1 train index 9 is outside 0..3$"):
+            penalized_select([good, ModelCandidate("broken", broken, 0.0)], data, plan, lam=0.0)
+
     def test_lambda_zero_is_pure_risk_argmin(self):
         data, plan = self._data_plan()
         good = ModelCandidate("good", constant_trainer(True), complexity=9.0)
