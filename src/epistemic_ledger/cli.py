@@ -140,7 +140,10 @@ def _resolve_seed(args: argparse.Namespace, scenario: SimScenario) -> int:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -270,7 +273,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     if args.export_corpus:
         corpus = generate_corpus(scenario, seed)
-        Path(args.export_corpus).write_text(export_corpus(corpus), encoding="utf-8")
+        _emit(export_corpus(corpus), args.export_corpus)
     _emit(text, args.out)
     return 0
 
@@ -408,6 +411,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename:  # a file an argument names; _emit words a write
+            exc = f"cannot read {exc.filename}: {exc.strerror}"
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, CertificationRefusedError) else 1
 

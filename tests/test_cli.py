@@ -976,6 +976,43 @@ class TestParserReuse:
             assert pin(capsys.readouterr().out) == GOLDEN["sweep", "sensitivity"]
 
 
+def _argv_naming(tmp_path, flag, path):
+    """A command's argv whose input ``flag`` (or positional) names ``path``, every other input good."""
+    pipelines = write(tmp_path, "pipelines.csv", PIPELINES_CSV)
+    props = write(tmp_path, "props.csv", PROPOSITIONS_CSV)
+    executions = write(tmp_path, "exec.csv", ",".join(_EXECUTION_COLUMNS) + "\n")
+    classify = {"--propositions": props, "--pipelines": pipelines, "--executions": executions, flag: path}
+    return {
+        "score": ["score", path],
+        "certify": ["certify", path, "--pipeline-id", "p", "--cost", "1"],
+        "--policy": ["score", pipelines, "--policy", path],
+        "--scenario": ["simulate", "--scenario", path],
+    }.get(flag) or ["classify", *[part for item in classify.items() for part in item]]
+
+
+class TestUnreadablePaths:
+    """A path that cannot be opened is named with the reason, as a certificate cell is."""
+
+    @pytest.mark.parametrize("flag", ["score", "certify", "--propositions", "--pipelines", "--executions",
+                                      "--policy", "--scenario"])
+    @pytest.mark.parametrize(
+        "kind, reason", [("missing", "No such file or directory"), ("directory", "Is a directory")]
+    )
+    def test_an_input_that_cannot_be_read(self, tmp_path, capsys, flag, kind, reason):
+        path = tmp_path / "in.scenario"
+        if kind == "directory":
+            path.mkdir()
+        assert main(_argv_naming(tmp_path, flag, str(path))) == 1
+        assert capsys.readouterr().err == f"error: cannot read {path}: {reason}\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--export-corpus"])
+    def test_an_output_into_a_missing_directory(self, tmp_path, capsys, flag):
+        out = tmp_path / "missing" / "out.csv"
+        command = ["simulate"] if flag == "--export-corpus" else ["score", write(tmp_path, "p.csv", PIPELINES_CSV)]
+        assert main([*command, flag, str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+
 class TestEntryPoints:
     def test_module_prints_version(self):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
