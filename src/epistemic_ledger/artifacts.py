@@ -296,14 +296,15 @@ def _unique_id(kind: str, id_: str, seen: Collection[str], rows: _rows) -> str:
     _one_line(id_, f"{kind} id")
     if id_ in seen:
         at = rows.header.index("id")
-        first = next(n for n, _, cells in _starts(rows.text) if n > 1 and cells and cells[at].strip() == id_)
+        first = next(n for n, _, cells in _starts(rows.file) if n > 1 and cells and cells[at].strip() == id_)
         raise ValueError(f"duplicate {kind} id {id_!r} (first at line {first})")
     return id_
 
 
-def _starts(text: str) -> Iterator[tuple[int, float, list[str]]]:
-    """Each row of ``text`` (a blank line as []) with its first and last line; malformed CSV ends them."""
-    reader = csv.reader(io.StringIO(text))
+def _starts(file: io.StringIO) -> Iterator[tuple[int, float, list[str]]]:
+    """Each row of ``file`` read again (a blank line as []) with its first and last line;
+    malformed CSV ends them."""
+    reader = csv.reader(io.StringIO(file.getvalue()))
     start = 1
     try:
         for cells in reader:
@@ -322,8 +323,8 @@ class _rows(_at):
 
     def __init__(self, path: str | Path, expected: Sequence[str], optional: Sequence[str]):
         super().__init__(path, 1)
-        self.text, self.expected = read_input(path), expected
-        self.reader = csv.reader(io.StringIO(self.text))
+        self.file, self.expected = io.StringIO(read_input(path)), expected
+        self.reader = csv.reader(self.file)
         with self:
             header = self.header = next(self.reader, None)
             if header is None:
@@ -335,9 +336,8 @@ class _rows(_at):
             if repeated:
                 raise ValueError(f"repeated column(s): {', '.join(repeated)}")
         columns = [header.index(c) if c in header else -1 for c in (*expected, *optional)]
-        # Rows are padded in C: at the end for optional cells past the expected ones, so that a
-        # row short of an expected cell still raises IndexError; at the start for any column
-        # the header lacks, which reads that blank.
+        # Rows are padded in C: at the end for optional cells past the expected ones (a row
+        # short of an expected cell still raises IndexError), at the start for a column not there.
         rows = filter(None, self.reader)  # a blank line is no row
         self.width = 1 + max(columns[: len(expected)])
         if max(columns) >= self.width:
@@ -354,7 +354,7 @@ class _rows(_at):
         if kind is csv.Error:  # e.g. a field over csv.field_size_limit()
             kind, exc = ValueError, ValueError(f"malformed CSV: {exc}")
         if kind is not None and self.line is None:
-            self.line, _, cells = next(row for row in _starts(self.text) if row[1] >= self.reader.line_num)
+            self.line, _, cells = next(row for row in _starts(self.file) if row[1] >= self.reader.line_num)
             if kind is IndexError and len(cells) < self.width:  # a short row, or one a quote ran on into
                 empty = ", ".join(c for c in self.expected if self.header.index(c) >= len(cells))
                 kind, exc = ValueError, ValueError(f"row has no value for column(s): {empty}")
