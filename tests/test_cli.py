@@ -251,12 +251,12 @@ def _dict_reader_parse(text, path, expected, parse):
 
 
 # How a file lays its rows out: each row gets a cell of an ignored "note" column, which
-# may span lines; a blank line goes before each row whose index is in "blanks"; and a
-# row whose index is in "short" keeps only that many of its first cells.
+# may span lines; a blank line goes before each row whose index, modulo the row count, is
+# in "blanks"; and a row whose index so taken is in "short" keeps only its first cells.
 _LAYOUT = st.fixed_dictionaries({
     "notes": st.lists(st.sampled_from(["", "n", "two\nlines", 'x\r\ny, "z"', "\n\n"]), max_size=4),
     "blanks": st.sets(st.integers(0, 30), max_size=3),
-    "short": st.dictionaries(st.integers(0, 30), st.integers(0, 8), max_size=1),
+    "short": st.dictionaries(st.integers(0, 30), st.integers(0, 8), max_size=2),
 })
 
 
@@ -266,14 +266,16 @@ def _csv_file(directory, name, columns, rows, order, newline, layout):
     columns = [*columns, "note"]
     order.shuffle(columns)
     notes = layout["notes"] or [""]
+    blanks = {i % len(rows) for i in layout["blanks"]} if rows else set()
+    short = {i % len(rows): keep for i, keep in layout["short"].items()} if rows else {}
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator=newline)
     writer.writerow(columns)
     for i, row in enumerate(rows):
-        if i in layout["blanks"]:
+        if i in blanks:
             buffer.write(newline)
         cells = [{**row, "note": notes[i % len(notes)]}[c] for c in columns]
-        writer.writerow(cells[: layout["short"].get(i, len(cells))])
+        writer.writerow(cells[: short.get(i, len(cells))])
     path = directory / name
     path.write_bytes(buffer.getvalue().encode("utf-8"))
     return path, buffer.getvalue()
