@@ -78,7 +78,7 @@ class _at:
     """Re-raise a plain ValueError from the block as an InputError at path:line; no other
     code turns one into the other.
 
-    A class, not a generator: it costs a quarter as much, and ``Section`` enters it per key."""
+    A class, not a generator: it costs a quarter as much, and ``_rows`` extends it."""
 
     def __init__(self, path: str | Path, line: int | None):
         self.path, self.line = str(path), line
